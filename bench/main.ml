@@ -184,12 +184,14 @@ let run_parallel_bench () =
   Runner.Atomic_file.write_string "BENCH_parallel.json" (Buffer.contents b);
   Format.printf "wrote BENCH_parallel.json@."
 
-(* Structured vs dense HTM kernels: times Htm.to_matrix (Smat shapes,
-   Sherman–Morrison feedback) against Htm.to_matrix_dense (boxed Cmat
-   products + dense LU) on the closed-loop HTM, and compares per-eval
-   allocation. Emitted as BENCH_kernels.json for CI tracking. *)
+(* One-point plan vs dense HTM kernels: times Htm.to_matrix (a
+   one-point Plan over Smat shapes, Sherman–Morrison feedback) against
+   Htm.to_matrix_dense (boxed Cmat products + dense LU) on the
+   closed-loop HTM, and compares per-eval allocation. Emitted as
+   BENCH_kernels.json for CI tracking (the "structured_*" keys are the
+   one-point plan side). *)
 let run_kernel_bench () =
-  Format.printf "@.== HTM kernels: structured (Smat) vs dense evaluation ==@.";
+  Format.printf "@.== HTM kernels: one-point plan (Smat) vs dense evaluation ==@.";
   let s = Numeric.Cx.jomega (0.2 *. w0) in
   let cl = Pll_lib.Pll.closed_loop_htm pll in
   (* ns/op as best-of-3 over a rep count sized to ~>=50 ms per batch *)
@@ -230,12 +232,12 @@ let run_kernel_bench () =
       (fun n_harm ->
         let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
         let dense () = Htm_core.Htm.to_matrix_dense ctx cl s in
-        let structured () = Htm_core.Htm.to_matrix ctx cl s in
-        let dense_ns = time_ns dense and struct_ns = time_ns structured in
+        let one_point () = Htm_core.Htm.to_matrix ctx cl s in
+        let dense_ns = time_ns dense and struct_ns = time_ns one_point in
         let dense_b = bytes_per_eval dense
-        and struct_b = bytes_per_eval structured in
+        and struct_b = bytes_per_eval one_point in
         Format.printf
-          "  n_harm %3d (dim %3d): dense %10.0f ns  structured %9.0f ns  \
+          "  n_harm %3d (dim %3d): dense %10.0f ns  one-point plan %9.0f ns  \
            (%.1fx); alloc %9.3e B -> %9.3e B (%.1fx)@."
           n_harm (Htm_core.Htm.dim ctx) dense_ns struct_ns
           (dense_ns /. struct_ns) dense_b struct_b (dense_b /. struct_b);
@@ -245,7 +247,7 @@ let run_kernel_bench () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
-    "  \"benchmark\": \"closed-loop HTM realization: structured Smat vs \
+    "  \"benchmark\": \"closed-loop HTM realization: one-point plan vs \
      dense\",\n";
   Buffer.add_string b "  \"s_over_omega0\": 0.2,\n";
   Buffer.add_string b "  \"runs\": [\n";
@@ -265,18 +267,18 @@ let run_kernel_bench () =
   Runner.Atomic_file.write_string "BENCH_kernels.json" (Buffer.contents b);
   Format.printf "wrote BENCH_kernels.json@."
 
-(* Grid-batched plan/execute vs per-point structured evaluation: one
-   compiled Htm_core.Plan streamed over a 1k-point log grid against the
-   per-point structured path (Htm.to_matrix), which re-walks the
-   composition tree, reallocates every intermediate and densifies at
-   the API boundary at each point. Both paths run guarded, as in
-   production sweeps. Also reported: the scalar fast paths on each side
-   (per-point Htm.element vs planned baseband extraction, neither
-   densifies) and the planned full-matrix Bigarray grid output.
-   Emitted as BENCH_grid.json for CI tracking. *)
+(* Grid-batched plan/execute vs one-point plans: one compiled
+   Htm_core.Plan streamed over a 1k-point log grid against a one-point
+   plan per point (Htm.to_matrix), which recompiles the composition
+   tree, reallocates every container and densifies at the API boundary
+   at each point. Both paths run guarded, as in production sweeps. Also
+   reported: the scalar fast paths on each side (one-point Htm.element
+   vs planned baseband extraction, neither densifies) and the planned
+   full-matrix Bigarray grid output. Emitted as BENCH_grid.json for CI
+   tracking (the "per_point_*" keys are the one-point plan side). *)
 let run_grid_bench () =
   Format.printf
-    "@.== HTM grid: planned (plan/execute) vs per-point evaluation ==@.";
+    "@.== HTM grid: planned (plan/execute) vs one-point plan evaluation ==@.";
   let cl = Pll_lib.Pll.closed_loop_htm pll in
   let points = 1000 in
   let ss =
@@ -358,7 +360,7 @@ let run_grid_bench () =
   Buffer.add_string b "{\n";
   Buffer.add_string b
     "  \"benchmark\": \"closed-loop HTM grid: planned plan/execute vs \
-     per-point structured\",\n";
+     one-point plan\",\n";
   Buffer.add_string b (Printf.sprintf "  \"grid_points\": %d,\n" points);
   Buffer.add_string b "  \"runs\": [\n";
   List.iteri
@@ -382,7 +384,7 @@ let run_grid_bench () =
   Runner.Atomic_file.write_string "BENCH_grid.json" (Buffer.contents b);
   Format.printf "wrote BENCH_grid.json@."
 
-(* Robustness-guard overhead: times the guarded structured evaluator
+(* Robustness-guard overhead: times the guarded one-point plan
    (condition estimates + finiteness scans, the default) against the
    same evaluator with Robust.Config guards disabled, with fault
    injection disarmed — i.e. the price every production run pays for
@@ -443,7 +445,7 @@ let run_robust_bench () =
   Buffer.add_string b "{\n";
   Buffer.add_string b
     "  \"benchmark\": \"closed-loop HTM realization: guarded vs unguarded \
-     structured path\",\n";
+     one-point plan\",\n";
   Buffer.add_string b "  \"s_over_omega0\": 0.2,\n";
   Buffer.add_string b
     (Printf.sprintf "  \"dense_fallbacks\": %d,\n" fallbacks);

@@ -1,8 +1,9 @@
 open Numeric
 
 (* The composition tree itself lives in [Htm_expr] (shared with the
-   plan/execute grid layer); this module provides the validated
-   constructors, the per-point evaluators and the grid sweeps. *)
+   plan/execute layer); this module provides the validated
+   constructors, the per-point queries (one-point plans) and the grid
+   sweeps. *)
 
 type ctx = Htm_expr.ctx = { n_harm : int; omega0 : float }
 type t = Htm_expr.t
@@ -40,61 +41,23 @@ let neg g = Htm_expr.Scale (Cx.neg Cx.one, g)
 let feedback g = Htm_expr.Feedback g
 let custom f = Htm_expr.Custom f
 
-(* Structure-aware evaluator: realize the composition tree as the
-   cheapest {!Smat.t} shape and densify only at the API boundary. The
-   primitive shapes follow the paper — LTI = diagonal (eq. 12),
-   periodic gain = banded Toeplitz (eq. 13), sampler = rank one
-   (eqs. 19–20) — and {!Smat}'s composition rules keep feedback around
-   the rank-one sampler on the Sherman–Morrison closed form instead of
-   a dense LU. *)
-let structured c t s = Htm_expr.eval_with ~fb:Smat.feedback c t s
-
-exception Checked_fail of Robust.Pllscope_error.t
-
-let structured_checked c t s =
-  let fb g =
-    match Smat.feedback_checked ~context:"Htm.feedback" g with
-    | Ok r -> r
-    | Error e -> raise (Checked_fail e)
-  in
-  match Htm_expr.eval_with ~fb c t s with
-  | m ->
-      if Smat.is_finite m then Ok m
-      else Error (Robust.Pllscope_error.Non_finite { where = "Htm.structured" })
-  | exception Checked_fail e -> Error e
-
 let to_matrix_dense = Htm_expr.to_matrix_dense
 
-(* Graceful degradation: evaluate the structured fast path under the
-   guards; if one fires, either raise (strict mode) or degrade to the
-   all-dense oracle — whose boxed LU takes none of the structured
-   shortcuts — and count the event. With guards disabled this is
-   byte-for-byte the unguarded fast path. *)
-let structured_or_fallback c t s =
-  if not (Robust.Config.guards_enabled ()) then `Structured (structured c t s)
-  else
-    match structured_checked c t s with
-    | Ok m -> `Structured m
-    | Error e ->
-        if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
-        else begin
-          Robust.Stats.record_fallback e;
-          `Dense (to_matrix_dense c t s)
-        end
+(* Every per-point query is a one-point plan: [Plan.make] compiles the
+   tree (static shapes, preallocated containers, plan-time constants)
+   and one [Plan] evaluation realizes it under the plan's guards,
+   degrading to the dense oracle when a guard fires. No plan is cached:
+   compiling one costs microseconds, on the order of one point's
+   evaluation, and a cache would have to key on trees that hold
+   closures. *)
+let eval_at c t s = Plan.eval (Plan.make c t) s
 
-let to_matrix c t s =
-  match structured_or_fallback c t s with
-  | `Structured m -> Smat.to_cmat m
-  | `Dense m -> m
+let to_matrix c t s = Plan.to_cmat (Plan.make c t) s
 
 let element c t ~n ~m s =
   if abs n > c.n_harm || abs m > c.n_harm then
     invalid_arg "Htm.element: harmonic outside truncation";
-  let i = index_of_harmonic c n and k = index_of_harmonic c m in
-  (* fast path: one entry of the structured form, no n×n densification *)
-  match structured_or_fallback c t s with
-  | `Structured sm -> Smat.get sm i k
-  | `Dense dm -> Cmat.get dm i k
+  Plan.element (Plan.make c t) ~n ~m s
 
 let baseband c t w = element c t ~n:0 ~m:0 (Cx.jomega w)
 
@@ -103,20 +66,12 @@ let baseband c t w = element c t ~n:0 ~m:0 (Cx.jomega w)
 let conversion_map_of n sm =
   Array.init n (fun i -> Array.init n (fun k -> Cx.abs (Smat.get sm i k)))
 
-let conversion_map c t w =
-  match structured_or_fallback c t (Cx.jomega w) with
-  | `Structured sm -> conversion_map_of (dim c) sm
-  | `Dense dm ->
-      Array.init (dim c) (fun i ->
-          Array.init (dim c) (fun k -> Cx.abs (Cmat.get dm i k)))
+let conversion_map c t w = conversion_map_of (dim c) (eval_at c t (Cx.jomega w))
 
 let apply_to_tone c t ~m w =
   if abs m > c.n_harm then invalid_arg "Htm.apply_to_tone: harmonic outside truncation";
-  let k = index_of_harmonic c m in
-  (* fast path: one structured column instead of the full matrix *)
-  match structured_or_fallback c t (Cx.jomega w) with
-  | `Structured sm -> Smat.col sm k
-  | `Dense dm -> Cvec.init (dim c) (fun i -> Cmat.get dm i k)
+  (* one column of the realized shape instead of the full matrix *)
+  Smat.col (eval_at c t (Cx.jomega w)) (index_of_harmonic c m)
 
 type sv_certificate = {
   sigma : float;
@@ -136,8 +91,8 @@ type sv_certificate = {
    before convergence) and retried with a fresh vector from the same
    deterministic stream. Both products per iteration run on the Smat
    shape (O(n) for diagonal/rank-one HTMs, O(n·k) banded) and the
-   conjugate transpose is never materialized. Factored out of the
-   per-point entry so the planned sweeps can run it on a plan view. *)
+   conjugate transpose is never materialized. Shared by the per-point
+   entry and the planned sweep, both of which hand it a plan view. *)
 let power_iter ~iterations ~tol ~seed n m =
   let g = Prng.create ~seed in
   let vre = Array.make n 0.0 and vim = Array.make n 0.0 in
@@ -232,12 +187,7 @@ let power_iter ~iterations ~tol ~seed n m =
 
 let max_singular_value_cert ?(iterations = 200) ?(tol = 1e-10)
     ?(seed = 0x51C0FFEEL) c t w =
-  let m =
-    match structured_or_fallback c t (Cx.jomega w) with
-    | `Structured m -> m
-    | `Dense dm -> Smat.of_cmat dm
-  in
-  power_iter ~iterations ~tol ~seed (dim c) m
+  power_iter ~iterations ~tol ~seed (dim c) (eval_at c t (Cx.jomega w))
 
 let max_singular_value ?iterations ?tol ?seed c t w =
   (max_singular_value_cert ?iterations ?tol ?seed c t w).sigma
@@ -254,11 +204,10 @@ let max_singular_value_checked ?iterations ?tol ?seed c t w =
     Error e
   end
 
-(* Grid sweeps now go through the plan/execute layer: one [Plan.t] per
-   concurrently running lane (never shared — a plan is a mutable
-   workspace), handed out by [Sweep.grid_local]'s instance cache. Each
-   point is realized in place instead of re-walking the composition
-   tree and reallocating every intermediate. *)
+(* Grid sweeps compile once per lane instead of once per point: one
+   [Plan.t] per concurrently running lane (never shared — a plan is a
+   mutable workspace), handed out by [Sweep.grid_local]'s instance
+   cache, streams its points through in place. *)
 
 let baseband_sweep ?pool c t ws =
   Parallel.Sweep.grid_local ?pool
@@ -282,7 +231,7 @@ let max_singular_value_sweep ?pool ?(iterations = 200) ?(tol = 1e-10)
     ws
 
 let is_lti ?(tol = 1e-12) c t s =
-  let m = structured c t s in
+  let m = eval_at c t s in
   (* a realized diagonal shape is LTI by construction; other shapes
      compare their largest off-diagonal modulus against the scale *)
   Smat.max_offdiag_abs m <= tol *. (1.0 +. Smat.norm_inf m)

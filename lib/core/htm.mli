@@ -90,34 +90,29 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
 
 (** {1 Realization} *)
 
+(** Every per-point query below ({!to_matrix}, {!element},
+    {!baseband}, {!conversion_map}, {!apply_to_tone},
+    {!max_singular_value} and its variants, {!is_lti}) is a one-point
+    {!Plan}: [Plan.make ctx t] followed by one evaluation, with no plan
+    cache. To evaluate one tree at many points, make the plan yourself
+    or use the sweeps at the end of this module. *)
+
 (** [to_matrix ctx t s] realizes the truncated HTM at the complex
     frequency [s]. Evaluation is structure-aware: the composition tree
     is realized as {!Smat.t} shapes (diagonal LTI blocks, banded
     Toeplitz periodic gains, the rank-one sampler, Sherman–Morrison
     feedback) and densified only here, at the API boundary.
-    When the numerical guards are enabled (the default), a structured
-    evaluation whose conditioning or finiteness guard fires degrades
+    When the numerical guards are enabled (the default), an evaluation
+    whose conditioning or finiteness guard fires degrades
     transparently to {!to_matrix_dense} — counted in
     {!Robust.Stats} — unless strict mode is armed, in which case
-    {!Robust.Pllscope_error.Error} is raised instead. *)
+    {!Robust.Pllscope_error.Error} is raised instead. For the guarded
+    evaluation without the fallback, see {!Plan.eval_checked}. *)
 val to_matrix : ctx -> t -> Numeric.Cx.t -> Numeric.Cmat.t
-
-(** [structured_checked ctx t s] — the structured evaluation under its
-    guards, with no fallback: feedback realizations use
-    {!Smat.feedback_checked}, and the realized matrix is scanned for
-    non-finite entries. *)
-val structured_checked :
-  ctx -> t -> Numeric.Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
-
-(** [structured ctx t s] — the realized HTM in its structured form,
-    before densification. This is what {!to_matrix}, {!element},
-    {!apply_to_tone} and {!max_singular_value} evaluate internally;
-    exposed for kernel benchmarks and shape assertions. *)
-val structured : ctx -> t -> Numeric.Cx.t -> Smat.t
 
 (** [to_matrix_dense ctx t s] — the original all-dense evaluator
     (boxed [Cmat.t] products, dense LU feedback), kept as the reference
-    oracle for the structured path. Use {!to_matrix} everywhere else. *)
+    oracle for the plan path. Use {!to_matrix} everywhere else. *)
 val to_matrix_dense : ctx -> t -> Numeric.Cx.t -> Numeric.Cmat.t
 
 (** [element ctx t ~n ~m s] is [H_{n,m}(s)] of the truncation
@@ -193,11 +188,10 @@ val max_singular_value_checked :
 (** {1 Parallel sweeps}
 
     Grid evaluations of one HTM at many frequencies are embarrassingly
-    parallel. These helpers run through the plan/execute layer: each
-    concurrently running lane owns one compiled {!Plan.t} (handed out by
-    [Parallel.Sweep.grid_local]'s instance cache, never shared) and
-    streams its points through it in place, instead of re-walking the
-    composition tree and reallocating every intermediate per point.
+    parallel. In these helpers each concurrently running lane owns one
+    compiled {!Plan.t} (handed out by [Parallel.Sweep.grid_local]'s
+    instance cache, never shared) and streams its points through it in
+    place, instead of compiling a one-point plan per frequency.
     They run on [pool] (default: the shared [Parallel.Pool.default])
     with output order and values independent of the pool size. *)
 

@@ -1,5 +1,5 @@
 (* The HTM composition tree, split out of [Htm] so that the plan/execute
-   grid layer ([Plan]) can walk the same representation without a module
+   layer ([Plan]) can walk the same representation without a module
    cycle: [Htm] provides the validated constructors and per-point API on
    top of this type, [Plan] compiles it into a preallocated execution
    schedule. Build values through [Htm]'s smart constructors — they
@@ -30,33 +30,9 @@ let dim c = (2 * c.n_harm) + 1
 let harmonic_of_index c i = i - c.n_harm
 let index_of_harmonic c n = n + c.n_harm
 
-(* Structure-aware evaluator shared by the raising and the
-   Result-returning paths of [Htm]: only the feedback realization
-   differs, so it is a parameter. *)
-let rec eval_with ~fb c t s =
-  let n = dim c in
-  match t with
-  | Lti h ->
-      Smat.diag_init n (fun i ->
-          h (Cx.add s (Cx.jomega (float_of_int (harmonic_of_index c i) *. c.omega0))))
-  | Lti_rat r ->
-      Smat.diag_init n (fun i ->
-          Rat.eval r
-            (Cx.add s (Cx.jomega (float_of_int (harmonic_of_index c i) *. c.omega0))))
-  | Periodic_gain coeffs -> Smat.of_toeplitz ~n coeffs
-  | Sampler -> Smat.rank1_const n (c.omega0 /. (2.0 *. Float.pi))
-  | Identity -> Smat.identity n
-  | Zero -> Smat.zeros n
-  | Scale (z, g) -> Smat.scale z (eval_with ~fb c g s)
-  | Series (g2, g1) -> Smat.mul (eval_with ~fb c g2 s) (eval_with ~fb c g1 s)
-  | Parallel (g1, g2) -> Smat.add (eval_with ~fb c g1 s) (eval_with ~fb c g2 s)
-  | Sub (g1, g2) -> Smat.sub (eval_with ~fb c g1 s) (eval_with ~fb c g2 s)
-  | Feedback g -> fb (eval_with ~fb c g s)
-  | Custom f -> Smat.of_cmat (f c s)
-
 (* Reference evaluator: the original all-dense boxed recursion, kept
-   verbatim as the oracle for both the structured path and the planned
-   grid path (equivalence tests, guard fallbacks, kernel benchmarks). *)
+   verbatim as the oracle for the plan path (equivalence tests, guard
+   fallbacks, kernel benchmarks). *)
 let rec to_matrix_dense c t s =
   let n = dim c in
   match t with

@@ -1,6 +1,6 @@
 (** The HTM composition tree — shared representation of {!Htm} (validated
-    constructors, per-point evaluation) and {!Plan} (grid-batched
-    plan/execute evaluation).
+    constructors, per-point API) and {!Plan} (the plan/execute
+    evaluator behind it).
 
     The constructors are exposed so the plan compiler can pattern-match
     the tree, but values should be built through [Htm]'s smart
@@ -33,10 +33,6 @@ val dim : ctx -> int
 
 val harmonic_of_index : ctx -> int -> int
 val index_of_harmonic : ctx -> int -> int
-
-(** Structure-aware recursion shared by [Htm]'s evaluators; [fb] is the
-    feedback realization (raising or checked). *)
-val eval_with : fb:(Smat.t -> Smat.t) -> ctx -> t -> Cx.t -> Smat.t
 
 (** The all-dense boxed reference oracle (see [Htm.to_matrix_dense]). *)
 val to_matrix_dense : ctx -> t -> Cx.t -> Cmat.t

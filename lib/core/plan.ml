@@ -1,26 +1,25 @@
-(* Two-phase plan/execute evaluation of HTM composition trees.
+(* Two-phase plan/execute evaluation of HTM composition trees — the one
+   structured evaluator: the per-point [Htm] queries are one-point
+   plans, the sweeps stream grids through one plan per lane.
 
    [make] walks the tree once per (ctx, tree) pair: it runs the static
    shape rules of [Smat] over the composition, allocates one container
-   per dynamic node plus every densification scratch and LU workspace a
-   point evaluation can touch, hoists s-independent subtrees (periodic
+   per node plus every densification scratch and LU workspace a point
+   evaluation can touch, realizes s-independent subtrees (periodic
    gains, the sampler, identity/zero and their feedback-free
-   compositions) into plan-time constants, and precompiles LTI leaves
-   into harmonic shift tables (split-coefficient rational forms for
-   [Lti_rat], which evaluate without boxing). [eval] then streams one
-   s-point through the schedule entirely in place: after the first
-   point, a grid evaluation allocates nothing on the OCaml heap beyond
-   the caller-requested output.
+   compositions) once into their own containers through the same
+   [Smat.Into] kernels, and precompiles LTI leaves into harmonic shift
+   tables (split-coefficient rational forms for [Lti_rat], which
+   evaluate without boxing). [eval] then streams one s-point through
+   the schedule entirely in place: after the first point, a grid
+   evaluation allocates nothing on the OCaml heap beyond the
+   caller-requested output.
 
-   Equivalence contract: a planned evaluation computes the same
-   composition as [Htm.structured] with the same kernels ([Smat.Into]
-   mirrors the pure operations), so planned results match the dense
-   oracle [Htm.to_matrix_dense] to the same rounding as the per-point
-   structured path — the differential suite in test/test_grid.ml pins
-   this. The one structural difference is documented in [Smat]: the
-   static shape rules cannot apply the exactly-zero-diagonal [add]
-   shortcut, so a plan may carry a sum higher in the shape lattice
-   (same values).
+   Equivalence contract: planned results match the dense oracle
+   [Htm.to_matrix_dense] to rounding — the differential suites in
+   test/test_grid.ml and test/test_htm_struct.ml pin this. Shapes come
+   from the static rules alone, so a sum with an exactly-zero operand
+   keeps the no-shortcut shape (same values).
 
    Concurrency contract: a plan is a mutable workspace — every [eval]
    overwrites every container. One plan must be owned by one domain
@@ -32,9 +31,9 @@ open Numeric
 
 type ctx = Htm_expr.ctx
 
-(* Preallocated storage of one dynamic node, with a zero-copy [Smat.t]
-   view over it. The arrays double as fill targets for leaf nodes and
-   as [Smat.Into] destinations for interior nodes. *)
+(* Preallocated storage of one node, with a zero-copy [Smat.t] view over
+   it. The arrays double as fill targets for leaf nodes and as
+   [Smat.Into] destinations for interior nodes. *)
 type slot = {
   view : Smat.t;
   sh : Smat.shape_t;
@@ -95,195 +94,210 @@ let make_slot n (sh : Smat.shape_t) =
         dense = Some m;
       }
 
-type node = Static of Smat.t | Dyn of dyn
-
-and dyn = { slot : slot; op : op }
+type node = { slot : slot; op : op }
 
 and op =
+  | Const  (* s-independent: realized once by [make] *)
   | Fill_lti of (Cx.t -> Cx.t) * float array  (* harmonic shifts m·ω₀ *)
   | Fill_rat of Rat.split * float array
-  | Fill_custom of (ctx -> Cx.t -> Cmat.t)
+  | Fill_custom of (Cx.t -> Cmat.t)
   | Kscale of Cx.t * node
   | Kadd of bool (* subtract *) * node * node
   | Kmul of node * node * Cmatf.t option * Cmatf.t option
-  | Kfb of node * (Cmatf.t * Cmatf.lu_ws) option * bool (* outermost loop *)
+  | Kfb of node * (Cmatf.t * Cmatf.lu_ws) option * (Cx.t -> Cx.t) option
+      (* λ(s) denominator override, outermost loop only *)
 
-type t = {
-  ctx : ctx;
-  expr : Htm_expr.t;
-  root : node;
-  lambda : (Cx.t -> Cx.t) option;
-  static_root : Cmatf.t option;  (* densified root when fully static *)
-}
+type t = { ctx : ctx; expr : Htm_expr.t; root : node }
 
 let ctx t = t.ctx
 let dim t = Htm_expr.dim t.ctx
-
-let shape_of_node = function Static m -> Smat.shape m | Dyn d -> d.slot.sh
-
-let root_shape t = shape_of_node t.root
-
-(* s-independent and feedback-free: safe to realize once at plan time
-   with the pure kernels. Feedback is excluded even over constant
-   subtrees so its per-point guard semantics (checked realizations,
-   strict-mode refusal) stay identical to the per-point path. *)
-let rec is_static : Htm_expr.t -> bool = function
-  | Periodic_gain _ | Sampler | Identity | Zero -> true
-  | Scale (_, g) -> is_static g
-  | Series (a, b) | Parallel (a, b) | Sub (a, b) -> is_static a && is_static b
-  | Lti _ | Lti_rat _ | Custom _ | Feedback _ -> false
-
-let shifts c =
-  Array.init (Htm_expr.dim c) (fun i ->
-      float_of_int (Htm_expr.harmonic_of_index c i) *. c.Htm_expr.omega0)
-
-let rec compile c ~outermost (t : Htm_expr.t) =
-  if is_static t then
-    (* the value of a static subtree does not depend on s *)
-    Static (Htm_expr.eval_with ~fb:Smat.feedback c t Cx.zero)
-  else begin
-    let n = Htm_expr.dim c in
-    let dyn sh op = Dyn { slot = make_slot n sh; op } in
-    match t with
-    | Lti h -> dyn `Diag (Fill_lti (h, shifts c))
-    | Lti_rat r -> dyn `Diag (Fill_rat (Rat.split r, shifts c))
-    | Custom f -> dyn `Dense (Fill_custom f)
-    | Scale (z, g) ->
-        let gn = compile c ~outermost:false g in
-        dyn (shape_of_node gn) (Kscale (z, gn))
-    | Series (a, b) ->
-        let an = compile c ~outermost:false a in
-        let bn = compile c ~outermost:false b in
-        let sa = shape_of_node an and sb = shape_of_node bn in
-        let need_da, need_db = Smat.mul_scratch ~n sa sb in
-        let scratch need = if need then Some (Cmatf.create n n) else None in
-        dyn (Smat.shape_mul ~n sa sb)
-          (Kmul (an, bn, scratch need_da, scratch need_db))
-    | Parallel (a, b) ->
-        let an = compile c ~outermost:false a in
-        let bn = compile c ~outermost:false b in
-        dyn
-          (Smat.shape_add (shape_of_node an) (shape_of_node bn))
-          (Kadd (false, an, bn))
-    | Sub (a, b) ->
-        let an = compile c ~outermost:false a in
-        let bn = compile c ~outermost:false b in
-        dyn
-          (Smat.shape_add (shape_of_node an) (shape_of_node bn))
-          (Kadd (true, an, bn))
-    | Feedback g ->
-        let gn = compile c ~outermost:false g in
-        let sh = Smat.shape_feedback (shape_of_node gn) in
-        let scratch =
-          match sh with
-          | `Dense -> Some (Cmatf.create n n, Cmatf.lu_ws n)
-          | _ -> None
-        in
-        dyn sh (Kfb (gn, scratch, outermost))
-    | Periodic_gain _ | Sampler | Identity | Zero -> assert false
-  end
-
-let make ?lambda c expr =
-  let root = compile c ~outermost:true expr in
-  let static_root =
-    match root with Static m -> Some (Smat.densify m) | Dyn _ -> None
-  in
-  { ctx = c; expr; root; lambda; static_root }
+let root_shape t = t.root.slot.sh
 
 (* ------------------------------------------------------------------ *)
 (* execution                                                           *)
 
 exception Guard of Robust.Pllscope_error.t
 
-let rec exec plan ~checked s node =
-  match node with
-  | Static m -> m
-  | Dyn { slot; op } ->
-      (match op with
-      | Fill_lti (h, shifts) ->
-          let sre = Cx.re s and sim = Cx.im s in
-          let dre = slot.are and dim_ = slot.aim in
-          for i = 0 to Array.length shifts - 1 do
-            let z = h (Cx.make sre (sim +. shifts.(i))) in
-            dre.(i) <- Cx.re z;
-            dim_.(i) <- Cx.im z
-          done
-      | Fill_rat (sp, shifts) ->
-          let sre = Cx.re s and sim = Cx.im s in
-          let dre = slot.are and dim_ = slot.aim in
-          for i = 0 to Array.length shifts - 1 do
-            Rat.eval_into sp ~re:sre ~im:(sim +. shifts.(i)) ~out_re:dre
-              ~out_im:dim_ ~idx:i
-          done
-      | Fill_custom f ->
-          let m = f plan.ctx s in
-          let d = Option.get slot.dense in
-          let n = Cmat.rows m in
-          for i = 0 to n - 1 do
-            for k = 0 to n - 1 do
-              Cmatf.set d i k (Cmat.get m i k)
-            done
-          done
-      | Kscale (z, g) ->
-          let gv = exec plan ~checked s g in
-          Smat.Into.scale ~dst:slot.view z gv
-      | Kadd (sub, a, b) ->
-          let av = exec plan ~checked s a in
-          let bv = exec plan ~checked s b in
-          Smat.Into.add ~dst:slot.view ~sub av bv
-      | Kmul (a, b, da, db) ->
-          let av = exec plan ~checked s a in
-          let bv = exec plan ~checked s b in
-          Smat.Into.mul ~dst:slot.view ?da ?db av bv
-      | Kfb (g, scratch, outermost) -> (
-          let gv = exec plan ~checked s g in
-          let denom_override =
-            if outermost then Option.map (fun lam -> lam s) plan.lambda
-            else None
-          in
-          match
-            Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
-              ~context:"Plan.feedback" gv
-          with
-          | Ok () -> ()
-          | Error e -> raise (Guard e)));
-      slot.view
+let rec exec ~checked s { slot; op } =
+  (match op with
+  | Const -> ()
+  | Fill_lti (h, shifts) ->
+      let sre = Cx.re s and sim = Cx.im s in
+      let dre = slot.are and dim_ = slot.aim in
+      for i = 0 to Array.length shifts - 1 do
+        let z = h (Cx.make sre (sim +. shifts.(i))) in
+        dre.(i) <- Cx.re z;
+        dim_.(i) <- Cx.im z
+      done
+  | Fill_rat (sp, shifts) ->
+      let sre = Cx.re s and sim = Cx.im s in
+      let dre = slot.are and dim_ = slot.aim in
+      for i = 0 to Array.length shifts - 1 do
+        Rat.eval_into sp ~re:sre ~im:(sim +. shifts.(i)) ~out_re:dre
+          ~out_im:dim_ ~idx:i
+      done
+  | Fill_custom f ->
+      let m = f s in
+      let d = Option.get slot.dense in
+      let n = Cmatf.rows d in
+      (* a block of the wrong size would leave stale entries behind *)
+      if Cmat.rows m <> n || Cmat.cols m <> n then
+        invalid_arg
+          (Printf.sprintf
+             "Plan.eval: custom block returned a %dx%d matrix, expected %dx%d"
+             (Cmat.rows m) (Cmat.cols m) n n);
+      for i = 0 to n - 1 do
+        for k = 0 to n - 1 do
+          Cmatf.set d i k (Cmat.get m i k)
+        done
+      done
+  | Kscale (z, g) ->
+      let gv = exec ~checked s g in
+      Smat.Into.scale ~dst:slot.view z gv
+  | Kadd (sub, a, b) ->
+      let av = exec ~checked s a in
+      let bv = exec ~checked s b in
+      Smat.Into.add ~dst:slot.view ~sub av bv
+  | Kmul (a, b, da, db) ->
+      let av = exec ~checked s a in
+      let bv = exec ~checked s b in
+      Smat.Into.mul ~dst:slot.view ?da ?db av bv
+  | Kfb (g, scratch, lambda) -> (
+      let gv = exec ~checked s g in
+      let denom_override = Option.map (fun lam -> lam s) lambda in
+      match
+        Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
+          ~context:"Plan.feedback" gv
+      with
+      | Ok () -> ()
+      | Error e -> raise (Guard e)));
+  slot.view
+
+(* ------------------------------------------------------------------ *)
+(* compilation                                                         *)
+
+let shifts c =
+  Array.init (Htm_expr.dim c) (fun i ->
+      float_of_int (Htm_expr.harmonic_of_index c i) *. c.Htm_expr.omega0)
+
+let const_slot n sh fill =
+  let slot = make_slot n sh in
+  fill slot;
+  { slot; op = Const }
+
+(* Toeplitz band of a periodic gain: entry (i, i+d) = coeffs[K - d],
+   the band clamped to the matrix. *)
+let toeplitz n coeffs =
+  let kc = Array.length coeffs / 2 in
+  let kmax = Stdlib.min kc (Stdlib.max 0 (n - 1)) in
+  let w = (2 * kmax) + 1 in
+  const_slot n (`Band kmax) (fun slot ->
+      for i = 0 to n - 1 do
+        for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
+          let z = coeffs.(kc - d) in
+          slot.are.((i * w) + d + kmax) <- Cx.re z;
+          slot.aim.((i * w) + d + kmax) <- Cx.im z
+        done
+      done)
+
+let is_const nd = match nd.op with Const -> true | _ -> false
+
+(* [lambda] reaches only the root: the λ(s) override applies to the
+   outermost feedback loop alone. *)
+let rec compile c ~lambda (t : Htm_expr.t) =
+  let n = Htm_expr.dim c in
+  let node sh op = { slot = make_slot n sh; op } in
+  let sub t = compile c ~lambda:None t in
+  let nd =
+    match t with
+    | Lti h -> node `Diag (Fill_lti (h, shifts c))
+    | Lti_rat r -> node `Diag (Fill_rat (Rat.split r, shifts c))
+    | Custom f -> node `Dense (Fill_custom (f c))
+    | Periodic_gain coeffs -> toeplitz n coeffs
+    | Sampler ->
+        (* (ω₀/2π)·l·lᵀ with l the all-ones vector *)
+        const_slot n `Rank1 (fun slot ->
+            Array.fill slot.are 0 n (c.omega0 /. (2.0 *. Float.pi));
+            Array.fill slot.bre 0 n 1.0)
+    | Identity -> const_slot n `Diag (fun slot -> Array.fill slot.are 0 n 1.0)
+    | Zero -> const_slot n `Diag ignore
+    | Scale (z, g) ->
+        let gn = sub g in
+        node gn.slot.sh (Kscale (z, gn))
+    | Series (a, b) ->
+        let an = sub a and bn = sub b in
+        let sa = an.slot.sh and sb = bn.slot.sh in
+        let need_da, need_db = Smat.mul_scratch ~n sa sb in
+        let scratch need = if need then Some (Cmatf.create n n) else None in
+        node (Smat.shape_mul ~n sa sb)
+          (Kmul (an, bn, scratch need_da, scratch need_db))
+    | Parallel (a, b) ->
+        let an = sub a and bn = sub b in
+        node (Smat.shape_add an.slot.sh bn.slot.sh) (Kadd (false, an, bn))
+    | Sub (a, b) ->
+        let an = sub a and bn = sub b in
+        node (Smat.shape_add an.slot.sh bn.slot.sh) (Kadd (true, an, bn))
+    | Feedback g ->
+        let gn = sub g in
+        let sh = Smat.shape_feedback gn.slot.sh in
+        let scratch =
+          match sh with
+          | `Dense -> Some (Cmatf.create n n, Cmatf.lu_ws n)
+          | _ -> None
+        in
+        node sh (Kfb (gn, scratch, lambda))
+  in
+  (* A feedback-free composition of constants does not depend on s:
+     realize it now, once. Feedback stays per point even over constant
+     operands, so its guards (checked realizations, strict-mode
+     refusal) run at evaluation time like everywhere else. *)
+  let static =
+    match nd.op with
+    | Kscale (_, g) -> is_const g
+    | Kadd (_, a, b) | Kmul (a, b, _, _) -> is_const a && is_const b
+    | Const | Fill_lti _ | Fill_rat _ | Fill_custom _ | Kfb _ -> false
+  in
+  if static then begin
+    ignore (exec ~checked:false Cx.zero nd);
+    { nd with op = Const }
+  end
+  else nd
+
+let make ?lambda c expr = { ctx = c; expr; root = compile c ~lambda expr }
 
 (* Injection site: poison the realized root of one planned point (the
-   plan-layer sibling of [Smat]'s smat-nan site). Static roots hold
-   shared immutable values and are skipped. *)
+   plan-layer sibling of [Smat]'s smat-nan site). Constant roots are
+   realized once per plan and are skipped. *)
 let poison_root plan =
   if Robust.Inject.fire Robust.Inject.Grid_plan_nan then
     match plan.root with
-    | Static _ -> ()
-    | Dyn { slot; _ } -> (
+    | { op = Const; _ } -> ()
+    | { slot; _ } -> (
         match slot.dense with
         | Some m ->
             let re, _ = Cmatf.raw m in
             if Array.length re > 0 then re.(0) <- Float.nan
         | None -> if Array.length slot.are > 0 then slot.are.(0) <- Float.nan)
 
-(* Per-point guard/fallback driver, mirroring
-   [Htm.structured_or_fallback]: guards off → unchecked kernels;
-   guards on → checked kernels plus a root finiteness scan, degrading
-   to the dense oracle (counted in [Robust.Stats]) unless strict mode
-   refuses. *)
+let eval_checked plan s =
+  match exec ~checked:true s plan.root with
+  | v ->
+      poison_root plan;
+      if Smat.is_finite v then Ok v
+      else Error (Robust.Pllscope_error.Non_finite { where = "Plan.eval" })
+  | exception Guard e -> Error e
+
+(* The one guard/fallback driver: guards off → unchecked kernels;
+   guards on → [eval_checked], degrading to the dense oracle (counted
+   in [Robust.Stats]) unless strict mode refuses. *)
 let eval_view plan s =
   if not (Robust.Config.guards_enabled ()) then begin
-    let v = exec plan ~checked:false s plan.root in
+    let v = exec ~checked:false s plan.root in
     poison_root plan;
     `Structured v
   end
-  else begin
-    let checked =
-      match exec plan ~checked:true s plan.root with
-      | v ->
-          poison_root plan;
-          if Smat.is_finite v then Ok v
-          else Error (Robust.Pllscope_error.Non_finite { where = "Plan.eval" })
-      | exception Guard e -> Error e
-    in
-    match checked with
+  else
+    match eval_checked plan s with
     | Ok v -> `Structured v
     | Error e ->
         if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
@@ -295,7 +309,6 @@ let eval_view plan s =
             (Htm_expr.to_matrix_dense plan.ctx plan.expr s
             [@lint.allow "oracle-only"])
         end
-  end
 
 let eval plan s =
   match eval_view plan s with `Structured v -> v | `Dense m -> Smat.of_cmat m
@@ -344,12 +357,34 @@ end
 (* Write one realized point into slice [p] of the output block. Each
    slice is written exactly once; diagonal/banded roots write only
    their support over the zero-filled background. *)
-let write_slice (re : Out.ba3) (im : Out.ba3) p plan node n =
+let write_slice (re : Out.ba3) (im : Out.ba3) p slot n =
   let open Bigarray in
-  match node with
-  | Static _ ->
-      let m = Option.get plan.static_root in
-      let mre, mim = Cmatf.raw m in
+  match slot.sh with
+  | `Diag ->
+      for i = 0 to n - 1 do
+        Array3.unsafe_set re p i i slot.are.(i);
+        Array3.unsafe_set im p i i slot.aim.(i)
+      done
+  | `Band kmax ->
+      let w = (2 * kmax) + 1 in
+      for i = 0 to n - 1 do
+        for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
+          let q = (i * w) + d + kmax in
+          Array3.unsafe_set re p i (i + d) slot.are.(q);
+          Array3.unsafe_set im p i (i + d) slot.aim.(q)
+        done
+      done
+  | `Rank1 ->
+      for i = 0 to n - 1 do
+        let ar = slot.are.(i) and ai = slot.aim.(i) in
+        for k = 0 to n - 1 do
+          let br = slot.bre.(k) and bi = slot.bim.(k) in
+          Array3.unsafe_set re p i k ((ar *. br) -. (ai *. bi));
+          Array3.unsafe_set im p i k ((ar *. bi) +. (ai *. br))
+        done
+      done
+  | `Dense ->
+      let mre, mim = Cmatf.raw (Option.get slot.dense) in
       for i = 0 to n - 1 do
         for k = 0 to n - 1 do
           let q = (i * n) + k in
@@ -357,60 +392,26 @@ let write_slice (re : Out.ba3) (im : Out.ba3) p plan node n =
           Array3.unsafe_set im p i k mim.(q)
         done
       done
-  | Dyn { slot; _ } -> (
-      match slot.sh with
-      | `Diag ->
-          for i = 0 to n - 1 do
-            Array3.unsafe_set re p i i slot.are.(i);
-            Array3.unsafe_set im p i i slot.aim.(i)
-          done
-      | `Band kmax ->
-          let w = (2 * kmax) + 1 in
-          for i = 0 to n - 1 do
-            for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
-              let q = (i * w) + d + kmax in
-              Array3.unsafe_set re p i (i + d) slot.are.(q);
-              Array3.unsafe_set im p i (i + d) slot.aim.(q)
-            done
-          done
-      | `Rank1 ->
-          for i = 0 to n - 1 do
-            let ar = slot.are.(i) and ai = slot.aim.(i) in
-            for k = 0 to n - 1 do
-              let br = slot.bre.(k) and bi = slot.bim.(k) in
-              Array3.unsafe_set re p i k ((ar *. br) -. (ai *. bi));
-              Array3.unsafe_set im p i k ((ar *. bi) +. (ai *. br))
-            done
-          done
-      | `Dense ->
-          let mre, mim = Cmatf.raw (Option.get slot.dense) in
-          for i = 0 to n - 1 do
-            for k = 0 to n - 1 do
-              let q = (i * n) + k in
-              Array3.unsafe_set re p i k mre.(q);
-              Array3.unsafe_set im p i k mim.(q)
-            done
-          done)
 
 let run_grid_ba plan ss =
   let open Bigarray in
   let n = dim plan and np = Array.length ss in
   let re = Array3.create Float64 C_layout np n n in
   let im = Array3.create Float64 C_layout np n n in
-  (* Rank-one, dense and plan-time-constant roots write every entry of
-     their slice (and so does a dense fallback), so the zero background
-     is only needed for diagonal/banded roots — skipping it saves a
-     full pass over the output block. *)
-  (match plan.root with
-  | Dyn { slot = { sh = `Diag | `Band _; _ }; _ } ->
+  (* Rank-one and dense roots write every entry of their slice (and so
+     does a dense fallback), so the zero background is only needed for
+     diagonal/banded roots — skipping it saves a full pass over the
+     output block. *)
+  (match plan.root.slot.sh with
+  | `Diag | `Band _ ->
       Array3.fill re 0.0;
       Array3.fill im 0.0
-  | Static _ | Dyn _ -> ());
+  | `Rank1 | `Dense -> ());
   (* one closure per grid call; the boxed Cmat.get is confined to the
      dense fallback branch, which structured evaluation never takes *)
   let[@lint.allow "hot-alloc"] write_point p s =
     match eval_view plan s with
-    | `Structured _ -> write_slice re im p plan plan.root n
+    | `Structured _ -> write_slice re im p plan.root.slot n
     | `Dense m ->
         for i = 0 to n - 1 do
           for k = 0 to n - 1 do

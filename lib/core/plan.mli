@@ -1,17 +1,19 @@
-(** Grid-batched plan/execute evaluation of HTM composition trees.
+(** Plan/execute evaluation of HTM composition trees — the one
+    structured evaluator. The per-point [Htm] queries are one-point
+    plans; grid sweeps stream many points through one plan.
 
     {!make} walks a composition tree {b once}: it runs {!Smat}'s static
     shape rules over every node, preallocates one structured container
-    per dynamic node plus every densification scratch and LU workspace a
-    point evaluation can need, hoists s-independent feedback-free
-    subtrees into plan-time constants, and compiles LTI leaves into
+    per node plus every densification scratch and LU workspace a point
+    evaluation can need, realizes s-independent feedback-free subtrees
+    once into their own containers, and compiles LTI leaves into
     harmonic shift tables (allocation-free split-rational evaluation for
     [Htm.lti_rat] leaves). {!eval} and the grid drivers then stream
     frequency points through the plan {b entirely in place}.
 
-    Planned evaluation is proven equivalent to the per-point path by the
-    differential suite in [test/test_grid.ml]: same values as
-    [Htm.to_matrix] against the dense oracle [Htm.to_matrix_dense], and
+    Planned evaluation is proven equivalent to the dense oracle
+    [Htm.to_matrix_dense] by the differential suites in
+    [test/test_grid.ml] and [test/test_htm_struct.ml], and
     bit-identical across pool sizes and plan reuse.
 
     {b Ownership.} A plan is a mutable workspace: every evaluation
@@ -43,23 +45,35 @@ val ctx : t -> ctx
 val dim : t -> int
 
 (** The statically assigned shape of the realized root — what every
-    structured evaluation of this plan returns. May sit higher in the
-    lattice than [Htm.to_matrix]'s value-dependent shape (see the static
-    shape rules in {!Smat}). *)
+    structured evaluation of this plan returns (see the static shape
+    rules in {!Smat}). *)
 val root_shape : t -> Smat.shape_t
 
 (** {1 Point evaluation}
 
-    Guard semantics mirror [Htm.to_matrix] exactly: with
+    This is the one guard/fallback driver: with
     {!Robust.Config.guards_enabled} off, kernels run unchecked (exact
     singularity raises [Numeric.Lu.Singular]); with guards on, checked
-    kernels plus a root finiteness scan degrade failing points to the
-    dense oracle, counted in {!Robust.Stats} — unless strict mode
-    ({!Robust.Config.is_strict}) raises the typed error instead. *)
+    kernels plus a root finiteness scan ({!eval_checked}) degrade
+    failing points to the dense oracle, counted in {!Robust.Stats} —
+    unless strict mode ({!Robust.Config.is_strict}) raises the typed
+    error instead.
+
+    A [Custom] block must return a [dim × dim] matrix at every point;
+    any other size raises [Invalid_argument "Plan.eval: ..."] before
+    anything is written. *)
 
 (** [eval p s] — realize the HTM at [s]. The result is a view into plan
     storage: use it (or copy out of it) before the next evaluation. *)
 val eval : t -> Cx.t -> Smat.t
+
+(** [eval_checked p s] — the guarded evaluation with no fallback:
+    checked kernels (conditioning proxies, checked LU) and a finiteness
+    scan of the realized root. [Error (Singular _)] or
+    [Error (Non_finite _)] when a guard fires; nothing is counted in
+    {!Robust.Stats}. [Ok] carries a view into plan storage, as for
+    {!eval}. *)
+val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
 
 (** [element p ~n ~m s] — entry [H_{n,m}(s)] by harmonic index. *)
 val element : t -> n:int -> m:int -> Cx.t -> Cx.t

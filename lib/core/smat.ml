@@ -5,9 +5,10 @@
    (eq. 13), the sampling PFD is rank one (eqs. 19–20), and the
    closed-loop Sherman–Morrison form exists precisely because the
    composition rules keep those shapes. This module is that lattice as
-   data: products, sums and feedback stay in the cheapest shape that
-   can represent the result and fall back to a flat unboxed dense
-   matrix (Cmatf.t) only when no structure survives.
+   data: the static rules assign each composition the cheapest shape
+   that can represent it, and the [Into] kernels realize it in place,
+   falling back to a flat unboxed dense matrix (Cmatf.t) only when no
+   structure survives. [Plan] is the only evaluator built on it.
 
    Storage is split re/im float arrays throughout, so every entry is
    unboxed. Costs:
@@ -41,56 +42,20 @@ let dim = function
   | Dense m -> Cmatf.rows m
 
 (* ------------------------------------------------------------------ *)
-(* constructors                                                        *)
+(* zero-copy constructors over caller-owned storage                    *)
 
-let diag_init n f =
-  let dre = Array.make n 0.0 and dim_ = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let z = f i in
-    dre.(i) <- Cx.re z;
-    dim_.(i) <- Cx.im z
-  done;
+let diag_of_arrays ~dre ~dim_ =
+  if Array.length dre <> Array.length dim_ then
+    invalid_arg "Smat.diag_of_arrays: length mismatch";
   Diag { dre; dim_ }
 
-let zeros n = Diag { dre = Array.make n 0.0; dim_ = Array.make n 0.0 }
-
-let identity n =
-  Diag { dre = Array.make n 1.0; dim_ = Array.make n 0.0 }
-
-(* Toeplitz band from Fourier coefficients: entry (i,j) = coeffs[(i-j)+K],
-   truncated to the matrix. *)
-let of_toeplitz ~n coeffs =
-  if Array.length coeffs mod 2 = 0 then
-    invalid_arg "Smat.of_toeplitz: coefficient array must have odd length";
-  let kc = Array.length coeffs / 2 in
-  let kmax = Stdlib.min kc (Stdlib.max 0 (n - 1)) in
+let band_of_arrays ~n ~kmax ~bre ~bim =
   let w = (2 * kmax) + 1 in
-  let bre = Array.make (n * w) 0.0 and bim = Array.make (n * w) 0.0 in
-  for i = 0 to n - 1 do
-    for d = -kmax to kmax do
-      let j = i + d in
-      if j >= 0 && j < n then begin
-        (* diff = i - j = -d *)
-        let z = coeffs.(kc - d) in
-        let p = (i * w) + d + kmax in
-        bre.(p) <- Cx.re z;
-        bim.(p) <- Cx.im z
-      end
-    done
-  done;
+  if kmax < 0 || Array.length bre <> n * w || Array.length bim <> n * w then
+    invalid_arg "Smat.band_of_arrays: storage/bandwidth mismatch";
   Band { n; kmax; bre; bim }
 
 let rank1_of_arrays ~ure ~uim ~vre ~vim = Rank1 { ure; uim; vre; vim }
-
-(* The sampler HTM (ω₀/2π)·l·lᵀ with l the all-ones vector. *)
-let rank1_const n w =
-  Rank1
-    {
-      ure = Array.make n w;
-      uim = Array.make n 0.0;
-      vre = Array.make n 1.0;
-      vim = Array.make n 0.0;
-    }
 
 let of_cmatf m =
   if Cmatf.rows m <> Cmatf.cols m then
@@ -160,40 +125,6 @@ let col t k =
   if k < 0 || k >= n then invalid_arg "Smat.col: index out of bounds";
   Cvec.init n (fun i -> get t i k)
 
-(* ------------------------------------------------------------------ *)
-(* scaling and negation (shape-preserving)                             *)
-
-let scale_arrays z re im =
-  let zr = Cx.re z and zi = Cx.im z in
-  let n = Array.length re in
-  let re' = Array.make n 0.0 and im' = Array.make n 0.0 in
-  for p = 0 to n - 1 do
-    let ar = re.(p) and ai = im.(p) in
-    re'.(p) <- (zr *. ar) -. (zi *. ai);
-    im'.(p) <- (zr *. ai) +. (zi *. ar)
-  done;
-  (re', im')
-
-let scale z = function
-  | Diag { dre; dim_ } ->
-      let dre, dim_ = scale_arrays z dre dim_ in
-      Diag { dre; dim_ }
-  | Band { n; kmax; bre; bim } ->
-      let bre, bim = scale_arrays z bre bim in
-      Band { n; kmax; bre; bim }
-  | Rank1 { ure; uim; vre; vim } ->
-      let ure, uim = scale_arrays z ure uim in
-      Rank1 { ure; uim; vre = Array.copy vre; vim = Array.copy vim }
-  | Dense m ->
-      let m = Cmatf.copy m in
-      Cmatf.scale_inplace z m;
-      m |> of_cmatf
-
-let neg t = scale (Cx.neg Cx.one) t
-
-(* ------------------------------------------------------------------ *)
-(* addition                                                            *)
-
 (* Bandwidth above which banded storage loses to flat dense storage:
    (2k+1)·n words vs n·n. *)
 let band_too_wide ~n ~kmax = (2 * kmax) + 1 >= n
@@ -204,54 +135,6 @@ let to_band_parts = function
       (n, 0, dre, dim_)
   | Band { n; kmax; bre; bim } -> (n, kmax, bre, bim)
   | _ -> invalid_arg "Smat.to_band_parts: not banded"
-
-let add_banded a b =
-  let n, ka, are, aim = to_band_parts a in
-  let _, kb, bre_, bim_ = to_band_parts b in
-  let kmax = Stdlib.max ka kb in
-  let w = (2 * kmax) + 1 and wa = (2 * ka) + 1 and wb = (2 * kb) + 1 in
-  let re = Array.make (n * w) 0.0 and im = Array.make (n * w) 0.0 in
-  for i = 0 to n - 1 do
-    for d = -kmax to kmax do
-      let j = i + d in
-      if j >= 0 && j < n then begin
-        let p = (i * w) + d + kmax in
-        if abs d <= ka then begin
-          re.(p) <- re.(p) +. are.((i * wa) + d + ka);
-          im.(p) <- im.(p) +. aim.((i * wa) + d + ka)
-        end;
-        if abs d <= kb then begin
-          re.(p) <- re.(p) +. bre_.((i * wb) + d + kb);
-          im.(p) <- im.(p) +. bim_.((i * wb) + d + kb)
-        end
-      end
-    done
-  done;
-  if kmax = 0 then Diag { dre = re; dim_ = im } else Band { n; kmax; bre = re; bim = im }
-
-let is_zero_diag = function
-  | Diag { dre; dim_ } ->
-      let ok = ref true in
-      Array.iter (fun x -> if not (Float.equal x 0.0) then ok := false) dre;
-      Array.iter (fun x -> if not (Float.equal x 0.0) then ok := false) dim_;
-      !ok
-  | _ -> false
-
-let add a b =
-  if dim a <> dim b then invalid_arg "Smat.add: dimension mismatch";
-  if is_zero_diag a then b
-  else if is_zero_diag b then a
-  else
-    match (a, b) with
-    | (Diag _ | Band _), (Diag _ | Band _) -> add_banded a b
-    | _ ->
-        (* rank-one + anything, or dense involved: no closed shape *)
-        let da = densify a in
-        let db = Cmatf.copy (densify b) in
-        Cmatf.axpy Cx.one da db;
-        of_cmatf db
-
-let sub a b = add a (neg b)
 
 (* ------------------------------------------------------------------ *)
 (* matvec and conjugate-transpose matvec (never densifies)             *)
@@ -344,21 +227,6 @@ let mhv t ~xre ~xim ~yre ~yim =
       done
   | Dense m -> Cmatf.gemv_herm m ~xre ~xim ~yre ~yim
 
-(* ------------------------------------------------------------------ *)
-(* product                                                             *)
-
-(* x ∘ d (componentwise complex product of split arrays) *)
-let had_mul are aim bre bim =
-  let n = Array.length are in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let ar = are.(i) and ai = aim.(i) in
-    let br = bre.(i) and bi = bim.(i) in
-    re.(i) <- (ar *. br) -. (ai *. bi);
-    im.(i) <- (ar *. bi) +. (ai *. br)
-  done;
-  (re, im)
-
 (* y = Aᵀ·x without conjugation, for rank-one·X products. *)
 let mtv t ~xre ~xim ~yre ~yim =
   let n = dim t in
@@ -407,121 +275,8 @@ let mtv t ~xre ~xim ~yre ~yim =
         done
       done
 
-let mul_band_band a b =
-  let n, ka, are, aim = to_band_parts a in
-  let _, kb, bre_, bim_ = to_band_parts b in
-  let kmax = Stdlib.min (ka + kb) (n - 1) in
-  let w = (2 * kmax) + 1 and wa = (2 * ka) + 1 and wb = (2 * kb) + 1 in
-  let re = Array.make (n * w) 0.0 and im = Array.make (n * w) 0.0 in
-  for i = 0 to n - 1 do
-    let llo = Stdlib.max 0 (i - ka) and lhi = Stdlib.min (n - 1) (i + ka) in
-    for l = llo to lhi do
-      let pa = (i * wa) + (l - i) + ka in
-      let ar = are.(pa) and ai = aim.(pa) in
-      if not (Float.equal ar 0.0 && Float.equal ai 0.0) then begin
-        let jlo = Stdlib.max (Stdlib.max 0 (l - kb)) (i - kmax) in
-        let jhi = Stdlib.min (Stdlib.min (n - 1) (l + kb)) (i + kmax) in
-        for j = jlo to jhi do
-          let pb = (l * wb) + (j - l) + kb in
-          let br = bre_.(pb) and bi = bim_.(pb) in
-          let p = (i * w) + (j - i) + kmax in
-          re.(p) <- re.(p) +. ((ar *. br) -. (ai *. bi));
-          im.(p) <- im.(p) +. ((ar *. bi) +. (ai *. br))
-        done
-      end
-    done
-  done;
-  if kmax = 0 then Diag { dre = re; dim_ = im } else Band { n; kmax; bre = re; bim = im }
-
-let mul a b =
-  let n = dim a in
-  if dim b <> n then invalid_arg "Smat.mul: dimension mismatch";
-  match (a, b) with
-  | Diag da, Diag db ->
-      let dre, dim_ = had_mul da.dre da.dim_ db.dre db.dim_ in
-      Diag { dre; dim_ }
-  | _, Rank1 { ure; uim; vre; vim } ->
-      (* A·(u·vᵀ) = (A·u)·vᵀ *)
-      let yre = Array.make n 0.0 and yim = Array.make n 0.0 in
-      mv a ~xre:ure ~xim:uim ~yre ~yim;
-      Rank1 { ure = yre; uim = yim; vre = Array.copy vre; vim = Array.copy vim }
-  | Rank1 { ure; uim; vre; vim }, _ ->
-      (* (u·vᵀ)·B = u·(Bᵀv)ᵀ *)
-      let yre = Array.make n 0.0 and yim = Array.make n 0.0 in
-      mtv b ~xre:vre ~xim:vim ~yre ~yim;
-      Rank1 { ure = Array.copy ure; uim = Array.copy uim; vre = yre; vim = yim }
-  | (Diag _ | Band _), (Diag _ | Band _) ->
-      let _, ka, _, _ = to_band_parts a and _, kb, _, _ = to_band_parts b in
-      if band_too_wide ~n ~kmax:(Stdlib.min (ka + kb) (n - 1)) && n > 1 then begin
-        let dst = Cmatf.create n n in
-        Cmatf.gemm ~dst (densify a) (densify b);
-        of_cmatf dst
-      end
-      else mul_band_band a b
-  | Dense da, Diag { dre; dim_ } ->
-      (* column scaling, O(n²) *)
-      let dst = Cmatf.create n n in
-      for i = 0 to n - 1 do
-        for k = 0 to n - 1 do
-          let z = Cmatf.get da i k in
-          Cmatf.set dst i k (Cx.mul z (Cx.make dre.(k) dim_.(k)))
-        done
-      done;
-      of_cmatf dst
-  | Diag { dre; dim_ }, Dense db ->
-      (* row scaling, O(n²) *)
-      let dst = Cmatf.create n n in
-      for i = 0 to n - 1 do
-        let d = Cx.make dre.(i) dim_.(i) in
-        for k = 0 to n - 1 do
-          Cmatf.set dst i k (Cx.mul d (Cmatf.get db i k))
-        done
-      done;
-      of_cmatf dst
-  | _ ->
-      let dst = Cmatf.create n n in
-      Cmatf.gemm ~dst (densify a) (densify b);
-      of_cmatf dst
-
 (* ------------------------------------------------------------------ *)
-(* feedback: (I + G)⁻¹·G                                               *)
-
-let feedback g =
-  let n = dim g in
-  match g with
-  | Diag { dre; dim_ } ->
-      diag_init n (fun i ->
-          let d = Cx.make dre.(i) dim_.(i) in
-          let denom = Cx.add Cx.one d in
-          (* a zero pivot here is exactly a zero pivot of the dense LU *)
-          if Float.equal (Cx.abs denom) 0.0 then raise Lu.Singular;
-          Cx.div d denom)
-  | Rank1 { ure; uim; vre; vim } ->
-      (* Sherman–Morrison: (I + u·vᵀ)⁻¹·u·vᵀ = u·vᵀ / (1 + vᵀu) *)
-      let sr = ref 0.0 and si = ref 0.0 in
-      for k = 0 to n - 1 do
-        let ar = vre.(k) and ai = vim.(k) in
-        let br = ure.(k) and bi = uim.(k) in
-        sr := !sr +. ((ar *. br) -. (ai *. bi));
-        si := !si +. ((ar *. bi) +. (ai *. br))
-      done;
-      let denom = Cx.add Cx.one (Cx.make !sr !si) in
-      if Float.equal (Cx.abs denom) 0.0 then raise Lu.Singular;
-      let z = Cx.inv denom in
-      let ure', uim' = scale_arrays z ure uim in
-      Rank1 { ure = ure'; uim = uim'; vre = Array.copy vre; vim = Array.copy vim }
-  | Band _ | Dense _ ->
-      let gm = densify g in
-      let a = Cmatf.copy gm in
-      Cmatf.add_ident a;
-      let b = Cmatf.copy gm in
-      let ws = Cmatf.lu_ws n in
-      Cmatf.lu_decompose_inplace a ws;
-      Cmatf.lu_solve_inplace a ws b;
-      of_cmatf b
-
-(* ------------------------------------------------------------------ *)
-(* finiteness and guarded feedback                                     *)
+(* finiteness                                                          *)
 
 let all_finite2 re im =
   let len = Array.length re in
@@ -536,74 +291,8 @@ let is_finite = function
   | Rank1 { ure; uim; vre; vim } -> all_finite2 ure uim && all_finite2 vre vim
   | Dense m -> Cmatf.is_finite m
 
-(* Result-returning feedback. The closed-form shapes guard their scalar
-   denominators with the conditioning proxy (1 + |d|)/|1 + d| — the
-   exact κ of the 1×1 (or rank-one deflated) subproblem the closed form
-   solves — against Config.smw_max_cond; the banded/dense shapes go
-   through the checked LU with its Hager estimate. *)
-let feedback_checked ?(context = "Smat.feedback") g =
-  let open Robust in
-  let n = dim g in
-  let finite_result t =
-    if is_finite t then Ok t
-    else Error (Pllscope_error.Non_finite { where = context })
-  in
-  match g with
-  | Diag { dre; dim_ } ->
-      let worst = ref 1.0 and exact = ref false in
-      for i = 0 to n - 1 do
-        let d = Cx.make dre.(i) dim_.(i) in
-        let dm = Cx.abs (Cx.add Cx.one d) in
-        if Float.equal dm 0.0 then exact := true
-        else begin
-          let proxy = (1.0 +. Cx.abs d) /. dm in
-          if proxy > !worst then worst := proxy
-        end
-      done;
-      if !exact then
-        Error (Pllscope_error.Singular { cond_est = infinity; context })
-      else if !worst > Config.get_smw_max_cond () then
-        Error (Pllscope_error.Singular { cond_est = !worst; context })
-      else finite_result (feedback g)
-  | Rank1 { ure; uim; vre; vim } ->
-      let sr = ref 0.0 and si = ref 0.0 in
-      for k = 0 to n - 1 do
-        let ar = vre.(k) and ai = vim.(k) in
-        let br = ure.(k) and bi = uim.(k) in
-        sr := !sr +. ((ar *. br) -. (ai *. bi));
-        si := !si +. ((ar *. bi) +. (ai *. br))
-      done;
-      let vtu = Cx.make !sr !si in
-      let dm = Cx.abs (Cx.add Cx.one vtu) in
-      if Float.equal dm 0.0 then
-        Error (Pllscope_error.Singular { cond_est = infinity; context })
-      else begin
-        let proxy = (1.0 +. Cx.abs vtu) /. dm in
-        if proxy > Config.get_smw_max_cond () then
-          Error (Pllscope_error.Singular { cond_est = proxy; context })
-        else finite_result (feedback g)
-      end
-  | Band _ | Dense _ -> (
-      let gm = densify g in
-      let a = Cmatf.copy gm in
-      Cmatf.add_ident a;
-      let b = Cmatf.copy gm in
-      let ws = Cmatf.lu_ws n in
-      match Cmatf.lu_decompose_checked ~context a ws with
-      | Error e -> Error e
-      | Ok _cond -> (
-          match Cmatf.lu_solve_checked a ws b ~context with
-          | Error e -> Error e
-          | Ok () -> Ok (of_cmatf b)))
-
 (* ------------------------------------------------------------------ *)
 (* diagnostics                                                         *)
-
-let shape = function
-  | Diag _ -> `Diag
-  | Band { kmax; _ } -> `Band kmax
-  | Rank1 _ -> `Rank1
-  | Dense _ -> `Dense
 
 (* Largest |entry| off the main diagonal — drives Htm.is_lti without a
    dense materialization for structured shapes. *)
@@ -650,51 +339,18 @@ let norm_inf t =
   !best
 
 (* ------------------------------------------------------------------ *)
-(* plan/execute support: static shape algebra, preallocated containers *)
-(* and in-place kernels. [Plan] compiles an HTM tree once, allocating  *)
-(* one container per node from the static shapes below, then streams   *)
-(* s-points through the [Into] kernels — the same composition rules as *)
-(* the pure operations above, writing into caller-owned storage        *)
-(* instead of fresh arrays.                                            *)
+(* plan/execute support: static shape algebra and in-place kernels.    *)
+(* [Plan] compiles an HTM tree once, allocating one container per node *)
+(* from the static shapes below, then streams s-points through the     *)
+(* [Into] kernels, writing into caller-owned storage.                  *)
 
 type shape_t = [ `Diag | `Band of int | `Rank1 | `Dense ]
 
-let create n (sh : shape_t) =
-  if n < 0 then invalid_arg "Smat.create: negative dimension";
-  match sh with
-  | `Diag -> Diag { dre = Array.make n 0.0; dim_ = Array.make n 0.0 }
-  | `Band kmax ->
-      if kmax < 0 then invalid_arg "Smat.create: negative bandwidth";
-      let w = (2 * kmax) + 1 in
-      Band { n; kmax; bre = Array.make (n * w) 0.0; bim = Array.make (n * w) 0.0 }
-  | `Rank1 ->
-      Rank1
-        {
-          ure = Array.make n 0.0;
-          uim = Array.make n 0.0;
-          vre = Array.make n 0.0;
-          vim = Array.make n 0.0;
-        }
-  | `Dense -> Dense (Cmatf.create n n)
-
-let diag_of_arrays ~dre ~dim_ =
-  if Array.length dre <> Array.length dim_ then
-    invalid_arg "Smat.diag_of_arrays: length mismatch";
-  Diag { dre; dim_ }
-
-let band_of_arrays ~n ~kmax ~bre ~bim =
-  let w = (2 * kmax) + 1 in
-  if kmax < 0 || Array.length bre <> n * w || Array.length bim <> n * w then
-    invalid_arg "Smat.band_of_arrays: storage/bandwidth mismatch";
-  Band { n; kmax; bre; bim }
-
-(* Static composition rules, mirroring the value-level dispatch of
-   [add]/[mul]/[feedback] decision for decision — with one deliberate
-   exception: [add] short-circuits on an exactly-zero diagonal operand
-   at runtime (returning the other operand's shape); the static rule
-   cannot see values, so it returns the no-shortcut shape. The planned
-   result is then equal to the pure one up to the rounding of adding
-   exact zeros. *)
+(* Static composition rules: the shape of a sum, product or closed
+   loop is a function of the operand shapes alone (never of their
+   values), so a plan can size every container before it sees a
+   frequency point. [Into]'s dispatch follows these rules decision for
+   decision. *)
 
 let band_k : shape_t -> int = function
   | `Diag -> 0
@@ -785,7 +441,7 @@ let densify_into t m =
 
 (* Complex division into split scalars, mirroring [Complex.div]
    (Smith's algorithm) so closed-form feedback keeps the exact rounding
-   of the pure path. Returns (re, im) as a pair of floats — local use
+   of [Cx.div]. Returns (re, im) as a pair of floats — local use
    only, immediately destructured (no heap escape under flambda, and a
    single short-lived block otherwise). *)
 let div_parts nr ni dr di =
@@ -801,8 +457,8 @@ let div_parts nr ni dr di =
   end
 
 (* |re + i·im| mirroring [Complex.norm]'s overflow-safe scaling, so the
-   checked-feedback conditioning proxies agree with [feedback_checked]
-   to the last ulp. *)
+   checked-feedback conditioning proxies agree with [Cx.abs] to the
+   last ulp. *)
 let cnorm re im =
   let r = Float.abs re and i = Float.abs im in
   if Float.equal r 0.0 then i
@@ -957,6 +613,11 @@ module Into = struct
         Cmatf.gemm ~dst:d (gemm_operand a da) (gemm_operand b db)
     | _ -> invalid_arg "Smat.Into.mul: dst shape mismatch"
 
+  (* Checked, the closed-form shapes guard their scalar denominators
+     with the conditioning proxy (1 + |d|)/|1 + d| — the exact κ of the
+     1×1 (or rank-one deflated) subproblem the closed form solves —
+     against Config.smw_max_cond; the banded/dense shapes go through the
+     checked LU with its Hager estimate. *)
   let feedback ~dst ?scratch ?denom_override ~checked ~context g =
     let open Robust in
     let n = dim g in

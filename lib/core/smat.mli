@@ -18,8 +18,10 @@
     Only [Band]/[Dense] feedback pays a dense LU — on the flat unboxed
     {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t].
 
-    Values are immutable: operations return fresh storage (split
-    unboxed re/im [float array]s) and never mutate operands. *)
+    Storage is split unboxed re/im [float array]s. The algebra exists
+    only as the in-place {!Into} kernels over containers sized by the
+    static shape rules: {!Plan} is the one evaluator built on it, and a
+    [t] it hands out is usually a view into plan storage. *)
 
 type t
 
@@ -28,63 +30,32 @@ val dim : t -> int
 
 (** {1 Constructors} *)
 
-val zeros : int -> t
-val identity : int -> t
+(** [diag_of_arrays ~dre ~dim_] — zero-copy diagonal view: the arrays
+    are the live storage (mutating them mutates the matrix). *)
+val diag_of_arrays : dre:float array -> dim_:float array -> t
 
-(** [diag_init n f] — diagonal matrix with [f i] at [(i,i)]. *)
-val diag_init : int -> (int -> Numeric.Cx.t) -> t
+(** [band_of_arrays ~n ~kmax ~bre ~bim] — zero-copy banded view; entry
+    [(i, i+d)], [|d| <= kmax], lives at [i·(2·kmax+1) + d + kmax]. *)
+val band_of_arrays :
+  n:int -> kmax:int -> bre:float array -> bim:float array -> t
 
-(** [of_toeplitz ~n coeffs] — banded Toeplitz matrix with
-    [(i,j) = coeffs.(i - j + K)] for [|i - j| <= K]
-    ([coeffs] has odd length [2K+1]); the band is clamped to the
-    matrix. *)
-val of_toeplitz : n:int -> Numeric.Cx.t array -> t
-
-(** [rank1_of_arrays ~ure ~uim ~vre ~vim] — [u·vᵀ] (bilinear, no
-    conjugation — the sampler's [l·lᵀ] convention). The arrays are
-    owned by the result; do not mutate them afterwards. *)
+(** [rank1_of_arrays ~ure ~uim ~vre ~vim] — zero-copy rank-one view
+    [u·vᵀ] (bilinear, no conjugation — the sampler's [l·lᵀ]
+    convention); the arrays are the live storage. *)
 val rank1_of_arrays :
   ure:float array -> uim:float array -> vre:float array -> vim:float array -> t
-
-(** [rank1_const n w] — [w·l·lᵀ] with [l] the all-ones vector: the
-    sampling-PFD HTM for [w = ω₀/2π]. *)
-val rank1_const : int -> float -> t
 
 val of_cmat : Numeric.Cmat.t -> t
 val of_cmatf : Numeric.Cmatf.t -> t
 
 (** {1 Densification — the only place structure is forgotten} *)
 
-val densify : t -> Numeric.Cmatf.t
 val to_cmat : t -> Numeric.Cmat.t
 
 (** {1 Access without densifying} *)
 
 val get : t -> int -> int -> Numeric.Cx.t
 val col : t -> int -> Numeric.Cvec.t
-
-(** {1 Algebra} *)
-
-val scale : Numeric.Cx.t -> t -> t
-val neg : t -> t
-val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-
-(** [feedback g] — [(I + G)⁻¹·G]. Diagonal and rank-one shapes use the
-    closed forms [d/(1+d)] and [u·vᵀ/(1 + vᵀu)] (Sherman–Morrison);
-    banded and dense shapes go through the unboxed LU.
-    @raise Numeric.Lu.Singular when [I + G] is singular. *)
-val feedback : t -> t
-
-(** [feedback_checked ?context g] — guarded [(I + G)⁻¹·G] that never
-    raises on numerical failure. Closed-form shapes check their scalar
-    denominator's conditioning proxy [(1 + |d|)/|1 + d|] against
-    {!Robust.Config.get_smw_max_cond}; banded/dense shapes use
-    {!Numeric.Cmatf.lu_decompose_checked}. Returns [Error (Singular _)]
-    or [Error (Non_finite _)] accordingly. *)
-val feedback_checked :
-  ?context:string -> t -> (t, Robust.Pllscope_error.t) result
 
 (** True iff every stored entry is finite. *)
 val is_finite : t -> bool
@@ -110,32 +81,15 @@ val mhv :
 
     The grid-batched evaluator ({!Plan}) allocates one container per
     composition node from the {b static} shape rules below, then
-    streams frequency points through the {!Into} kernels — the same
-    composition rules as the pure operations, writing into preallocated
-    storage. *)
+    streams frequency points through the {!Into} kernels, writing into
+    preallocated storage. *)
 
-(** A shape descriptor (the type {!shape} returns). *)
+(** A shape descriptor. *)
 type shape_t = [ `Diag | `Band of int | `Rank1 | `Dense ]
 
-(** [create n shape] — a zero-filled container of the given shape,
-    meant to be written through {!Into}. *)
-val create : int -> shape_t -> t
-
-(** [diag_of_arrays ~dre ~dim_] — zero-copy diagonal view: the arrays
-    are the live storage (mutating them mutates the matrix). *)
-val diag_of_arrays : dre:float array -> dim_:float array -> t
-
-(** [band_of_arrays ~n ~kmax ~bre ~bim] — zero-copy banded view; entry
-    [(i, i+d)], [|d| <= kmax], lives at [i·(2·kmax+1) + d + kmax]. *)
-val band_of_arrays :
-  n:int -> kmax:int -> bre:float array -> bim:float array -> t
-
-(** Static composition rules, mirroring the value-level dispatch of
-    {!add}/{!mul}/{!feedback} decision for decision — except the
-    exactly-zero-diagonal shortcut of {!add}, which is value-dependent
-    and statically unknowable: the static sum shape never shortcuts, so
-    a planned result can sit higher in the lattice than the pure one
-    (equal values up to the rounding of adding exact zeros). *)
+(** Static composition rules: the shape of a sum, product or closed
+    loop depends on the operand shapes only, never on their values, so
+    every container can be sized before the first point. *)
 
 val shape_add : shape_t -> shape_t -> shape_t
 
@@ -147,13 +101,10 @@ val shape_feedback : shape_t -> shape_t
     (band products too wide for banded storage, dense·band mixes) do. *)
 val mul_scratch : n:int -> shape_t -> shape_t -> bool * bool
 
-(** [densify_into t m] — write [t] densely over [m] (cleared first). *)
-val densify_into : t -> Numeric.Cmatf.t -> unit
-
 module Into : sig
-  (** In-place counterparts of the pure algebra. Every kernel
-      overwrites all of [dst]'s storage, so containers are reusable
-      point after point without clearing. [dst] must have exactly the
+  (** The HTM algebra, in place. Every kernel overwrites all of
+      [dst]'s storage, so containers are reusable point after point
+      without clearing. [dst] must have exactly the
       shape the static rules assign to the operation and must not alias
       an operand; violations raise [Invalid_argument]. *)
 
@@ -171,13 +122,16 @@ module Into : sig
   (** [feedback ~dst ?scratch ?denom_override ~checked ~context g] —
       [dst = (I + G)⁻¹·G]. [scratch] (an [n×n] matrix and an LU
       workspace) is required for banded/dense [g]. With [~checked:true]
-      the guards of {!feedback_checked} run (conditioning proxies,
-      checked LU, finiteness) and failures come back as [Error];
-      with [~checked:false] exact singularity raises
-      [Numeric.Lu.Singular] like {!feedback}. [denom_override] replaces
-      the rank-one Sherman–Morrison denominator term [vᵀu] with a
-      closed-form loop gain λ(s) — the plan layer's [Special] fast path
-      for time-invariant-VCO loops. *)
+      the guards run — closed-form shapes check their scalar
+      denominator's conditioning proxy [(1 + |d|)/|1 + d|] against
+      {!Robust.Config.get_smw_max_cond}, banded/dense shapes use
+      {!Numeric.Cmatf.lu_decompose_checked}, and the result is scanned
+      for non-finite entries — and failures come back as
+      [Error (Singular _)] or [Error (Non_finite _)]; with
+      [~checked:false] exact singularity raises [Numeric.Lu.Singular].
+      [denom_override] replaces the rank-one Sherman–Morrison
+      denominator term [vᵀu] with a closed-form loop gain λ(s) — the
+      plan layer's [Special] fast path for time-invariant-VCO loops. *)
   val feedback :
     dst:t ->
     ?scratch:Numeric.Cmatf.t * Numeric.Cmatf.lu_ws ->
@@ -189,10 +143,6 @@ module Into : sig
 end
 
 (** {1 Diagnostics} *)
-
-(** The shape actually held — exposed so tests and benchmarks can
-    assert that composition stayed low in the lattice. *)
-val shape : t -> shape_t
 
 (** Largest off-diagonal modulus ([0.] for [Diag] by construction). *)
 val max_offdiag_abs : t -> float

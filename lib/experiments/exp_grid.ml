@@ -4,7 +4,7 @@ type row = {
   s_frac : float;  (** ω / ω₀ *)
   h00_planned : Cx.t;
   closed_form_dev : float;  (** vs the exact H₀₀ of eq. 38 *)
-  per_point_dev : float;  (** vs the per-point structured evaluation *)
+  per_point_dev : float;  (** vs a one-point plan without the exact-λ path *)
   oracle_dev : float;  (** full matrix vs the dense oracle, max entry *)
 }
 

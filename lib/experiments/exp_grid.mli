@@ -4,7 +4,8 @@
     ({!Pll_lib.Pll.closed_loop_plan}, exact-λ rank-one fast path),
     streams a log grid through it, and reports the deviations against
     the three independent references: the paper's closed form H₀₀
-    (eq. 38), the per-point structured evaluation, and the all-dense
+    (eq. 38), the one-point plan behind [Htm.element] (no exact-λ
+    override), and the all-dense
     boxed oracle. Also compares the closed-loop peaking/bandwidth
     metrics computed from the closed form against the planned-HTM grid
     path ({!Pll_lib.Analysis.closed_loop_metrics_htm}). All deviations

@@ -1,12 +1,14 @@
-(* The grid-batched plan/execute evaluator (Htm_core.Plan) against the
-   per-point paths it replaces:
+(* The plan/execute evaluator (Htm_core.Plan) against the dense oracle:
 
    - a deterministic randomized generator over every Htm constructor
      (lti, lti_rat, periodic_gain, sampler, identity, zero, scale,
      series, parallel, sub, feedback, custom) asserts that a compiled
-     plan agrees entrywise with both Htm.to_matrix and the dense oracle
+     plan, streamed over several points, and the one-point plan behind
+     Htm.to_matrix both agree entrywise with the dense oracle
      Htm.to_matrix_dense to 1e-12, across every structure class and
      feedback nesting the generator can produce;
+   - a custom block that returns a wrongly sized matrix is rejected by
+     the plan before anything is written;
    - plan reuse is safe: one plan over two grids back-to-back, and a
      re-run of the first grid, are bit-identical to a fresh plan;
    - planned sweeps are pool-size independent: Sweep.grid_local over
@@ -117,7 +119,7 @@ let check_bits msg a b =
       (Cx.to_string b)
 
 (* ------------------------------------------------------------------ *)
-(* randomized differential: plan = per-point = dense oracle            *)
+(* randomized differential: plan = dense oracle                        *)
 
 let test_randomized_plan_vs_oracle () =
   let g = Prng.create ~seed:0x6B1DL in
@@ -135,18 +137,16 @@ let test_randomized_plan_vs_oracle () =
         (Htm.to_matrix_dense c t s, Htm.to_matrix c t s, Plan.to_cmat plan s)
       with
       | exception Lu.Singular -> () (* all paths raise on exact singularity *)
-      | dense, structured, planned ->
+      | dense, one_point, planned ->
           incr checked;
-          if not (Cmat.equal ~tol:1e-12 dense planned) then
-            Alcotest.failf
-              "trial %d point %d (n_harm %d): planned and dense disagree \
-               beyond 1e-12"
-              trial point n_harm;
-          if not (Cmat.equal ~tol:1e-12 structured planned) then
-            Alcotest.failf
-              "trial %d point %d (n_harm %d): planned and per-point \
-               structured disagree beyond 1e-12"
-              trial point n_harm;
+          List.iter
+            (fun (name, m) ->
+              if not (Cmat.equal ~tol:1e-12 dense m) then
+                Alcotest.failf
+                  "trial %d point %d (n_harm %d): %s and dense disagree \
+                   beyond 1e-12"
+                  trial point n_harm name)
+            [ ("reused plan", planned); ("one-point Htm.to_matrix", one_point) ];
           (* the element fast path reads off the same plan storage *)
           let n = rint g ((2 * n_harm) + 1) - n_harm in
           check_cx ~tol:1e-12
@@ -205,6 +205,35 @@ let test_run_grid_ba_matches_eval () =
           done
         done
   done
+
+(* A custom block whose size changes between calls: right (dim × dim)
+   at its first call, 3×3 after. The plan must refuse the wrong size
+   instead of copying it into a slot that still holds the first point. *)
+let test_custom_wrong_size_rejected () =
+  let ctx = Htm.ctx ~n_harm:2 ~omega0:2.0 in
+  let calls = ref 0 in
+  let block =
+    Htm.custom (fun c s ->
+        let n = if !calls = 0 then Htm.dim c else 3 in
+        incr calls;
+        Cmat.init n n (fun i k -> Cx.add s (Cx.of_float (float_of_int (i - k)))))
+  in
+  let t = Htm.series (Htm.lti (fun s -> Cx.inv (Cx.add s Cx.one))) block in
+  let plan = Plan.make ctx t in
+  let first = Plan.to_cmat plan (Cx.make 0.1 0.3) in
+  check_int "first point is dim x dim" (Htm.dim ctx) (Cmat.rows first);
+  let rejected name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a 3x3 custom block at n_harm 2" name
+    | exception Invalid_argument msg ->
+        let pre = "Plan.eval:" in
+        check_true
+          (Printf.sprintf "%s: %S starts with %S" name msg pre)
+          (String.length msg >= String.length pre
+          && String.equal (String.sub msg 0 (String.length pre)) pre)
+  in
+  rejected "Plan.to_cmat" (fun () -> Plan.to_cmat plan (Cx.make 0.2 0.5));
+  rejected "Htm.to_matrix" (fun () -> Htm.to_matrix ctx t (Cx.make 0.2 0.5))
 
 (* ------------------------------------------------------------------ *)
 (* plan reuse and pool-size independence                               *)
@@ -416,6 +445,8 @@ let suite =
     case "randomized planned = per-point = dense (1e-12)"
       test_randomized_plan_vs_oracle;
     case "run_grid matches the dense oracle" test_run_grid_matches_dense;
+    case "custom block of the wrong size rejected"
+      test_custom_wrong_size_rejected;
     case "run_grid_ba bit-matches run_grid" test_run_grid_ba_matches_eval;
     case "plan reuse over grids is bit-identical" test_plan_reuse_bit_identical;
     case "planned sweeps pool-size independent (1 vs 4 domains)"

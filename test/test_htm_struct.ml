@@ -1,22 +1,24 @@
-(* The structured HTM evaluator (Htm.structured / Smat) against the
-   dense reference oracle (Htm.to_matrix_dense):
+(* The per-point HTM queries (one-point plans over Smat shapes) against
+   the dense reference oracle (Htm.to_matrix_dense):
 
    - a deterministic randomized generator over every Htm constructor
      (lti, periodic_gain, sampler, identity, zero, scale, series,
      parallel, sub, feedback, custom) asserts entrywise agreement to
-     1e-12 at random complex frequencies;
+     1e-12 at random complex frequencies, and that a one-point
+     Htm.to_matrix is bit-identical to a reused plan that evaluated a
+     different point first (no stale plan storage);
    - the composition rules must stay low in the structure lattice
      (LTI chains diagonal, periodic gains banded, the sampled closed
      loop rank one all the way through feedback);
    - golden regression rows pin the closed-loop rank-one kernel at
      n_harm = 20 against test/golden/fig_metrics.txt, for both the
-     analytic Sherman–Morrison form and the structured evaluation of
-     the generic feedback HTM. *)
+     analytic Sherman–Morrison form and the planned evaluation of the
+     generic feedback HTM. *)
 
 open Numeric
 open Helpers
 module Htm = Htm_core.Htm
-module Smat = Htm_core.Smat
+module Plan = Htm_core.Plan
 
 (* ------------------------------------------------------------------ *)
 (* deterministic random expression generator                           *)
@@ -89,7 +91,30 @@ let test_randomized_equivalence () =
           Alcotest.failf
             "trial %d (n_harm %d): structured and dense evaluations disagree \
              beyond 1e-12"
-            trial n_harm
+            trial n_harm;
+        (* a plan dirtied by another point first must reproduce the
+           one-point plan's bits: nothing of the earlier point survives *)
+        let plan = Plan.make c t in
+        (try ignore (Plan.eval plan (Cx.add s (Cx.make 0.25 1.5)))
+         with Lu.Singular -> ());
+        let reused = Plan.to_cmat plan s in
+        let n = Htm.dim c in
+        check_int "reused plan dim" n (Cmat.rows reused);
+        for i = 0 to n - 1 do
+          for k = 0 to n - 1 do
+            let a = Cmat.get structured i k and b = Cmat.get reused i k in
+            if
+              not
+                (Int64.equal (Int64.bits_of_float (Cx.re a))
+                   (Int64.bits_of_float (Cx.re b))
+                && Int64.equal (Int64.bits_of_float (Cx.im a))
+                     (Int64.bits_of_float (Cx.im b)))
+            then
+              Alcotest.failf
+                "trial %d (%d,%d): one-point to_matrix %s vs reused plan %s"
+                trial i k (Cx.to_string a) (Cx.to_string b)
+          done
+        done
   done;
   (* the singular guard must not have eaten the test *)
   check_true "almost all trials checked" (!checked >= 110)
@@ -123,8 +148,7 @@ let test_fast_paths_match_dense () =
 
 let test_structure_preserved () =
   let ctx = Htm.ctx ~n_harm:6 ~omega0:2.0 in
-  let s = Cx.make 0.1 0.5 in
-  let shape t = Smat.shape (Htm.structured ctx t s) in
+  let shape t = Plan.root_shape (Plan.make ctx t) in
   (* LTI chains stay diagonal *)
   let lti1 = Htm.lti (fun s -> Cx.inv (Cx.add s Cx.one)) in
   let lti2 = Htm.lti (fun s -> Cx.add s (Cx.of_float 2.0)) in
@@ -171,8 +195,8 @@ let test_closed_loop_rank_one_golden () =
       check_golden tbl (key "hm10_re") (Cx.re (Cmat.get m (c0 - 1) c0));
       check_golden tbl (key "hm10_im") (Cx.im (Cmat.get m (c0 - 1) c0));
       check_golden tbl (key "frobenius") (Cmat.norm_frobenius m);
-      (* ... and the structured evaluation of the generic feedback HTM
-         must land on the same snapshot *)
+      (* ... and the one-point plan of the generic feedback HTM must
+         land on the same snapshot *)
       let ms = Htm.to_matrix ctx cl s in
       check_golden tbl (key "h00_re") (Cx.re (Cmat.get ms c0 c0));
       check_golden tbl (key "h00_im") (Cx.im (Cmat.get ms c0 c0));

@@ -14,7 +14,7 @@
 open Numeric
 open Helpers
 module Htm = Htm_core.Htm
-module Smat = Htm_core.Smat
+module Plan = Htm_core.Plan
 module Pool = Parallel.Pool
 module Sweep = Parallel.Sweep
 module E = Robust.Pllscope_error
@@ -49,8 +49,8 @@ let check_matches_oracle ?(tol = 1e-9) msg ctx t s =
 let test_error_strings () =
   let s = E.to_string in
   check_true "singular prints cond"
-    (s (Singular { cond_est = 1e13; context = "Smat.feedback" })
-    = "Smat.feedback: matrix is numerically singular (cond ~ 1.000e+13)");
+    (s (Singular { cond_est = 1e13; context = "Plan.feedback" })
+    = "Plan.feedback: matrix is numerically singular (cond ~ 1.000e+13)");
   check_true "exact singular prints zero pivot"
     (s (Singular { cond_est = Float.infinity; context = "lu" })
     = "lu: matrix is exactly singular (zero pivot)");
@@ -58,8 +58,8 @@ let test_error_strings () =
     (s (Non_convergence { iters = 200; residual = 0.5 })
     = "iteration failed to converge after 200 iterations (residual 5.000e-01)");
   check_true "non-finite"
-    (s (Non_finite { where = "Htm.structured" })
-    = "Htm.structured: non-finite value (NaN/Inf) in result");
+    (s (Non_finite { where = "Plan.eval" })
+    = "Plan.eval: non-finite value (NaN/Inf) in result");
   check_true "parse column is 1-based on display"
     (s (Parse { file = "x.cir"; line = 2; col = 4; msg = "bad node" })
     = "x.cir:2:5: parse error: bad node");
@@ -160,8 +160,8 @@ let banded_loop =
        (Htm.lti (fun s -> Cx.div (Cx.of_float 0.4) (Cx.add s Cx.one)))
        (Htm.periodic_gain [| Cx.of_float 0.2; Cx.one; Cx.of_float 0.2 |]))
 
-(* a chain through the sampler: its structured evaluation runs the
-   rank-one matvec composition, i.e. Smat.mv *)
+(* a chain through the sampler: its planned evaluation runs the
+   rank-one matvec composition, i.e. the smat-nan site in Smat.mv *)
 let sampler_chain =
   Htm.series (Htm.lti (fun s -> Cx.div Cx.one (Cx.add s Cx.one))) Htm.sampler
 
@@ -170,7 +170,7 @@ let s0 = Cx.make 0.05 0.4
 let test_injected_lu_pivot () =
   Robust.Inject.configure "lu-pivot:1";
   (* the checked API reports the breakdown as a typed Singular *)
-  (match Htm.structured_checked ctx3 banded_loop s0 with
+  (match Plan.eval_checked (Plan.make ctx3 banded_loop) s0 with
   | Error (Singular { cond_est; _ }) ->
       check_true "forced pivot breakdown is exactly singular"
         (cond_est = Float.infinity)
@@ -186,9 +186,9 @@ let test_injected_lu_pivot () =
 
 let test_injected_smat_nan () =
   Robust.Inject.configure "smat-nan:1";
-  (match Htm.structured_checked ctx3 sampler_chain s0 with
+  (match Plan.eval_checked (Plan.make ctx3 sampler_chain) s0 with
   | Error (Non_finite { where }) ->
-      check_true "NaN attributed to the structured evaluator"
+      check_true "NaN attributed to the plan evaluator"
         (String.length where > 0)
   | Error e -> Alcotest.failf "unexpected error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "injected NaN not detected");
@@ -231,7 +231,7 @@ let test_smw_guard_and_strict () =
   let ctx = Htm.ctx ~n_harm:6 ~omega0:w0 in
   let cl = Pll_lib.Pll.closed_loop_htm p in
   let s = Cx.jomega (0.95 *. w0) in
-  (* sanity: with default thresholds the structured path is used *)
+  (* sanity: with default thresholds the plan path is used *)
   check_matches_oracle "clean closed loop" ctx cl s;
   check_int "no fallback on the clean run" 0
     (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks;

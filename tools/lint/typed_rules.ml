@@ -662,7 +662,6 @@ let oracle_apis =
        only behind Into.feedback ~checked *)
     (("Cmatf", "lu_decompose_inplace"), [ "cmatf.ml"; "smat.ml" ]);
     (("Cmatf", "lu_solve_inplace"), [ "cmatf.ml"; "smat.ml" ]);
-    (("Smat", "feedback"), [ "smat.ml" ]);
   ]
 
 let oracle_caller_exempt basename =
