@@ -579,14 +579,9 @@ let serve_cmd =
     Arg.(value & opt float Serve.Daemon.default_config.Serve.Daemon.heartbeat
          & info [ "heartbeat" ] ~docv:"SECS" ~doc)
   in
-  let memo =
-    let doc = "Plan/grid memo capacity in entries (0 disables)." in
-    Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.memo_entries
-         & info [ "memo" ] ~docv:"N" ~doc)
-  in
   let run socket port workers queue max_clients cache read_timeout
       write_timeout default_deadline drain_grace retry_after status state_dir
-      chunk_points heartbeat memo strict =
+      chunk_points heartbeat strict =
     if status then begin
       match fetch_stats (client_addr socket port) with
       | Ok (Serve.Wire.R_stats s) ->
@@ -622,7 +617,6 @@ let serve_cmd =
           state_dir;
           chunk_points;
           heartbeat;
-          memo_entries = memo;
         }
       in
       let d = Serve.Daemon.create cfg in
@@ -655,7 +649,7 @@ let serve_cmd =
     Term.(
       const run $ socket_term $ port_term $ workers $ queue $ max_clients
       $ cache $ read_timeout $ write_timeout $ default_deadline $ drain_grace
-      $ retry_after $ status $ state_dir $ chunk_points $ heartbeat $ memo
+      $ retry_after $ status $ state_dir $ chunk_points $ heartbeat
       $ strict_term)
 
 let client_cmd =

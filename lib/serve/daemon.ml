@@ -34,8 +34,10 @@
      digest of the request body (deadline excluded), with single-flight
      dedup: concurrent identical requests compute once, waiters replay
      the leader's bytes. A cached reply is byte-identical to the cold
-     one. Leader failure wakes waiters, one of which becomes the new
-     leader.
+     one. A sweep partial with Cancelled/Timed_out points depends on
+     when its deadline fired, so it is answered but never cached.
+     Leader failure (or an uncached partial) wakes waiters, one of
+     which becomes the new leader.
    - The compute slot is released *before* the response is written, so
      a slow-reading client can never hold a worker slot; the write
      itself carries [write_timeout]. (Streamed replies are the one
@@ -54,7 +56,8 @@
    resumable delivery layer on top:
 
    - Cells (one per ratio, Marshal of the point-or-typed-failure) are
-     computed window by window and journaled to
+     computed window by window — one Engine.sweep over each window's
+     missing points, the one-shot compute — and journaled to
      [state_dir/<key>.stream] through Runner.Journal the moment they
      exist, with frame index 0 pinning the request's canonical
      fingerprint. A client reconnecting with the same idempotency key
@@ -92,7 +95,6 @@ type config = {
   state_dir : string option;
   chunk_points : int;
   heartbeat : float;
-  memo_entries : int;
 }
 
 let default_config =
@@ -112,7 +114,6 @@ let default_config =
     state_dir = None;
     chunk_points = 16;
     heartbeat = 1.0;
-    memo_entries = 64;
   }
 
 type conn = {
@@ -131,7 +132,6 @@ type t = {
   cfg : config;
   metrics : Metrics.t;
   cache : Lru.t;
-  memo : Engine.memo;
   m : Mutex.t;
   c : Condition.t;
   mutable active : int;
@@ -217,7 +217,6 @@ let create cfg =
     cfg;
     metrics = Metrics.create ();
     cache = Lru.create ~cap:cfg.cache_entries;
-    memo = Engine.create_memo ~cap:cfg.memo_entries;
     m = Mutex.create ();
     c = Condition.create ();
     active = 0;
@@ -360,14 +359,88 @@ let release t =
       Condition.broadcast t.c)
 
 (* ------------------------------------------------------------------ *)
+(* frame writes and admission                                          *)
+
+(* Every frame the daemon writes on a connection goes through here.
+   [write] is one of the [Wire.send_*] functions; it runs under the
+   connection's write mutex, so it never interleaves with a ticker
+   heartbeat. false => the connection is gone (the peer closed it, or
+   the write outran [write_timeout]). *)
+let send t conn write v =
+  Mutex.lock conn.wm;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock conn.wm)
+    (fun () ->
+      match write ?timeout:(Some t.cfg.write_timeout) conn.fd v with
+      | Ok () ->
+          conn.last_frame <- now ();
+          true
+      | Error _ ->
+          Metrics.incr_io_timeout t.metrics;
+          false
+      | exception
+          Unix.Unix_error
+            ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _)
+        ->
+          false)
+
+(* A reply payload (counted as served once written) or a typed error
+   frame (counted as a request error). *)
+let reply t conn = function
+  | Ok payload ->
+      let ok = send t conn Wire.send_response_payload payload in
+      if ok then Metrics.incr_served t.metrics;
+      ok
+  | Error err ->
+      Metrics.incr_request_error t.metrics;
+      send t conn Wire.send_error err
+
+let shed t conn =
+  Metrics.incr_shed t.metrics;
+  send t conn Wire.send_error
+    (Robust.Pllscope_error.Overloaded { retry_after = t.cfg.retry_after })
+
+(* Every compute request enters here: resolve its deadline, watch a
+   fresh token, and wait for a compute slot — or answer a typed
+   [Overloaded]/[Cancelled] frame instead. [work token] runs holding
+   the slot and returns the delivery step, which runs after the slot is
+   released so a slow reader never holds one. (A stream delivers inside
+   [work] and returns its verdict.) *)
+let admit t conn (req : Wire.request) work =
+  let deadline =
+    match req.Wire.deadline with
+    | Some _ as d -> d
+    | None -> t.cfg.default_deadline
+  in
+  let token = Parallel.Cancel.create () in
+  with_watch t token deadline @@ fun () ->
+  match acquire t token with
+  | `Shed -> shed t conn
+  | `Cancelled -> reply t conn (Error (cancel_error token))
+  | `Go ->
+      let deliver =
+        Fun.protect ~finally:(fun () -> release t) (fun () -> work token)
+      in
+      deliver ()
+
+(* ------------------------------------------------------------------ *)
 (* compute with cache + single-flight                                  *)
 
-let run_body t ~token (body : Wire.request_body) =
+(* Cancelled and Timed_out depend on when a deadline fired, not on the
+   request. A stream aborts on such a cell (never journaling or
+   streaming it); a one-shot reply carrying one is answered but never
+   cached. *)
+let schedule_dependent : Robust.Pllscope_error.t -> bool = function
+  | Cancelled _ | Timed_out _ -> true
+  | Singular _ | Non_convergence _ | Non_finite _ | Parse _ | Worker_failure _
+  | Overloaded _ | Io_timeout _ | Budget_exhausted _ | Circuit_open _ ->
+      false
+
+let run_body ~token (body : Wire.request_body) =
   match body with
-  | Wire.Analyze spec ->
-      Wire.R_analyze (Engine.analyze ~memo:t.memo ~cancel:token spec)
+  | Wire.Analyze spec -> Wire.R_analyze (Engine.analyze ~cancel:token spec)
   | Wire.Bode { spec; points } ->
-      Wire.R_bode (Engine.bode ~memo:t.memo ~cancel:token spec ~points)
+      Wire.R_bode (Engine.bode ~cancel:token spec ~points)
   | Wire.Sweep { spec; ratios } ->
       Wire.R_sweep (Engine.sweep ~cancel:token spec ratios)
   | Wire.Stats | Wire.Health ->
@@ -375,8 +448,9 @@ let run_body t ~token (body : Wire.request_body) =
 
 (* Returns the marshalled response payload. The leader computes and
    caches; concurrent identical requests wait on [t.c] and replay the
-   cached bytes. If the leader fails, its typed error is its own
-   answer; one woken waiter finds neither cache entry nor inflight
+   cached bytes. If the leader fails, or its reply is a
+   schedule-dependent partial, nothing is cached: its answer is its
+   own, and one woken waiter finds neither cache entry nor inflight
    mark and becomes the new leader. *)
 let compute t ~key ~token body =
   let deduped = ref false in
@@ -410,57 +484,31 @@ let compute t ~key ~token body =
     | `Lead ->
         Metrics.incr_cache_miss t.metrics;
         let outcome =
-          match run_body t ~token body with
-          | resp -> Ok (Wire.marshal_response resp)
+          match run_body ~token body with
+          | resp -> Ok (resp, Wire.marshal_response resp)
           | exception Robust.Pllscope_error.Error err -> Error err
           | exception Parallel.Cancel.Cancelled r -> Error (error_of_reason r)
         in
         locked t (fun () ->
             Hashtbl.remove t.inflight key;
             (match outcome with
-            | Ok payload -> Lru.add t.cache key payload
+            | Ok (Wire.R_sweep s, _)
+              when List.exists
+                     (fun (_, e) -> schedule_dependent e)
+                     s.Wire.failures ->
+                ()
+            | Ok (_, payload) -> Lru.add t.cache key payload
             | Error _ -> ());
             Condition.broadcast t.c);
-        outcome
+        Result.map snd outcome
   in
   obtain ()
-
-(* ------------------------------------------------------------------ *)
-(* per-connection protocol                                             *)
-
-(* false => the connection is no longer usable *)
-let send_payload t fd payload =
-  match
-    Wire.send_response_payload ~timeout:t.cfg.write_timeout fd payload
-  with
-  | Ok () -> true
-  | Error _ ->
-      Metrics.incr_io_timeout t.metrics;
-      false
-  | exception
-      Unix.Unix_error
-        ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _) ->
-      false
-
-let send_error_frame t fd err =
-  match Wire.send_error ~timeout:t.cfg.write_timeout fd err with
-  | Ok () -> true
-  | Error _ ->
-      Metrics.incr_io_timeout t.metrics;
-      false
-  | exception
-      Unix.Unix_error
-        ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _) ->
-      false
 
 let stats_snapshot t =
   let active, cache_evictions =
     locked t (fun () -> (t.active, Lru.evictions t.cache))
   in
   Metrics.snapshot t.metrics ~active ~cache_evictions
-    ~memo_hits:(Engine.memo_hits t.memo)
-    ~memo_misses:(Engine.memo_misses t.memo)
-    ~memo_evictions:(Engine.memo_evictions t.memo)
 
 (* ------------------------------------------------------------------ *)
 (* streamed sweeps                                                     *)
@@ -498,26 +546,6 @@ let set_streaming conn v =
   conn.last_frame <- now ();
   Mutex.unlock conn.wm
 
-(* One frame on a streaming connection, serialised with the ticker's
-   heartbeats; true iff the connection survives. *)
-let stream_send t conn send =
-  Mutex.lock conn.wm;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.wm)
-    (fun () ->
-      match send conn.fd with
-      | Ok () ->
-          conn.last_frame <- now ();
-          true
-      | Error _ ->
-          Metrics.incr_io_timeout t.metrics;
-          false
-      | exception
-          Unix.Unix_error
-            ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF | Unix.ENOTCONN), _, _)
-        ->
-          false)
-
 (* Chunk delivery with the daemon-side net-fault sites armed:
    [chunk-torn] writes half the encoded frame then cuts the wire (the
    client reads it as clean EOF); [stream-disconnect] delivers the
@@ -530,36 +558,32 @@ let send_chunk_inject t conn (c : Wire.chunk) =
     in
     let half = String.sub frame 0 (String.length frame / 2) in
     let (_ : bool) =
-      stream_send t conn (fun fd ->
-          write_exact fd half;
+      send t conn
+        (fun ?timeout:_ fd s ->
+          write_exact fd s;
           Ok ())
+        half
     in
     quiet_shutdown conn.fd Unix.SHUTDOWN_ALL;
     false
   end
+  else if not (send t conn Wire.send_chunk c) then false
   else begin
-    let alive =
-      stream_send t conn (fun fd ->
-          Wire.send_chunk ~timeout:t.cfg.write_timeout fd c)
-    in
-    if not alive then false
-    else begin
-      Metrics.incr_chunk_sent t.metrics;
-      if Robust.Inject.fire Robust.Inject.Stream_disconnect then begin
-        quiet_shutdown conn.fd Unix.SHUTDOWN_ALL;
-        false
-      end
-      else true
+    Metrics.incr_chunk_sent t.metrics;
+    if Robust.Inject.fire Robust.Inject.Stream_disconnect then begin
+      quiet_shutdown conn.fd Unix.SHUTDOWN_ALL;
+      false
     end
+    else true
   end
 
-(* Remap a typed error whose task field is local to a window's
-   sub-grid back to the global point index, so streamed failure cells
-   are byte-identical to the single-shot sweep's. *)
-let globalize_cell_error ~global (err : Robust.Pllscope_error.t) =
+(* A window's [Engine.sweep] numbers failures by sub-grid position;
+   [task] restores the global point index, so streamed failure cells
+   are byte-identical to the one-shot sweep's. *)
+let with_task task (err : Robust.Pllscope_error.t) =
   match err with
-  | Worker_failure w -> Robust.Pllscope_error.Worker_failure { w with task = global w.task }
-  | Timed_out tt -> Robust.Pllscope_error.Timed_out { tt with task = global tt.task }
+  | Worker_failure w -> Robust.Pllscope_error.Worker_failure { w with task }
+  | Timed_out tt -> Robust.Pllscope_error.Timed_out { tt with task }
   | Singular _ | Non_convergence _ | Non_finite _ | Parse _ | Cancelled _
   | Overloaded _ | Io_timeout _ | Budget_exhausted _ | Circuit_open _ ->
       err
@@ -637,41 +661,22 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
     done;
     let idxs = Array.of_list !missing in
     if Array.length idxs > 0 then begin
-      let sub = Array.map (fun i -> ratios.(i)) idxs in
-      (* same call shape as Engine.sweep (chunk 1, default retries), so
-         every cell is bit-identical to the one-shot compute *)
-      let partial =
-        Parallel.Sweep.grid_checked ~chunk:1 ~cancel:token
-          (fun r -> Engine.ratio_point spec r)
-          sub
+      (* the one-shot compute, so every cell is bit-identical to the
+         one-shot reply's *)
+      let s =
+        Engine.sweep ~cancel:token spec (Array.map (fun i -> ratios.(i)) idxs)
       in
       Array.iteri
         (fun j i ->
           let cell : Wire.cell =
-            match partial.Parallel.Sweep.values.(j) with
+            match s.Wire.rows.(j) with
             | Some v -> Ok v
-            | None -> (
-                match
-                  List.assoc_opt j partial.Parallel.Sweep.failures
-                with
-                | Some e -> Error (globalize_cell_error ~global:(fun _ -> i) e)
-                | None ->
-                    Error
-                      (Robust.Pllscope_error.Worker_failure
-                         {
-                           task = i;
-                           attempts = 0;
-                           last = "Daemon.stream: point vanished";
-                         }))
+            | None -> Error (with_task i (List.assoc j s.Wire.failures))
           in
           match cell with
-          | Error
-              ((Robust.Pllscope_error.Cancelled _ | Robust.Pllscope_error.Timed_out _)
-               as e) ->
-              (* schedule-dependent: never journaled, never streamed —
-                 the stream aborts and the client resumes later *)
+          | Error e when schedule_dependent e ->
               if Option.is_none !abort then abort := Some e
-          | _ ->
+          | Ok _ | Error _ ->
               let enc = Wire.encode_cell cell in
               cells.(i) <- Some enc;
               (match journal with
@@ -697,10 +702,7 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
   close_journal ();
   Metrics.add_points_computed t.metrics !computed;
   match !abort with
-  | Some err ->
-      Metrics.incr_request_error t.metrics;
-      stream_send t conn (fun fd ->
-          Wire.send_error ~timeout:t.cfg.write_timeout fd err)
+  | Some err -> reply t conn (Error err)
   | None when not !alive -> false
   | None -> (
       let all = Array.map Option.get cells in
@@ -711,9 +713,7 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
           (match journal_path with
           | Some path -> ( try Sys.remove path with Sys_error _ -> ())
           | None -> ());
-          Metrics.incr_request_error t.metrics;
-          stream_send t conn (fun fd ->
-              Wire.send_error ~timeout:t.cfg.write_timeout fd err)
+          reply t conn (Error err)
       | Ok sres ->
           let payload = Wire.marshal_response (Wire.R_sweep sres) in
           let digest = Digest.string payload in
@@ -729,144 +729,70 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
               replayed = n - !computed;
             }
           in
-          let ok =
-            stream_send t conn (fun fd ->
-                Wire.send_summary ~timeout:t.cfg.write_timeout fd summary)
-          in
+          let ok = send t conn Wire.send_summary summary in
           if ok then Metrics.incr_served t.metrics;
           ok)
 
 (* Streamed request entry: single-flight per idempotency key (a
-   concurrent stream on the same key would race the journal), then the
-   same deadline-token + compute-gate path as one-shot requests. *)
+   concurrent stream on the same key would race the journal, and a
+   waiting stream connection would get no heartbeats, so the second
+   one is shed), then the same admission as one-shot requests. *)
 let handle_stream t conn (req : Wire.request) ~spec ~ratios =
-  let fd = conn.fd in
-  if Array.length ratios = 0 then begin
-    Metrics.incr_request_error t.metrics;
-    send_error_frame t fd (request_parse_err "Engine.sweep: empty ratio grid")
-  end
+  let key = req.Wire.key in
+  if Array.length ratios = 0 then
+    reply t conn (Error (request_parse_err "Engine.sweep: empty ratio grid"))
+  else if not (Option.fold ~none:true ~some:valid_key key) then
+    reply t conn
+      (Error (request_parse_err "Daemon.stream: malformed idempotency key"))
   else
-    let key =
-      match req.Wire.key with Some k when valid_key k -> Some k | _ -> None
+    let claimed =
+      match key with
+      | None -> true
+      | Some k ->
+          locked t (fun () ->
+              if Hashtbl.mem t.stream_inflight k then false
+              else begin
+                Hashtbl.add t.stream_inflight k ();
+                true
+              end)
     in
-    match (req.Wire.key, key) with
-    | Some _, None ->
-        Metrics.incr_request_error t.metrics;
-        send_error_frame t fd
-          (request_parse_err "Daemon.stream: malformed idempotency key")
-    | _, _ -> (
-        let claim =
-          match key with
-          | None -> `Go
-          | Some k ->
-              locked t (fun () ->
-                  if Hashtbl.mem t.stream_inflight k then `Busy
-                  else begin
-                    Hashtbl.add t.stream_inflight k ();
-                    `Go
-                  end)
-        in
-        match claim with
-        | `Busy ->
-            Metrics.incr_shed t.metrics;
-            send_error_frame t fd
-              (Robust.Pllscope_error.Overloaded
-                 { retry_after = t.cfg.retry_after })
-        | `Go ->
-            Fun.protect
-              ~finally:(fun () ->
-                match key with
-                | Some k ->
-                    locked t (fun () -> Hashtbl.remove t.stream_inflight k)
-                | None -> ())
-              (fun () ->
-                let deadline =
-                  match req.Wire.deadline with
-                  | Some _ as d -> d
-                  | None -> t.cfg.default_deadline
-                in
-                let token = Parallel.Cancel.create () in
-                with_watch t token deadline @@ fun () ->
-                match acquire t token with
-                | `Shed ->
-                    Metrics.incr_shed t.metrics;
-                    send_error_frame t fd
-                      (Robust.Pllscope_error.Overloaded
-                         { retry_after = t.cfg.retry_after })
-                | `Cancelled ->
-                    Metrics.incr_request_error t.metrics;
-                    send_error_frame t fd (cancel_error token)
-                | `Go ->
-                    Metrics.incr_stream_started t.metrics;
-                    Fun.protect
-                      ~finally:(fun () -> release t)
-                      (fun () ->
-                        stream_compute t conn req ~spec ~ratios ~key ~token)))
+    if not claimed then shed t conn
+    else
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter
+            (fun k -> locked t (fun () -> Hashtbl.remove t.stream_inflight k))
+            key)
+        (fun () ->
+          admit t conn req (fun token ->
+              Metrics.incr_stream_started t.metrics;
+              let ok = stream_compute t conn req ~spec ~ratios ~key ~token in
+              fun () -> ok))
 
 (* Handle one decoded request; true iff the connection survives. *)
 let handle_request t conn (req : Wire.request) =
-  let fd = conn.fd in
   match req.Wire.body with
-  | Wire.Health ->
-      let ok = send_payload t fd (Wire.marshal_response Wire.R_healthy) in
-      if ok then Metrics.incr_served t.metrics;
-      ok
+  | Wire.Health -> reply t conn (Ok (Wire.marshal_response Wire.R_healthy))
   | Wire.Stats ->
-      let ok =
-        send_payload t fd
-          (Wire.marshal_response (Wire.R_stats (stats_snapshot t)))
-      in
-      if ok then Metrics.incr_served t.metrics;
-      ok
+      reply t conn (Ok (Wire.marshal_response (Wire.R_stats (stats_snapshot t))))
   | Wire.Sweep { spec; ratios } when req.Wire.stream ->
       handle_stream t conn req ~spec ~ratios
   | Wire.Analyze _ | Wire.Bode _ | Wire.Sweep _ -> (
       let key = Wire.cache_key req.Wire.body in
-      let cached = locked t (fun () -> Lru.find t.cache key) in
-      match cached with
+      match locked t (fun () -> Lru.find t.cache key) with
       | Some payload ->
           Metrics.incr_cache_hit t.metrics;
-          let ok = send_payload t fd payload in
-          if ok then Metrics.incr_served t.metrics;
-          ok
-      | None -> (
-          let deadline =
-            match req.Wire.deadline with
-            | Some _ as d -> d
-            | None -> t.cfg.default_deadline
-          in
-          let token = Parallel.Cancel.create () in
-          with_watch t token deadline @@ fun () ->
-          match acquire t token with
-          | `Shed ->
-              Metrics.incr_shed t.metrics;
-              send_error_frame t fd
-                (Robust.Pllscope_error.Overloaded
-                   { retry_after = t.cfg.retry_after })
-          | `Cancelled ->
-              Metrics.incr_request_error t.metrics;
-              send_error_frame t fd (cancel_error token)
-          | `Go -> (
-              let outcome =
-                Fun.protect
-                  ~finally:(fun () -> release t)
-                  (fun () -> compute t ~key ~token req.Wire.body)
-              in
-              match outcome with
-              | Ok payload ->
-                  let ok = send_payload t fd payload in
-                  if ok then Metrics.incr_served t.metrics;
-                  ok
-              | Error err ->
-                  Metrics.incr_request_error t.metrics;
-                  send_error_frame t fd err)))
+          reply t conn (Ok payload)
+      | None ->
+          admit t conn req (fun token ->
+              let outcome = compute t ~key ~token req.Wire.body in
+              fun () -> reply t conn outcome))
 
 let draining t = locked t (fun () -> t.stopping)
 
 let handle_conn t conn =
-  let fd = conn.fd in
   let rec loop () =
-    match Wire.recv_request ~timeout:t.cfg.read_timeout fd with
+    match Wire.recv_request ~timeout:t.cfg.read_timeout conn.fd with
     | Ok None -> () (* clean EOF: client done (or died mid-frame) *)
     | Error err ->
         (* corrupt or stalled stream: answer if the pipe still works,
@@ -878,7 +804,7 @@ let handle_conn t conn =
         | Parse _ | Worker_failure _ | Timed_out _ | Cancelled _
         | Overloaded _ | Budget_exhausted _ | Circuit_open _ ->
             Metrics.incr_request_error t.metrics);
-        let (_ : bool) = send_error_frame t fd err in
+        let (_ : bool) = send t conn Wire.send_error err in
         ()
     | Ok (Some req) ->
         conn.busy <- true;
@@ -924,32 +850,26 @@ let accept_one t lfd =
           _ ) ->
       ()
   | fd, _addr ->
+      let conn =
+        {
+          fd;
+          busy = false;
+          wm = Mutex.create ();
+          streaming = None;
+          last_frame = now ();
+          closed = false;
+        }
+      in
       let n = locked t (fun () -> List.length t.conns) in
       if n >= t.cfg.max_clients then begin
         (* connection-level load shedding: refuse before reading *)
-        Metrics.incr_shed t.metrics;
-        let (_ : bool) =
-          send_error_frame t fd
-            (Robust.Pllscope_error.Overloaded
-               { retry_after = t.cfg.retry_after })
-        in
+        let (_ : bool) = shed t conn in
         quiet_close fd
       end
-      else begin
-        let conn =
-          {
-            fd;
-            busy = false;
-            wm = Mutex.create ();
-            streaming = None;
-            last_frame = now ();
-            closed = false;
-          }
-        in
+      else
         locked t (fun () ->
             t.conns <- conn :: t.conns;
             t.threads <- Thread.create (conn_main t) conn :: t.threads)
-      end
 
 let rec accept_loop t =
   if not (should_stop t) then begin

@@ -12,7 +12,8 @@
       slot (slots are released before the reply is written);
     - an LRU of marshalled responses keyed by request-body digest with
       single-flight dedup — a cached reply is byte-identical to the
-      cold one;
+      cold one, and a sweep partial cut short by its deadline is
+      answered but never cached;
     - streamed sweeps ([Wire.request.stream]): cells journaled to
       [state_dir/<key>.stream] as computed, chunk frames interleaved
       with ticker heartbeats, and resume-by-idempotency-key across
@@ -48,14 +49,12 @@ type config = {
   heartbeat : float;
       (** seconds of stream silence before the ticker writes a
           progress frame (> 0) *)
-  memo_entries : int;  (** plan/grid memo capacity; 0 disables it *)
 }
 
 (** 2 workers, queue 8, 32 clients, 128 cache entries, 10 s I/O
     timeouts, no default deadline, 5 s drain grace, 0.1 s retry hint,
-    non-strict, no state dir, 16-point chunks, 1 s heartbeat, 64 memo
-    entries — and no listeners: set at least one of [socket_path] /
-    [tcp_port]. *)
+    non-strict, no state dir, 16-point chunks, 1 s heartbeat — and no
+    listeners: set at least one of [socket_path] / [tcp_port]. *)
 val default_config : config
 
 type t

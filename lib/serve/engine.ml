@@ -9,37 +9,18 @@
    Determinism: every value is computed by the same code paths the CLI
    subcommands use ([Analysis.lti_report], [Bode.of_responses],
    [Analysis.ratio_sweep] one ratio at a time), so a served result is
-   bit-identical to a local run of the matching subcommand. *)
+   bit-identical to a local run of the matching subcommand.
 
-(* Plan/grid memo: synthesized loop parameters and bode grids keyed by
-   the canonical spec fingerprint. Both artifacts are deterministic
-   functions of their key, so memo hits are bit-identical to cold
-   computes — the sweep per-point path stays memo-free on purpose (its
-   byte-identity contract is with the CLI, which has no memo). *)
-type artifact = Synth of Pll_lib.Pll.t | Grid of float array
+   Nothing is memoized here. Synthesizing a loop costs well under a
+   microsecond and a bode grid is one [Array.init], so a plan cache
+   would save nothing measurable next to the analysis itself; the
+   daemon caches whole replies instead. [sweep] is the only sweep
+   compute: one-shot requests call it on the whole grid and streams on
+   each window's missing points. *)
 
-type memo = artifact Memo.t
-
-let create_memo ~cap : memo = Memo.create ~cap
-let memo_hits = Memo.hits
-let memo_misses = Memo.misses
-let memo_evictions = Memo.evictions
-
-let synthesize ?memo spec =
-  match memo with
-  | None -> Pll_lib.Design.synthesize spec
-  | Some m -> (
-      match
-        Memo.find_or_add m
-          ("synth|" ^ Wire.spec_fingerprint spec)
-          (fun () -> Synth (Pll_lib.Design.synthesize spec))
-      with
-      | Synth p -> p
-      | Grid _ -> Pll_lib.Design.synthesize spec)
-
-let analyze ?memo ~cancel spec : Wire.analyze_result =
+let analyze ~cancel spec : Wire.analyze_result =
   Parallel.Cancel.check cancel;
-  let p = synthesize ?memo spec in
+  let p = Pll_lib.Design.synthesize spec in
   let lti = Pll_lib.Analysis.lti_report p in
   Parallel.Cancel.check cancel;
   let eff = Pll_lib.Analysis.effective_report p in
@@ -52,7 +33,7 @@ let analyze ?memo ~cancel spec : Wire.analyze_result =
 (* The CLI's log grid (bode_cmd): w_UG/50 .. 0.49 w0. Points are
    evaluated sequentially with a cancel poll between each, then phases
    are unwrapped exactly as Lti.Bode.sweep would. *)
-let bode ?memo ~cancel spec ~points : Wire.bode_result =
+let bode ~cancel spec ~points : Wire.bode_result =
   if points < 2 then
     Robust.Pllscope_error.raise_
       (Robust.Pllscope_error.Parse
@@ -63,25 +44,13 @@ let bode ?memo ~cancel spec ~points : Wire.bode_result =
            msg = "Engine.bode: points must be >= 2";
          });
   Parallel.Cancel.check cancel;
-  let p = synthesize ?memo spec in
-  let build_grid () =
+  let p = Pll_lib.Design.synthesize spec in
+  let ws =
     let w0 = Pll_lib.Pll.omega0 p in
     let w_ug = Pll_lib.Design.omega_ug spec in
     let lo = w_ug /. 50.0 and hi = w0 *. 0.49 in
     Array.init points (fun i ->
         lo *. ((hi /. lo) ** (float_of_int i /. float_of_int (points - 1))))
-  in
-  let ws =
-    match memo with
-    | None -> build_grid ()
-    | Some m -> (
-        match
-          Memo.find_or_add m
-            (Printf.sprintf "grid|%s|%d" (Wire.spec_fingerprint spec) points)
-            (fun () -> Grid (build_grid ()))
-        with
-        | Grid ws -> ws
-        | Synth _ -> build_grid ())
   in
   let a_fn = Lti.Tf.freq_response (Pll_lib.Pll.open_loop_tf p) in
   let lam_fn = Pll_lib.Pll.lambda_fn p Pll_lib.Pll.Exact in

@@ -6,17 +6,7 @@
     per-point failures — when the deadline monitor fires. Results are
     bit-identical to the matching CLI subcommand run locally. *)
 
-(** Bounded plan/grid memo: synthesized loop parameters keyed by spec
-    fingerprint and bode grids keyed by spec fingerprint × points.
-    Hits are bit-identical to cold computes (both artifacts are
-    deterministic functions of their key); the sweep per-point path
-    deliberately bypasses it. *)
-type memo
-
-val create_memo : cap:int -> memo
-
 val analyze :
-  ?memo:memo ->
   cancel:Parallel.Cancel.t ->
   Pll_lib.Design.spec ->
   Wire.analyze_result
@@ -24,28 +14,18 @@ val analyze :
 (** Raises {!Robust.Pllscope_error.Error} with a [Parse] payload when
     [points < 2] (malformed request, answered as a typed error frame). *)
 val bode :
-  ?memo:memo ->
   cancel:Parallel.Cancel.t ->
   Pll_lib.Design.spec ->
   points:int ->
   Wire.bode_result
 
-(** The single-ratio Fig. 7 task ({!Pll_lib.Analysis.ratio_sweep} on a
-    one-element list) — the same closure the CLI and farm use. *)
-val ratio_point : Pll_lib.Design.spec -> float -> Pll_lib.Analysis.ratio_point
-
 (** Checked sweep at chunk size 1: an expired deadline cancels between
     ratios and the already-computed rows still come back, with typed
     [Cancelled] failures for the rest. Raises like {!bode} on an empty
-    grid. *)
+    grid. The daemon's only sweep compute: a stream calls it once per
+    window, on the points its journal does not already hold. *)
 val sweep :
   cancel:Parallel.Cancel.t ->
   Pll_lib.Design.spec ->
   float array ->
   Wire.sweep_result
-
-(** Memo counters for the stats snapshot. *)
-val memo_hits : memo -> int
-
-val memo_misses : memo -> int
-val memo_evictions : memo -> int

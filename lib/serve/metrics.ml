@@ -58,8 +58,7 @@ let incr_heartbeat t = Atomic.incr t.heartbeats
 let points_computed t = Atomic.get t.points_computed
 let points_replayed t = Atomic.get t.points_replayed
 
-let snapshot t ~active ~cache_evictions ~memo_hits ~memo_misses
-    ~memo_evictions : Wire.server_stats =
+let snapshot t ~active ~cache_evictions : Wire.server_stats =
   {
     Wire.served = Atomic.get t.served;
     shed = Atomic.get t.shed;
@@ -76,9 +75,9 @@ let snapshot t ~active ~cache_evictions ~memo_hits ~memo_misses
     points_replayed = Atomic.get t.points_replayed;
     stale_keys = Atomic.get t.stale_keys;
     heartbeats = Atomic.get t.heartbeats;
-    memo_hits;
-    memo_misses;
-    memo_evictions;
+    memo_hits = 0;
+    memo_misses = 0;
+    memo_evictions = 0;
     active;
     uptime_s = now () -. t.started;
     robust = Robust.Stats.snapshot ();

@@ -30,19 +30,12 @@ val points_replayed : t -> int
 val incr_stale_key : t -> unit
 val incr_heartbeat : t -> unit
 
-(** [snapshot t ~active ~cache_evictions ~memo_hits ~memo_misses
-    ~memo_evictions] — current counters plus the process-wide
-    {!Robust.Stats} snapshot, as the wire record the [Stats] request
-    returns. The labelled arguments carry the counters that live in
-    {!Lru}/{!Memo} rather than here. *)
-val snapshot :
-  t ->
-  active:int ->
-  cache_evictions:int ->
-  memo_hits:int ->
-  memo_misses:int ->
-  memo_evictions:int ->
-  Wire.server_stats
+(** [snapshot t ~active ~cache_evictions] — current counters plus the
+    process-wide {!Robust.Stats} snapshot, as the wire record the
+    [Stats] request returns (its retired [memo_*] fields read 0). The
+    labelled arguments carry the counters that live in the daemon and
+    {!Lru} rather than here. *)
+val snapshot : t -> active:int -> cache_evictions:int -> Wire.server_stats
 
 (** Flat JSON object of every counter (server and robust-layer). *)
 val json_of_stats : Wire.server_stats -> string

@@ -93,9 +93,13 @@ type server_stats = {
   points_replayed : int;  (** sweep cells served from request journals *)
   stale_keys : int;  (** journals discarded on fingerprint mismatch *)
   heartbeats : int;  (** progress frames written by the ticker *)
-  memo_hits : int;  (** plan/grid memo *)
-  memo_misses : int;
-  memo_evictions : int;
+  memo_hits : int;
+      (** retired, always 0: the daemon no longer has a plan/grid memo.
+          The three [memo_*] fields stay because this record's Marshal
+          layout is the stats wire format and existing readers
+          (including [serve --status] consumers) still name them. *)
+  memo_misses : int;  (** retired, always 0 *)
+  memo_evictions : int;  (** retired, always 0 *)
   active : int;  (** compute slots in use at snapshot time *)
   uptime_s : float;
   robust : Robust.Stats.t;
@@ -157,8 +161,7 @@ val cacheable : request_body -> bool
 val body_name : request_body -> string
 
 (** Canonical text fingerprint of one design spec (field-ordered hex of
-    the raw IEEE-754 bits); building block of {!body_fingerprint} and
-    the plan-memo keys. *)
+    the raw IEEE-754 bits); building block of {!body_fingerprint}. *)
 val spec_fingerprint : Pll_lib.Design.spec -> string
 
 (** Canonical text fingerprint of a request body: field-ordered hex of

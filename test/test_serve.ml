@@ -394,10 +394,10 @@ let test_deadline_analyze_cancelled () =
   check_int "typed error, not a shed" 1 stats.Wire.request_errors
 
 let test_deadline_sweep_partial () =
-  let (), _stats =
+  let (), stats =
     with_daemon (fun path _d ->
         let ratios = Array.init 6 (fun i -> 0.05 +. (0.05 *. float_of_int i)) in
-        match ok (request ~deadline:0.0 path (Wire.Sweep { spec; ratios })) with
+        (match ok (request ~deadline:0.0 path (Wire.Sweep { spec; ratios })) with
         | Wire.R_sweep s ->
             check_int "total points" 6 s.Wire.total;
             check_int "every point cancelled" 6 (List.length s.Wire.failures);
@@ -410,9 +410,19 @@ let test_deadline_sweep_partial () =
                     Alcotest.failf "wrong failure: %s"
                       (Robust.Pllscope_error.to_string other))
               s.Wire.failures
+        | _ -> Alcotest.fail "sweep reply mismatch");
+        (* the cancelled partial was answered, not cached: the same body
+           without a deadline computes every point *)
+        match ok (request path (Wire.Sweep { spec; ratios })) with
+        | Wire.R_sweep s ->
+            check_int "total after the partial" 6 s.Wire.total;
+            check_true "every row computed"
+              (Array.for_all Option.is_some s.Wire.rows);
+            check_int "no failures after the partial" 0
+              (List.length s.Wire.failures)
         | _ -> Alcotest.fail "sweep reply mismatch")
   in
-  ()
+  check_int "partial never cached" 0 stats.Wire.cache_hits
 
 let test_overload_sheds () =
   let cfg = { base_cfg with Daemon.workers = 1; queue_depth = 0 } in
@@ -436,6 +446,16 @@ let test_overload_sheds () =
         | Ok _ -> Alcotest.fail "overloaded daemon served"
         | Error err ->
             Alcotest.failf "wrong error: %s"
+              (Robust.Pllscope_error.to_string err));
+        (* a stream is admitted by the same gate: shed too *)
+        (match
+           Client.sweep_streamed ~attempts:1 ~connect:(fun () -> conn path)
+             ~spec ~ratios:[| 0.1; 0.2 |] ()
+         with
+        | Error (Robust.Pllscope_error.Overloaded _) -> ()
+        | Ok _ -> Alcotest.fail "overloaded daemon streamed"
+        | Error err ->
+            Alcotest.failf "wrong stream error: %s"
               (Robust.Pllscope_error.to_string err));
         Thread.join th;
         match !occupier with

@@ -20,8 +20,9 @@
      [Budget_exhausted] in bounded wall-clock;
    - the circuit breaker opens after the threshold, fast-fails with
      [Circuit_open], and closes again through a half-open probe;
-   - Lru and Memo eviction counters (unit level), and the daemon's
-     plan/grid memo hit counters surfaced through stats. *)
+   - the Lru eviction counter (unit level), and two cold computes with
+     the reply cache off coming back byte-identical while the retired
+     memo counters in stats read 0. *)
 
 open Helpers
 module Wire = Serve.Wire
@@ -396,7 +397,7 @@ let test_breaker_opens_and_recovers () =
   ()
 
 (* ------------------------------------------------------------------ *)
-(* eviction counters and the plan/grid memo                            *)
+(* eviction counter and cold recompute                                 *)
 
 let test_lru_eviction_counter () =
   let t = Serve.Lru.create ~cap:2 in
@@ -410,36 +411,20 @@ let test_lru_eviction_counter () =
   Serve.Lru.add t "d" "4'";
   check_int "refresh is not an eviction" 2 (Serve.Lru.evictions t)
 
-let test_memo_unit () =
-  let m = Serve.Memo.create ~cap:2 in
-  check_int "cold miss computes" 1 (Serve.Memo.find_or_add m "a" (fun () -> 1));
-  check_int "warm hit replays" 1
-    (Serve.Memo.find_or_add m "a" (fun () -> Alcotest.fail "recomputed"));
-  let _ = Serve.Memo.find_or_add m "b" (fun () -> 2) in
-  let _ = Serve.Memo.find_or_add m "c" (fun () -> 3) in
-  check_int "bounded" 2 (Serve.Memo.length m);
-  check_int "one hit" 1 (Serve.Memo.hits m);
-  check_int "three misses" 3 (Serve.Memo.misses m);
-  check_int "one eviction" 1 (Serve.Memo.evictions m);
-  (* cap 0 disables *)
-  let z = Serve.Memo.create ~cap:0 in
-  let _ = Serve.Memo.find_or_add z "a" (fun () -> 1) in
-  let _ = Serve.Memo.find_or_add z "a" (fun () -> 1) in
-  check_int "cap 0 never stores" 0 (Serve.Memo.length z);
-  check_int "cap 0 always misses" 2 (Serve.Memo.misses z)
-
 let test_daemon_memo_counters () =
-  (* response cache off, so the second analyze recomputes — and its
-     synthesis comes from the plan memo *)
-  let cfg = { base_cfg with Daemon.cache_entries = 0; memo_entries = 8 } in
+  (* response cache off, so the second analyze recomputes from cold *)
+  let cfg = { base_cfg with Daemon.cache_entries = 0 } in
   let (), stats =
     with_daemon ~cfg (fun path _d ->
         let a = raw_oneshot path (Wire.Analyze spec) in
         let b = raw_oneshot path (Wire.Analyze spec) in
-        check_true "memoized recompute byte-identical" (String.equal a b))
+        check_true "cold recompute byte-identical" (String.equal a b))
   in
-  check_true "memo missed cold" (stats.Wire.memo_misses >= 1);
-  check_true "memo hit warm" (stats.Wire.memo_hits >= 1)
+  check_int "both computed" 2 stats.Wire.cache_misses;
+  (* the memo_* fields are retired wire fields: always 0 *)
+  check_int "memo hits retired" 0 stats.Wire.memo_hits;
+  check_int "memo misses retired" 0 stats.Wire.memo_misses;
+  check_int "memo evictions retired" 0 stats.Wire.memo_evictions
 
 let suite =
   [
@@ -461,7 +446,6 @@ let suite =
     slow_case "breaker opens, fast-fails, recovers"
       (clean test_breaker_opens_and_recovers);
     case "lru eviction counter" (clean test_lru_eviction_counter);
-    case "memo hits, misses, evictions" (clean test_memo_unit);
-    case "daemon memo counters surface in stats"
+    case "daemon memo counters surface in stats as 0"
       (clean test_daemon_memo_counters);
   ]
