@@ -187,9 +187,11 @@ let run_parallel_bench () =
 (* One-point plan vs dense HTM kernels: times Htm.to_matrix (a
    one-point Plan over Smat shapes, Sherman–Morrison feedback) against
    Htm.to_matrix_dense (boxed Cmat products + dense LU) on the
-   closed-loop HTM, and compares per-eval allocation. Emitted as
-   BENCH_kernels.json for CI tracking (the "structured_*" keys are the
-   one-point plan side). *)
+   closed-loop HTM, and compares per-eval allocation; then the same for
+   a mixing-PFD loop (banded LU feedback), adding the one-point
+   Htm.baseband that solves one column. Emitted as BENCH_kernels.json
+   for CI tracking (the "structured_*" keys are the one-point plan
+   side, "mixing_runs" the banded-LU rows). *)
 let run_kernel_bench () =
   Format.printf "@.== HTM kernels: one-point plan (Smat) vs dense evaluation ==@.";
   let s = Numeric.Cx.jomega (0.2 *. w0) in
@@ -218,13 +220,17 @@ let run_kernel_bench () =
     done;
     !best /. float_of_int !reps *. 1e9
   in
+  (* the allocation counters trail the minor heap until it is
+     collected, so both readings follow a minor collection *)
   let bytes_per_eval f =
     ignore (f ());
     let reps = 10 in
+    Gc.minor ();
     let b0 = Gc.allocated_bytes () in
     for _ = 1 to reps do
       ignore (f ())
     done;
+    Gc.minor ();
     (Gc.allocated_bytes () -. b0) /. float_of_int reps
   in
   let rows =
@@ -242,6 +248,35 @@ let run_kernel_bench () =
           n_harm (Htm_core.Htm.dim ctx) dense_ns struct_ns
           (dense_ns /. struct_ns) dense_b struct_b (dense_b /. struct_b);
         (n_harm, Htm_core.Htm.dim ctx, dense_ns, struct_ns, dense_b, struct_b))
+      [ 10; 20; 40; 80 ]
+  in
+  (* A loop closed around a banded open loop (mixing PFD, band 1): its
+     root is a banded LU, which a full realization ([to_matrix]) solves
+     for every column and [baseband] for column 0 alone. *)
+  Format.printf "  mixing-PFD loop (banded LU feedback):@.";
+  let mix =
+    Pll_lib.Pll.make ~fref:spec.fref ~n_div:spec.n_div
+      ~filter:pll.Pll_lib.Pll.filter ~vco:pll.Pll_lib.Pll.vco
+      ~pfd:(Pll_lib.Pfd.mixing ~gain:1.0) ()
+  in
+  let mix_cl = Pll_lib.Pll.closed_loop_htm mix in
+  let mix_rows =
+    List.map
+      (fun n_harm ->
+        let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
+        let dense () = Htm_core.Htm.to_matrix_dense ctx mix_cl s in
+        let full () = Htm_core.Htm.to_matrix ctx mix_cl s in
+        let h00 () = Htm_core.Htm.baseband ctx mix_cl (0.2 *. w0) in
+        let us f = time_ns f /. 1e3 in
+        let dense_us = us dense and full_us = us full and h00_us = us h00 in
+        let dense_b = bytes_per_eval dense
+        and full_b = bytes_per_eval full
+        and h00_b = bytes_per_eval h00 in
+        Format.printf
+          "  n_harm %3d: dense %9.1f us  to_matrix %8.1f us  baseband %7.1f \
+           us; alloc %9.3e / %9.3e / %9.3e B@."
+          n_harm dense_us full_us h00_us dense_b full_b h00_b;
+        (n_harm, Htm_core.Htm.dim ctx, dense_us, full_us, h00_us, dense_b, full_b, h00_b))
       [ 10; 20; 40; 80 ]
   in
   let b = Buffer.create 1024 in
@@ -262,6 +297,18 @@ let run_kernel_bench () =
            struct_b (dense_b /. struct_b)
            (if i = List.length rows - 1 then "" else ",")))
     rows;
+  Buffer.add_string b "  ],\n";
+  Buffer.add_string b "  \"mixing_runs\": [\n";
+  List.iteri
+    (fun i (n_harm, dim, dense_us, full_us, h00_us, dense_b, full_b, h00_b) ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    {\"n_harm\": %d, \"dim\": %d, \"dense_us\": %.2f, \
+            \"to_matrix_us\": %.2f, \"baseband_us\": %.2f, \"dense_bytes\": \
+            %.1f, \"to_matrix_bytes\": %.1f, \"baseband_bytes\": %.1f}%s\n"
+           n_harm dim dense_us full_us h00_us dense_b full_b h00_b
+           (if i = List.length mix_rows - 1 then "" else ",")))
+    mix_rows;
   Buffer.add_string b "  ]\n";
   Buffer.add_string b "}\n";
   Runner.Atomic_file.write_string "BENCH_kernels.json" (Buffer.contents b);

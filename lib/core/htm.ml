@@ -70,8 +70,8 @@ let conversion_map c t w = conversion_map_of (dim c) (eval_at c t (Cx.jomega w))
 
 let apply_to_tone c t ~m w =
   if abs m > c.n_harm then invalid_arg "Htm.apply_to_tone: harmonic outside truncation";
-  (* one column of the realized shape instead of the full matrix *)
-  Smat.col (eval_at c t (Cx.jomega w)) (index_of_harmonic c m)
+  (* one column of the realized HTM, and only that column solved *)
+  Plan.column (Plan.make c t) ~m (Cx.jomega w)
 
 type sv_certificate = {
   sigma : float;

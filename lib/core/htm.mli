@@ -95,7 +95,11 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
     {!max_singular_value} and its variants, {!is_lti}) is a one-point
     {!Plan}: [Plan.make ctx t] followed by one evaluation, with no plan
     cache. To evaluate one tree at many points, make the plan yourself
-    or use the sweeps at the end of this module. *)
+    or use the sweeps at the end of this module. {!element},
+    {!baseband} and {!apply_to_tone} read one column and demand only
+    that column (see {!Plan.column}): a loop closed around a banded or
+    dense open loop then solves one right-hand side, with the bits of
+    the full realization. *)
 
 (** [to_matrix ctx t s] realizes the truncated HTM at the complex
     frequency [s]. Evaluation is structure-aware: the composition tree

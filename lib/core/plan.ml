@@ -11,9 +11,19 @@
    [Smat.Into] kernels, and precompiles LTI leaves into harmonic shift
    tables (split-coefficient rational forms for [Lti_rat], which
    evaluate without boxing). [eval] then streams one s-point through
-   the schedule entirely in place: after the first point, a grid
-   evaluation allocates nothing on the OCaml heap beyond the
-   caller-requested output.
+   the schedule entirely in place: after the first point, the
+   composition kernels allocate nothing. What a point still allocates
+   is a few boxed scalars — mostly the shifted frequency handed to each
+   rational leaf, about one boxed float per harmonic row — measured
+   with Gc.minor_words on one domain at n_harm 20 as ~230 words per
+   [baseband] of a mixing-PFD loop (banded LU feedback), ~280 for an
+   ISF-VCO loop and ~430 for the rank-one loop with the exact λ(s).
+
+   Column demand: [element], [baseband] and [column] read one column
+   of the root and pass its index down; a dense feedback root (a loop
+   closed around a banded or dense open loop) then solves only that
+   right-hand side, bit-identical to the same column of a full
+   realization.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -104,7 +114,7 @@ and op =
   | Kscale of Cx.t * node
   | Kadd of bool (* subtract *) * node * node
   | Kmul of node * node * Cmatf.t option * Cmatf.t option
-  | Kfb of node * (Cmatf.t * Cmatf.lu_ws) option * (Cx.t -> Cx.t) option
+  | Kfb of node * Smat.lu_scratch option * (Cx.t -> Cx.t) option
       (* λ(s) denominator override, outermost loop only *)
 
 type t = { ctx : ctx; expr : Htm_expr.t; root : node }
@@ -118,7 +128,13 @@ let root_shape t = t.root.slot.sh
 
 exception Guard of Robust.Pllscope_error.t
 
-let rec exec ~checked s { slot; op } =
+(* Column demand: [col] is the one column of the root a caller reads,
+   or [all_cols] for all of them. Only the root's feedback kernel sees
+   it (it then solves that right-hand side alone); every inner node,
+   and every other kind of root, realizes in full. *)
+let all_cols = -1
+
+let rec exec ~checked ~col s { slot; op } =
   (match op with
   | Const -> ()
   | Fill_lti (h, shifts) ->
@@ -152,22 +168,22 @@ let rec exec ~checked s { slot; op } =
         done
       done
   | Kscale (z, g) ->
-      let gv = exec ~checked s g in
+      let gv = exec ~checked ~col:all_cols s g in
       Smat.Into.scale ~dst:slot.view z gv
   | Kadd (sub, a, b) ->
-      let av = exec ~checked s a in
-      let bv = exec ~checked s b in
+      let av = exec ~checked ~col:all_cols s a in
+      let bv = exec ~checked ~col:all_cols s b in
       Smat.Into.add ~dst:slot.view ~sub av bv
   | Kmul (a, b, da, db) ->
-      let av = exec ~checked s a in
-      let bv = exec ~checked s b in
+      let av = exec ~checked ~col:all_cols s a in
+      let bv = exec ~checked ~col:all_cols s b in
       Smat.Into.mul ~dst:slot.view ?da ?db av bv
   | Kfb (g, scratch, lambda) -> (
-      let gv = exec ~checked s g in
+      let gv = exec ~checked ~col:all_cols s g in
       let denom_override = Option.map (fun lam -> lam s) lambda in
       match
         Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
-          ~context:"Plan.feedback" gv
+          ~col ~context:"Plan.feedback" gv
       with
       | Ok () -> ()
       | Error e -> raise (Guard e)));
@@ -189,11 +205,11 @@ let const_slot n sh fill =
    the band clamped to the matrix. *)
 let toeplitz n coeffs =
   let kc = Array.length coeffs / 2 in
-  let kmax = Stdlib.min kc (Stdlib.max 0 (n - 1)) in
+  let kmax = Int.min kc (Int.max 0 (n - 1)) in
   let w = (2 * kmax) + 1 in
   const_slot n (`Band kmax) (fun slot ->
       for i = 0 to n - 1 do
-        for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
+        for d = Int.max (-kmax) (-i) to Int.min kmax (n - 1 - i) do
           let z = coeffs.(kc - d) in
           slot.are.((i * w) + d + kmax) <- Cx.re z;
           slot.aim.((i * w) + d + kmax) <- Cx.im z
@@ -242,7 +258,7 @@ let rec compile c ~lambda (t : Htm_expr.t) =
         let sh = Smat.shape_feedback gn.slot.sh in
         let scratch =
           match sh with
-          | `Dense -> Some (Cmatf.create n n, Cmatf.lu_ws n)
+          | `Dense -> Some (Smat.lu_scratch ~n gn.slot.sh)
           | _ -> None
         in
         node sh (Kfb (gn, scratch, lambda))
@@ -258,17 +274,25 @@ let rec compile c ~lambda (t : Htm_expr.t) =
     | Const | Fill_lti _ | Fill_rat _ | Fill_custom _ | Kfb _ -> false
   in
   if static then begin
-    ignore (exec ~checked:false Cx.zero nd);
+    ignore (exec ~checked:false ~col:all_cols Cx.zero nd);
     { nd with op = Const }
   end
   else nd
 
 let make ?lambda c expr = { ctx = c; expr; root = compile c ~lambda expr }
 
+(* The column a dense feedback root honours; any other root realizes
+   in full whatever the caller reads. *)
+let root_col plan col =
+  match plan.root with
+  | { op = Kfb _; slot = { sh = `Dense; _ } } -> col
+  | _ -> all_cols
+
 (* Injection site: poison the realized root of one planned point (the
-   plan-layer sibling of [Smat]'s smat-nan site). Constant roots are
-   realized once per plan and are skipped. *)
-let poison_root plan =
+   plan-layer sibling of [Smat]'s smat-nan site) — in row 0 of the
+   demanded column, so a column-demand evaluation reads it. Constant
+   roots are realized once per plan and are skipped. *)
+let poison_root plan ~col =
   if Robust.Inject.fire Robust.Inject.Grid_plan_nan then
     match plan.root with
     | { op = Const; _ } -> ()
@@ -276,28 +300,39 @@ let poison_root plan =
         match slot.dense with
         | Some m ->
             let re, _ = Cmatf.raw m in
-            if Array.length re > 0 then re.(0) <- Float.nan
+            if Array.length re > 0 then re.(Int.max col 0) <- Float.nan
         | None -> if Array.length slot.are > 0 then slot.are.(0) <- Float.nan)
 
-let eval_checked plan s =
-  match exec ~checked:true s plan.root with
+(* the root scan covers what the caller reads: with a demanded column,
+   the rest of a dense root is stale *)
+let root_finite plan ~col v =
+  match plan.root.slot.dense with
+  | Some m when col >= 0 -> Cmatf.is_finite_col m col
+  | _ -> Smat.is_finite v
+
+let checked_view plan ~col s =
+  match exec ~checked:true ~col s plan.root with
   | v ->
-      poison_root plan;
-      if Smat.is_finite v then Ok v
+      poison_root plan ~col;
+      if root_finite plan ~col v then Ok v
       else Error (Robust.Pllscope_error.Non_finite { where = "Plan.eval" })
   | exception Guard e -> Error e
 
+let eval_checked plan s = checked_view plan ~col:all_cols s
+
 (* The one guard/fallback driver: guards off → unchecked kernels;
-   guards on → [eval_checked], degrading to the dense oracle (counted
-   in [Robust.Stats]) unless strict mode refuses. *)
-let eval_view plan s =
+   guards on → the checked evaluation, degrading to the dense oracle
+   (counted in [Robust.Stats]) unless strict mode refuses. [col] is
+   the column demand (see [all_cols]). *)
+let eval_view plan ~col s =
+  let col = root_col plan col in
   if not (Robust.Config.guards_enabled ()) then begin
-    let v = exec ~checked:false s plan.root in
-    poison_root plan;
+    let v = exec ~checked:false ~col s plan.root in
+    poison_root plan ~col;
     `Structured v
   end
   else
-    match eval_checked plan s with
+    match checked_view plan ~col s with
     | Ok v -> `Structured v
     | Error e ->
         if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
@@ -311,19 +346,34 @@ let eval_view plan s =
         end
 
 let eval plan s =
-  match eval_view plan s with `Structured v -> v | `Dense m -> Smat.of_cmat m
+  match eval_view plan ~col:all_cols s with
+  | `Structured v -> v
+  | `Dense m -> Smat.of_cmat m
 
 let to_cmat plan s =
-  match eval_view plan s with `Structured v -> Smat.to_cmat v | `Dense m -> m
+  match eval_view plan ~col:all_cols s with
+  | `Structured v -> Smat.to_cmat v
+  | `Dense m -> m
+
+let index plan what h =
+  let c = plan.ctx in
+  if abs h > c.Htm_expr.n_harm then
+    invalid_arg (what ^ ": harmonic outside truncation");
+  Htm_expr.index_of_harmonic c h
 
 let element plan ~n ~m s =
-  let c = plan.ctx in
-  if abs n > c.Htm_expr.n_harm || abs m > c.Htm_expr.n_harm then
-    invalid_arg "Plan.element: harmonic outside truncation";
-  let v = eval plan s in
-  Smat.get v (Htm_expr.index_of_harmonic c n) (Htm_expr.index_of_harmonic c m)
+  let i = index plan "Plan.element" n and k = index plan "Plan.element" m in
+  match eval_view plan ~col:k s with
+  | `Structured v -> Smat.get v i k
+  | `Dense d -> Cmat.get d i k
 
 let baseband plan s = element plan ~n:0 ~m:0 s
+
+let column plan ~m s =
+  let k = index plan "Plan.column" m in
+  match eval_view plan ~col:k s with
+  | `Structured v -> Smat.col v k
+  | `Dense d -> Cmat.col d k
 
 (* ------------------------------------------------------------------ *)
 (* grid drivers (sequential on one plan; parallel sweeps distribute    *)
@@ -368,7 +418,7 @@ let write_slice (re : Out.ba3) (im : Out.ba3) p slot n =
   | `Band kmax ->
       let w = (2 * kmax) + 1 in
       for i = 0 to n - 1 do
-        for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
+        for d = Int.max (-kmax) (-i) to Int.min kmax (n - 1 - i) do
           let q = (i * w) + d + kmax in
           Array3.unsafe_set re p i (i + d) slot.are.(q);
           Array3.unsafe_set im p i (i + d) slot.aim.(q)
@@ -410,7 +460,7 @@ let run_grid_ba plan ss =
   (* one closure per grid call; the boxed Cmat.get is confined to the
      dense fallback branch, which structured evaluation never takes *)
   let[@lint.allow "hot-alloc"] write_point p s =
-    match eval_view plan s with
+    match eval_view plan ~col:all_cols s with
     | `Structured _ -> write_slice re im p plan.root.slot n
     | `Dense m ->
         for i = 0 to n - 1 do

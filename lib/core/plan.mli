@@ -75,11 +75,25 @@ val eval : t -> Cx.t -> Smat.t
     {!eval}. *)
 val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
 
+(** {2 Column demand}
+
+    The queries below read one column of the realized HTM, and say so
+    to the evaluation: a dense feedback root (a loop closed around a
+    banded or dense open loop) then solves only that right-hand side
+    of [(I + G)⁻¹·G] instead of all [dim] of them, and its guards scan
+    that column. The value is bit-identical to the same entry of
+    {!eval}: substitution never mixes right-hand-side columns. Every
+    other root evaluates in full. *)
+
 (** [element p ~n ~m s] — entry [H_{n,m}(s)] by harmonic index. *)
 val element : t -> n:int -> m:int -> Cx.t -> Cx.t
 
 (** [baseband p s] — [element p ~n:0 ~m:0 s], the H₀₀ transfer. *)
 val baseband : t -> Cx.t -> Cx.t
+
+(** [column p ~m s] — column [m] (by harmonic index) of the realized
+    HTM: the stacked output spectrum of a unit tone in band [m]. *)
+val column : t -> m:int -> Cx.t -> Cvec.t
 
 (** [to_cmat p s] — boxed dense copy of the realized HTM (fresh
     storage, not a view). *)

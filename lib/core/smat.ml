@@ -11,14 +11,20 @@
    structure survives. [Plan] is the only evaluator built on it.
 
    Storage is split re/im float arrays throughout, so every entry is
-   unboxed. Costs:
+   unboxed; band loop bounds use Int.min/Int.max (the polymorphic
+   Stdlib.min/max compile to a generic-compare call). Costs:
      diag·diag              O(n)
      diag·band, band·diag   O(n·k)
      band·band              O(n·k₁·k₂), bandwidth k₁+k₂
      anything·rank-one      O(cost of one matvec) — stays rank one
      feedback(diag)         O(n)
      feedback(rank-one)     O(n)  (Sherman–Morrison–Woodbury)
-     feedback(band|dense)   dense LU via Cmatf, O(n³) unboxed *)
+     feedback(band k)       LU via Cmatf inside the band: O(n·k²) to
+                            factor, O(n·k) per solved column
+     feedback(dense)        dense LU via Cmatf, O(n³) unboxed
+   Both LU shapes still fill a dense n×n I + G (O(n²) stores) and
+   write a dense result, every column of it or the one a caller
+   demands (see [Into.feedback]). *)
 
 open Numeric
 
@@ -155,7 +161,7 @@ let mv t ~xre ~xim ~yre ~yim =
       let w = (2 * kmax) + 1 in
       for i = 0 to n - 1 do
         let sr = ref 0.0 and si = ref 0.0 in
-        let jlo = Stdlib.max 0 (i - kmax) and jhi = Stdlib.min (n - 1) (i + kmax) in
+        let jlo = Int.max 0 (i - kmax) and jhi = Int.min (n - 1) (i + kmax) in
         for j = jlo to jhi do
           let p = (i * w) + (j - i) + kmax in
           let ar = bre.(p) and ai = bim.(p) in
@@ -202,7 +208,7 @@ let mhv t ~xre ~xim ~yre ~yim =
       Array.fill yim 0 n 0.0;
       for i = 0 to n - 1 do
         let br = xre.(i) and bi = xim.(i) in
-        let jlo = Stdlib.max 0 (i - kmax) and jhi = Stdlib.min (n - 1) (i + kmax) in
+        let jlo = Int.max 0 (i - kmax) and jhi = Int.min (n - 1) (i + kmax) in
         for j = jlo to jhi do
           let p = (i * w) + (j - i) + kmax in
           let ar = bre.(p) and ai = -.bim.(p) in
@@ -238,7 +244,7 @@ let mtv t ~xre ~xim ~yre ~yim =
       Array.fill yim 0 n 0.0;
       for i = 0 to n - 1 do
         let br = xre.(i) and bi = xim.(i) in
-        let jlo = Stdlib.max 0 (i - kmax) and jhi = Stdlib.min (n - 1) (i + kmax) in
+        let jlo = Int.max 0 (i - kmax) and jhi = Int.min (n - 1) (i + kmax) in
         for j = jlo to jhi do
           let p = (i * w) + (j - i) + kmax in
           let ar = bre.(p) and ai = bim.(p) in
@@ -360,7 +366,7 @@ let band_k : shape_t -> int = function
 let shape_add (a : shape_t) (b : shape_t) : shape_t =
   match (a, b) with
   | (`Diag | `Band _), (`Diag | `Band _) ->
-      let k = Stdlib.max (band_k a) (band_k b) in
+      let k = Int.max (band_k a) (band_k b) in
       if k = 0 then `Diag else `Band k
   | _ -> `Dense
 
@@ -369,7 +375,7 @@ let shape_mul ~n (a : shape_t) (b : shape_t) : shape_t =
   | `Diag, `Diag -> `Diag
   | _, `Rank1 | `Rank1, _ -> `Rank1
   | (`Diag | `Band _), (`Diag | `Band _) ->
-      let k = Stdlib.min (band_k a + band_k b) (n - 1) in
+      let k = Int.min (band_k a + band_k b) (n - 1) in
       if band_too_wide ~n ~kmax:k && n > 1 then `Dense
       else if k = 0 then `Diag
       else `Band k
@@ -389,7 +395,7 @@ let mul_scratch ~n (a : shape_t) (b : shape_t) =
   | `Diag, `Diag -> (false, false)
   | _, `Rank1 | `Rank1, _ -> (false, false)
   | (`Diag | `Band _), (`Diag | `Band _) ->
-      let k = Stdlib.min (band_k a + band_k b) (n - 1) in
+      let k = Int.min (band_k a + band_k b) (n - 1) in
       if band_too_wide ~n ~kmax:k && n > 1 then (true, true) else (false, false)
   | `Dense, `Diag | `Diag, `Dense -> (false, false)
   | _ -> (a <> `Dense, b <> `Dense)
@@ -409,7 +415,7 @@ let axpy_sgn_into t sgn m =
   | Band { kmax; bre; bim; _ } ->
       let w = (2 * kmax) + 1 in
       for i = 0 to n - 1 do
-        for d = Stdlib.max (-kmax) (-i) to Stdlib.min kmax (n - 1 - i) do
+        for d = Int.max (-kmax) (-i) to Int.min kmax (n - 1 - i) do
           let j = i + d in
           let p = (i * w) + d + kmax in
           mre.((i * nc) + j) <- mre.((i * nc) + j) +. (sgn *. bre.(p));
@@ -469,6 +475,54 @@ let cnorm re im =
   else
     let q = r /. i in
     i *. Stdlib.sqrt (1.0 +. (q *. q))
+
+(* LU storage for the closed loop of a banded or dense operand: the
+   factors of I + G, a workspace carrying G's bandwidth (the identity
+   adds none), and one right-hand-side column. *)
+type lu_scratch = { lu : Cmatf.t; ws : Cmatf.lu_ws; rhs : Cmatf.t }
+
+let lu_scratch ~n (g : shape_t) =
+  let ws =
+    match g with
+    | `Diag | `Band _ ->
+        let k = band_k g in
+        Cmatf.lu_ws ~kl:k ~ku:k n
+    | `Rank1 | `Dense -> Cmatf.lu_ws n
+  in
+  { lu = Cmatf.create n n; ws; rhs = Cmatf.create n 1 }
+
+(* x := column k of a banded/dense t, rounded as [densify_into] rounds
+   it (0 + entry), so the column equals that column of the dense
+   realization bit for bit. *)
+let column_into t k x =
+  let n = dim t in
+  let xre, xim = Cmatf.raw x in
+  Array.fill xre 0 n 0.0;
+  Array.fill xim 0 n 0.0;
+  match t with
+  | Band { kmax; bre; bim; _ } ->
+      let w = (2 * kmax) + 1 in
+      for i = Int.max 0 (k - kmax) to Int.min (n - 1) (k + kmax) do
+        let p = (i * w) + (k - i) + kmax in
+        xre.(i) <- xre.(i) +. bre.(p);
+        xim.(i) <- xim.(i) +. bim.(p)
+      done
+  | Dense m ->
+      let mre, mim = Cmatf.raw m in
+      for i = 0 to n - 1 do
+        xre.(i) <- xre.(i) +. mre.((i * n) + k);
+        xim.(i) <- xim.(i) +. mim.((i * n) + k)
+      done
+  | Diag _ | Rank1 _ -> invalid_arg "Smat.column_into: not banded or dense"
+
+(* column k of dense m := the n×1 x *)
+let store_column x m k =
+  let xre, xim = Cmatf.raw x and mre, mim = Cmatf.raw m in
+  let n = Cmatf.rows m in
+  for i = 0 to n - 1 do
+    mre.((i * n) + k) <- xre.(i);
+    mim.((i * n) + k) <- xim.(i)
+  done
 
 module Into = struct
   (* All kernels write into [dst]'s storage. [dst] must have exactly
@@ -568,13 +622,13 @@ module Into = struct
         Array.fill dre 0 (n * w) 0.0;
         Array.fill dim_ 0 (n * w) 0.0;
         for i = 0 to n - 1 do
-          let llo = Stdlib.max 0 (i - ka) and lhi = Stdlib.min (n - 1) (i + ka) in
+          let llo = Int.max 0 (i - ka) and lhi = Int.min (n - 1) (i + ka) in
           for l = llo to lhi do
             let pa = (i * wa) + (l - i) + ka in
             let ar = are.(pa) and ai = aim.(pa) in
             if not (Float.equal ar 0.0 && Float.equal ai 0.0) then begin
-              let jlo = Stdlib.max (Stdlib.max 0 (l - kb)) (i - kd) in
-              let jhi = Stdlib.min (Stdlib.min (n - 1) (l + kb)) (i + kd) in
+              let jlo = Int.max (Int.max 0 (l - kb)) (i - kd) in
+              let jhi = Int.min (Int.min (n - 1) (l + kb)) (i + kd) in
               for j = jlo to jhi do
                 let pb = (l * wb) + (j - l) + kb in
                 let br = bre_.(pb) and bi = bim_.(pb) in
@@ -617,8 +671,10 @@ module Into = struct
      with the conditioning proxy (1 + |d|)/|1 + d| — the exact κ of the
      1×1 (or rank-one deflated) subproblem the closed form solves —
      against Config.smw_max_cond; the banded/dense shapes go through the
-     checked LU with its Hager estimate. *)
-  let feedback ~dst ?scratch ?denom_override ~checked ~context g =
+     checked LU with its Hager estimate. A banded/dense loop solves
+     only column [col] of the result when [col >= 0]; the closed forms
+     are O(n) and always realize everything. *)
+  let feedback ~dst ?scratch ?denom_override ~checked ~col ~context g =
     let open Robust in
     let n = dim g in
     let max_cond = if checked then Config.get_smw_max_cond () else infinity in
@@ -699,22 +755,37 @@ module Into = struct
           end
         end
     | Dense b, (Band _ | Dense _) -> (
-        let a, ws =
+        let { lu = a; ws; rhs } =
           match scratch with
           | Some s -> s
-          | None -> invalid_arg "Smat.Into.feedback: missing dense scratch"
+          | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"
         in
-        densify_into g b;
-        Cmatf.blit ~src:b ~dst:a;
+        densify_into g a;
         Cmatf.add_ident a;
-        if not checked then begin
-          Cmatf.lu_decompose_inplace a ws;
-          Cmatf.lu_solve_inplace a ws b;
-          Ok ()
-        end
-        else
-          match Cmatf.lu_decompose_checked ~context a ws with
-          | Error e -> Error e
-          | Ok _cond -> Cmatf.lu_solve_checked a ws b ~context)
+        (* the right-hand sides: every column of G, or only the one the
+           caller reads *)
+        let x =
+          if col < 0 then begin
+            densify_into g b;
+            b
+          end
+          else begin
+            column_into g col rhs;
+            rhs
+          end
+        in
+        let solved =
+          if not checked then begin
+            Cmatf.lu_decompose_inplace a ws;
+            Cmatf.lu_solve_inplace a ws x;
+            Ok ()
+          end
+          else
+            match Cmatf.lu_decompose_checked ~context a ws with
+            | Error e -> Error e
+            | Ok _cond -> Cmatf.lu_solve_checked a ws x ~context
+        in
+        if col >= 0 then store_column rhs b col;
+        solved)
     | _ -> invalid_arg "Smat.Into.feedback: dst shape mismatch"
 end

@@ -15,8 +15,10 @@
     diag·diag is O(n); diag·band and band·band stay banded;
     anything·rank-one stays rank one at the cost of one matvec;
     feedback of a diagonal or rank-one HTM is closed-form O(n).
-    Only [Band]/[Dense] feedback pays a dense LU — on the flat unboxed
-    {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t].
+    Only [Band]/[Dense] feedback pays an LU — on the flat unboxed
+    {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t] — and a [Band k]
+    operand's LU stays inside its band: O(n·k²) to factor and O(n·k)
+    per solved column, against O(n³) for a dense operand.
 
     Storage is split unboxed re/im [float array]s. The algebra exists
     only as the in-place {!Into} kernels over containers sized by the
@@ -101,6 +103,16 @@ val shape_feedback : shape_t -> shape_t
     (band products too wide for banded storage, dense·band mixes) do. *)
 val mul_scratch : n:int -> shape_t -> shape_t -> bool * bool
 
+(** LU storage for {!Into.feedback} of a banded or dense operand: the
+    factors of [I + G], an LU workspace carrying the operand's
+    bandwidth, and one right-hand-side column. *)
+type lu_scratch
+
+(** [lu_scratch ~n g] — scratch for the closed loop of an [n×n]
+    operand of static shape [g] ([`Band k] gives a bandwidth-[k]
+    workspace, [`Dense] a dense one). *)
+val lu_scratch : n:int -> shape_t -> lu_scratch
+
 module Into : sig
   (** The HTM algebra, in place. Every kernel overwrites all of
       [dst]'s storage, so containers are reusable point after point
@@ -119,14 +131,19 @@ module Into : sig
   val mul :
     dst:t -> ?da:Numeric.Cmatf.t -> ?db:Numeric.Cmatf.t -> t -> t -> unit
 
-  (** [feedback ~dst ?scratch ?denom_override ~checked ~context g] —
-      [dst = (I + G)⁻¹·G]. [scratch] (an [n×n] matrix and an LU
-      workspace) is required for banded/dense [g]. With [~checked:true]
+  (** [feedback ~dst ?scratch ?denom_override ~checked ~col ~context g]
+      — [dst = (I + G)⁻¹·G]. [scratch] (from {!lu_scratch} at [g]'s
+      shape) is required for banded/dense [g]. There, [col >= 0]
+      demands one column: only column [col] of [dst] is realized (bit
+      for bit what a full realization puts there) and the rest of
+      [dst] is left stale; a negative [col] realizes every column. The
+      closed-form shapes ignore [col]. With [~checked:true]
       the guards run — closed-form shapes check their scalar
       denominator's conditioning proxy [(1 + |d|)/|1 + d|] against
       {!Robust.Config.get_smw_max_cond}, banded/dense shapes use
-      {!Numeric.Cmatf.lu_decompose_checked}, and the result is scanned
-      for non-finite entries — and failures come back as
+      {!Numeric.Cmatf.lu_decompose_checked}, and the result (the
+      demanded column only) is scanned for non-finite entries — and
+      failures come back as
       [Error (Singular _)] or [Error (Non_finite _)]; with
       [~checked:false] exact singularity raises [Numeric.Lu.Singular].
       [denom_override] replaces the rank-one Sherman–Morrison
@@ -134,9 +151,10 @@ module Into : sig
       plan layer's [Special] fast path for time-invariant-VCO loops. *)
   val feedback :
     dst:t ->
-    ?scratch:Numeric.Cmatf.t * Numeric.Cmatf.lu_ws ->
+    ?scratch:lu_scratch ->
     ?denom_override:Numeric.Cx.t ->
     checked:bool ->
+    col:int ->
     context:string ->
     t ->
     (unit, Robust.Pllscope_error.t) result

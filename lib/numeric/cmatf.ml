@@ -6,7 +6,11 @@
    data as two flat [float array]s (unboxed by the OCaml runtime), and
    every kernel below writes into caller-provided storage — the hot
    paths of the structured HTM evaluator allocate nothing but their
-   final result. *)
+   final result. Complex quotients are stored straight into their
+   destination arrays: a [float ref] out-parameter would box a float
+   on every assignment (no flambda to unbox it). Loop bounds use
+   Int.min/Int.max: the polymorphic Stdlib.min/max compile to a
+   generic-compare call. *)
 
 type t = { rows : int; cols : int; re : float array; im : float array }
 
@@ -147,15 +151,52 @@ let gemv_herm a ~xre ~xim ~yre ~yim =
 (* ------------------------------------------------------------------ *)
 (* LU with caller-provided workspace                                   *)
 
+(* The workspace carries the bandwidth of the matrices it factors: an
+   n×n matrix whose entries (i, j) vanish for i - j > kl or j - i > ku.
+   Partial pivoting keeps L within kl entries per column and widens U
+   to kl + ku superdiagonals, so every loop below stops at the band.
+   Rows still swap whole, which keeps the P·A = L·U layout of the
+   dense kernel; the entries the band skips are exact zeros there, so
+   the banded factors and solutions are bit-identical to the dense
+   ones. The default bandwidth n - 1 is the dense kernel. *)
 type lu_ws = {
   perm : int array;
+  kl : int;
+  ku : int;
+  lfirst : int array;
+      (* per stored row: its first column that may be nonzero (where
+         its L part starts); swapped along with the rows *)
+  llast : int array;
+      (* per column: the last row that may hold an L entry in it,
+         derived from [lfirst] once a factorization completes *)
+  hager : t;  (* the condition estimator's n×1 iterate *)
   mutable scratch_re : float array;
   mutable scratch_im : float array;
 }
 
-let lu_ws n =
+let lu_ws ?kl ?ku n =
   if n < 0 then invalid_arg "Cmatf.lu_ws: negative dimension";
-  { perm = Array.make n 0; scratch_re = Array.make n 0.0; scratch_im = Array.make n 0.0 }
+  let dense = Int.max 0 (n - 1) in
+  let band = function
+    | None -> dense
+    | Some k when k < 0 -> invalid_arg "Cmatf.lu_ws: negative bandwidth"
+    | Some k -> Int.min k dense
+  in
+  {
+    perm = Array.make n 0;
+    kl = band kl;
+    ku = band ku;
+    lfirst = Array.make n 0;
+    llast = Array.make n 0;
+    hager = create n 1;
+    scratch_re = Array.make n 0.0;
+    scratch_im = Array.make n 0.0;
+  }
+
+let lu_perm ws = Array.copy ws.perm
+
+(* superdiagonals of U after pivoting *)
+let u_width ws = Int.min (ws.kl + ws.ku) (Int.max 0 (Array.length ws.perm - 1))
 
 (* Scratch grows monotonically and is reused across solves, so a
    workspace threaded through a sweep settles into zero allocation. *)
@@ -165,44 +206,47 @@ let ensure_scratch ws len =
     ws.scratch_im <- Array.make len 0.0
   end
 
-(* Robust complex division (Smith's algorithm), returned through two
-   refs the caller reuses — no tuple allocation in the solver loop. *)
-let div_into ~nr ~ni ar ai br bi =
+(* (re, im).(p) := (ar + i·ai) / (br + i·bi) by Smith's algorithm,
+   stored straight into the destination. Inlined, so neither the
+   arguments nor the quotient are boxed (a call would box the floats it
+   passes). *)
+let[@inline] div_store re im p ar ai br bi =
   if Float.abs br >= Float.abs bi then begin
     let r = bi /. br in
     let d = br +. (bi *. r) in
-    nr := (ar +. (ai *. r)) /. d;
-    ni := (ai -. (ar *. r)) /. d
+    re.(p) <- (ar +. (ai *. r)) /. d;
+    im.(p) <- (ai -. (ar *. r)) /. d
   end
   else begin
     let r = br /. bi in
     let d = (br *. r) +. bi in
-    nr := ((ar *. r) +. ai) /. d;
-    ni := ((ai *. r) -. ar) /. d
+    re.(p) <- ((ar *. r) +. ai) /. d;
+    im.(p) <- ((ai *. r) -. ar) /. d
   end
 
-(* In-place Crout LU with partial pivoting on modulus; the factored
-   matrix overwrites [a], the permutation lands in [ws.perm]. Raises
-   [Lu.Singular] exactly when the dense boxed factorization would. *)
+(* In-place Crout LU with partial pivoting on modulus, inside the
+   workspace's band; the factored matrix overwrites [a], the
+   permutation lands in [ws.perm]. Raises [Lu.Singular] exactly when
+   the dense boxed factorization would. *)
 let lu_decompose_inplace a ws =
   let n = a.rows in
   if a.cols <> n then invalid_arg "Cmatf.lu_decompose_inplace: matrix not square";
   if Array.length ws.perm <> n then
     invalid_arg "Cmatf.lu_decompose_inplace: workspace size mismatch";
-  let perm = ws.perm in
+  let perm = ws.perm and lfirst = ws.lfirst and llast = ws.llast in
+  let kl = ws.kl and uw = u_width ws in
   for i = 0 to n - 1 do
-    perm.(i) <- i
+    perm.(i) <- i;
+    lfirst.(i) <- Int.max 0 (i - kl)
   done;
-  (* out-param cells for div_into, hoisted above the loops: two heap
-     cells per factorization, so no complex quotient is boxed per
-     element *)
-  let[@lint.allow "hot-alloc"] fr = ref 0.0
-  and[@lint.allow "hot-alloc"] fi = ref 0.0 in
   for k = 0 to n - 1 do
+    (* rows below [ilast] hold exact zeros in column k, columns past
+       [lend] exact zeros in every row still to be eliminated *)
+    let ilast = Int.min (n - 1) (k + kl) and lend = Int.min (n - 1) (k + uw) in
     (* pivot search down column k *)
     let best = ref k in
     let best_mag = ref (Float.hypot a.re.((k * n) + k) a.im.((k * n) + k)) in
-    for i = k + 1 to n - 1 do
+    for i = k + 1 to ilast do
       let mag = Float.hypot a.re.((i * n) + k) a.im.((i * n) + k) in
       if mag > !best_mag then begin
         best := i;
@@ -211,9 +255,10 @@ let lu_decompose_inplace a ws =
     done;
     if Float.equal !best_mag 0.0 || Robust.Inject.fire Robust.Inject.Lu_pivot
     then raise Lu.Singular;
-    if !best <> k then begin
+    let b = !best in
+    if b <> k then begin
       ensure_scratch ws n;
-      let bk = !best * n and kk = k * n in
+      let bk = b * n and kk = k * n in
       Array.blit a.re kk ws.scratch_re 0 n;
       Array.blit a.re bk a.re kk n;
       Array.blit ws.scratch_re 0 a.re bk n;
@@ -221,35 +266,55 @@ let lu_decompose_inplace a ws =
       Array.blit a.im bk a.im kk n;
       Array.blit ws.scratch_im 0 a.im bk n;
       let tp = perm.(k) in
-      perm.(k) <- perm.(!best);
-      perm.(!best) <- tp
+      perm.(k) <- perm.(b);
+      perm.(b) <- tp;
+      let tf = lfirst.(k) in
+      lfirst.(k) <- lfirst.(b);
+      lfirst.(b) <- tf
     end;
     let kk = k * n in
     let pr = a.re.(kk + k) and pi = a.im.(kk + k) in
-    for i = k + 1 to n - 1 do
+    for i = k + 1 to ilast do
       let ik = i * n in
-      div_into ~nr:fr ~ni:fi a.re.(ik + k) a.im.(ik + k) pr pi;
-      let cr = !fr and ci = !fi in
-      a.re.(ik + k) <- cr;
-      a.im.(ik + k) <- ci;
-      if not (Float.equal cr 0.0 && Float.equal ci 0.0) then
-        for l = k + 1 to n - 1 do
-          let ur = a.re.(kk + l) and ui = a.im.(kk + l) in
-          a.re.(ik + l) <- a.re.(ik + l) -. ((cr *. ur) -. (ci *. ui));
-          a.im.(ik + l) <- a.im.(ik + l) -. ((cr *. ui) +. (ci *. ur))
-        done
+      let ar = a.re.(ik + k) and ai = a.im.(ik + k) in
+      (* an exactly zero entry needs no multiplier: it is its own L
+         entry, and its row no update *)
+      if not (Float.equal ar 0.0 && Float.equal ai 0.0) then begin
+        div_store a.re a.im (ik + k) ar ai pr pi;
+        let cr = a.re.(ik + k) and ci = a.im.(ik + k) in
+        if not (Float.equal cr 0.0 && Float.equal ci 0.0) then
+          for l = k + 1 to lend do
+            let ur = a.re.(kk + l) and ui = a.im.(kk + l) in
+            a.re.(ik + l) <- a.re.(ik + l) -. ((cr *. ur) -. (ci *. ui));
+            a.im.(ik + l) <- a.im.(ik + l) -. ((cr *. ui) +. (ci *. ur))
+          done
+      end
     done
+  done;
+  (* llast.(j) = max (j, the last row whose L part starts at or before
+     column j): a running maximum over first columns *)
+  for j = 0 to n - 1 do
+    llast.(j) <- j
+  done;
+  for i = 0 to n - 1 do
+    let f = lfirst.(i) in
+    if llast.(f) < i then llast.(f) <- i
+  done;
+  for j = 1 to n - 1 do
+    if llast.(j - 1) > llast.(j) then llast.(j) <- llast.(j - 1)
   done
 
 (* B := A⁻¹·B for a matrix factored by [lu_decompose_inplace]; all
    right-hand-side columns advance together so the factored matrix is
-   swept once per substitution phase. *)
+   swept once per substitution phase. Each column's arithmetic is
+   independent of the others, so solving one column alone (an n×1 [b])
+   gives the bits of that column of a full solve. *)
 let lu_solve_inplace a ws b =
   let n = a.rows in
   if a.cols <> n then invalid_arg "Cmatf.lu_solve_inplace: matrix not square";
   if b.rows <> n then invalid_arg "Cmatf.lu_solve_inplace: dimension mismatch";
   let p = b.cols in
-  let perm = ws.perm in
+  let perm = ws.perm and lfirst = ws.lfirst and uw = u_width ws in
   (* apply the row permutation: b := P·b *)
   ensure_scratch ws (n * p);
   for i = 0 to n - 1 do
@@ -261,7 +326,7 @@ let lu_solve_inplace a ws b =
   (* forward substitution against the unit lower triangle *)
   for i = 1 to n - 1 do
     let irow = i * p and arow = i * n in
-    for k = 0 to i - 1 do
+    for k = lfirst.(i) to i - 1 do
       let lr = a.re.(arow + k) and li = a.im.(arow + k) in
       if not (Float.equal lr 0.0 && Float.equal li 0.0) then begin
         let krow = k * p in
@@ -273,13 +338,10 @@ let lu_solve_inplace a ws b =
       end
     done
   done;
-  (* back substitution; nr/ni are div_into out-param cells, two heap
-     cells per solve rather than a boxed quotient per element *)
-  let[@lint.allow "hot-alloc"] nr = ref 0.0
-  and[@lint.allow "hot-alloc"] ni = ref 0.0 in
+  (* back substitution against the banded upper triangle *)
   for i = n - 1 downto 0 do
     let irow = i * p and arow = i * n in
-    for k = i + 1 to n - 1 do
+    for k = i + 1 to Int.min (n - 1) (i + uw) do
       let ur = a.re.(arow + k) and ui = a.im.(arow + k) in
       if not (Float.equal ur 0.0 && Float.equal ui 0.0) then begin
         let krow = k * p in
@@ -292,21 +354,20 @@ let lu_solve_inplace a ws b =
     done;
     let dr = a.re.(arow + i) and di = a.im.(arow + i) in
     for c = 0 to p - 1 do
-      div_into ~nr ~ni b.re.(irow + c) b.im.(irow + c) dr di;
-      b.re.(irow + c) <- !nr;
-      b.im.(irow + c) <- !ni
+      div_store b.re b.im (irow + c) b.re.(irow + c) b.im.(irow + c) dr di
     done
   done
 
 (* ------------------------------------------------------------------ *)
 (* norms, finiteness, condition estimation                             *)
 
-(* 1-norm: max column sum of moduli. *)
-let norm1 m =
+(* 1-norm over the band [kl] below / [ku] above the diagonal: the
+   entries outside are zeros and would add nothing to a column sum. *)
+let[@lint.hot] norm1_band m ~kl ~ku =
   let best = ref 0.0 in
   for k = 0 to m.cols - 1 do
     let s = ref 0.0 in
-    for i = 0 to m.rows - 1 do
+    for i = Int.max 0 (k - ku) to Int.min (m.rows - 1) (k + kl) do
       let p = (i * m.cols) + k in
       s := !s +. Float.hypot m.re.(p) m.im.(p)
     done;
@@ -314,39 +375,51 @@ let norm1 m =
   done;
   !best
 
-let is_finite m =
-  let len = m.rows * m.cols in
-  let rec go p =
-    p >= len
-    || (Float.is_finite m.re.(p) && Float.is_finite m.im.(p) && go (p + 1))
-  in
-  go 0
+(* 1-norm: max column sum of moduli. *)
+let norm1 m = norm1_band m ~kl:(m.rows - 1) ~ku:(m.cols - 1)
+
+(* entries [p..hi] of a split pair are finite; top-level recursion, so
+   no closure is built per call *)
+let rec all_finite re im p hi =
+  p > hi || (Float.is_finite re.(p) && Float.is_finite im.(p) && all_finite re im (p + 1) hi)
+
+let is_finite m = all_finite m.re m.im 0 ((m.rows * m.cols) - 1)
+
+(* every stored row of the factors, over its support only *)
+let[@lint.hot] factors_finite a ws =
+  let n = a.rows and uw = u_width ws in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    let r = !i * n in
+    ok := all_finite a.re a.im (r + ws.lfirst.(!i)) (r + Int.min (n - 1) (!i + uw));
+    incr i
+  done;
+  !ok
 
 (* z := A⁻ᴴ·z for [a] factored by [lu_decompose_inplace]. With
    P·A = L·U we have Aᴴ = Uᴴ·Lᴴ·P, so: solve Uᴴw = z by forward
    substitution (Uᴴ is lower triangular with diagonal conj(u_ii)),
    solve Lᴴy = w by back substitution (unit diagonal), then undo the
    permutation with z[perm[i]] = y[i]. Needed by the Hager estimator,
-   which alternates A- and Aᴴ-solves on the same packed factors. *)
-let lu_solve_herm_vec a ws ~zre ~zim =
-  let n = a.rows in
-  let nr = ref 0.0 and ni = ref 0.0 in
+   which alternates A- and Aᴴ-solves on the same packed factors. The
+   band bounds both substitutions; the terms it drops are products
+   with exact zeros. *)
+let[@lint.hot] lu_solve_herm_vec a ws ~zre ~zim =
+  let n = a.rows and uw = u_width ws in
   for i = 0 to n - 1 do
     let sr = ref zre.(i) and si = ref zim.(i) in
-    for k = 0 to i - 1 do
+    for k = Int.max 0 (i - uw) to i - 1 do
       let ur = a.re.((k * n) + i) and ui = -.a.im.((k * n) + i) in
       let wr = zre.(k) and wi = zim.(k) in
       sr := !sr -. ((ur *. wr) -. (ui *. wi));
       si := !si -. ((ur *. wi) +. (ui *. wr))
     done;
     let dr = a.re.((i * n) + i) and di = -.a.im.((i * n) + i) in
-    div_into ~nr ~ni !sr !si dr di;
-    zre.(i) <- !nr;
-    zim.(i) <- !ni
+    div_store zre zim i !sr !si dr di
   done;
   for i = n - 1 downto 0 do
     let sr = ref zre.(i) and si = ref zim.(i) in
-    for k = i + 1 to n - 1 do
+    for k = i + 1 to ws.llast.(i) do
       let lr = a.re.((k * n) + i) and li = -.a.im.((k * n) + i) in
       let yr = zre.(k) and yi = zim.(k) in
       sr := !sr -. ((lr *. yr) -. (li *. yi));
@@ -366,16 +439,16 @@ let lu_solve_herm_vec a ws ~zre ~zim =
 (* Hager/Higham 1-norm condition estimate on packed LU factors: a few
    rounds of y = A⁻¹x / z = A⁻ᴴ·sign(y) locate a near-maximizing column
    of A⁻¹, giving a lower bound on ‖A⁻¹‖₁ that is almost always within
-   a small factor of the truth. O(n²) per round vs O(n³) to factor. *)
-let lu_cond_est_1 a ws ~norm1_a =
+   a small factor of the truth. O(n·(kl + ku)) per round vs
+   O(n·kl·(kl + ku)) to factor; the iterate lives in the workspace. *)
+let[@lint.hot] lu_cond_est_1 a ws ~norm1_a =
   let n = a.rows in
   if n = 0 then 1.0
   else begin
-    let x = create n 1 in
+    let x = ws.hager in
     let inv_n = 1.0 /. float_of_int n in
-    for i = 0 to n - 1 do
-      x.re.(i) <- inv_n
-    done;
+    Array.fill x.re 0 n inv_n;
+    Array.fill x.im 0 n 0.0;
     let est = ref 0.0 in
     (try
        let last_j = ref (-1) in
@@ -437,12 +510,12 @@ let lu_decompose_checked ?max_cond ~context a ws =
   let max_cond =
     match max_cond with Some c -> c | None -> Robust.Config.get_max_cond ()
   in
-  let nrm = norm1 a in
+  let nrm = norm1_band a ~kl:ws.kl ~ku:ws.ku in
   match lu_decompose_inplace a ws with
   | exception Lu.Singular ->
       Error (Robust.Pllscope_error.Singular { cond_est = infinity; context })
   | () ->
-      if not (is_finite a) then
+      if not (factors_finite a ws) then
         Error (Robust.Pllscope_error.Non_finite { where = context ^ ": LU factors" })
       else begin
         let cond = lu_cond_est_1 a ws ~norm1_a:nrm in
@@ -455,6 +528,15 @@ let lu_decompose_checked ?max_cond ~context a ws =
           Error (Robust.Pllscope_error.Singular { cond_est = est; context })
         else Ok est
       end
+
+let rec col_finite m k i =
+  i >= m.rows
+  || (let p = (i * m.cols) + k in
+      Float.is_finite m.re.(p) && Float.is_finite m.im.(p) && col_finite m k (i + 1))
+
+let is_finite_col m k =
+  if k < 0 || k >= m.cols then invalid_arg "Cmatf.is_finite_col: column out of bounds";
+  col_finite m k 0
 
 let lu_solve_checked a ws b ~context =
   lu_solve_inplace a ws b;

@@ -58,22 +58,47 @@ val gemv_herm :
 
 (** {1 LU factorization with reusable workspace}
 
-    The workspace holds the pivot permutation and a scratch buffer that
-    grows monotonically; threading one workspace through a frequency
-    sweep makes every factorization after the first allocation-free. *)
+    The workspace holds the bandwidth of the matrices it factors, the
+    pivot permutation, the condition estimator's iterate and a scratch
+    buffer that grows monotonically; threading one workspace through a
+    frequency sweep makes every factorization after the first
+    allocation-free.
+
+    {b Bandwidth.} A workspace made with [~kl ~ku] factors matrices
+    whose entries [(i, j)] are zero for [i - j > kl] and [j - i > ku].
+    Partial pivoting keeps [L] within [kl] entries per column and
+    widens [U] to [kl + ku] superdiagonals, so factoring costs
+    O(n·kl·(kl + ku)) and each right-hand side O(n·(kl + ku)). Rows
+    still swap whole (the [P·A = L·U] layout of the dense kernel), and
+    everything the band skips is an exact zero there: factors,
+    permutation and solutions are bit-identical to a dense workspace's.
+    An entry outside the declared band is a caller error and is
+    silently ignored. *)
 
 type lu_ws
 
-(** [lu_ws n] — workspace for [n×n] factorizations. *)
-val lu_ws : int -> lu_ws
+(** [lu_ws ?kl ?ku n] — workspace for [n×n] factorizations with lower
+    bandwidth [kl] and upper bandwidth [ku] (each defaults to [n - 1],
+    the dense kernel, and is clamped to it).
+    @raise Invalid_argument on a negative [n] or bandwidth. *)
+val lu_ws : ?kl:int -> ?ku:int -> int -> lu_ws
 
 (** [lu_decompose_inplace a ws] overwrites [a] with its LU factors
-    (partial pivoting on modulus; permutation recorded in [ws]).
+    (partial pivoting on modulus, inside [ws]'s band; permutation
+    recorded in [ws]).
     @raise Lu.Singular when a pivot column is exactly zero. *)
 val lu_decompose_inplace : t -> lu_ws -> unit
 
+(** [lu_perm ws] — a copy of the row permutation of the last
+    factorization: row [i] of the factors is row [(lu_perm ws).(i)] of
+    the original matrix. *)
+val lu_perm : lu_ws -> int array
+
 (** [lu_solve_inplace a ws b] — [b := a⁻¹·b] for [a] previously
-    factored with [ws]; all columns of [b] advance together. *)
+    factored with [ws]; all columns of [b] advance together. The
+    columns never mix, so an [n×1] [b] holding one column of a wider
+    right-hand side gets the same bits as that column of the wide
+    solve. *)
 val lu_solve_inplace : t -> lu_ws -> t -> unit
 
 (** {1 Norms, finiteness and condition estimation} *)
@@ -84,11 +109,16 @@ val norm1 : t -> float
 (** True iff every entry is finite (no NaN or infinity). *)
 val is_finite : t -> bool
 
+(** [is_finite_col m k] — true iff every entry of column [k] is
+    finite. *)
+val is_finite_col : t -> int -> bool
+
 (** [lu_cond_est_1 a ws ~norm1_a] — Hager-style 1-norm condition
     estimate for a matrix already factored by [lu_decompose_inplace];
     [norm1_a] is {!norm1} of the original matrix (captured before the
-    factorization overwrote it). A few O(n²) solve/adjoint-solve rounds
-    give a lower bound on κ₁ that is reliably within a small factor. *)
+    factorization overwrote it). A few solve/adjoint-solve rounds, each
+    O(n²) dense or O(n·(kl + ku)) banded, give a lower bound on κ₁ that
+    is reliably within a small factor. *)
 val lu_cond_est_1 : t -> lu_ws -> norm1_a:float -> float
 
 (** {1 Checked factorization}

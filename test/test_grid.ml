@@ -20,7 +20,13 @@
    - golden regression rows pin a 64-point planned grid of the default
      closed loop at n_harm = 20 against test/golden/fig_metrics.txt;
    - the exact-λ fast path, the HTM-native metrics, and the HTM-native
-     noise folding agree with their closed-form counterparts. *)
+     noise folding agree with their closed-form counterparts;
+   - column demand: Plan.element and Htm.apply_to_tone are bit-identical
+     to the same column of a full evaluation, also on a plan dirtied at
+     another point and column; loops closed around a mixing PFD (banded
+     LU feedback) match the oracle; grid-plan-nan in column mode falls
+     back and is counted; a mixing-PFD grid stays within an allocation
+     budget. *)
 
 open Numeric
 open Helpers
@@ -153,7 +159,27 @@ let test_randomized_plan_vs_oracle () =
             (Printf.sprintf "trial %d element" trial)
             (Cmat.get dense (Htm.index_of_harmonic c n)
                (Htm.index_of_harmonic c 0))
-            (Plan.element plan ~n ~m:0 s)
+            (Plan.element plan ~n ~m:0 s);
+          (* column demand: one column of a random m, on a plan last
+             evaluated at another point and column, is bit-identical to
+             that column of a full evaluation *)
+          let harm () = rint g ((2 * n_harm) + 1) - n_harm in
+          let m = harm () and w = Cx.im s in
+          let idx = Htm.index_of_harmonic c in
+          let full = Plan.to_cmat plan s in
+          let full_tone = Plan.to_cmat plan (Cx.jomega w) in
+          ignore (Plan.element plan ~n:(harm ()) ~m:(harm ()) (gen_s g));
+          check_bits
+            (Printf.sprintf "trial %d element column %d" trial m)
+            (Cmat.get full (idx n) (idx m))
+            (Plan.element plan ~n ~m s);
+          let tone = Htm.apply_to_tone c t ~m w in
+          for i = 0 to Htm.dim c - 1 do
+            check_bits
+              (Printf.sprintf "trial %d apply_to_tone column %d row %d" trial m i)
+              (Cmat.get full_tone i (idx m))
+              (Cvec.get tone i)
+          done
     done
   done;
   (* the singular guard must not have eaten the test *)
@@ -440,6 +466,102 @@ let test_noise_htm_matches_folded () =
         reference htm.(i))
     ws
 
+(* ------------------------------------------------------------------ *)
+(* loops closed around a banded open loop: banded LU, column demand    *)
+
+(* a mixing PFD (band 1) behind a time-invariant or an ISF VCO (band 2
+   + 1 = 3) *)
+let mixing_loop ~isf =
+  let spec = spec_default in
+  let base = pll_of spec in
+  let vco =
+    if isf then
+      Pll_lib.Vco.with_isf ~kvco:spec.Pll_lib.Design.kvco
+        ~n_div:spec.Pll_lib.Design.n_div ~fref:spec.Pll_lib.Design.fref
+        ~harmonics:[ Cx.of_float 0.3; Cx.make 0.05 (-0.04) ]
+    else base.Pll_lib.Pll.vco
+  in
+  Pll_lib.Pll.make ~fref:spec.Pll_lib.Design.fref ~n_div:spec.Pll_lib.Design.n_div
+    ~filter:base.Pll_lib.Pll.filter ~vco
+    ~pfd:(Pll_lib.Pfd.mixing ~gain:1.3) ()
+
+let test_mixing_loops_match_oracle () =
+  List.iter
+    (fun isf ->
+      let p = mixing_loop ~isf in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let t = Pll_lib.Pll.closed_loop_htm p in
+      List.iter
+        (fun n_harm ->
+          let c = Htm.ctx ~n_harm ~omega0:w0 in
+          let plan = Pll_lib.Pll.closed_loop_plan c p in
+          let what = Printf.sprintf "%s n_harm %d" (if isf then "isf+mix" else "mix") n_harm in
+          if n_harm >= 8 then
+            check_true (what ^ ": dense LU root") (Plan.root_shape plan = `Dense);
+          List.iter
+            (fun frac ->
+              let w = frac *. w0 in
+              let s = Cx.jomega w in
+              let dense = Htm.to_matrix_dense c t s in
+              if not (Cmat.equal ~tol:1e-12 dense (Plan.to_cmat plan s)) then
+                Alcotest.failf "%s at %g·ω₀: plan and dense disagree" what frac;
+              let idx = Htm.index_of_harmonic c in
+              let h = Stdlib.min n_harm 2 in
+              List.iter
+                (fun (n, m) ->
+                  check_cx ~tol:1e-12
+                    (Printf.sprintf "%s element (%d,%d)" what n m)
+                    (Cmat.get dense (idx n) (idx m))
+                    (Plan.element plan ~n ~m s))
+                [ (0, 0); (h, 0); (-h, h); (0, -h) ];
+              let tone = Htm.apply_to_tone c t ~m:(-h) w in
+              for i = 0 to Htm.dim c - 1 do
+                check_cx ~tol:1e-12
+                  (Printf.sprintf "%s tone row %d" what i)
+                  (Cmat.get dense i (idx (-h))) (Cvec.get tone i)
+              done)
+            [ 1e-3; 0.02; 0.2; 0.45 ])
+        [ 0; 1; 8; 20 ])
+    [ false; true ]
+
+let test_injected_nan_column_mode =
+  clean (fun () ->
+      let p = mixing_loop ~isf:false in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let c = Htm.ctx ~n_harm:8 ~omega0:w0 in
+      let t = Pll_lib.Pll.closed_loop_htm p in
+      let plan = Pll_lib.Pll.closed_loop_plan c p in
+      let s = Cx.jomega (0.07 *. w0) in
+      (* dirty the plan's other columns first *)
+      ignore (Plan.to_cmat plan (Cx.jomega (0.3 *. w0)));
+      Robust.Stats.reset ();
+      Robust.Inject.configure "grid-plan-nan:1";
+      let e = Plan.element plan ~n:1 ~m:2 s in
+      Robust.Inject.disarm ();
+      let st = Robust.Stats.snapshot () in
+      check_int "one dense fallback" 1 st.Robust.Stats.dense_fallbacks;
+      check_int "counted as non-finite" 1 st.Robust.Stats.nonfinite_guards;
+      let oracle = Htm.to_matrix_dense c t s in
+      check_bits "fallback = oracle"
+        (Cmat.get oracle (Htm.index_of_harmonic c 1) (Htm.index_of_harmonic c 2))
+        e)
+
+(* the mixing-PFD grid path stays off the heap: no boxed quotient per
+   LU entry and no per-factorization estimator vector *)
+let test_mixing_alloc_budget () =
+  let p = mixing_loop ~isf:false in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let c = Htm.ctx ~n_harm:20 ~omega0:w0 in
+  let plan = Pll_lib.Pll.closed_loop_plan c p in
+  let ss = Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) 100) in
+  ignore (Plan.baseband plan ss.(0));
+  let w_before = Gc.minor_words () in
+  Array.iter (fun s -> ignore (Plan.baseband plan s)) ss;
+  let per_pt = (Gc.minor_words () -. w_before) /. 100.0 in
+  check_true
+    (Printf.sprintf "%.0f words/pt within the 2000 budget" per_pt)
+    (per_pt <= 2000.0)
+
 let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
@@ -462,4 +584,9 @@ let suite =
       test_metrics_htm_matches_closed_form;
     case "HTM-native noise folding = reference folding"
       test_noise_htm_matches_folded;
+    case "mixing-PFD loops (band 1, band 3) = dense oracle"
+      test_mixing_loops_match_oracle;
+    case "grid-plan-nan in column mode degrades to the oracle"
+      test_injected_nan_column_mode;
+    case "mixing-PFD baseband allocation budget" test_mixing_alloc_budget;
   ]

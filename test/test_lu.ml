@@ -85,6 +85,158 @@ let prop_det_product =
       let a = pick 0 and b = pick 4 in
       Cx.approx ~tol:1e-7 (Lu.det (Cmat.mul a b)) (Cx.mul (Lu.det a) (Lu.det b)))
 
+(* ------------------------------------------------------------------ *)
+(* banded Cmatf LU = dense Cmatf LU, bit for bit                       *)
+
+let bits x = Int64.bits_of_float x
+
+let same_bits what a b =
+  let are, aim = Cmatf.raw a and bre, bim = Cmatf.raw b in
+  Array.iteri
+    (fun p x ->
+      if bits x <> bits bre.(p) || bits aim.(p) <> bits bim.(p) then
+        Alcotest.failf "%s: entry %d differs (%h%+hi vs %h%+hi)" what p x aim.(p)
+          bre.(p) bim.(p))
+    are
+
+(* random n×n matrix with lower/upper bandwidth kl/ku; [weak_diag]
+   shrinks the diagonal so partial pivoting must swap rows *)
+let random_banded g ~n ~kl ~ku ~weak_diag =
+  let a = Cmatf.create n n in
+  for i = 0 to n - 1 do
+    for j = Stdlib.max 0 (i - kl) to Stdlib.min (n - 1) (i + ku) do
+      let scale = if i = j && weak_diag then 1e-3 else 1.0 in
+      Cmatf.set a i j
+        (Cx.make (scale *. Prng.gaussian g) (scale *. Prng.gaussian g))
+    done
+  done;
+  a
+
+let random_rhs g n p =
+  let b = Cmatf.create n p in
+  for i = 0 to n - 1 do
+    for c = 0 to p - 1 do
+      Cmatf.set b i c (Cx.make (Prng.gaussian g) (Prng.gaussian g))
+    done
+  done;
+  b
+
+(* factor [a] with a dense and a banded workspace; the factors are
+   returned with their workspaces (or the exception either raised) *)
+let factor_both a ~kl ~ku =
+  let n = Cmatf.rows a in
+  let run ws =
+    let f = Cmatf.copy a in
+    match Cmatf.lu_decompose_inplace f ws with
+    | () -> Ok (f, ws)
+    | exception Lu.Singular -> Error f
+  in
+  (run (Cmatf.lu_ws n), run (Cmatf.lu_ws ~kl ~ku n))
+
+let test_banded_lu_bit_identical () =
+  let g = Prng.create ~seed:0xBA5DL in
+  let swapped = ref 0 and trials = ref 0 in
+  List.iter
+    (fun n ->
+      for kl = 0 to 3 do
+        for ku = 0 to 3 do
+          for trial = 1 to 3 do
+            incr trials;
+            let what = Printf.sprintf "n %d kl %d ku %d trial %d" n kl ku trial in
+            let a = random_banded g ~n ~kl ~ku ~weak_diag:(trial > 1) in
+            (* trial 3 declares a band wider than the matrix: clamped *)
+            let dkl = if trial = 3 then kl + n else kl in
+            match factor_both a ~kl:dkl ~ku with
+            | Ok (fd, wd), Ok (fb, wb) ->
+                same_bits (what ^ " factors") fd fb;
+                let pd = Cmatf.lu_perm wd and pb = Cmatf.lu_perm wb in
+                check_true (what ^ " perm") (pd = pb);
+                if pd <> Array.init n Fun.id then incr swapped;
+                (* solutions, all columns together and one alone *)
+                let b = random_rhs g n 3 in
+                let xd = Cmatf.copy b and xb = Cmatf.copy b in
+                Cmatf.lu_solve_inplace fd wd xd;
+                Cmatf.lu_solve_inplace fb wb xb;
+                same_bits (what ^ " solution") xd xb;
+                let col = Cmatf.create n 1 in
+                for i = 0 to n - 1 do
+                  Cmatf.set col i 0 (Cmatf.get b i 1)
+                done;
+                Cmatf.lu_solve_inplace fb wb col;
+                for i = 0 to n - 1 do
+                  let z = Cmatf.get col i 0 and w = Cmatf.get xd i 1 in
+                  if
+                    bits (Cx.re z) <> bits (Cx.re w)
+                    || bits (Cx.im z) <> bits (Cx.im w)
+                  then Alcotest.failf "%s: one-column solve row %d differs" what i
+                done;
+                (* the Hager estimate over the same factors *)
+                let nrm = Cmatf.norm1 a in
+                let cd = Cmatf.lu_cond_est_1 fd wd ~norm1_a:nrm
+                and cb = Cmatf.lu_cond_est_1 fb wb ~norm1_a:nrm in
+                check_true
+                  (Printf.sprintf "%s cond %g vs %g" what cd cb)
+                  (Float.abs (cd -. cb) <= 1e-12 *. Float.abs cd);
+                (* and the checked entry point, band-aware norm included *)
+                let checked ws =
+                  Cmatf.lu_decompose_checked ~max_cond:infinity ~context:"t"
+                    (Cmatf.copy a) ws
+                in
+                (match (checked (Cmatf.lu_ws n), checked (Cmatf.lu_ws ~kl:dkl ~ku n)) with
+                | Ok x, Ok y ->
+                    check_true (what ^ " checked estimate")
+                      (Float.abs (x -. y) <= 1e-12 *. Float.abs x)
+                | Error _, Error _ -> ()
+                | _ -> Alcotest.failf "%s: checked verdicts differ" what)
+            | Error fd, Error fb -> same_bits (what ^ " singular state") fd fb
+            | _ -> Alcotest.failf "%s: only one kernel raised Singular" what
+          done
+        done
+      done)
+    [ 1; 2; 3; 17; 41 ];
+  check_true
+    (Printf.sprintf "row swaps exercised (%d of %d trials)" !swapped !trials)
+    (!swapped > !trials / 4)
+
+let test_banded_lu_singular () =
+  let g = Prng.create ~seed:0x5151L in
+  List.iter
+    (fun (n, kl, ku, j) ->
+      let a = random_banded g ~n ~kl ~ku ~weak_diag:false in
+      (* zero column j inside the band *)
+      for i = 0 to n - 1 do
+        Cmatf.set a i j Cx.zero
+      done;
+      match factor_both a ~kl ~ku with
+      | Error fd, Error fb ->
+          same_bits (Printf.sprintf "n %d column %d singular state" n j) fd fb
+      | _ -> Alcotest.failf "n %d kl %d ku %d: zero column %d not singular" n kl ku j)
+    [ (1, 0, 0, 0); (3, 1, 1, 2); (17, 2, 1, 0); (17, 1, 3, 9); (41, 3, 2, 40) ]
+
+let test_banded_lu_pivot_injection () =
+  let g = Prng.create ~seed:0x1F1FL in
+  Fun.protect ~finally:Robust.Inject.disarm (fun () ->
+      List.iter
+        (fun hit ->
+          let a = random_banded g ~n:17 ~kl:2 ~ku:1 ~weak_diag:true in
+          let run ws =
+            Robust.Inject.configure (Printf.sprintf "lu-pivot:%d" hit);
+            let f = Cmatf.copy a in
+            let raised =
+              match Cmatf.lu_decompose_inplace f ws with
+              | () -> false
+              | exception Lu.Singular -> true
+            in
+            (raised, Robust.Inject.hits Robust.Inject.Lu_pivot, f)
+          in
+          let rd, hd, fd = run (Cmatf.lu_ws 17)
+          and rb, hb, fb = run (Cmatf.lu_ws ~kl:2 ~ku:1 17) in
+          check_true (Printf.sprintf "lu-pivot:%d raised in both" hit) (rd && rb);
+          check_int (Printf.sprintf "lu-pivot:%d same hit" hit) hd hb;
+          check_int (Printf.sprintf "lu-pivot:%d fires on hit %d" hit hit) hit hd;
+          same_bits (Printf.sprintf "lu-pivot:%d state" hit) fd fb)
+        [ 1; 2; 9; 17 ])
+
 let suite =
   [
     case "known 2x2 solve" test_solve_known;
@@ -96,4 +248,9 @@ let suite =
     case "matrix solve" test_solve_mat;
     prop_solve_residual;
     prop_det_product;
+    case "banded Cmatf LU = dense, bit for bit" test_banded_lu_bit_identical;
+    case "banded Cmatf LU: zero in-band column is singular"
+      test_banded_lu_singular;
+    case "banded Cmatf LU: lu-pivot fires on the dense hit"
+      test_banded_lu_pivot_injection;
   ]
