@@ -140,7 +140,7 @@ let power_iter ~iterations ~tol ~seed n m =
   (try
      for _ = 1 to iterations do
        incr used;
-       Smat.mv m ~xre:vre ~xim:vim ~yre:wre ~yim:wim;
+       Smat.mv m ~lo:0 ~hi:(n - 1) ~xre:vre ~xim:vim ~yre:wre ~yim:wim;
        let est = norm2 wre wim in
        let res = Float.abs (est -. !prev) in
        residual := res;

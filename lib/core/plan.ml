@@ -14,16 +14,21 @@
    the schedule entirely in place: after the first point, the
    composition kernels allocate nothing. What a point still allocates
    is a few boxed scalars — mostly the shifted frequency handed to each
-   rational leaf, about one boxed float per harmonic row — measured
-   with Gc.minor_words on one domain at n_harm 20 as ~230 words per
-   [baseband] of a mixing-PFD loop (banded LU feedback), ~280 for an
-   ISF-VCO loop and ~430 for the rank-one loop with the exact λ(s).
+   rational leaf, about one boxed float per realized harmonic row.
 
-   Column demand: [element], [baseband] and [column] read one column
-   of the root and pass its index down; a dense feedback root (a loop
-   closed around a banded or dense open loop) then solves only that
-   right-hand side, bit-identical to the same column of a full
-   realization.
+   Entry demand: [element] and [baseband] read one entry, [row] one
+   row and [column] one column of the root, and pass that down. Row
+   demand: [make] gives every node a static reach (see [assign_reach]),
+   and a point realizes only the rows of each node that can feed the
+   demanded root row, as a [lo..hi] window of the [Smat.Into] kernels.
+   Column demand: a dense feedback root (a loop closed around a banded
+   or dense open loop) solves only the demanded right-hand side.
+   Either way the entries read are bit-identical to the same entries
+   of a full realization. Measured with Gc.minor_words on one domain,
+   a [baseband] point of the exact-λ loop allocates ~230 words at
+   n_harm 8 and at n_harm 80 alike (a full realization: ~340 and
+   ~910); at n_harm 20, ~230 for a mixing-PFD loop (banded LU
+   feedback) and ~280 for an ISF-VCO loop, which need every row.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -32,10 +37,11 @@
    keeps the no-shortcut shape (same values).
 
    Concurrency contract: a plan is a mutable workspace — every [eval]
-   overwrites every container. One plan must be owned by one domain
-   lane at a time; grid sweeps distribute points with
-   [Parallel.Sweep.grid_local], which instantiates one plan per lane
-   (see the ownership rule in sweep.mli). *)
+   overwrites every container (an entry query, the rows it demands).
+   One plan must be owned by one domain lane at a time; grid sweeps
+   distribute points with [Parallel.Sweep.grid_local], which
+   instantiates one plan per lane (see the ownership rule in
+   sweep.mli). *)
 
 open Numeric
 
@@ -104,7 +110,10 @@ let make_slot n (sh : Smat.shape_t) =
         dense = Some m;
       }
 
-type node = { slot : slot; op : op }
+(* [reach]: rows [row - reach, row + reach] of this node feed row [row]
+   of the root, or [all_rows]; assigned once by [make] (see
+   [assign_reach]). *)
+type node = { slot : slot; op : op; mutable reach : int }
 
 and op =
   | Const  (* s-independent: realized once by [make] *)
@@ -128,19 +137,29 @@ let root_shape t = t.root.slot.sh
 
 exception Guard of Robust.Pllscope_error.t
 
-(* Column demand: [col] is the one column of the root a caller reads,
-   or [all_cols] for all of them. Only the root's feedback kernel sees
-   it (it then solves that right-hand side alone); every inner node,
-   and every other kind of root, realizes in full. *)
+(* Entry demand: [row] is the one row of the root a caller reads, or
+   [all_rows]; [col] the one column, or [all_cols]. Each node realizes
+   the rows its reach says can feed the demanded row, as a [lo..hi]
+   window of plain ints. Only the root's feedback kernel sees [col]
+   (it then solves that right-hand side alone); every inner node, and
+   every other kind of root, realizes every column. *)
+let all_rows = -1
 let all_cols = -1
 
-let rec exec ~checked ~col s { slot; op } =
+let window_lo nd ~row =
+  if row < 0 || nd.reach < 0 then 0 else Int.max 0 (row - nd.reach)
+
+let window_hi nd ~n ~row =
+  if row < 0 || nd.reach < 0 then n - 1 else Int.min (n - 1) (row + nd.reach)
+
+let rec exec ~checked ~n ~row ~col s ({ slot; op; _ } as nd) =
+  let lo = window_lo nd ~row and hi = window_hi nd ~n ~row in
   (match op with
   | Const -> ()
   | Fill_lti (h, shifts) ->
       let sre = Cx.re s and sim = Cx.im s in
       let dre = slot.are and dim_ = slot.aim in
-      for i = 0 to Array.length shifts - 1 do
+      for i = lo to hi do
         let z = h (Cx.make sre (sim +. shifts.(i))) in
         dre.(i) <- Cx.re z;
         dim_.(i) <- Cx.im z
@@ -148,14 +167,13 @@ let rec exec ~checked ~col s { slot; op } =
   | Fill_rat (sp, shifts) ->
       let sre = Cx.re s and sim = Cx.im s in
       let dre = slot.are and dim_ = slot.aim in
-      for i = 0 to Array.length shifts - 1 do
+      for i = lo to hi do
         Rat.eval_into sp ~re:sre ~im:(sim +. shifts.(i)) ~out_re:dre
           ~out_im:dim_ ~idx:i
       done
   | Fill_custom f ->
       let m = f s in
       let d = Option.get slot.dense in
-      let n = Cmatf.rows d in
       (* a block of the wrong size would leave stale entries behind *)
       if Cmat.rows m <> n || Cmat.cols m <> n then
         invalid_arg
@@ -168,22 +186,22 @@ let rec exec ~checked ~col s { slot; op } =
         done
       done
   | Kscale (z, g) ->
-      let gv = exec ~checked ~col:all_cols s g in
-      Smat.Into.scale ~dst:slot.view z gv
+      let gv = exec ~checked ~n ~row ~col:all_cols s g in
+      Smat.Into.scale ~dst:slot.view ~lo ~hi z gv
   | Kadd (sub, a, b) ->
-      let av = exec ~checked ~col:all_cols s a in
-      let bv = exec ~checked ~col:all_cols s b in
-      Smat.Into.add ~dst:slot.view ~sub av bv
+      let av = exec ~checked ~n ~row ~col:all_cols s a in
+      let bv = exec ~checked ~n ~row ~col:all_cols s b in
+      Smat.Into.add ~dst:slot.view ~sub ~lo ~hi av bv
   | Kmul (a, b, da, db) ->
-      let av = exec ~checked ~col:all_cols s a in
-      let bv = exec ~checked ~col:all_cols s b in
-      Smat.Into.mul ~dst:slot.view ?da ?db av bv
+      let av = exec ~checked ~n ~row ~col:all_cols s a in
+      let bv = exec ~checked ~n ~row ~col:all_cols s b in
+      Smat.Into.mul ~dst:slot.view ?da ?db ~lo ~hi av bv
   | Kfb (g, scratch, lambda) -> (
-      let gv = exec ~checked ~col:all_cols s g in
+      let gv = exec ~checked ~n ~row ~col:all_cols s g in
       let denom_override = Option.map (fun lam -> lam s) lambda in
       match
         Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
-          ~col ~context:"Plan.feedback" gv
+          ~lo ~hi ~col ~context:"Plan.feedback" gv
       with
       | Ok () -> ()
       | Error e -> raise (Guard e)));
@@ -199,7 +217,7 @@ let shifts c =
 let const_slot n sh fill =
   let slot = make_slot n sh in
   fill slot;
-  { slot; op = Const }
+  { slot; op = Const; reach = all_rows }
 
 (* Toeplitz band of a periodic gain: entry (i, i+d) = coeffs[K - d],
    the band clamped to the matrix. *)
@@ -222,7 +240,7 @@ let is_const nd = match nd.op with Const -> true | _ -> false
    outermost feedback loop alone. *)
 let rec compile c ~lambda (t : Htm_expr.t) =
   let n = Htm_expr.dim c in
-  let node sh op = { slot = make_slot n sh; op } in
+  let node sh op = { slot = make_slot n sh; op; reach = all_rows } in
   let sub t = compile c ~lambda:None t in
   let nd =
     match t with
@@ -274,65 +292,114 @@ let rec compile c ~lambda (t : Htm_expr.t) =
     | Const | Fill_lti _ | Fill_rat _ | Fill_custom _ | Kfb _ -> false
   in
   if static then begin
-    ignore (exec ~checked:false ~col:all_cols Cx.zero nd);
+    ignore (exec ~checked:false ~n ~row:all_rows ~col:all_cols Cx.zero nd);
     { nd with op = Const }
   end
   else nd
 
-let make ?lambda c expr = { ctx = c; expr; root = compile c ~lambda expr }
+(* Static row reach, top down from the root's 0, following [Smat]'s
+   shape rules: a sum or scale passes its reach on; a product A·B gives
+   A the same rows and B those rows widened by A's bandwidth — every
+   row behind a rank-one or dense A, which covers A·(u vᵀ) and
+   (u vᵀ)·B (v = Bᵀv reads all of B); a closed loop passes its reach
+   on when it is diagonal or rank one with the λ(s) override, and
+   needs every row otherwise (vᵀu, LU). A dense result, a custom block
+   and a constant need every row. *)
+let widen r (a : Smat.shape_t) =
+  match a with
+  | `Diag when r >= 0 -> r
+  | `Band k when r >= 0 -> r + k
+  | _ -> all_rows
+
+let rec assign_reach nd r =
+  let r =
+    match (nd.slot.sh, nd.op) with
+    | `Dense, _ | _, (Const | Fill_custom _) -> all_rows
+    | _ -> r
+  in
+  nd.reach <- r;
+  match nd.op with
+  | Const | Fill_lti _ | Fill_rat _ | Fill_custom _ -> ()
+  | Kscale (_, g) -> assign_reach g r
+  | Kadd (_, a, b) ->
+      assign_reach a r;
+      assign_reach b r
+  | Kmul (a, b, _, _) ->
+      assign_reach a r;
+      assign_reach b (widen r a.slot.sh)
+  | Kfb (g, _, lambda) -> (
+      match nd.slot.sh with
+      | `Diag -> assign_reach g r
+      | `Rank1 when Option.is_some lambda -> assign_reach g r
+      | _ -> assign_reach g all_rows)
+
+let make ?lambda c expr =
+  let root = compile c ~lambda expr in
+  assign_reach root 0;
+  { ctx = c; expr; root }
 
 (* The column a dense feedback root honours; any other root realizes
-   in full whatever the caller reads. *)
+   every column whatever the caller reads. *)
 let root_col plan col =
   match plan.root with
-  | { op = Kfb _; slot = { sh = `Dense; _ } } -> col
+  | { op = Kfb _; slot = { sh = `Dense; _ }; _ } -> col
   | _ -> all_cols
 
 (* Injection site: poison the realized root of one planned point (the
-   plan-layer sibling of [Smat]'s smat-nan site) — in row 0 of the
-   demanded column, so a column-demand evaluation reads it. Constant
-   roots are realized once per plan and are skipped. *)
-let poison_root plan ~col =
+   plan-layer sibling of [Smat]'s smat-nan site) — at the demanded
+   (row, col), row 0 / column 0 standing in for "every": the dense
+   entry itself, the row's diagonal entry of a diagonal or banded
+   root, the row's u of a rank-one root, so an entry-demand
+   evaluation reads it. Constant roots are realized once per plan and
+   are skipped. *)
+let poison_root plan ~row ~col =
   if Robust.Inject.fire Robust.Inject.Grid_plan_nan then
+    let n = dim plan and i = Int.max row 0 in
     match plan.root with
     | { op = Const; _ } -> ()
-    | { slot; _ } -> (
-        match slot.dense with
-        | Some m ->
+    | { slot; _ } when n > 0 -> (
+        match (slot.sh, slot.dense) with
+        | _, Some m ->
             let re, _ = Cmatf.raw m in
-            if Array.length re > 0 then re.(Int.max col 0) <- Float.nan
-        | None -> if Array.length slot.are > 0 then slot.are.(0) <- Float.nan)
+            re.((i * n) + Int.max col 0) <- Float.nan
+        | `Band kmax, None ->
+            slot.are.((i * ((2 * kmax) + 1)) + kmax) <- Float.nan
+        | _, None -> slot.are.(i) <- Float.nan)
+    | _ -> ()
 
-(* the root scan covers what the caller reads: with a demanded column,
-   the rest of a dense root is stale *)
-let root_finite plan ~col v =
+(* the root scan covers what the caller reads: the root's window of
+   rows, or the demanded column of a dense root — the rest is stale *)
+let root_finite plan ~row ~col v =
   match plan.root.slot.dense with
   | Some m when col >= 0 -> Cmatf.is_finite_col m col
-  | _ -> Smat.is_finite v
+  | _ ->
+      let n = dim plan in
+      Smat.rows_finite v ~lo:(window_lo plan.root ~row)
+        ~hi:(window_hi plan.root ~n ~row)
 
-let checked_view plan ~col s =
-  match exec ~checked:true ~col s plan.root with
+let checked_view plan ~row ~col s =
+  match exec ~checked:true ~n:(dim plan) ~row ~col s plan.root with
   | v ->
-      poison_root plan ~col;
-      if root_finite plan ~col v then Ok v
+      poison_root plan ~row ~col;
+      if root_finite plan ~row ~col v then Ok v
       else Error (Robust.Pllscope_error.Non_finite { where = "Plan.eval" })
   | exception Guard e -> Error e
 
-let eval_checked plan s = checked_view plan ~col:all_cols s
+let eval_checked plan s = checked_view plan ~row:all_rows ~col:all_cols s
 
 (* The one guard/fallback driver: guards off → unchecked kernels;
    guards on → the checked evaluation, degrading to the dense oracle
-   (counted in [Robust.Stats]) unless strict mode refuses. [col] is
-   the column demand (see [all_cols]). *)
-let eval_view plan ~col s =
+   (counted in [Robust.Stats]) unless strict mode refuses. [row] and
+   [col] are the entry demand (see [all_rows]). *)
+let eval_view plan ~row ~col s =
   let col = root_col plan col in
   if not (Robust.Config.guards_enabled ()) then begin
-    let v = exec ~checked:false ~col s plan.root in
-    poison_root plan ~col;
+    let v = exec ~checked:false ~n:(dim plan) ~row ~col s plan.root in
+    poison_root plan ~row ~col;
     `Structured v
   end
   else
-    match checked_view plan ~col s with
+    match checked_view plan ~row ~col s with
     | Ok v -> `Structured v
     | Error e ->
         if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
@@ -346,12 +413,12 @@ let eval_view plan ~col s =
         end
 
 let eval plan s =
-  match eval_view plan ~col:all_cols s with
+  match eval_view plan ~row:all_rows ~col:all_cols s with
   | `Structured v -> v
   | `Dense m -> Smat.of_cmat m
 
 let to_cmat plan s =
-  match eval_view plan ~col:all_cols s with
+  match eval_view plan ~row:all_rows ~col:all_cols s with
   | `Structured v -> Smat.to_cmat v
   | `Dense m -> m
 
@@ -363,7 +430,7 @@ let index plan what h =
 
 let element plan ~n ~m s =
   let i = index plan "Plan.element" n and k = index plan "Plan.element" m in
-  match eval_view plan ~col:k s with
+  match eval_view plan ~row:i ~col:k s with
   | `Structured v -> Smat.get v i k
   | `Dense d -> Cmat.get d i k
 
@@ -371,9 +438,15 @@ let baseband plan s = element plan ~n:0 ~m:0 s
 
 let column plan ~m s =
   let k = index plan "Plan.column" m in
-  match eval_view plan ~col:k s with
+  match eval_view plan ~row:all_rows ~col:k s with
   | `Structured v -> Smat.col v k
   | `Dense d -> Cmat.col d k
+
+let row plan ~n s =
+  let i = index plan "Plan.row" n in
+  match eval_view plan ~row:i ~col:all_cols s with
+  | `Structured v -> Cvec.init (dim plan) (fun k -> Smat.get v i k)
+  | `Dense d -> Cvec.init (dim plan) (fun k -> Cmat.get d i k)
 
 (* ------------------------------------------------------------------ *)
 (* grid drivers (sequential on one plan; parallel sweeps distribute    *)
@@ -460,7 +533,7 @@ let run_grid_ba plan ss =
   (* one closure per grid call; the boxed Cmat.get is confined to the
      dense fallback branch, which structured evaluation never takes *)
   let[@lint.allow "hot-alloc"] write_point p s =
-    match eval_view plan ~col:all_cols s with
+    match eval_view plan ~row:all_rows ~col:all_cols s with
     | `Structured _ -> write_slice re im p plan.root.slot n
     | `Dense m ->
         for i = 0 to n - 1 do

@@ -75,25 +75,48 @@ val eval : t -> Cx.t -> Smat.t
     {!eval}. *)
 val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
 
-(** {2 Column demand}
+(** {2 Entry demand}
 
-    The queries below read one column of the realized HTM, and say so
-    to the evaluation: a dense feedback root (a loop closed around a
-    banded or dense open loop) then solves only that right-hand side
-    of [(I + G)⁻¹·G] instead of all [dim] of them, and its guards scan
-    that column. The value is bit-identical to the same entry of
-    {!eval}: substitution never mixes right-hand-side columns. Every
-    other root evaluates in full. *)
+    The queries below read part of the realized HTM and say so to the
+    evaluation. {b Row demand}: [make] gives every node a static reach
+    — the rows of it that can feed a given row of the root — so a query
+    reading row [i] realizes only those rows of each node: the LTI
+    leaves, the products and the closed forms work on a window of rows
+    instead of all [dim]. Behind the exact λ(s) of a time-invariant
+    VCO loop ([Pll.closed_loop_plan]) the baseband entry is then two
+    leaf evaluations plus λ, whatever [n_harm] is: measured with
+    [Gc.minor_words] on one domain, ~230 words per {!baseband} point
+    at n_harm 8 and at n_harm 80 alike (~340 and ~910 when every row
+    was realized).
+    A rank-one loop without the override (its [vᵀu] reads every row),
+    a banded/dense LU, dense results and custom blocks realize every
+    row. {b Column demand}: a dense feedback root (a loop closed
+    around a banded or dense open loop) solves only the demanded
+    right-hand side of [(I + G)⁻¹·G] instead of all [dim] of them.
+    The guards scan what is read (the demanded rows, or the demanded
+    column of a dense root), and the [grid-plan-nan] site poisons the
+    demanded entry. Values are bit-identical to the same entries of
+    {!eval}: each realized row is computed by the same formula in the
+    same order as in a full realization, and substitution never mixes
+    right-hand-side columns. *)
 
-(** [element p ~n ~m s] — entry [H_{n,m}(s)] by harmonic index. *)
+(** [element p ~n ~m s] — entry [H_{n,m}(s)] by harmonic index (row
+    and column demand). *)
 val element : t -> n:int -> m:int -> Cx.t -> Cx.t
 
 (** [baseband p s] — [element p ~n:0 ~m:0 s], the H₀₀ transfer. *)
 val baseband : t -> Cx.t -> Cx.t
 
 (** [column p ~m s] — column [m] (by harmonic index) of the realized
-    HTM: the stacked output spectrum of a unit tone in band [m]. *)
+    HTM: the stacked output spectrum of a unit tone in band [m] (column
+    demand, every row). *)
 val column : t -> m:int -> Cx.t -> Cvec.t
+
+(** [row p ~n s] — row [n] (by harmonic index) of the realized HTM:
+    the weights [H_{n,m}] with which every input band [m] reaches
+    output band [n] — the noise-folding row (row demand, every
+    column). A dense root realizes every row. *)
+val row : t -> n:int -> Cx.t -> Cvec.t
 
 (** [to_cmat p s] — boxed dense copy of the realized HTM (fresh
     storage, not a view). *)

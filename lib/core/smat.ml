@@ -12,19 +12,23 @@
 
    Storage is split re/im float arrays throughout, so every entry is
    unboxed; band loop bounds use Int.min/Int.max (the polymorphic
-   Stdlib.min/max compile to a generic-compare call). Costs:
-     diag·diag              O(n)
-     diag·band, band·diag   O(n·k)
-     band·band              O(n·k₁·k₂), bandwidth k₁+k₂
-     anything·rank-one      O(cost of one matvec) — stays rank one
-     feedback(diag)         O(n)
-     feedback(rank-one)     O(n)  (Sherman–Morrison–Woodbury)
+   Stdlib.min/max compile to a generic-compare call). The [Into]
+   kernels realize a window of w = hi − lo + 1 rows (w = n for a full
+   realization; see [Into]). Costs:
+     diag·diag              O(w)
+     diag·band, band·diag   O(w·k)
+     band·band              O(w·k₁·k₂), bandwidth k₁+k₂
+     anything·rank-one      O(cost of one windowed matvec) plus the
+                            O(n) copy of v — stays rank one
+     feedback(diag)         O(w)
+     feedback(rank-one)     O(n)  (Sherman–Morrison–Woodbury: vᵀu)
+       with λ(s) override   O(w) plus the O(n) copy of v — no vᵀu
      feedback(band k)       LU via Cmatf inside the band: O(n·k²) to
                             factor, O(n·k) per solved column
      feedback(dense)        dense LU via Cmatf, O(n³) unboxed
-   Both LU shapes still fill a dense n×n I + G (O(n²) stores) and
-   write a dense result, every column of it or the one a caller
-   demands (see [Into.feedback]). *)
+   Both LU shapes realize every row: they still fill a dense n×n
+   I + G (O(n²) stores) and write a dense result, every column of it
+   or the one a caller demands (see [Into.feedback]). *)
 
 open Numeric
 
@@ -145,13 +149,14 @@ let to_band_parts = function
 (* ------------------------------------------------------------------ *)
 (* matvec and conjugate-transpose matvec (never densifies)             *)
 
-let mv t ~xre ~xim ~yre ~yim =
+let mv t ~lo ~hi ~xre ~xim ~yre ~yim =
   let n = dim t in
   if Array.length xre <> n || Array.length yre <> n then
     invalid_arg "Smat.mv: dimension mismatch";
+  if lo < 0 || hi >= n then invalid_arg "Smat.mv: row window out of bounds";
   (match t with
   | Diag { dre; dim_ } ->
-      for i = 0 to n - 1 do
+      for i = lo to hi do
         let ar = dre.(i) and ai = dim_.(i) in
         let br = xre.(i) and bi = xim.(i) in
         yre.(i) <- (ar *. br) -. (ai *. bi);
@@ -159,7 +164,7 @@ let mv t ~xre ~xim ~yre ~yim =
       done
   | Band { kmax; bre; bim; _ } ->
       let w = (2 * kmax) + 1 in
-      for i = 0 to n - 1 do
+      for i = lo to hi do
         let sr = ref 0.0 and si = ref 0.0 in
         let jlo = Int.max 0 (i - kmax) and jhi = Int.min (n - 1) (i + kmax) in
         for j = jlo to jhi do
@@ -173,7 +178,7 @@ let mv t ~xre ~xim ~yre ~yim =
         yim.(i) <- !si
       done
   | Rank1 { ure; uim; vre; vim } ->
-      (* y = u·(vᵀx) *)
+      (* y = u·(vᵀx): the dot product reads every row of x *)
       let sr = ref 0.0 and si = ref 0.0 in
       for k = 0 to n - 1 do
         let ar = vre.(k) and ai = vim.(k) in
@@ -182,13 +187,16 @@ let mv t ~xre ~xim ~yre ~yim =
         si := !si +. ((ar *. bi) +. (ai *. br))
       done;
       let tr = !sr and ti = !si in
-      for i = 0 to n - 1 do
+      for i = lo to hi do
         let ar = ure.(i) and ai = uim.(i) in
         yre.(i) <- (ar *. tr) -. (ai *. ti);
         yim.(i) <- (ar *. ti) +. (ai *. tr)
       done
   | Dense m -> Cmatf.gemv m ~xre ~xim ~yre ~yim);
-  if n > 0 && Robust.Inject.fire Robust.Inject.Smat_nan then yre.(0) <- Float.nan
+  (* the fault lands in the first realized row, which is what the
+     caller reads *)
+  if hi >= lo && Robust.Inject.fire Robust.Inject.Smat_nan then
+    yre.(lo) <- Float.nan
 
 let mhv t ~xre ~xim ~yre ~yim =
   let n = dim t in
@@ -237,7 +245,7 @@ let mhv t ~xre ~xim ~yre ~yim =
 let mtv t ~xre ~xim ~yre ~yim =
   let n = dim t in
   match t with
-  | Diag _ -> mv t ~xre ~xim ~yre ~yim
+  | Diag _ -> mv t ~lo:0 ~hi:(n - 1) ~xre ~xim ~yre ~yim
   | Band { kmax; bre; bim; _ } ->
       let w = (2 * kmax) + 1 in
       Array.fill yre 0 n 0.0;
@@ -284,18 +292,25 @@ let mtv t ~xre ~xim ~yre ~yim =
 (* ------------------------------------------------------------------ *)
 (* finiteness                                                          *)
 
-let all_finite2 re im =
-  let len = Array.length re in
+(* entries [first, last) of a split re/im pair are all finite *)
+let finite_range re im first last =
   let rec go p =
-    p >= len || (Float.is_finite re.(p) && Float.is_finite im.(p) && go (p + 1))
+    p >= last || (Float.is_finite re.(p) && Float.is_finite im.(p) && go (p + 1))
   in
-  go 0
+  go first
 
-let is_finite = function
-  | Diag { dre; dim_ } -> all_finite2 dre dim_
-  | Band { bre; bim; _ } -> all_finite2 bre bim
-  | Rank1 { ure; uim; vre; vim } -> all_finite2 ure uim && all_finite2 vre vim
-  | Dense m -> Cmatf.is_finite m
+(* The stored entries of rows lo..hi; a rank-one matrix's v counts in
+   full, since every row reads all of it. *)
+let rows_finite t ~lo ~hi =
+  match t with
+  | Diag { dre; dim_ } -> finite_range dre dim_ lo (hi + 1)
+  | Band { kmax; bre; bim; _ } ->
+      let w = (2 * kmax) + 1 in
+      finite_range bre bim (lo * w) ((hi + 1) * w)
+  | Rank1 { ure; uim; vre; vim } ->
+      finite_range ure uim lo (hi + 1)
+      && finite_range vre vim 0 (Array.length vre)
+  | Dense m -> Cmatf.is_finite m (* dense results realize every row *)
 
 (* ------------------------------------------------------------------ *)
 (* diagnostics                                                         *)
@@ -526,25 +541,34 @@ let store_column x m k =
 
 module Into = struct
   (* All kernels write into [dst]'s storage. [dst] must have exactly
-     the shape the static rules above assign to the operation, must not
-     alias an operand, and every cell of it is overwritten (containers
-     can be reused point after point with no clearing in between). *)
+     the shape the static rules above assign to the operation and must
+     not alias an operand. Row demand: rows [lo..hi] of [dst] are
+     overwritten and every other row is left as it was, so containers
+     can be reused point after point with no clearing in between; the
+     full window [0..n-1] runs the loops of a whole realization.
+     A rank-one [dst]'s v and a dense [dst] are always realized in
+     full. Each row is computed by the same formula in the same order
+     whatever the window, so a windowed row is bit-identical to that row
+     of a full realization. *)
 
-  let scale_pair_into z src_re src_im dst_re dst_im =
+  (* dst.(p) := z·src.(p) for p in [first, last) *)
+  let scale_pair_into z src_re src_im dst_re dst_im first last =
     let zr = Cx.re z and zi = Cx.im z in
-    for p = 0 to Array.length src_re - 1 do
+    for p = first to last - 1 do
       let ar = src_re.(p) and ai = src_im.(p) in
       dst_re.(p) <- (zr *. ar) -. (zi *. ai);
       dst_im.(p) <- (zr *. ai) +. (zi *. ar)
     done
 
-  let scale ~dst z t =
+  let scale ~dst ~lo ~hi z t =
     match (dst, t) with
-    | Diag d, Diag s -> scale_pair_into z s.dre s.dim_ d.dre d.dim_
+    | Diag d, Diag s ->
+        scale_pair_into z s.dre s.dim_ d.dre d.dim_ lo (hi + 1)
     | Band d, Band s when d.kmax = s.kmax ->
-        scale_pair_into z s.bre s.bim d.bre d.bim
+        let w = (2 * d.kmax) + 1 in
+        scale_pair_into z s.bre s.bim d.bre d.bim (lo * w) ((hi + 1) * w)
     | Rank1 d, Rank1 s ->
-        scale_pair_into z s.ure s.uim d.ure d.uim;
+        scale_pair_into z s.ure s.uim d.ure d.uim lo (hi + 1);
         Array.blit s.vre 0 d.vre 0 (Array.length s.vre);
         Array.blit s.vim 0 d.vim 0 (Array.length s.vim)
     | Dense d, Dense s ->
@@ -552,7 +576,7 @@ module Into = struct
         Cmatf.scale_inplace z d
     | _ -> invalid_arg "Smat.Into.scale: dst shape mismatch"
 
-  let add ~dst ?(sub = false) a b =
+  let add ~dst ?(sub = false) ~lo ~hi a b =
     let sgn = if sub then -1.0 else 1.0 in
     match dst with
     | Diag _ | Band _ ->
@@ -560,9 +584,9 @@ module Into = struct
         let _, ka, are, aim = to_band_parts a in
         let _, kb, bre_, bim_ = to_band_parts b in
         let w = (2 * kd) + 1 and wa = (2 * ka) + 1 and wb = (2 * kb) + 1 in
-        Array.fill dre 0 (n * w) 0.0;
-        Array.fill dim_ 0 (n * w) 0.0;
-        for i = 0 to n - 1 do
+        Array.fill dre (lo * w) ((hi - lo + 1) * w) 0.0;
+        Array.fill dim_ (lo * w) ((hi - lo + 1) * w) 0.0;
+        for i = lo to hi do
           for d = -kd to kd do
             let j = i + d in
             if j >= 0 && j < n then begin
@@ -594,11 +618,11 @@ module Into = struct
             m
         | None -> invalid_arg "Smat.Into.mul: missing densification scratch")
 
-  let mul ~dst ?da ?db a b =
+  let mul ~dst ?da ?db ~lo ~hi a b =
     let n = dim a in
     match (dst, a, b) with
     | Diag d, Diag x, Diag y ->
-        for i = 0 to n - 1 do
+        for i = lo to hi do
           let ar = x.dre.(i) and ai = x.dim_.(i) in
           let br = y.dre.(i) and bi = y.dim_.(i) in
           d.dre.(i) <- (ar *. br) -. (ai *. bi);
@@ -606,22 +630,22 @@ module Into = struct
         done
     | Rank1 d, _, Rank1 r ->
         (* A·(u·vᵀ) = (A·u)·vᵀ *)
-        mv a ~xre:r.ure ~xim:r.uim ~yre:d.ure ~yim:d.uim;
+        mv a ~lo ~hi ~xre:r.ure ~xim:r.uim ~yre:d.ure ~yim:d.uim;
         Array.blit r.vre 0 d.vre 0 n;
         Array.blit r.vim 0 d.vim 0 n
     | Rank1 d, Rank1 r, _ ->
         (* (u·vᵀ)·B = u·(Bᵀv)ᵀ *)
         mtv b ~xre:r.vre ~xim:r.vim ~yre:d.vre ~yim:d.vim;
-        Array.blit r.ure 0 d.ure 0 n;
-        Array.blit r.uim 0 d.uim 0 n
+        Array.blit r.ure lo d.ure lo (hi - lo + 1);
+        Array.blit r.uim lo d.uim lo (hi - lo + 1)
     | (Diag _ | Band _), (Diag _ | Band _), (Diag _ | Band _) ->
         let _, kd, dre, dim_ = to_band_parts dst in
         let _, ka, are, aim = to_band_parts a in
         let _, kb, bre_, bim_ = to_band_parts b in
         let w = (2 * kd) + 1 and wa = (2 * ka) + 1 and wb = (2 * kb) + 1 in
-        Array.fill dre 0 (n * w) 0.0;
-        Array.fill dim_ 0 (n * w) 0.0;
-        for i = 0 to n - 1 do
+        Array.fill dre (lo * w) ((hi - lo + 1) * w) 0.0;
+        Array.fill dim_ (lo * w) ((hi - lo + 1) * w) 0.0;
+        for i = lo to hi do
           let llo = Int.max 0 (i - ka) and lhi = Int.min (n - 1) (i + ka) in
           for l = llo to lhi do
             let pa = (i * wa) + (l - i) + ka in
@@ -671,10 +695,13 @@ module Into = struct
      with the conditioning proxy (1 + |d|)/|1 + d| — the exact κ of the
      1×1 (or rank-one deflated) subproblem the closed form solves —
      against Config.smw_max_cond; the banded/dense shapes go through the
-     checked LU with its Hager estimate. A banded/dense loop solves
-     only column [col] of the result when [col >= 0]; the closed forms
-     are O(n) and always realize everything. *)
-  let feedback ~dst ?scratch ?denom_override ~checked ~col ~context g =
+     checked LU with its Hager estimate. The closed forms realize rows
+     [lo..hi] and guard what they realize: a diagonal loop scans the
+     window's denominators, a rank-one loop its one scalar. A
+     banded/dense loop realizes every row, and solves only column [col]
+     of the result when [col >= 0]. *)
+  let feedback ~dst ?scratch ?denom_override ~checked ~lo ~hi ~col ~context
+      g =
     let open Robust in
     let n = dim g in
     let max_cond = if checked then Config.get_smw_max_cond () else infinity in
@@ -683,7 +710,7 @@ module Into = struct
         let guard_err = ref None in
         if checked then begin
           let worst = ref 1.0 and exact = ref false in
-          for i = 0 to n - 1 do
+          for i = lo to hi do
             let dr = x.dre.(i) and di = x.dim_.(i) in
             let dm = cnorm (1.0 +. dr) di in
             if Float.equal dm 0.0 then exact := true
@@ -705,7 +732,7 @@ module Into = struct
         (match !guard_err with
         | Some e -> Error e
         | None ->
-            for i = 0 to n - 1 do
+            for i = lo to hi do
               let dr = x.dre.(i) and di = x.dim_.(i) in
               let er = 1.0 +. dr in
               if Float.equal (cnorm er di) 0.0 then raise Lu.Singular;
@@ -713,21 +740,26 @@ module Into = struct
               d.dre.(i) <- qr;
               d.dim_.(i) <- qi
             done;
-            if checked && not (all_finite2 d.dre d.dim_) then
+            if checked && not (finite_range d.dre d.dim_ lo (hi + 1)) then
               Error (Pllscope_error.Non_finite { where = context })
             else Ok ())
     | Rank1 d, Rank1 r ->
+        (* the denominator term: λ(s) when given, else vᵀu, which reads
+           every row of u. Two scalars, not one pair: this path is in
+           the hot set and the intermediate tuple would allocate. *)
         let sr = ref 0.0 and si = ref 0.0 in
-        for k = 0 to n - 1 do
-          let ar = r.vre.(k) and ai = r.vim.(k) in
-          let br = r.ure.(k) and bi = r.uim.(k) in
-          sr := !sr +. ((ar *. br) -. (ai *. bi));
-          si := !si +. ((ar *. bi) +. (ai *. br))
-        done;
-        (* two scalar matches, not one returning a pair: this path is in
-           the hot set and the intermediate tuple would allocate *)
-        let lr = match denom_override with Some l -> Cx.re l | None -> !sr in
-        let li = match denom_override with Some l -> Cx.im l | None -> !si in
+        (match denom_override with
+        | Some l ->
+            sr := Cx.re l;
+            si := Cx.im l
+        | None ->
+            for k = 0 to n - 1 do
+              let ar = r.vre.(k) and ai = r.vim.(k) in
+              let br = r.ure.(k) and bi = r.uim.(k) in
+              sr := !sr +. ((ar *. br) -. (ai *. bi));
+              si := !si +. ((ar *. bi) +. (ai *. br))
+            done);
+        let lr = !sr and li = !si in
         let er = 1.0 +. lr and ei = li in
         let dm = cnorm er ei in
         if Float.equal dm 0.0 then
@@ -740,17 +772,15 @@ module Into = struct
             Error (Pllscope_error.Singular { cond_est = proxy; context })
           else begin
             let zr, zi = div_parts 1.0 0.0 er ei in
-            for i = 0 to n - 1 do
+            for i = lo to hi do
               let ar = r.ure.(i) and ai = r.uim.(i) in
               d.ure.(i) <- (zr *. ar) -. (zi *. ai);
               d.uim.(i) <- (zr *. ai) +. (zi *. ar)
             done;
             Array.blit r.vre 0 d.vre 0 n;
             Array.blit r.vim 0 d.vim 0 n;
-            if
-              checked
-              && not (all_finite2 d.ure d.uim && all_finite2 d.vre d.vim)
-            then Error (Pllscope_error.Non_finite { where = context })
+            if checked && not (rows_finite dst ~lo ~hi) then
+              Error (Pllscope_error.Non_finite { where = context })
             else Ok ()
           end
         end

@@ -14,7 +14,11 @@
     with composition rules that stay low in the lattice:
     diag·diag is O(n); diag·band and band·band stay banded;
     anything·rank-one stays rank one at the cost of one matvec;
-    feedback of a diagonal or rank-one HTM is closed-form O(n).
+    feedback of a diagonal or rank-one HTM is closed-form O(n). The
+    in-place kernels work on a window of rows, so a caller reading one
+    row pays only for the rows that reach it — for a rank-one loop
+    whose denominator is given in closed form, only the copy of [v]
+    stays O(n).
     Only [Band]/[Dense] feedback pays an LU — on the flat unboxed
     {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t] — and a [Band k]
     operand's LU stays inside its band: O(n·k²) to factor and O(n·k)
@@ -59,17 +63,29 @@ val to_cmat : t -> Numeric.Cmat.t
 val get : t -> int -> int -> Numeric.Cx.t
 val col : t -> int -> Numeric.Cvec.t
 
-(** True iff every stored entry is finite. *)
-val is_finite : t -> bool
+(** [rows_finite t ~lo ~hi] — true iff every stored entry of rows
+    [lo..hi] is finite ([~lo:0 ~hi:(dim t - 1)]: of [t]); a rank-one
+    [t]'s [v] is scanned in full (every row reads it) and a dense [t]
+    is scanned whole. *)
+val rows_finite : t -> lo:int -> hi:int -> bool
 
 (** {1 Matrix–vector products on split re/im arrays}
 
     These never densify: the rank-one product is two dot products, the
     banded one touches only the band. *)
 
-(** [mv t ~xre ~xim ~yre ~yim] — [y = T·x]. *)
+(** [mv t ~lo ~hi ~xre ~xim ~yre ~yim] — rows [lo..hi] of [y = T·x];
+    the other rows of [y] are left as they were. Row [i] reads [x] at
+    the columns where row [i] of [T] is stored: [i-k..i+k] for a
+    bandwidth-[k] matrix, every row of [x] for a rank-one or dense
+    one. [~lo:0 ~hi:(dim t - 1)] is the whole product; a dense [T]
+    always computes every row.
+    @raise Invalid_argument on a dimension mismatch or a window outside
+    [0..dim t - 1]. *)
 val mv :
   t ->
+  lo:int ->
+  hi:int ->
   xre:float array -> xim:float array -> yre:float array -> yim:float array ->
   unit
 
@@ -114,46 +130,71 @@ type lu_scratch
 val lu_scratch : n:int -> shape_t -> lu_scratch
 
 module Into : sig
-  (** The HTM algebra, in place. Every kernel overwrites all of
-      [dst]'s storage, so containers are reusable point after point
-      without clearing. [dst] must have exactly the
-      shape the static rules assign to the operation and must not alias
-      an operand; violations raise [Invalid_argument]. *)
+  (** The HTM algebra, in place, over a row window. Every kernel
+      overwrites rows [lo..hi] of [dst] and leaves the other rows as
+      they were, so containers are reusable point after point without
+      clearing; [~lo:0 ~hi:(n - 1)] realizes the whole matrix with the
+      loops of a full realization. A row of the window is computed by
+      the same formula, in the same order, as in a full realization, so
+      it is bit-identical to that row of one. A rank-one [dst]'s [v] is
+      always realized in full, and a dense [dst] realizes every row
+      whatever the window. The rows a window reads of each operand are
+      the caller's to have realized: the operand's own rows [lo..hi]
+      (an [add], a [scale], [A] of a product, a closed loop over a
+      diagonal operand or a rank-one one with [denom_override]); rows
+      widened by [A]'s bandwidth for [B] of a diagonal/banded product
+      and for [u] in [A·(u vᵀ)]; every row otherwise. [dst] must have
+      exactly the shape the static rules assign to the operation and
+      must not alias an operand; violations raise [Invalid_argument]. *)
 
-  val scale : dst:t -> Numeric.Cx.t -> t -> unit
+  val scale : dst:t -> lo:int -> hi:int -> Numeric.Cx.t -> t -> unit
 
-  (** [add ~dst ?sub a b] — [dst = a + b], or [a - b] with [~sub:true].
-      No zero-diagonal shortcut (see the static shape rules). *)
-  val add : dst:t -> ?sub:bool -> t -> t -> unit
+  (** [add ~dst ?sub ~lo ~hi a b] — [dst = a + b], or [a - b] with
+      [~sub:true]. No zero-diagonal shortcut (see the static shape
+      rules). *)
+  val add : dst:t -> ?sub:bool -> lo:int -> hi:int -> t -> t -> unit
 
-  (** [mul ~dst ?da ?db a b] — [dst = a·b]; [da]/[db] are densification
-      scratch, required exactly when {!mul_scratch} says so. *)
+  (** [mul ~dst ?da ?db ~lo ~hi a b] — [dst = a·b]; [da]/[db] are
+      densification scratch, required exactly when {!mul_scratch} says
+      so. *)
   val mul :
-    dst:t -> ?da:Numeric.Cmatf.t -> ?db:Numeric.Cmatf.t -> t -> t -> unit
+    dst:t ->
+    ?da:Numeric.Cmatf.t ->
+    ?db:Numeric.Cmatf.t ->
+    lo:int ->
+    hi:int ->
+    t ->
+    t ->
+    unit
 
-  (** [feedback ~dst ?scratch ?denom_override ~checked ~col ~context g]
-      — [dst = (I + G)⁻¹·G]. [scratch] (from {!lu_scratch} at [g]'s
-      shape) is required for banded/dense [g]. There, [col >= 0]
-      demands one column: only column [col] of [dst] is realized (bit
-      for bit what a full realization puts there) and the rest of
-      [dst] is left stale; a negative [col] realizes every column. The
-      closed-form shapes ignore [col]. With [~checked:true]
-      the guards run — closed-form shapes check their scalar
-      denominator's conditioning proxy [(1 + |d|)/|1 + d|] against
-      {!Robust.Config.get_smw_max_cond}, banded/dense shapes use
-      {!Numeric.Cmatf.lu_decompose_checked}, and the result (the
-      demanded column only) is scanned for non-finite entries — and
-      failures come back as
-      [Error (Singular _)] or [Error (Non_finite _)]; with
-      [~checked:false] exact singularity raises [Numeric.Lu.Singular].
-      [denom_override] replaces the rank-one Sherman–Morrison
-      denominator term [vᵀu] with a closed-form loop gain λ(s) — the
-      plan layer's [Special] fast path for time-invariant-VCO loops. *)
+  (** [feedback ~dst ?scratch ?denom_override ~checked ~lo ~hi ~col
+      ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
+      (diagonal, rank one) realize rows [lo..hi]. [scratch] (from
+      {!lu_scratch} at [g]'s shape) is required for banded/dense [g],
+      which realizes every row; there, [col >= 0] demands one column:
+      only column [col] of [dst] is realized (bit for bit what a full
+      realization puts there) and the rest of [dst] is left stale; a
+      negative [col] realizes every column. With [~checked:true] the
+      guards run over what is realized — closed-form shapes check their
+      scalar denominators' conditioning proxy [(1 + |d|)/|1 + d|]
+      against {!Robust.Config.get_smw_max_cond} (a diagonal loop over
+      the window's rows), banded/dense shapes use
+      {!Numeric.Cmatf.lu_decompose_checked}, and the realized rows (or
+      the demanded column) are scanned for non-finite entries — and
+      failures come back as [Error (Singular _)] or
+      [Error (Non_finite _)]; with [~checked:false] exact singularity
+      raises [Numeric.Lu.Singular]. [denom_override] replaces the
+      rank-one Sherman–Morrison denominator term [vᵀu] with a
+      closed-form loop gain λ(s) — the plan layer's [Special] fast path
+      for time-invariant-VCO loops; the O(n) dot product is then
+      skipped and the loop costs O(hi − lo + 1) plus the copy of [v]. *)
   val feedback :
     dst:t ->
     ?scratch:lu_scratch ->
     ?denom_override:Numeric.Cx.t ->
     checked:bool ->
+    lo:int ->
+    hi:int ->
     col:int ->
     context:string ->
     t ->

@@ -64,6 +64,49 @@ let harmonic_sum ~k ~omega0 z =
   let c = coth w in
   Cx.mul (Cx.of_float (ratio ** float_of_int k)) (poly_eval_c (q_poly k) c)
 
+(* One prepared term of [lattice_sum]: everything about it that does
+   not depend on s, computed once when the sum is prepared. *)
+type lattice_term = {
+  pole : Cx.t;
+  residue : Cx.t;
+  scale : Cx.t;  (* (π/ω₀)^order *)
+  q : float array;  (* Q_order, copied: the closure reads no global table *)
+  same_pole : bool;  (* bit-equal pole to the previous term: reuse its coth *)
+}
+
+let lattice_sum ~omega0 terms =
+  let ratio = Float.pi /. omega0 in
+  let bits a = Int64.bits_of_float a in
+  let same a b =
+    Int64.equal (bits (Cx.re a)) (bits (Cx.re b))
+    && Int64.equal (bits (Cx.im a)) (bits (Cx.im b))
+  in
+  let terms = Array.of_list terms in
+  let prepared =
+    Array.mapi
+      (fun i { Partial_fraction.pole; order; residue } ->
+        if order < 1 then invalid_arg "Special.lattice_sum: order must be >= 1";
+        let prev = terms.(Int.max 0 (i - 1)).Partial_fraction.pole in
+        {
+          pole;
+          residue;
+          scale = Cx.of_float (ratio ** float_of_int order);
+          q = Array.copy (q_poly order);
+          same_pole = i > 0 && same prev pole;
+        })
+      terms
+  in
+  (* the term-by-term sum of [harmonic_sum], in the same order and with
+     the same formulas: only what is shared is computed once *)
+  fun s ->
+    let acc = ref Cx.zero and c = ref Cx.zero in
+    for i = 0 to Array.length prepared - 1 do
+      let t = prepared.(i) in
+      if not t.same_pole then c := coth (Cx.scale ratio (Cx.sub s t.pole));
+      acc := Cx.add !acc (Cx.mul t.residue (Cx.mul t.scale (poly_eval_c t.q !c)))
+    done;
+    !acc
+
 let harmonic_sum_truncated ~k ~omega0 ~terms z =
   (* Sum symmetric pairs together for cancellation-friendly accumulation. *)
   let term m =

@@ -26,6 +26,18 @@ val csch2 : Cx.t -> Cx.t
     memoized). *)
 val harmonic_sum : k:int -> omega0:float -> Cx.t -> Cx.t
 
+(** [lattice_sum ~omega0 terms] is [fun s -> Σ residue·S_order(s − pole)]
+    over the partial-fraction [terms] in list order — the exact λ(s)
+    of a strictly proper loop gain's expansion. Bit-identical to summing
+    [residue · harmonic_sum ~k:order ~omega0 (s − pole)] term by term
+    from zero, but everything that does not depend on [s] ([(π/ω₀)^k],
+    the [Q_k] polynomials) is computed once here, and consecutive terms
+    with bit-equal poles share one [coth]. The returned closure reads
+    only its own immutable data, so one closure may serve several
+    domains at once.
+    @raise Invalid_argument if an order is [< 1]. *)
+val lattice_sum : omega0:float -> Partial_fraction.term list -> Cx.t -> Cx.t
+
 (** [harmonic_sum_truncated ~k ~omega0 ~terms z] is the symmetric
     truncation [Σ_{m=-terms}^{terms} 1/(z + j m ω₀)^k] — the reference
     the closed form is property-tested against. *)

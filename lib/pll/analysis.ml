@@ -85,18 +85,21 @@ let closed_loop_metrics_htm ?(n_harm = 12) ?(points = 800) ?pool p =
   (* same metrics from the truncated closed-loop HTM instead of the
      time-invariant closed form: valid for ISF VCOs and mixing PFDs.
      The grid runs through per-lane plans; the peak/bandwidth
-     refinement searches reuse one sequential plan. *)
+     refinement searches reuse one sequential plan. Every plan reads
+     one entry per point (row and column demand), and all of them share
+     one exact λ. *)
   let c = { Htm_core.Htm.n_harm; omega0 = Pll.omega0 p } in
   let w0 = Pll.omega0 p in
   let lo = w0 *. 1e-5 and hi = w0 *. 0.4999 in
   let ws = Optimize.logspace lo hi points in
+  let planner = Pll.closed_loop_planner p in
   let mags =
     Parallel.Sweep.grid_local ?pool
-      ~local:(fun () -> Pll.closed_loop_plan c p)
+      ~local:(fun () -> planner c)
       (fun plan w -> Cx.abs (Htm_core.Plan.baseband plan (Cx.jomega w)))
       ws
   in
-  let plan = Pll.closed_loop_plan c p in
+  let plan = planner c in
   let mag w = Cx.abs (Htm_core.Plan.baseband plan (Cx.jomega w)) in
   metrics_of_grid ~points ~ws ~mags ~mag
 

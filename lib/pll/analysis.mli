@@ -42,7 +42,8 @@ val closed_loop_metrics :
 
 (** [closed_loop_metrics_htm ?n_harm ?points ?pool p] — the same
     metrics computed from [|H₀₀|] of the {b truncated closed-loop HTM}
-    (grid-batched through {!Pll.closed_loop_plan}, one plan per lane)
+    (grid-batched through {!Pll.closed_loop_planner}: one plan per
+    lane, one exact λ for all of them, one entry demanded per point)
     instead of the time-invariant closed form: this path is also valid
     for ISF VCOs and mixing PFDs, where eq. 38 does not apply. For a
     time-invariant VCO with the sampling PFD the two agree to rounding

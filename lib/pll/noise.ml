@@ -30,24 +30,25 @@ let reference_noise_out p ?(folds = 50) ?pool s_ref w =
   h *. h *. folded
 
 let reference_noise_out_htm p ?(n_harm = 12) ?pool s_ref ws =
-  (* HTM-native folding over a whole grid: each point realizes the
-     closed-loop HTM through a per-lane plan and accumulates
-     S_out(ω) = Σ_m |H_{0,m}(jω)|² S_ref(ω + m ω₀) from row 0 of the
-     truncated matrix (m from -n_harm to n_harm, in that fixed order).
-     Unlike [reference_noise_out], each band gets its own transfer
-     weight, so this path stays valid for ISF VCOs and mixing PFDs
-     where H_{0,m} depends on m; the folding range is the truncation
-     itself rather than a separate [folds] parameter. *)
+  (* HTM-native folding over a whole grid: each point realizes row 0 of
+     the closed-loop HTM through a per-lane plan (row demand: only the
+     rows of each node that reach row 0) and accumulates
+     S_out(ω) = Σ_m |H_{0,m}(jω)|² S_ref(ω + m ω₀)
+     (m from -n_harm to n_harm, in that fixed order). Unlike
+     [reference_noise_out], each band gets its own transfer weight, so
+     this path stays valid for ISF VCOs and mixing PFDs where H_{0,m}
+     depends on m; the folding range is the truncation itself rather
+     than a separate [folds] parameter. *)
   let omega0 = Pll.omega0 p in
   let c = { Htm_core.Htm.n_harm; omega0 } in
-  let i0 = Htm_core.Htm.index_of_harmonic c 0 in
+  let planner = Pll.closed_loop_planner p in
   Parallel.Sweep.grid_local ?pool
-    ~local:(fun () -> Pll.closed_loop_plan c p)
+    ~local:(fun () -> planner c)
     (fun plan w ->
-      let sm = Htm_core.Plan.eval plan (Cx.jomega w) in
+      let h0 = Htm_core.Plan.row plan ~n:0 (Cx.jomega w) in
       let acc = ref 0.0 in
       for m = -n_harm to n_harm do
-        let h = Htm_core.Smat.get sm i0 (Htm_core.Htm.index_of_harmonic c m) in
+        let h = Cvec.get h0 (Htm_core.Htm.index_of_harmonic c m) in
         acc := !acc +. (Cx.norm2 h *. s_ref (w +. (float_of_int m *. omega0)))
       done;
       !acc)

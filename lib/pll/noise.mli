@@ -38,11 +38,12 @@ val reference_noise_out :
 (** [reference_noise_out_htm p ?n_harm ?pool s_ref ws] — the HTM-native
     folded output PSD over a whole frequency grid:
     [S_out(ω) = Σ_m |H_{0,m}(jω)|² S_ref(ω + m ω₀)] with the weights
-    taken from row 0 of the truncated closed-loop HTM, realized point by
-    point through grid-batched plans ({!Pll.closed_loop_plan}, one per
-    lane). Each band carries its own transfer weight, so this remains
-    valid for ISF VCOs and mixing PFDs where [H_{0,m}] depends on [m];
-    folding range is the truncation [-n_harm..n_harm]. For a
+    taken from row 0 of the truncated closed-loop HTM, read point by
+    point with [Htm_core.Plan.row] (row demand) through grid-batched
+    plans ({!Pll.closed_loop_planner}, one per lane, one exact λ for
+    all of them). Each band carries its own transfer weight, so this
+    remains valid for ISF VCOs and mixing PFDs where [H_{0,m}] depends
+    on [m]; folding range is the truncation [-n_harm..n_harm]. For a
     time-invariant sampling loop it agrees with {!reference_noise_out}
     up to the folding tail (bands beyond the truncation). *)
 val reference_noise_out_htm :

@@ -44,13 +44,7 @@ let lambda_fn p method_ =
       if not (Rat.is_strictly_proper rat) then
         invalid_arg "Pll.lambda_fn: open loop must be strictly proper";
       let expansion = Partial_fraction.expand rat in
-      fun s ->
-        List.fold_left
-          (fun acc { Partial_fraction.pole; order; residue } ->
-            Cx.add acc
-              (Cx.mul residue
-                 (Special.harmonic_sum ~k:order ~omega0:w0 (Cx.sub s pole))))
-          Cx.zero expansion.Partial_fraction.terms
+      Special.lattice_sum ~omega0:w0 expansion.Partial_fraction.terms
 
 let lambda p s = lambda_fn p Exact s
 
@@ -81,19 +75,24 @@ let open_loop_htm p =
 
 let closed_loop_htm p = Htm_core.Htm.feedback (open_loop_htm p)
 
-let closed_loop_plan ?(exact_lambda = true) ctx p =
+let closed_loop_planner ?(exact_lambda = true) p =
   (* the Special fast path: for a time-invariant VCO behind the sampler
      the closed loop realizes as rank one, and its Sherman–Morrison
      denominator term can be replaced by the exact λ(s) of eq. 37
      (coth lattice sums) instead of the truncated [vᵀu] — the planned
-     evaluation then carries no truncation error in the denominator *)
+     evaluation then carries no truncation error in the denominator.
+     λ is built (partial-fraction expansion included) once here and
+     shared by every plan the planner makes. *)
   let lambda =
     match p.pfd with
     | Pfd.Sampling when exact_lambda && Vco.is_time_invariant p.vco ->
         Some (lambda_fn p Exact)
     | _ -> None
   in
-  Htm_core.Plan.make ?lambda ctx (closed_loop_htm p)
+  let tree = closed_loop_htm p in
+  fun ctx -> Htm_core.Plan.make ?lambda ctx tree
+
+let closed_loop_plan ?exact_lambda ctx p = closed_loop_planner ?exact_lambda p ctx
 
 let forward_chain_matrix ctx p s =
   (* H_VCO(s) * H_LF(s) as a truncated matrix *)

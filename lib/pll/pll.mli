@@ -89,6 +89,15 @@ val closed_loop_htm : t -> Htm_core.Htm.t
     ownership rule in [Parallel.Sweep.grid_local]. *)
 val closed_loop_plan : ?exact_lambda:bool -> Htm_core.Htm.ctx -> t -> Htm_core.Plan.t
 
+(** [closed_loop_planner ?exact_lambda p] — [closed_loop_plan
+    ?exact_lambda] staged: the tree and the exact λ (its
+    partial-fraction expansion) are built once, and each application
+    to a [ctx] compiles one more plan over them. The λ closure is
+    immutable, so the plans of several lanes may share it; the plans
+    themselves stay one per lane. *)
+val closed_loop_planner :
+  ?exact_lambda:bool -> t -> Htm_core.Htm.ctx -> Htm_core.Plan.t
+
 (** [closed_loop_rank_one ctx p s] — the Sherman–Morrison closed form
     evaluated with truncated matrices (eqs. 29–34): valid for any VCO
     ISF as long as the PFD is the sampler; O(dim²) instead of the LU's

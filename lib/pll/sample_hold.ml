@@ -40,16 +40,10 @@ let lambda_fn p method_ =
       if not (Rat.is_strictly_proper q) then
         invalid_arg "Sample_hold.lambda_fn: chain must be strictly proper";
       let expansion = Partial_fraction.expand q in
-      fun s ->
-        let lattice =
-          List.fold_left
-            (fun acc { Partial_fraction.pole; order; residue } ->
-              Cx.add acc
-                (Cx.mul residue
-                   (Special.harmonic_sum ~k:order ~omega0:w0 (Cx.sub s pole))))
-            Cx.zero expansion.Partial_fraction.terms
-        in
-        Cx.mul (prefactor s) lattice
+      let lattice =
+        Special.lattice_sum ~omega0:w0 expansion.Partial_fraction.terms
+      in
+      fun s -> Cx.mul (prefactor s) (lattice s)
 
 let lambda p s = lambda_fn p Pll.Exact s
 

@@ -26,7 +26,14 @@
      another point and column; loops closed around a mixing PFD (banded
      LU feedback) match the oracle; grid-plan-nan in column mode falls
      back and is counted; a mixing-PFD grid stays within an allocation
-     budget. *)
+     budget;
+   - row demand: every entry (Plan.element) and row (Plan.row) of
+     diagonal, banded, rank-one (with and without the λ override),
+     diagonal-loop and dense roots is bit-identical to a full
+     evaluation, read on a plan dirtied at another point and row; the
+     noise fold through Plan.row equals the full-evaluation fold bit
+     for bit; the exact-λ baseband allocates the same per point at
+     n_harm 8 and 80. *)
 
 open Numeric
 open Helpers
@@ -469,9 +476,9 @@ let test_noise_htm_matches_folded () =
 (* ------------------------------------------------------------------ *)
 (* loops closed around a banded open loop: banded LU, column demand    *)
 
-(* a mixing PFD (band 1) behind a time-invariant or an ISF VCO (band 2
-   + 1 = 3) *)
-let mixing_loop ~isf =
+(* the default loop behind a time-invariant or an ISF VCO (band 2), with
+   the sampling PFD or a mixing one (band 1) *)
+let loop ~isf ~mixing =
   let spec = spec_default in
   let base = pll_of spec in
   let vco =
@@ -481,9 +488,13 @@ let mixing_loop ~isf =
         ~harmonics:[ Cx.of_float 0.3; Cx.make 0.05 (-0.04) ]
     else base.Pll_lib.Pll.vco
   in
+  let pfd = if mixing then Pll_lib.Pfd.mixing ~gain:1.3 else Pll_lib.Pfd.sampling in
   Pll_lib.Pll.make ~fref:spec.Pll_lib.Design.fref ~n_div:spec.Pll_lib.Design.n_div
-    ~filter:base.Pll_lib.Pll.filter ~vco
-    ~pfd:(Pll_lib.Pfd.mixing ~gain:1.3) ()
+    ~filter:base.Pll_lib.Pll.filter ~vco ~pfd ()
+
+(* a mixing PFD (band 1) behind a time-invariant or an ISF VCO (band
+   2 + 1 = 3) *)
+let mixing_loop ~isf = loop ~isf ~mixing:true
 
 let test_mixing_loops_match_oracle () =
   List.iter
@@ -562,6 +573,163 @@ let test_mixing_alloc_budget () =
     (Printf.sprintf "%.0f words/pt within the 2000 budget" per_pt)
     (per_pt <= 2000.0)
 
+(* ------------------------------------------------------------------ *)
+(* row demand: entries, rows and the noise fold                        *)
+
+(* an ISF-VCO loop (banded open loop, rank-one feedback) *)
+let isf_loop () = loop ~isf:true ~mixing:false
+
+(* Every entry and every row of a plan under entry demand, each read
+   on a plan last evaluated at another point and another row, is
+   bit-identical to that entry of a full evaluation. *)
+let check_row_demand what c plan =
+  let g = Prng.create ~seed:0x40D1L in
+  let n_harm = c.Htm.n_harm and n = Htm.dim c in
+  let idx = Htm.index_of_harmonic c in
+  let harm () = rint g n - n_harm in
+  List.iter
+    (fun s ->
+      let full = Plan.to_cmat plan s in
+      for i = -n_harm to n_harm do
+        for k = -n_harm to n_harm do
+          ignore (Plan.element plan ~n:(harm ()) ~m:(harm ()) (gen_s g));
+          check_bits
+            (Printf.sprintf "%s element (%d,%d)" what i k)
+            (Cmat.get full (idx i) (idx k))
+            (Plan.element plan ~n:i ~m:k s)
+        done;
+        ignore (Plan.element plan ~n:(harm ()) ~m:(harm ()) (gen_s g));
+        let r = Plan.row plan ~n:i s in
+        for k = 0 to n - 1 do
+          check_bits
+            (Printf.sprintf "%s row %d entry %d" what i k)
+            (Cmat.get full (idx i) k) (Cvec.get r k)
+        done
+      done)
+    [ Cx.make 0.07 0.4; Cx.jomega 1.3 ]
+
+let test_row_demand_roots () =
+  let c = Htm.ctx ~n_harm:4 ~omega0:2.0 in
+  let g = Prng.create ~seed:0x20E5L in
+  let lti () = gen_lti_rat g and lti_fn () = gen_lti g in
+  let gain k =
+    Htm.periodic_gain (Array.init ((2 * k) + 1) (fun _ -> gen_cx_with g 0.4))
+  in
+  let custom = gen_custom g in
+  let small z t = Htm.scale (Cx.of_float z) t in
+  let cases =
+    [
+      ("diagonal", Htm.series (lti ()) (lti_fn ()), `Diag);
+      (* periodic gain · LTI · periodic gain: bandwidth 3, and the
+         right-hand gain reads rows widened by the left-hand band *)
+      ("banded", Htm.series (Htm.series (gain 2) (lti ())) (gain 1), `Band 3);
+      ( "banded sum",
+        Htm.sub
+          (Htm.scale (Cx.make 0.3 0.1) (Htm.series (gain 1) (lti ())))
+          (lti_fn ()),
+        `Band 1 );
+      (* A·(u vᵀ) behind a banded A, and (u vᵀ)·B *)
+      ( "rank one, banded A",
+        Htm.series (gain 2) (Htm.series (lti ()) Htm.sampler),
+        `Rank1 );
+      ( "rank one, (u vᵀ)·B",
+        Htm.series Htm.sampler (Htm.series (gain 1) (lti ())),
+        `Rank1 );
+      ( "rank-one loop",
+        Htm.feedback
+          (small 0.2 (Htm.series (gain 1) (Htm.series (lti ()) Htm.sampler))),
+        `Rank1 );
+      ( "diagonal loop",
+        Htm.feedback (Htm.series (lti ()) (small 0.3 (lti_fn ()))),
+        `Diag );
+      ( "dense (banded LU)",
+        Htm.feedback (small 0.2 (Htm.series (lti ()) (gain 1))),
+        `Dense );
+      ( "dense (custom)",
+        Htm.series (lti ()) (Htm.series custom (gain 1)),
+        `Dense );
+    ]
+  in
+  List.iter
+    (fun (what, t, shape) ->
+      let plan = Plan.make c t in
+      check_true (what ^ ": root shape") (Plan.root_shape plan = shape);
+      check_row_demand what c plan)
+    cases;
+  (* the closed loops of the PLL classes: the exact-λ override on the
+     time-invariant loop, rank one without it, the override behind an
+     ISF VCO's banded open loop (not the right λ for that loop, but the
+     row reach it exercises is), and the mixing PFD's LU *)
+  let ti = pll_of spec_default and isf = isf_loop () in
+  let w0 = Pll_lib.Pll.omega0 ti in
+  let cp = Htm.ctx ~n_harm:3 ~omega0:w0 in
+  List.iter
+    (fun (what, plan) -> check_row_demand what cp plan)
+    [
+      ("ti, exact λ", Pll_lib.Pll.closed_loop_plan cp ti);
+      ("ti, no override", Pll_lib.Pll.closed_loop_plan ~exact_lambda:false cp ti);
+      ( "isf, λ override",
+        Plan.make ~lambda:(Pll_lib.Pll.lambda_fn ti Pll_lib.Pll.Exact) cp
+          (Pll_lib.Pll.closed_loop_htm isf) );
+      ("isf", Pll_lib.Pll.closed_loop_plan cp isf);
+      ("mix", Pll_lib.Pll.closed_loop_plan cp (mixing_loop ~isf:false));
+    ]
+
+(* The noise fold reads row 0 through Plan.row: each term is the entry
+   of a full evaluation, and the sum is the one a full evaluation gives,
+   bit for bit, on the three loop classes. *)
+let test_noise_row_demand () =
+  List.iter
+    (fun (what, p) ->
+      let w0 = Pll_lib.Pll.omega0 p in
+      let n_harm = 8 in
+      let c = Htm.ctx ~n_harm ~omega0:w0 in
+      let s_ref = Pll_lib.Noise.lorentzian ~level:1e-12 ~corner:(0.02 *. w0) in
+      let ws = [| 0.01 *. w0; 0.15 *. w0; 0.35 *. w0 |] in
+      let got = Pll_lib.Noise.reference_noise_out_htm p ~n_harm s_ref ws in
+      let plan = Pll_lib.Pll.closed_loop_plan c p in
+      let i0 = Htm.index_of_harmonic c 0 in
+      Array.iteri
+        (fun j w ->
+          let row = Plan.row plan ~n:0 (Cx.jomega w) in
+          let sm = Plan.eval plan (Cx.jomega w) in
+          let acc = ref 0.0 in
+          for m = -n_harm to n_harm do
+            let h = Smat.get sm i0 (Htm.index_of_harmonic c m) in
+            check_bits
+              (Printf.sprintf "%s at %g: term %d" what w m)
+              h
+              (Cvec.get row (Htm.index_of_harmonic c m));
+            acc := !acc +. (Cx.norm2 h *. s_ref (w +. (float_of_int m *. w0)))
+          done;
+          check_true
+            (Printf.sprintf "%s at %g: folded sum bit-identical" what w)
+            (bits_equal !acc got.(j)))
+        ws)
+    [
+      ("ti", pll_of spec_default);
+      ("isf", isf_loop ());
+      ("mix", mixing_loop ~isf:false);
+    ]
+
+(* Behind the exact λ the baseband entry is two leaf evaluations plus
+   λ: its allocation must not grow with the truncation *)
+let test_exact_lambda_alloc_flat () =
+  let p = pll_of spec_default in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let ss = Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) 100) in
+  let words_per_pt n_harm =
+    let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm ~omega0:w0) p in
+    ignore (Plan.baseband plan ss.(0));
+    let w_before = Gc.minor_words () in
+    Array.iter (fun s -> ignore (Plan.baseband plan s)) ss;
+    (Gc.minor_words () -. w_before) /. 100.0
+  in
+  let w8 = words_per_pt 8 and w80 = words_per_pt 80 in
+  check_true
+    (Printf.sprintf "n_harm 80: %.1f words/pt, n_harm 8: %.1f (within 8)" w80 w8)
+    (Float.abs (w80 -. w8) <= 8.0)
+
 let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
@@ -589,4 +757,10 @@ let suite =
     case "grid-plan-nan in column mode degrades to the oracle"
       test_injected_nan_column_mode;
     case "mixing-PFD baseband allocation budget" test_mixing_alloc_budget;
+    case "row demand: entries and rows = full evaluation, bit for bit"
+      test_row_demand_roots;
+    case "noise fold through Plan.row = full evaluation, bit for bit"
+      test_noise_row_demand;
+    case "exact-λ baseband allocation flat in n_harm"
+      test_exact_lambda_alloc_flat;
   ]

@@ -5,7 +5,8 @@
      Hilbert-like and rank-deficient matrices;
    - every injected fault (lu-pivot, smat-nan, power-stall, pool-task)
      produces its typed error or a dense-oracle fallback that matches
-     to_matrix_dense to 1e-9, counted in Robust.Stats;
+     to_matrix_dense to 1e-9, counted in Robust.Stats; smat-nan and
+     grid-plan-nan also under row demand, at a row other than 0;
    - the SMW denominator guard degrades a near-singular closed loop to
      the dense oracle (and raises under --strict);
    - checked pool sweeps retry deterministically, survivors staying
@@ -197,6 +198,36 @@ let test_injected_smat_nan () =
   let st = Robust.Stats.snapshot () in
   check_int "one dense fallback" 1 st.Robust.Stats.dense_fallbacks;
   check_int "counted as non-finite" 1 st.Robust.Stats.nonfinite_guards
+
+(* Row demand: an entry query realizes only the rows that reach the
+   entry, so both injection sites must land in the row the caller reads
+   — smat-nan in the first row of the matvec's window, grid-plan-nan at
+   the demanded entry — or the guards, which scan only those rows,
+   would miss them. Row 2 (harmonic -1 of 7) is not row 0. *)
+let test_injected_nan_row_mode () =
+  let oracle =
+    Cmat.get (Htm.to_matrix_dense ctx3 sampler_chain s0)
+      (Htm.index_of_harmonic ctx3 (-1)) (Htm.index_of_harmonic ctx3 1)
+  in
+  List.iter
+    (fun spec ->
+      let plan = Plan.make ctx3 sampler_chain in
+      (* dirty every row first, at another point *)
+      ignore (Plan.eval plan (Cx.make 0.3 (-0.2)));
+      Robust.Stats.reset ();
+      Robust.Inject.configure spec;
+      let e = Plan.element plan ~n:(-1) ~m:1 s0 in
+      Robust.Inject.disarm ();
+      let st = Robust.Stats.snapshot () in
+      check_int (spec ^ ": one dense fallback") 1 st.Robust.Stats.dense_fallbacks;
+      check_int (spec ^ ": counted as non-finite") 1
+        st.Robust.Stats.nonfinite_guards;
+      check_true (spec ^ ": fallback = oracle")
+        (Int64.equal (Int64.bits_of_float (Cx.re e))
+           (Int64.bits_of_float (Cx.re oracle))
+        && Int64.equal (Int64.bits_of_float (Cx.im e))
+             (Int64.bits_of_float (Cx.im oracle))))
+    [ "smat-nan:1"; "grid-plan-nan:1" ]
 
 let test_injected_power_stall () =
   Robust.Inject.configure "power-stall:*";
@@ -392,6 +423,8 @@ let suite =
       (clean test_injected_lu_pivot);
     case "inject smat-nan: typed Non_finite + dense fallback"
       (clean test_injected_smat_nan);
+    case "inject smat-nan / grid-plan-nan in row mode: fallback = oracle"
+      (clean test_injected_nan_row_mode);
     case "inject power-stall: typed Non_convergence"
       (clean test_injected_power_stall);
     case "SMW guard: near-singular loop falls back; strict raises"

@@ -105,6 +105,40 @@ let prop_derivative_recursion =
       let expected = Cx.scale (-1.0 /. float_of_int k) d in
       Cx.approx ~tol:1e-4 expected (Special.harmonic_sum ~k:(k + 1) ~omega0 z))
 
+(* the prepared sum is the term-by-term fold of harmonic_sum, bit for
+   bit, also where consecutive terms share a pole (and so a coth) *)
+let test_lattice_sum_bit_identical () =
+  let term pole order residue = { Partial_fraction.pole; order; residue } in
+  let p0 = Cx.zero and p1 = Cx.make (-0.3) 0.8 in
+  let terms =
+    [ term p0 2 (Cx.make 1.5 0.0); term p0 1 (Cx.make (-0.4) 0.1);
+      term p1 1 (Cx.make 0.2 (-0.7)); term p1 3 (Cx.make 0.05 0.02);
+      term p0 1 (Cx.make 0.3 0.3) ]
+  in
+  let omega0 = 2.0 *. Float.pi *. 1.3 in
+  let lam = Special.lattice_sum ~omega0 terms in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun s ->
+      let fold =
+        List.fold_left
+          (fun acc { Partial_fraction.pole; order; residue } ->
+            Cx.add acc
+              (Cx.mul residue
+                 (Special.harmonic_sum ~k:order ~omega0 (Cx.sub s pole))))
+          Cx.zero terms
+      in
+      let got = lam s in
+      check_true
+        (Printf.sprintf "lattice_sum at %s" (Cx.to_string s))
+        (Int64.equal (bits (Cx.re fold)) (bits (Cx.re got))
+        && Int64.equal (bits (Cx.im fold)) (bits (Cx.im got))))
+    [ Cx.make 0.01 0.2; Cx.jomega 3.7; Cx.make (-0.5) 11.0 ];
+  Alcotest.check_raises "order 0"
+    (Invalid_argument "Special.lattice_sum: order must be >= 1") (fun () ->
+      let (_ : Cx.t -> Cx.t) = Special.lattice_sum ~omega0 [ term p0 0 Cx.one ] in
+      ())
+
 let suite =
   [
     case "coth basics" test_coth_basics;
@@ -116,6 +150,8 @@ let suite =
     case "S2 closed value" test_s2_known_value;
     case "lattice periodicity" test_periodicity;
     case "invalid order" test_invalid_k;
+    case "lattice_sum = fold of harmonic_sum, bit for bit"
+      test_lattice_sum_bit_identical;
     prop_s2_matches_truncation;
     prop_derivative_recursion;
   ]
