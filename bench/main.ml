@@ -194,7 +194,8 @@ let run_parallel_bench () =
    for CI tracking (the "structured_*" keys are the one-point plan
    side, "mixing_runs" the banded-LU rows, "exact_lambda_runs" the
    compiled exact-λ loop's Plan.baseband per point, with λ alone in
-   "exact_lambda_alone"). *)
+   "exact_lambda_alone", and "exact_lambda_isf_runs" /
+   "exact_lambda_isf_alone" the same behind an ISF VCO). *)
 let run_kernel_bench () =
   Format.printf "@.== HTM kernels: one-point plan (Smat) vs dense evaluation ==@.";
   let s = Numeric.Cx.jomega (0.2 *. w0) in
@@ -282,26 +283,39 @@ let run_kernel_bench () =
         (n_harm, Htm_core.Htm.dim ctx, dense_us, full_us, h00_us, dense_b, full_b, h00_b))
       [ 10; 20; 40; 80 ]
   in
-  (* The exact-λ loop (time-invariant VCO behind the sampler) in a
-     compiled plan: [Plan.baseband] demands one entry, so a point is two
-     leaf evaluations plus λ(s) whatever n_harm is; λ alone is timed
-     for scale. *)
-  Format.printf "  exact-λ loop (compiled plan, Plan.baseband per point):@.";
-  let lam = Pll_lib.Pll.lambda_fn pll Pll_lib.Pll.Exact in
-  let lambda_us = time_ns (fun () -> lam s) /. 1e3
-  and lambda_b = bytes_per_eval (fun () -> lam s) in
-  Format.printf "  λ(s) alone: %7.3f us; alloc %9.3e B@." lambda_us lambda_b;
-  let exact_rows =
-    List.map
-      (fun n_harm ->
-        let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
-        let plan = Pll_lib.Pll.closed_loop_plan ctx pll in
-        let h00 () = Htm_core.Plan.baseband plan s in
-        let h00_us = time_ns h00 /. 1e3 and h00_b = bytes_per_eval h00 in
-        Format.printf "  n_harm %3d: baseband %7.3f us; alloc %9.3e B@." n_harm
-          h00_us h00_b;
-        (n_harm, Htm_core.Htm.dim ctx, h00_us, h00_b))
-      [ 10; 20; 40; 80 ]
+  (* The exact-λ loops in a compiled plan: [Plan.baseband] demands one
+     entry, so a point is λ(s) plus the leaf rows that feed row 0 — two
+     behind a time-invariant VCO, ±K behind an ISF VCO with K
+     harmonics — whatever n_harm is; λ alone is timed for scale. *)
+  let exact_lambda_rung what p =
+    Format.printf "  exact-λ loop, %s (compiled plan, Plan.baseband per point):@." what;
+    let lam = Pll_lib.Pll.lambda_fn p Pll_lib.Pll.Exact in
+    let lambda_us = time_ns (fun () -> lam s) /. 1e3
+    and lambda_b = bytes_per_eval (fun () -> lam s) in
+    Format.printf "  λ(s) alone: %7.3f us; alloc %9.3e B@." lambda_us lambda_b;
+    let rows =
+      List.map
+        (fun n_harm ->
+          let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
+          let plan = Pll_lib.Pll.closed_loop_plan ctx p in
+          let h00 () = Htm_core.Plan.baseband plan s in
+          let h00_us = time_ns h00 /. 1e3 and h00_b = bytes_per_eval h00 in
+          Format.printf "  n_harm %3d: baseband %7.3f us; alloc %9.3e B@." n_harm
+            h00_us h00_b;
+          (n_harm, Htm_core.Htm.dim ctx, h00_us, h00_b))
+        [ 10; 20; 40; 80 ]
+    in
+    (rows, lambda_us, lambda_b)
+  in
+  let exact_rows, lambda_us, lambda_b = exact_lambda_rung "time-invariant VCO" pll in
+  let isf_rows, isf_lambda_us, isf_lambda_b =
+    exact_lambda_rung "ISF VCO, K = 2"
+      (Pll_lib.Pll.make ~fref:spec.fref ~n_div:spec.n_div
+         ~filter:pll.Pll_lib.Pll.filter
+         ~vco:
+           (Pll_lib.Vco.with_isf ~kvco:spec.kvco ~n_div:spec.n_div ~fref:spec.fref
+              ~harmonics:[ Numeric.Cx.of_float 0.3; Numeric.Cx.make 0.05 (-0.04) ])
+         ())
   in
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
@@ -334,22 +348,28 @@ let run_kernel_bench () =
            (if i = List.length mix_rows - 1 then "" else ",")))
     mix_rows;
   Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"exact_lambda_runs\": [\n";
-  List.iteri
-    (fun i (n_harm, dim, h00_us, h00_b) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"n_harm\": %d, \"dim\": %d, \"baseband_us\": %.3f, \
-            \"baseband_bytes\": %.1f}%s\n"
-           n_harm dim h00_us h00_b
-           (if i = List.length exact_rows - 1 then "" else ",")))
-    exact_rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"exact_lambda_alone\": {\"lambda_us\": %.3f, \"lambda_bytes\": \
-        %.1f}\n"
-       lambda_us lambda_b);
+  let add_exact key rows alone_key lambda_us lambda_b ~last =
+    Buffer.add_string b (Printf.sprintf "  \"%s\": [\n" key);
+    List.iteri
+      (fun i (n_harm, dim, h00_us, h00_b) ->
+        Buffer.add_string b
+          (Printf.sprintf
+             "    {\"n_harm\": %d, \"dim\": %d, \"baseband_us\": %.3f, \
+              \"baseband_bytes\": %.1f}%s\n"
+             n_harm dim h00_us h00_b
+             (if i = List.length rows - 1 then "" else ",")))
+      rows;
+    Buffer.add_string b "  ],\n";
+    Buffer.add_string b
+      (Printf.sprintf
+         "  \"%s\": {\"lambda_us\": %.3f, \"lambda_bytes\": %.1f}%s\n"
+         alone_key lambda_us lambda_b
+         (if last then "" else ","))
+  in
+  add_exact "exact_lambda_runs" exact_rows "exact_lambda_alone" lambda_us lambda_b
+    ~last:false;
+  add_exact "exact_lambda_isf_runs" isf_rows "exact_lambda_isf_alone" isf_lambda_us
+    isf_lambda_b ~last:true;
   Buffer.add_string b "}\n";
   Runner.Atomic_file.write_string "BENCH_kernels.json" (Buffer.contents b);
   Format.printf "wrote BENCH_kernels.json@."

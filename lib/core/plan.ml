@@ -25,10 +25,11 @@
    or dense open loop) solves only the demanded right-hand side.
    Either way the entries read are bit-identical to the same entries
    of a full realization. Measured with Gc.minor_words on one domain,
-   a [baseband] point of the exact-λ loop allocates ~230 words at
-   n_harm 8 and at n_harm 80 alike (a full realization: ~340 and
-   ~910); at n_harm 20, ~230 for a mixing-PFD loop (banded LU
-   feedback) and ~280 for an ISF-VCO loop, which need every row.
+   a [baseband] point of an exact-λ loop allocates ~240 words
+   (time-invariant VCO) or ~275 (ISF VCO, two harmonics) at n_harm 8
+   and at n_harm 80 alike (a full realization: ~340 and ~910); at
+   n_harm 20, ~230 for a mixing-PFD loop (banded LU feedback), which
+   needs every row.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -387,6 +388,21 @@ let checked_view plan ~row ~col s =
 
 let eval_checked plan s = checked_view plan ~row:all_rows ~col:all_cols s
 
+(* What a failing point degrades to: the dense oracle of the plan's
+   tree — of the loop the plan evaluates, so a rank-one root closed
+   with the λ(s) override is the dense open loop G = u·vᵀ over
+   1 + λ(s), not the truncated (I + G)⁻¹·G. The one sanctioned
+   dense-oracle call outside oracle code: non-strict mode degrades
+   here and records that it did. *)
+let dense_oracle plan s =
+  let oracle t =
+    (Htm_expr.to_matrix_dense plan.ctx t s [@lint.allow "oracle-only"])
+  in
+  match (plan.root, plan.expr) with
+  | { op = Kfb (_, _, Some lam); slot = { sh = `Rank1; _ }; _ }, Feedback g ->
+      Cmat.scale (Cx.inv (Cx.add Cx.one (lam s))) (oracle g)
+  | _ -> oracle plan.expr
+
 (* The one guard/fallback driver: guards off → unchecked kernels;
    guards on → the checked evaluation, degrading to the dense oracle
    (counted in [Robust.Stats]) unless strict mode refuses. [row] and
@@ -405,11 +421,7 @@ let eval_view plan ~row ~col s =
         if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
         else begin
           Robust.Stats.record_fallback e;
-          (* the one sanctioned dense-oracle call outside oracle code:
-             non-strict mode degrades here and records that it did *)
-          `Dense
-            (Htm_expr.to_matrix_dense plan.ctx plan.expr s
-            [@lint.allow "oracle-only"])
+          `Dense (dense_oracle plan s)
         end
 
 let eval plan s =

@@ -34,9 +34,12 @@ type t
     [lambda] is the [Special] closed-form fast path: when the {b
     outermost} [Feedback] node realizes as rank one (sampling-PFD loop),
     its Sherman–Morrison denominator term [vᵀu] is replaced by
-    [lambda s] — the closed-form loop gain λ(s) of eq. 28, exact for
-    time-invariant-VCO loops (see [Pll.lambda_fn]). It is ignored for
-    other shapes and for inner feedback nodes. *)
+    [lambda s] — the closed-form loop gain λ(s), exact for any VCO ISF
+    behind the sampler (see [Pll.lambda_fn]). It is ignored for other
+    shapes and for inner feedback nodes. A point of such a plan that
+    falls back degrades to the dense open loop [G = u·vᵀ] over
+    [1 + lambda s] — the loop the plan evaluates — not to the truncated
+    [(I + G)⁻¹·G]. *)
 val make : ?lambda:(Cx.t -> Cx.t) -> ctx -> Htm_expr.t -> t
 
 val ctx : t -> ctx
@@ -82,12 +85,13 @@ val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
     — the rows of it that can feed a given row of the root — so a query
     reading row [i] realizes only those rows of each node: the LTI
     leaves, the products and the closed forms work on a window of rows
-    instead of all [dim]. Behind the exact λ(s) of a time-invariant
-    VCO loop ([Pll.closed_loop_plan]) the baseband entry is then two
-    leaf evaluations plus λ, whatever [n_harm] is: measured with
-    [Gc.minor_words] on one domain, ~230 words per {!baseband} point
-    at n_harm 8 and at n_harm 80 alike (~340 and ~910 when every row
-    was realized).
+    instead of all [dim]. Behind the exact λ(s) of a sampling loop
+    ([Pll.closed_loop_plan]) the baseband entry is then λ plus two leaf
+    evaluations (time-invariant VCO) or a ±K-row window (ISF VCO with
+    K harmonics), whatever [n_harm] is: measured with
+    [Gc.minor_words] on one domain, ~240 (time-invariant) and ~275
+    (K = 2) words per {!baseband} point at n_harm 8 and at n_harm 80
+    alike (~340 and ~910 when every row was realized).
     A rank-one loop without the override (its [vᵀu] reads every row),
     a banded/dense LU, dense results and custom blocks realize every
     row. {b Column demand}: a dense feedback root (a loop closed

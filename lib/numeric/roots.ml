@@ -80,11 +80,14 @@ let all ?max_iter ?tol p =
   | 2 -> quadratic (Poly.coeff p 2) (Poly.coeff p 1) (Poly.coeff p 0)
   | _ -> durand_kerner ?max_iter ?tol p
 
-let cluster ?(tol = 1e-6) roots =
+let cluster_eps ?(tol = 1e-6) roots =
   let scale_mag =
     List.fold_left (fun acc z -> Stdlib.max acc (Cx.abs z)) 1.0 roots
   in
-  let eps = tol *. scale_mag in
+  tol *. scale_mag
+
+let cluster ?tol roots =
+  let eps = cluster_eps ?tol roots in
   let groups : (Cx.t * Cx.t list) list ref = ref [] in
   List.iter
     (fun z ->

@@ -14,7 +14,12 @@ val all : ?max_iter:int -> ?tol:float -> Poly.t -> Cx.t list
 (** [newton_polish p z] runs a few Newton steps on [p] from [z]. *)
 val newton_polish : ?steps:int -> Poly.t -> Cx.t -> Cx.t
 
-(** [cluster ?tol roots] groups roots closer than [tol] (relative to the
-    root magnitude scale) into (representative, multiplicity) pairs; the
-    representative is the cluster mean. *)
+(** [cluster_eps ?tol roots] is the distance at or below which
+    {!cluster} merges two of [roots]: [tol] (default [1e-6]) times the
+    largest root magnitude, or times 1 if that is smaller. *)
+val cluster_eps : ?tol:float -> Cx.t list -> float
+
+(** [cluster ?tol roots] groups roots at most [cluster_eps ?tol roots]
+    apart into (representative, multiplicity) pairs; the representative
+    is the cluster mean. *)
 val cluster : ?tol:float -> Cx.t list -> (Cx.t * int) list

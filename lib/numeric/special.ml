@@ -107,6 +107,46 @@ let lattice_sum ~omega0 terms =
     done;
     !acc
 
+(* S_k(z + jdω₀) = S_k(z): terms of one order whose poles differ by a
+   multiple of jω₀ are one term with the summed residue. A class is
+   keyed by its first pole, which every member then carries, so
+   [lattice_sum] computes one coth per class. Two poles share a class
+   when, moved together by the nearest multiple of jω₀, they are one
+   root by [Roots.cluster]'s rule over the poles moved into the strip
+   around the real axis. *)
+let fold_classes ~omega0 terms =
+  let shift p q =
+    Cx.jomega (Float.round ((Cx.im q -. Cx.im p) /. omega0) *. omega0)
+  in
+  let eps =
+    Roots.cluster_eps
+      (List.map
+         (fun { Partial_fraction.pole; _ } -> Cx.sub pole (shift Cx.zero pole))
+         terms)
+  in
+  let same_class p q = Cx.abs (Cx.sub (Cx.sub q (shift p q)) p) <= eps in
+  (* classes in order of first appearance, each with its orders in
+     order of first appearance *)
+  let classes = ref [] in
+  List.iter
+    (fun { Partial_fraction.pole; order; residue } ->
+      match List.find_opt (fun (rep, _) -> same_class rep pole) !classes with
+      | None -> classes := !classes @ [ (pole, ref [ (order, residue) ]) ]
+      | Some (_, members) ->
+          members :=
+            if List.mem_assoc order !members then
+              List.map
+                (fun (o, r) -> if o = order then (o, Cx.add r residue) else (o, r))
+                !members
+            else !members @ [ (order, residue) ])
+    terms;
+  List.concat_map
+    (fun (pole, members) ->
+      List.map
+        (fun (order, residue) -> { Partial_fraction.pole; order; residue })
+        !members)
+    !classes
+
 let harmonic_sum_truncated ~k ~omega0 ~terms z =
   (* Sum symmetric pairs together for cancellation-friendly accumulation. *)
   let term m =

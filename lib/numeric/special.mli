@@ -38,6 +38,28 @@ val harmonic_sum : k:int -> omega0:float -> Cx.t -> Cx.t
     @raise Invalid_argument if an order is [< 1]. *)
 val lattice_sum : omega0:float -> Partial_fraction.term list -> Cx.t -> Cx.t
 
+(** [fold_classes ~omega0 terms] merges the terms of equal order
+    whose poles differ by an integer multiple of [jω₀]. Because
+    [S_k(z + jdω₀) = S_k(z)] (equivalently
+    [coth(π(s − p + jdω₀)/ω₀) = coth(π(s − p)/ω₀)]), such terms are one
+    term whose residue is the sum of theirs. Poles [p], [q] share a
+    class when [q − jkω₀], [k] the integer nearest [Im(q − p)/ω₀], is
+    within {!Roots.cluster_eps} of [p] — the distance at which
+    {!Partial_fraction.expand} makes two roots one pole — taken over
+    the poles moved by multiples of [jω₀] next to the real axis.
+
+    The result lists the classes in order of first appearance, each
+    class's orders in order of first appearance, and every member of a
+    class carries the class's first pole bit for bit — so
+    {!lattice_sum} over the result computes one [coth] per class. A
+    list whose classes are already one bit-equal pole with no repeated
+    order, listed together (a time-invariant loop's expansion), comes
+    back unchanged, term for term. This is a build-time transform: the
+    lattice sum of the result equals that of [terms] to rounding, not
+    bit for bit. *)
+val fold_classes :
+  omega0:float -> Partial_fraction.term list -> Partial_fraction.term list
+
 (** [harmonic_sum_truncated ~k ~omega0 ~terms z] is the symmetric
     truncation [Σ_{m=-terms}^{terms} 1/(z + j m ω₀)^k] — the reference
     the closed form is property-tested against. *)

@@ -25,12 +25,14 @@ type closed_loop_metrics = {
 (** [lti_report p] — margins of the classical open loop [A(jω)]. *)
 val lti_report : Pll.t -> loop_report
 
-(** [effective_report ?method_ p] — margins of λ(jω), searched over
-    (0, ω₀/2). Default method: [Exact]. *)
+(** [effective_report ?method_ p] — margins of λ(jω) ({!Pll.lambda_fn},
+    the loop's own λ behind an ISF VCO too), searched over (0, ω₀/2).
+    Default method: [Exact]. *)
 val effective_report : ?method_:Pll.lambda_method -> Pll.t -> loop_report
 
 (** [closed_loop_metrics ?method_ ?points ?pool p] — peaking and
-    bandwidth of [|H₀₀(jω)|] (eq. 38) on a log grid up to ω₀/2. The grid
+    bandwidth of [|H₀₀(jω)|] ({!Pll.h00_fn}: eq. 38, or its ISF form
+    behind an ISF VCO) on a log grid up to ω₀/2. The grid
     is evaluated on [pool] (default [Parallel.Pool.default]); results
     are bit-identical for any pool size. *)
 val closed_loop_metrics :
@@ -44,10 +46,10 @@ val closed_loop_metrics :
     metrics computed from [|H₀₀|] of the {b truncated closed-loop HTM}
     (grid-batched through {!Pll.closed_loop_planner}: one plan per
     lane, one exact λ for all of them, one entry demanded per point)
-    instead of the time-invariant closed form: this path is also valid
-    for ISF VCOs and mixing PFDs, where eq. 38 does not apply. For a
-    time-invariant VCO with the sampling PFD the two agree to rounding
-    (the plan substitutes the exact λ). *)
+    instead of the closed form: this path is also valid for mixing
+    PFDs, which have no closed form. With the sampling PFD (and
+    [n_harm ≥ K] behind an ISF VCO with K harmonics) the two agree to
+    rounding (the plan substitutes the exact λ). *)
 val closed_loop_metrics_htm :
   ?n_harm:int ->
   ?points:int ->

@@ -12,9 +12,15 @@
     [λ(s) = Σ_m A(s + jmω₀)], where [A(s) = (ω₀/2π)(v₀/s)H_LF(s)] is
     the classical continuous-time LTI open loop (eq. 35).
 
+    Behind a VCO with ISF taps [Γ_k] ([|k| ≤ K], {!Vco.t}'s
+    [harmonics]) the same closed form holds with
+    [Ṽ_n(s) = g·Σ_m Γ_{n−m}·Z(s + jmω₀)/(s + jnω₀)] ([g = ω₀/2π],
+    [Z = H_LF]; 2K+1 terms) and
+    [λ(s) = Σ_d Σ_m R_d(s + jmω₀)], [R_d(z) = Γ_d·g·Z(z)/(z + jdω₀)].
+
     λ(s) is evaluated either by symmetric truncation of the sum or
-    *exactly* via partial fractions of [A] and the coth-based lattice
-    sums of {!Numeric.Special} — the paper's "symbolic expressions". *)
+    *exactly* via partial fractions and the coth-based lattice sums of
+    {!Numeric.Special} — the paper's "symbolic expressions". *)
 
 type t = {
   fref : float;  (** reference frequency, Hz *)
@@ -45,25 +51,42 @@ type lambda_method =
   | Truncated of int  (** symmetric truncation, m from -k to k *)
 
 (** [lambda_fn p method_] — precomputes the expansion and returns an
-    evaluator for λ(s). The [Exact] evaluator costs O(#poles) per
-    point. *)
+    evaluator for λ(s). For a time-invariant VCO, [Exact] is the lattice
+    sum of [A]'s partial fractions and [Truncated k] sums
+    [A(s + jmω₀)] for [|m| ≤ k]. Behind an ISF VCO, [Exact] expands
+    the DC tap's [R_0] once, derives every other tap's [R_d] (see
+    above) from that expansion, folds the terms into lattice classes
+    ({!Numeric.Special.fold_classes}) and sums them — no truncation, and
+    for two ISF harmonics about the cost of the time-invariant λ; a
+    real DC tap with no harmonics gives the time-invariant λ bit for
+    bit. The loop filter must have no pole at a nonzero multiple of
+    [−jω₀]. [Truncated k] sums [Ṽ_n] for [|n| ≤ k]. The [Exact] evaluator
+    costs O(#lattice classes) per point.
+    @raise Invalid_argument [Exact] when an expanded rational is not
+    strictly proper. *)
 val lambda_fn : t -> lambda_method -> Numeric.Cx.t -> Numeric.Cx.t
 
 (** [lambda p s] — [Exact] evaluation (convenience; re-expands each
     call — use {!lambda_fn} in sweeps). *)
 val lambda : t -> Numeric.Cx.t -> Numeric.Cx.t
 
-(** {1 Closed-loop transfers (time-invariant VCO closed form)} *)
+(** {1 Closed-loop transfers (closed form)} *)
 
 (** [h00_fn p method_] — evaluator for the baseband-to-baseband
-    closed-loop element [H₀₀(s) = A(s)/(1 + λ(s))] (eq. 38). *)
+    closed-loop element [H₀₀(s) = Ṽ₀(s)/(1 + λ(s))]: [A(s)/(1 + λ(s))]
+    for a time-invariant VCO (eq. 38), the ISF [Ṽ₀] of the module
+    preamble otherwise. It is [htm_element_fn p method_ ~n:0]. *)
 val h00_fn : t -> lambda_method -> Numeric.Cx.t -> Numeric.Cx.t
 
 val h00 : t -> Numeric.Cx.t -> Numeric.Cx.t
 
-(** [htm_element_fn p method_] — evaluator for the full closed-loop HTM
-    element [H_{n,m}(s) = A(s + jnω₀)/(1 + λ(s))] (eq. 36; independent
-    of [m]). *)
+(** [htm_element_fn p method_ ~n] — evaluator for the full closed-loop
+    HTM element [H_{n,m}(s) = Ṽ_n(s)/(1 + λ(s))], independent of [m]
+    because [l] is the all-ones vector: [A(s + jnω₀)/(1 + λ(s))] for a
+    time-invariant VCO (eq. 36), the 2K+1-term ISF [Ṽ_n] otherwise. It
+    is the plan-independent oracle of {!closed_loop_plan}: the exact
+    plan's [(n, m)] entry equals it to rounding for
+    [|n| ≤ n_harm − K]. *)
 val htm_element_fn : t -> lambda_method -> n:int -> Numeric.Cx.t -> Numeric.Cx.t
 
 (** [h00_lti p s] — the classical LTI approximation [A/(1+A)] (the
@@ -79,14 +102,18 @@ val open_loop_htm : t -> Htm_core.Htm.t
 val closed_loop_htm : t -> Htm_core.Htm.t
 
 (** [closed_loop_plan ctx p] — {!closed_loop_htm} compiled for
-    grid-batched evaluation ({!Htm_core.Plan}). When the VCO is time
-    invariant and the PFD is the sampler (and [exact_lambda] is left
-    [true], the default), the plan's rank-one feedback uses the {b
-    exact} λ(s) of eq. 37 (partial fractions + coth lattice sums) in
-    place of the truncated Sherman–Morrison denominator [vᵀu]: the
-    planned H₀₀ then matches {!h00} to rounding rather than to the
-    truncation tail. Each concurrent lane needs its own plan — see the
-    ownership rule in [Parallel.Sweep.grid_local]. *)
+    grid-batched evaluation ({!Htm_core.Plan}). When the PFD is the
+    sampler (and [exact_lambda] is left [true], the default), the plan's
+    rank-one feedback uses the {b exact} λ(s) of {!lambda_fn} in place
+    of the truncated Sherman–Morrison denominator [vᵀu]: the planned
+    entries then match {!htm_element_fn} to rounding rather than to the
+    truncation tail, and an entry reads only the rows that feed it (two
+    leaf rows behind a time-invariant VCO, ±K behind an ISF VCO with K
+    harmonics) whatever [n_harm] is. Behind an ISF VCO with
+    [ctx.n_harm < K], row 0's [u] is itself truncated, and the plan
+    keeps [vᵀu] — it is the [~exact_lambda:false] plan. Each concurrent
+    lane needs its own plan — see the ownership rule in
+    [Parallel.Sweep.grid_local]. *)
 val closed_loop_plan : ?exact_lambda:bool -> Htm_core.Htm.ctx -> t -> Htm_core.Plan.t
 
 (** [closed_loop_planner ?exact_lambda p] — [closed_loop_plan

@@ -33,7 +33,15 @@
      evaluation, read on a plan dirtied at another point and row; the
      noise fold through Plan.row equals the full-evaluation fold bit
      for bit; the exact-λ baseband allocates the same per point at
-     n_harm 8 and 80. *)
+     n_harm 8 and 80, behind a time-invariant and an ISF VCO;
+   - exact λ behind an ISF VCO: the plan's entries equal the closed
+     form Pll.htm_element_fn to 1e-12, its metrics do not move between
+     n_harm 8 and 80, below n_harm = K the planner keeps the truncated
+     plan, and golden rows pin H₀₀ and the metrics at n_harm 20;
+   - the dense fallback of an exact-λ plan is the oracle of the same
+     loop (G over 1 + λ): under grid-plan-nan a grid equals the clean
+     grid, strict mode refuses, and plans without λ fall back to the
+     dense oracle of their tree bit for bit. *)
 
 open Numeric
 open Helpers
@@ -657,9 +665,8 @@ let test_row_demand_roots () =
       check_row_demand what c plan)
     cases;
   (* the closed loops of the PLL classes: the exact-λ override on the
-     time-invariant loop, rank one without it, the override behind an
-     ISF VCO's banded open loop (not the right λ for that loop, but the
-     row reach it exercises is), and the mixing PFD's LU *)
+     time-invariant loop and behind an ISF VCO's banded open loop, rank
+     one without it, and the mixing PFD's LU *)
   let ti = pll_of spec_default and isf = isf_loop () in
   let w0 = Pll_lib.Pll.omega0 ti in
   let cp = Htm.ctx ~n_harm:3 ~omega0:w0 in
@@ -668,26 +675,30 @@ let test_row_demand_roots () =
     [
       ("ti, exact λ", Pll_lib.Pll.closed_loop_plan cp ti);
       ("ti, no override", Pll_lib.Pll.closed_loop_plan ~exact_lambda:false cp ti);
-      ( "isf, λ override",
-        Plan.make ~lambda:(Pll_lib.Pll.lambda_fn ti Pll_lib.Pll.Exact) cp
-          (Pll_lib.Pll.closed_loop_htm isf) );
-      ("isf", Pll_lib.Pll.closed_loop_plan cp isf);
+      ("isf, exact λ", Pll_lib.Pll.closed_loop_plan cp isf);
+      ("isf, no override", Pll_lib.Pll.closed_loop_plan ~exact_lambda:false cp isf);
       ("mix", Pll_lib.Pll.closed_loop_plan cp (mixing_loop ~isf:false));
     ]
 
 (* The noise fold reads row 0 through Plan.row: each term is the entry
    of a full evaluation, and the sum is the one a full evaluation gives,
-   bit for bit, on the three loop classes. *)
+   bit for bit, on the three loop classes (and the ISF loop's row
+   terms without the λ override). *)
 let test_noise_row_demand () =
   List.iter
-    (fun (what, p) ->
+    (fun (what, p, exact_lambda) ->
       let w0 = Pll_lib.Pll.omega0 p in
       let n_harm = 8 in
       let c = Htm.ctx ~n_harm ~omega0:w0 in
       let s_ref = Pll_lib.Noise.lorentzian ~level:1e-12 ~corner:(0.02 *. w0) in
       let ws = [| 0.01 *. w0; 0.15 *. w0; 0.35 *. w0 |] in
-      let got = Pll_lib.Noise.reference_noise_out_htm p ~n_harm s_ref ws in
-      let plan = Pll_lib.Pll.closed_loop_plan c p in
+      let plan = Pll_lib.Pll.closed_loop_plan ~exact_lambda c p in
+      (* Noise folds through the planner, which always takes λ *)
+      let got =
+        if exact_lambda then
+          Some (Pll_lib.Noise.reference_noise_out_htm p ~n_harm s_ref ws)
+        else None
+      in
       let i0 = Htm.index_of_harmonic c 0 in
       Array.iteri
         (fun j w ->
@@ -702,33 +713,201 @@ let test_noise_row_demand () =
               (Cvec.get row (Htm.index_of_harmonic c m));
             acc := !acc +. (Cx.norm2 h *. s_ref (w +. (float_of_int m *. w0)))
           done;
-          check_true
-            (Printf.sprintf "%s at %g: folded sum bit-identical" what w)
-            (bits_equal !acc got.(j)))
+          Option.iter
+            (fun got ->
+              check_true
+                (Printf.sprintf "%s at %g: folded sum bit-identical" what w)
+                (bits_equal !acc got.(j)))
+            got)
         ws)
     [
-      ("ti", pll_of spec_default);
-      ("isf", isf_loop ());
-      ("mix", mixing_loop ~isf:false);
+      ("ti", pll_of spec_default, true);
+      ("isf", isf_loop (), true);
+      ("isf, no override", isf_loop (), false);
+      ("mix", mixing_loop ~isf:false, true);
     ]
 
-(* Behind the exact λ the baseband entry is two leaf evaluations plus
-   λ: its allocation must not grow with the truncation *)
+(* Behind the exact λ the baseband entry is a window of leaf
+   evaluations plus λ — two leaves for a time-invariant VCO, ±K rows
+   behind an ISF VCO: its allocation must not grow with the truncation *)
 let test_exact_lambda_alloc_flat () =
-  let p = pll_of spec_default in
+  List.iter
+    (fun (what, p) ->
+      let w0 = Pll_lib.Pll.omega0 p in
+      let ss = Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) 100) in
+      let words_per_pt n_harm =
+        let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm ~omega0:w0) p in
+        ignore (Plan.baseband plan ss.(0));
+        let w_before = Gc.minor_words () in
+        Array.iter (fun s -> ignore (Plan.baseband plan s)) ss;
+        (Gc.minor_words () -. w_before) /. 100.0
+      in
+      let w8 = words_per_pt 8 and w80 = words_per_pt 80 in
+      check_true
+        (Printf.sprintf "%s n_harm 80: %.1f words/pt, n_harm 8: %.1f (within 8)" what
+           w80 w8)
+        (Float.abs (w80 -. w8) <= 8.0))
+    [ ("ti", pll_of spec_default); ("isf", isf_loop ()) ]
+
+(* ------------------------------------------------------------------ *)
+(* exact λ behind an ISF VCO                                           *)
+
+(* The exact plan's entries are the closed form u_n/(1 + λ) wherever
+   row n of the truncated u carries all 2K+1 taps (|n| ≤ n_harm − K),
+   for every column m: an oracle independent of the plan's kernels. *)
+let test_isf_plan_matches_closed_form () =
+  let p = isf_loop () in
   let w0 = Pll_lib.Pll.omega0 p in
-  let ss = Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) 100) in
-  let words_per_pt n_harm =
-    let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm ~omega0:w0) p in
-    ignore (Plan.baseband plan ss.(0));
-    let w_before = Gc.minor_words () in
-    Array.iter (fun s -> ignore (Plan.baseband plan s)) ss;
-    (Gc.minor_words () -. w_before) /. 100.0
-  in
-  let w8 = words_per_pt 8 and w80 = words_per_pt 80 in
-  check_true
-    (Printf.sprintf "n_harm 80: %.1f words/pt, n_harm 8: %.1f (within 8)" w80 w8)
-    (Float.abs (w80 -. w8) <= 8.0)
+  let n_harm = 6 and k = 2 in
+  let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm ~omega0:w0) p in
+  List.iter
+    (fun frac ->
+      let s = Cx.jomega (frac *. w0) in
+      for n = -(n_harm - k) to n_harm - k do
+        let expected = Pll_lib.Pll.htm_element_fn p Pll_lib.Pll.Exact ~n s in
+        List.iter
+          (fun m ->
+            check_cx ~tol:1e-12
+              (Printf.sprintf "element (%d,%d) at %g·ω₀" n m frac)
+              expected (Plan.element plan ~n ~m s))
+          [ -n_harm; 0; 3 ]
+      done)
+    [ 1e-3; 0.07; 0.2; 0.45 ]
+
+(* Without the λ the metrics move with the truncation; with it they do
+   not, and they are the closed form's. The closed form's |H₀₀| differs
+   from the plan's by rounding, which moves the refined peak and -3 dB
+   frequencies on their flat extrema by ~1e-9 relative: 1e-6 there. *)
+let test_isf_metrics_flat_in_n_harm () =
+  let p = isf_loop () in
+  let open Pll_lib.Analysis in
+  let m80 = closed_loop_metrics_htm ~n_harm:80 p in
+  List.iter
+    (fun (what, m, freq_tol) ->
+      let rel ?(tol = 1e-9) field a b =
+        check_true
+          (Printf.sprintf "%s %s: %.17g vs %.17g (n_harm 80)" what field a b)
+          (Float.abs (a -. b) <= tol *. Float.abs b)
+      in
+      rel "dc_mag" m.dc_mag m80.dc_mag;
+      rel "peak_mag" m.peak_mag m80.peak_mag;
+      rel ~tol:freq_tol "peak_freq" m.peak_freq m80.peak_freq;
+      match (m.bandwidth_3db, m80.bandwidth_3db) with
+      | Some a, Some b -> rel ~tol:freq_tol "bandwidth_3db" a b
+      | None, None -> ()
+      | _ -> Alcotest.fail "bandwidth_3db presence disagrees")
+    [
+      ("n_harm 8", closed_loop_metrics_htm ~n_harm:8 p, 1e-9);
+      ("closed form", closed_loop_metrics p, 1e-6);
+    ]
+
+(* Below n_harm = K row 0's u is itself truncated: the planner keeps
+   the truncated vᵀu there, so the plan is the no-override plan *)
+let test_isf_below_k_keeps_truncated () =
+  let p = isf_loop () in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let c = Htm.ctx ~n_harm:1 ~omega0:w0 in
+  let exact = Pll_lib.Pll.closed_loop_plan c p in
+  let plain = Pll_lib.Pll.closed_loop_plan ~exact_lambda:false c p in
+  List.iter
+    (fun frac ->
+      let s = Cx.jomega (frac *. w0) in
+      let a = Plan.to_cmat exact s and b = Plan.to_cmat plain s in
+      for i = 0 to Htm.dim c - 1 do
+        for k = 0 to Htm.dim c - 1 do
+          check_bits
+            (Printf.sprintf "(%d,%d) at %g·ω₀" i k frac)
+            (Cmat.get b i k) (Cmat.get a i k)
+        done
+      done)
+    [ 1e-3; 0.2; 0.45 ]
+
+(* A point of an exact-λ plan that falls back degrades to the dense
+   oracle of the same loop — u·lᵀ over 1 + λ(s) — not to the truncated
+   (I + G)⁻¹·G: under grid-plan-nan the grid equals the clean grid *)
+let test_exact_lambda_fallback =
+  clean (fun () ->
+      List.iter
+        (fun (what, p) ->
+          let w0 = Pll_lib.Pll.omega0 p in
+          let c = Htm.ctx ~n_harm:20 ~omega0:w0 in
+          let plan = Pll_lib.Pll.closed_loop_plan c p in
+          let ss =
+            Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-3) (w0 *. 0.49) 400)
+          in
+          let grid () = Array.map (fun s -> Plan.baseband plan s) ss in
+          let clean_grid = grid () in
+          let full = Plan.to_cmat plan ss.(77) in
+          Robust.Stats.reset ();
+          Robust.Inject.configure ~seed:7 "grid-plan-nan:~0.05";
+          let faulted = grid () in
+          Robust.Inject.configure "grid-plan-nan:1";
+          let full_faulted = Plan.to_cmat plan ss.(77) in
+          Robust.Inject.disarm ();
+          let st = Robust.Stats.snapshot () in
+          check_true
+            (Printf.sprintf "%s: %d fallbacks counted" what st.Robust.Stats.dense_fallbacks)
+            (st.Robust.Stats.dense_fallbacks > 1);
+          Array.iteri
+            (fun i h ->
+              check_true
+                (Printf.sprintf "%s point %d = clean grid (1e-12)" what i)
+                (Cx.abs (Cx.sub h clean_grid.(i)) <= 1e-12 *. Cx.abs clean_grid.(i)))
+            faulted;
+          check_true (what ^ ": fallen-back matrix = clean matrix")
+            (Cmat.equal ~tol:1e-12 full full_faulted))
+        [ ("ti", pll_of spec_default); ("isf", isf_loop ()) ])
+
+let test_exact_lambda_strict_refuses =
+  clean (fun () ->
+      let p = isf_loop () in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm:8 ~omega0:w0) p in
+      Robust.Inject.configure "grid-plan-nan:1";
+      Robust.Config.set_strict true;
+      match Plan.baseband plan (Cx.jomega (0.1 *. w0)) with
+      | exception E.Error (E.Non_finite _) -> ()
+      | exception e ->
+          Alcotest.failf "expected typed Non_finite, got %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "strict mode accepted an injected NaN")
+
+(* a plan without λ still falls back to the dense oracle of its tree,
+   bit for bit *)
+let test_plain_fallback_unchanged =
+  clean (fun () ->
+      let p = isf_loop () in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let c = Htm.ctx ~n_harm:8 ~omega0:w0 in
+      let plan = Pll_lib.Pll.closed_loop_plan ~exact_lambda:false c p in
+      let s = Cx.jomega (0.13 *. w0) in
+      Robust.Inject.configure "grid-plan-nan:1";
+      let e = Plan.element plan ~n:1 ~m:0 s in
+      Robust.Inject.disarm ();
+      let oracle = Htm.to_matrix_dense c (Pll_lib.Pll.closed_loop_htm p) s in
+      check_bits "fallback = oracle"
+        (Cmat.get oracle (Htm.index_of_harmonic c 1) (Htm.index_of_harmonic c 0))
+        e)
+
+(* golden rows: the exact ISF H₀₀ and metrics at n_harm 20 *)
+let test_isf_golden () =
+  let check_golden = Test_golden.check_golden (Test_golden.load ()) in
+  let p = isf_loop () in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm:20 ~omega0:w0) p in
+  List.iter
+    (fun frac ->
+      let h = Plan.baseband plan (Cx.jomega (frac *. w0)) in
+      let key f = Printf.sprintf "isf_exact_n20_w%g.%s" frac f in
+      check_golden (key "h00_re") (Cx.re h);
+      check_golden (key "h00_im") (Cx.im h))
+    [ 0.07; 0.2; 0.45 ];
+  let m = Pll_lib.Analysis.closed_loop_metrics_htm ~n_harm:20 p in
+  let open Pll_lib.Analysis in
+  check_golden "isf_exact_n20.dc_mag" m.dc_mag;
+  check_golden "isf_exact_n20.peak_db" m.peak_db;
+  check_golden "isf_exact_n20.peak_freq" m.peak_freq;
+  check_golden "isf_exact_n20.bandwidth_3db"
+    (Option.value ~default:Float.nan m.bandwidth_3db)
 
 let suite =
   [
@@ -761,6 +940,18 @@ let suite =
       test_row_demand_roots;
     case "noise fold through Plan.row = full evaluation, bit for bit"
       test_noise_row_demand;
-    case "exact-λ baseband allocation flat in n_harm"
+    case "exact-λ baseband allocation flat in n_harm (ti, isf)"
       test_exact_lambda_alloc_flat;
+    case "exact ISF plan = closed-form elements (1e-12)"
+      test_isf_plan_matches_closed_form;
+    case "exact ISF metrics flat in n_harm (8 vs 80) = closed form"
+      test_isf_metrics_flat_in_n_harm;
+    case "ISF below n_harm = K keeps the truncated plan"
+      test_isf_below_k_keeps_truncated;
+    case "exact-λ fallback = clean grid (ti, isf)" test_exact_lambda_fallback;
+    case "exact-λ fallback refused under strict mode"
+      test_exact_lambda_strict_refuses;
+    case "fallback without λ = dense oracle, bit for bit"
+      test_plain_fallback_unchanged;
+    case "exact ISF H00 and metrics vs snapshot (n=20)" test_isf_golden;
   ]

@@ -211,6 +211,107 @@ let prop_h00_conjugate_symmetry =
         (Pll.h00 pll (Cx.neg s))
         (Cx.conj (Pll.h00 pll s)))
 
+(* ------------------------------------------------------------------ *)
+(* exact λ behind an ISF VCO                                           *)
+
+let isf_pll harmonics =
+  let spec = spec_default in
+  let vco =
+    Pll_lib.Vco.with_isf ~kvco:spec.Pll_lib.Design.kvco
+      ~n_div:spec.Pll_lib.Design.n_div ~fref:spec.Pll_lib.Design.fref
+      ~harmonics
+  in
+  Pll.make ~fref:spec.Pll_lib.Design.fref ~n_div:spec.Pll_lib.Design.n_div
+    ~filter:pll.Pll.filter ~vco ()
+
+let isf2 = isf_pll [ Cx.of_float 0.3; Cx.make 0.05 (-0.04) ]
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float (Cx.re a)) (Int64.bits_of_float (Cx.re b))
+  && Int64.equal (Int64.bits_of_float (Cx.im a)) (Int64.bits_of_float (Cx.im b))
+
+let test_isf_k0_is_ti () =
+  (* an ISF with no harmonics is the time-invariant VCO: same λ, bit
+     for bit *)
+  let k0 = isf_pll [] in
+  let ti = Pll.lambda_fn pll Pll.Exact and isf = Pll.lambda_fn k0 Pll.Exact in
+  List.iter
+    (fun frac ->
+      let s = Cx.jomega (frac *. w0) in
+      check_true (Printf.sprintf "K = 0 λ at %g·ω₀" frac) (same_bits (ti s) (isf s)))
+    [ 1e-3; 0.11; 0.37; 0.49 ]
+
+(* λ of the truncated matrix at [n_harm], summed from the structured
+   open loop (u·lᵀ: the sum of column 0 is lᵀu) — the same truncated
+   sum as [Pll.lambda_matrix] without its dense dim² matrix *)
+let lambda_truncated n_harm p s =
+  let ctx = Htm.ctx ~n_harm ~omega0:w0 in
+  let plan = Htm_core.Plan.make ctx (Pll.open_loop_htm p) in
+  Cvec.sum (Htm_core.Plan.column plan ~m:0 s)
+
+let test_isf_lambda_tail () =
+  let exact = Pll.lambda_fn isf2 Pll.Exact in
+  let s = Cx.jomega (0.23 *. w0) in
+  check_cx ~tol:1e-12 "structured truncated λ = lambda_matrix"
+    (Pll.lambda_matrix (Htm.ctx ~n_harm:20 ~omega0:w0) isf2 s)
+    (lambda_truncated 20 isf2 s);
+  (* the truncated λ converges to the closed form as 1/n_harm, with no
+     constant offset: n·gap is the same at n_harm 320 and 1280 *)
+  List.iter
+    (fun frac ->
+      let s = Cx.jomega (frac *. w0) in
+      let e = exact s in
+      let tail n =
+        float_of_int n *. Cx.abs (Cx.sub e (lambda_truncated n isf2 s)) /. Cx.abs e
+      in
+      let t320 = tail 320 and t1280 = tail 1280 in
+      check_true
+        (Printf.sprintf "n·gap at %g·ω₀: %.5f (320) vs %.5f (1280)" frac t320 t1280)
+        (Float.abs (t320 -. t1280) <= 0.01 *. t1280))
+    [ 0.11; 0.37 ]
+
+let test_isf_lambda_truncated_method () =
+  (* Truncated sums rows -T..T of the full ISF column: it approaches
+     the closed form as T grows *)
+  let exact = Pll.lambda_fn isf2 Pll.Exact in
+  let trunc = Pll.lambda_fn isf2 (Pll.Truncated 4000) in
+  List.iter
+    (fun frac ->
+      let s = Cx.jomega (frac *. w0) in
+      check_cx ~tol:1e-4 "ISF exact vs truncated" (exact s) (trunc s))
+    [ 0.07; 0.33 ]
+
+let test_isf_elements () =
+  (* H_{n,m} = u_n/(1 + λ): the large-truncation rank-one matrix
+     converges to it, and H₀₀ is the n = 0 element *)
+  let ctx = Htm.ctx ~n_harm:200 ~omega0:w0 in
+  let s = Cx.jomega (0.25 *. w0) in
+  let m = Pll.closed_loop_rank_one ctx isf2 s in
+  let c = Htm.index_of_harmonic ctx 0 in
+  for n = -2 to 2 do
+    check_cx ~tol:5e-3 "ISF matrix vs analytic element"
+      (Pll.htm_element_fn isf2 Pll.Exact ~n s)
+      (Cmat.get m (c + n) c)
+  done;
+  check_true "h00 = element (0, 0)"
+    (same_bits (Pll.h00 isf2 s) (Pll.htm_element_fn isf2 Pll.Exact ~n:0 s));
+  check_true "ISF h00 differs from the time-invariant h00"
+    (Cx.abs (Cx.sub (Pll.h00 isf2 s) (Pll.h00 pll s)) > 1e-3 *. Cx.abs (Pll.h00 pll s))
+
+let test_isf_effective_report () =
+  (* the effective margins read the ISF loop's own λ, not the
+     time-invariant one of the same design *)
+  let isf = Pll_lib.Analysis.effective_report isf2 in
+  let ti =
+    Pll_lib.Analysis.effective_report
+      { isf2 with Pll.vco = { isf2.Pll.vco with Pll_lib.Vco.harmonics = None } }
+  in
+  match (isf.Pll_lib.Analysis.phase_margin_deg, ti.Pll_lib.Analysis.phase_margin_deg) with
+  | Some a, Some b ->
+      check_true (Printf.sprintf "PM %.4f° (ISF) vs %.4f° (ti)" a b)
+        (Float.abs (a -. b) > 1e-3)
+  | _ -> Alcotest.fail "phase margins missing"
+
 let suite =
   [
     case "basics" test_basics;
@@ -232,5 +333,10 @@ let suite =
     case "time-varying VCO closed loop" test_time_varying_vco_closed_loop;
     case "closed loop + error transfer = identity" test_closed_loop_plus_error_is_identity;
     case "worst-case LPTV gain" test_worst_case_gain_exceeds_baseband;
+    case "ISF with K = 0: λ = time-invariant λ, bit for bit" test_isf_k0_is_ti;
+    case "ISF exact λ: truncated matrix tail ~ 1/n_harm" test_isf_lambda_tail;
+    case "ISF λ: exact vs truncated method" test_isf_lambda_truncated_method;
+    case "ISF closed-loop elements u_n/(1 + λ)" test_isf_elements;
+    case "ISF effective report uses the ISF λ" test_isf_effective_report;
     prop_h00_conjugate_symmetry;
   ]

@@ -139,6 +139,81 @@ let test_lattice_sum_bit_identical () =
       let (_ : Cx.t -> Cx.t) = Special.lattice_sum ~omega0 [ term p0 0 Cx.one ] in
       ())
 
+(* fold_classes: a time-invariant loop's expansion comes back term for
+   term; terms whose poles differ by multiples of jω₀ fold into their
+   class, and the folded sum equals the unfolded one *)
+let fold_omega0 = 2.0 *. Float.pi *. 1e6
+
+let ti_expansion () =
+  let p = pll_of spec_default in
+  (Partial_fraction.expand
+     (Lti.Tf.to_rat (Pll_lib.Pll.open_loop_tf p))).Partial_fraction.terms
+
+let test_fold_classes_ti_unchanged () =
+  let terms = ti_expansion () in
+  let folded = Special.fold_classes ~omega0:fold_omega0 terms in
+  check_int "same length" (List.length terms) (List.length folded);
+  let bits x = Int64.bits_of_float x in
+  let same a b =
+    Int64.equal (bits (Cx.re a)) (bits (Cx.re b))
+    && Int64.equal (bits (Cx.im a)) (bits (Cx.im b))
+  in
+  List.iter2
+    (fun (a : Partial_fraction.term) (b : Partial_fraction.term) ->
+      check_true "same pole" (same a.pole b.pole);
+      check_int "same order" a.order b.order;
+      check_true "same residue" (same a.residue b.residue))
+    terms folded
+
+let shifted_terms () =
+  let term pole order residue = { Partial_fraction.pole; order; residue } in
+  let jw k = Cx.jomega (float_of_int k *. fold_omega0) in
+  let p1 = Cx.make (-0.31 *. fold_omega0) 0.0 in
+  [
+    term Cx.zero 2 (Cx.make 1.5e12 0.0);
+    term Cx.zero 1 (Cx.make (-0.4e6) 0.1e6);
+    term p1 1 (Cx.make 0.2e6 (-0.7e6));
+    term (jw 3) 1 (Cx.make 0.3e6 0.3e6);
+    term (Cx.add p1 (jw (-2))) 1 (Cx.make (-0.1e6) 0.05e6);
+    term (jw (-1)) 2 (Cx.make 0.2e12 (-0.1e12));
+    term (Cx.add p1 (jw 1)) 2 (Cx.make 0.5e12 0.0);
+  ]
+
+let test_fold_classes_shifted_pole () =
+  let folded = Special.fold_classes ~omega0:fold_omega0 (shifted_terms ()) in
+  (* classes {0: orders 2, 1} and {p1: orders 1, 2} *)
+  check_int "four terms" 4 (List.length folded);
+  let poles = List.map (fun (t : Partial_fraction.term) -> t.pole) folded in
+  let orders = List.map (fun (t : Partial_fraction.term) -> t.order) folded in
+  check_true "orders" (orders = [ 2; 1; 1; 2 ]);
+  (match poles with
+  | [ a; b; c; d ] ->
+      check_true "3jω₀ shift joins the class at 0" (Cx.is_zero a && Cx.is_zero b);
+      check_true "p1 class keeps its first pole"
+        (Float.equal (Cx.re c) (-0.31 *. fold_omega0)
+        && Float.equal (Cx.im c) 0.0 && c = d)
+  | _ -> Alcotest.fail "four poles");
+  let residue_at i = (List.nth folded i).Partial_fraction.residue in
+  check_cx ~tol:1e-15 "order-1 residues summed at 0"
+    (Cx.make (-0.1e6) 0.4e6) (residue_at 1)
+
+let test_fold_classes_same_sum () =
+  let terms = shifted_terms () @ ti_expansion () in
+  let direct = Special.lattice_sum ~omega0:fold_omega0 terms in
+  let folded =
+    Special.lattice_sum ~omega0:fold_omega0
+      (Special.fold_classes ~omega0:fold_omega0 terms)
+  in
+  List.iter
+    (fun frac ->
+      let s = Cx.make (0.013 *. fold_omega0) (frac *. fold_omega0) in
+      let a = direct s and b = folded s in
+      check_true
+        (Printf.sprintf "folded = unfolded at %g·ω₀ (%s vs %s)" frac
+           (Cx.to_string a) (Cx.to_string b))
+        (Cx.abs (Cx.sub a b) <= 1e-13 *. Cx.abs a))
+    [ 0.02; 0.11; 0.37; 0.49; 1.7 ]
+
 let suite =
   [
     case "coth basics" test_coth_basics;
@@ -152,6 +227,12 @@ let suite =
     case "invalid order" test_invalid_k;
     case "lattice_sum = fold of harmonic_sum, bit for bit"
       test_lattice_sum_bit_identical;
+    case "fold_classes leaves a ti expansion unchanged"
+      test_fold_classes_ti_unchanged;
+    case "fold_classes: a pole shifted by 3jω₀ joins its class"
+      test_fold_classes_shifted_pole;
+    case "fold_classes: folded lattice_sum = unfolded (1e-13)"
+      test_fold_classes_same_sum;
     prop_s2_matches_truncation;
     prop_derivative_recursion;
   ]

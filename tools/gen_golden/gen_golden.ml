@@ -106,7 +106,33 @@ let generate () =
           pr (key "theta_pulse") r.Experiments.Exp_fig4.theta_pulse;
           pr (key "theta_impulse") r.Experiments.Exp_fig4.theta_impulse;
           pr (key "rel_err") r.Experiments.Exp_fig4.rel_err)
-        (Experiments.Exp_fig4.compute ~spec ~pool ()))
+        (Experiments.Exp_fig4.compute ~spec ~pool ());
+      (* The exact-λ closed loop behind an ISF VCO (harmonics 0.3 and
+         0.05 − 0.04j on the default design) at n_harm = 20: H₀₀ at
+         three points and the grid metrics, both through the planner *)
+      let isf =
+        Pll_lib.Pll.make ~fref:spec.fref ~n_div:spec.n_div
+          ~filter:p.Pll_lib.Pll.filter
+          ~vco:
+            (Pll_lib.Vco.with_isf ~kvco:spec.kvco ~n_div:spec.n_div
+               ~fref:spec.fref
+               ~harmonics:[ Numeric.Cx.of_float 0.3; Numeric.Cx.make 0.05 (-0.04) ])
+          ()
+      in
+      let plan = Pll_lib.Pll.closed_loop_plan ctx isf in
+      List.iter
+        (fun frac ->
+          let h = Htm_core.Plan.baseband plan (Numeric.Cx.jomega (frac *. w0)) in
+          let key fmt = Printf.sprintf "isf_exact_n20_w%g.%s" frac fmt in
+          pr (key "h00_re") (Numeric.Cx.re h);
+          pr (key "h00_im") (Numeric.Cx.im h))
+        [ 0.07; 0.2; 0.45 ];
+      let m = Pll_lib.Analysis.closed_loop_metrics_htm ~n_harm:20 ~pool isf in
+      pr "isf_exact_n20.dc_mag" m.Pll_lib.Analysis.dc_mag;
+      pr "isf_exact_n20.peak_db" m.Pll_lib.Analysis.peak_db;
+      pr "isf_exact_n20.peak_freq" m.Pll_lib.Analysis.peak_freq;
+      pr "isf_exact_n20.bandwidth_3db"
+        (Option.value ~default:Float.nan m.Pll_lib.Analysis.bandwidth_3db))
 
 let () =
   let out = ref None in
