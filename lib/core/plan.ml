@@ -24,12 +24,16 @@
    Column demand: a dense feedback root (a loop closed around a banded
    or dense open loop) solves only the demanded right-hand side.
    Either way the entries read are bit-identical to the same entries
-   of a full realization. Measured with Gc.minor_words on one domain,
-   a [baseband] point of an exact-λ loop allocates ~240 words
-   (time-invariant VCO) or ~275 (ISF VCO, two harmonics) at n_harm 8
-   and at n_harm 80 alike (a full realization: ~340 and ~910); at
-   n_harm 20, ~230 for a mixing-PFD loop (banded LU feedback), which
-   needs every row.
+   of a full realization. A rank-one node built as A·(u vᵀ), scaled or
+   closed by rank-one feedback shares its operand's v storage, so the
+   window is all a point writes; a v that a constant carries (the
+   sampler's) is checked finite once, here, so the guards read the
+   window too. Measured with Gc.minor_words on one domain, a
+   [baseband] point of an exact-λ loop allocates 80 words
+   (time-invariant VCO) or 118 (ISF VCO, two harmonics) at n_harm 8
+   and at n_harm 80 alike, 11 of them for λ(s) (a full realization:
+   ~340 and ~910); at n_harm 20, ~230 for a mixing-PFD loop (banded LU
+   feedback), which needs every row.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -61,7 +65,9 @@ type slot = {
   dense : Cmatf.t option;
 }
 
-let make_slot n (sh : Smat.shape_t) =
+(* [v]: a rank-one slot's v storage, when it is shared with the operand
+   whose v it carries (see [compile]) *)
+let make_slot ?v n (sh : Smat.shape_t) =
   let empty = [||] in
   match sh with
   | `Diag ->
@@ -89,7 +95,11 @@ let make_slot n (sh : Smat.shape_t) =
       }
   | `Rank1 ->
       let are = Array.make n 0.0 and aim = Array.make n 0.0 in
-      let bre = Array.make n 0.0 and bim = Array.make n 0.0 in
+      let bre, bim =
+        match v with
+        | Some v -> v
+        | None -> (Array.make n 0.0, Array.make n 0.0)
+      in
       {
         view = Smat.rank1_of_arrays ~ure:are ~uim:aim ~vre:bre ~vim:bim;
         sh;
@@ -113,8 +123,9 @@ let make_slot n (sh : Smat.shape_t) =
 
 (* [reach]: rows [row - reach, row + reach] of this node feed row [row]
    of the root, or [all_rows]; assigned once by [make] (see
-   [assign_reach]). *)
-type node = { slot : slot; op : op; mutable reach : int }
+   [assign_reach]). [v_finite]: a rank-one node's v is a constant's,
+   found finite when [make] realized it, so no point needs to scan it. *)
+type node = { slot : slot; op : op; mutable reach : int; v_finite : bool }
 
 and op =
   | Const  (* s-independent: realized once by [make] *)
@@ -199,10 +210,12 @@ let rec exec ~checked ~n ~row ~col s ({ slot; op; _ } as nd) =
       Smat.Into.mul ~dst:slot.view ?da ?db ~lo ~hi av bv
   | Kfb (g, scratch, lambda) -> (
       let gv = exec ~checked ~n ~row ~col:all_cols s g in
-      let denom_override = Option.map (fun lam -> lam s) lambda in
+      let denom_override =
+        match lambda with None -> None | Some lam -> Some (lam s)
+      in
       match
         Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
-          ~lo ~hi ~col ~context:"Plan.feedback" gv
+          ~v_finite:nd.v_finite ~lo ~hi ~col ~context:"Plan.feedback" gv
       with
       | Ok () -> ()
       | Error e -> raise (Guard e)));
@@ -215,10 +228,18 @@ let shifts c =
   Array.init (Htm_expr.dim c) (fun i ->
       float_of_int (Htm_expr.harmonic_of_index c i) *. c.Htm_expr.omega0)
 
+(* checked once, when [make] realizes a constant *)
+let v_finite_now slot =
+  match slot.sh with
+  | `Rank1 ->
+      Array.for_all Float.is_finite slot.bre
+      && Array.for_all Float.is_finite slot.bim
+  | `Diag | `Band _ | `Dense -> false
+
 let const_slot n sh fill =
   let slot = make_slot n sh in
   fill slot;
-  { slot; op = Const; reach = all_rows }
+  { slot; op = Const; reach = all_rows; v_finite = v_finite_now slot }
 
 (* Toeplitz band of a periodic gain: entry (i, i+d) = coeffs[K - d],
    the band clamped to the matrix. *)
@@ -238,10 +259,23 @@ let toeplitz n coeffs =
 let is_const nd = match nd.op with Const -> true | _ -> false
 
 (* [lambda] reaches only the root: the λ(s) override applies to the
-   outermost feedback loop alone. *)
+   outermost feedback loop alone. A rank-one node whose v is its
+   operand's — A·(u vᵀ) = (A·u)·vᵀ, z·(u vᵀ), and the closed loop of
+   u vᵀ, which only rescales u — holds that operand's v storage
+   ([v_of]), as the [Smat.Into] kernels require: no point copies it. *)
 let rec compile c ~lambda (t : Htm_expr.t) =
   let n = Htm_expr.dim c in
-  let node sh op = { slot = make_slot n sh; op; reach = all_rows } in
+  let node ?v_of sh op =
+    match (sh, v_of) with
+    | `Rank1, Some o ->
+        {
+          slot = make_slot ~v:(o.slot.bre, o.slot.bim) n sh;
+          op;
+          reach = all_rows;
+          v_finite = o.v_finite;
+        }
+    | _ -> { slot = make_slot n sh; op; reach = all_rows; v_finite = false }
+  in
   let sub t = compile c ~lambda:None t in
   let nd =
     match t with
@@ -258,13 +292,14 @@ let rec compile c ~lambda (t : Htm_expr.t) =
     | Zero -> const_slot n `Diag ignore
     | Scale (z, g) ->
         let gn = sub g in
-        node gn.slot.sh (Kscale (z, gn))
+        node ~v_of:gn gn.slot.sh (Kscale (z, gn))
     | Series (a, b) ->
         let an = sub a and bn = sub b in
         let sa = an.slot.sh and sb = bn.slot.sh in
         let need_da, need_db = Smat.mul_scratch ~n sa sb in
         let scratch need = if need then Some (Cmatf.create n n) else None in
-        node (Smat.shape_mul ~n sa sb)
+        let v_of = match sb with `Rank1 -> Some bn | _ -> None in
+        node ?v_of (Smat.shape_mul ~n sa sb)
           (Kmul (an, bn, scratch need_da, scratch need_db))
     | Parallel (a, b) ->
         let an = sub a and bn = sub b in
@@ -280,7 +315,7 @@ let rec compile c ~lambda (t : Htm_expr.t) =
           | `Dense -> Some (Smat.lu_scratch ~n gn.slot.sh)
           | _ -> None
         in
-        node sh (Kfb (gn, scratch, lambda))
+        node ~v_of:gn sh (Kfb (gn, scratch, lambda))
   in
   (* A feedback-free composition of constants does not depend on s:
      realize it now, once. Feedback stays per point even over constant
@@ -294,7 +329,7 @@ let rec compile c ~lambda (t : Htm_expr.t) =
   in
   if static then begin
     ignore (exec ~checked:false ~n ~row:all_rows ~col:all_cols Cx.zero nd);
-    { nd with op = Const }
+    { nd with op = Const; v_finite = v_finite_now nd.slot }
   end
   else nd
 
@@ -375,7 +410,8 @@ let root_finite plan ~row ~col v =
   | Some m when col >= 0 -> Cmatf.is_finite_col m col
   | _ ->
       let n = dim plan in
-      Smat.rows_finite v ~lo:(window_lo plan.root ~row)
+      Smat.rows_finite ~v_finite:plan.root.v_finite v
+        ~lo:(window_lo plan.root ~row)
         ~hi:(window_hi plan.root ~n ~row)
 
 let checked_view plan ~row ~col s =

@@ -89,9 +89,11 @@ val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
     ([Pll.closed_loop_plan]) the baseband entry is then λ plus two leaf
     evaluations (time-invariant VCO) or a ±K-row window (ISF VCO with
     K harmonics), whatever [n_harm] is: measured with
-    [Gc.minor_words] on one domain, ~240 (time-invariant) and ~275
+    [Gc.minor_words] on one domain, 80 (time-invariant) and 118
     (K = 2) words per {!baseband} point at n_harm 8 and at n_harm 80
-    alike (~340 and ~910 when every row was realized).
+    alike (~340 and ~910 when every row was realized). A rank-one
+    node's [v] that is its operand's is shared, not copied, and one
+    that a constant carries is checked finite once by {!make}.
     A rank-one loop without the override (its [vᵀu] reads every row),
     a banded/dense LU, dense results and custom blocks realize every
     row. {b Column demand}: a dense feedback root (a loop closed

@@ -18,17 +18,20 @@
      diag·diag              O(w)
      diag·band, band·diag   O(w·k)
      band·band              O(w·k₁·k₂), bandwidth k₁+k₂
-     anything·rank-one      O(cost of one windowed matvec) plus the
-                            O(n) copy of v — stays rank one
+     anything·rank-one      O(cost of one windowed matvec) — stays
+                            rank one, v shared with the operand
      feedback(diag)         O(w)
      feedback(rank-one)     O(n)  (Sherman–Morrison–Woodbury: vᵀu)
-       with λ(s) override   O(w) plus the O(n) copy of v — no vᵀu
+       with λ(s) override   O(w) — no vᵀu, v shared with the operand
      feedback(band k)       LU via Cmatf inside the band: O(n·k²) to
                             factor, O(n·k) per solved column
      feedback(dense)        dense LU via Cmatf, O(n³) unboxed
-   Both LU shapes realize every row: they still fill a dense n×n
-   I + G (O(n²) stores) and write a dense result, every column of it
-   or the one a caller demands (see [Into.feedback]). *)
+   "v shared" means the result holds its operand's v storage, so it
+   costs nothing per point (see [Into]). Both LU shapes realize every
+   row: they rebuild I + G inside the last factors' support (O(n·k)
+   stores for band k; the rest of the n×n storage stays zero) and write
+   a dense result, every column of it or the one a caller demands (see
+   [Into.feedback]). *)
 
 open Numeric
 
@@ -127,7 +130,9 @@ let get t i k =
         let w = (2 * kmax) + 1 in
         Cx.make bre.((i * w) + d + kmax) bim.((i * w) + d + kmax)
   | Rank1 { ure; uim; vre; vim } ->
-      Cx.mul (Cx.make ure.(i) uim.(i)) (Cx.make vre.(k) vim.(k))
+      (* u_i·v_k as [Cx.mul] rounds it, boxing only the product *)
+      let ar = ure.(i) and ai = uim.(i) and br = vre.(k) and bi = vim.(k) in
+      Cx.make ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br))
   | Dense m -> Cmatf.get m i k
 
 let col t k =
@@ -300,8 +305,9 @@ let finite_range re im first last =
   go first
 
 (* The stored entries of rows lo..hi; a rank-one matrix's v counts in
-   full, since every row reads all of it. *)
-let rows_finite t ~lo ~hi =
+   full, since every row reads all of it, unless the caller already
+   knows it finite ([v_finite]). *)
+let rows_finite ?(v_finite = false) t ~lo ~hi =
   match t with
   | Diag { dre; dim_ } -> finite_range dre dim_ lo (hi + 1)
   | Band { kmax; bre; bim; _ } ->
@@ -309,7 +315,7 @@ let rows_finite t ~lo ~hi =
       finite_range bre bim (lo * w) ((hi + 1) * w)
   | Rank1 { ure; uim; vre; vim } ->
       finite_range ure uim lo (hi + 1)
-      && finite_range vre vim 0 (Array.length vre)
+      && (v_finite || finite_range vre vim 0 (Array.length vre))
   | Dense m -> Cmatf.is_finite m (* dense results realize every row *)
 
 (* ------------------------------------------------------------------ *)
@@ -542,14 +548,16 @@ let store_column x m k =
 module Into = struct
   (* All kernels write into [dst]'s storage. [dst] must have exactly
      the shape the static rules above assign to the operation and must
-     not alias an operand. Row demand: rows [lo..hi] of [dst] are
-     overwritten and every other row is left as it was, so containers
-     can be reused point after point with no clearing in between; the
-     full window [0..n-1] runs the loops of a whole realization.
-     A rank-one [dst]'s v and a dense [dst] are always realized in
-     full. Each row is computed by the same formula in the same order
-     whatever the window, so a windowed row is bit-identical to that row
-     of a full realization. *)
+     not alias an operand — except that a rank-one result whose v is
+     its operand's (A·(u vᵀ), z·(u vᵀ), the rank-one loop) holds that
+     operand's v storage and writes u alone. Row demand: rows [lo..hi]
+     of [dst] are overwritten and every other row is left as it was, so
+     containers can be reused point after point with no clearing in
+     between; the full window [0..n-1] runs the loops of a whole
+     realization. The v of (u vᵀ)·B and a dense [dst] are always
+     realized in full. Each row is computed by the same formula in the
+     same order whatever the window, so a windowed row is bit-identical
+     to that row of a full realization. *)
 
   (* dst.(p) := z·src.(p) for p in [first, last) *)
   let scale_pair_into z src_re src_im dst_re dst_im first last =
@@ -568,9 +576,9 @@ module Into = struct
         let w = (2 * d.kmax) + 1 in
         scale_pair_into z s.bre s.bim d.bre d.bim (lo * w) ((hi + 1) * w)
     | Rank1 d, Rank1 s ->
-        scale_pair_into z s.ure s.uim d.ure d.uim lo (hi + 1);
-        Array.blit s.vre 0 d.vre 0 (Array.length s.vre);
-        Array.blit s.vim 0 d.vim 0 (Array.length s.vim)
+        if d.vre != s.vre then
+          invalid_arg "Smat.Into.scale: rank-one dst must share the operand's v";
+        scale_pair_into z s.ure s.uim d.ure d.uim lo (hi + 1)
     | Dense d, Dense s ->
         Cmatf.blit ~src:s ~dst:d;
         Cmatf.scale_inplace z d
@@ -630,9 +638,9 @@ module Into = struct
         done
     | Rank1 d, _, Rank1 r ->
         (* A·(u·vᵀ) = (A·u)·vᵀ *)
-        mv a ~lo ~hi ~xre:r.ure ~xim:r.uim ~yre:d.ure ~yim:d.uim;
-        Array.blit r.vre 0 d.vre 0 n;
-        Array.blit r.vim 0 d.vim 0 n
+        if d.vre != r.vre then
+          invalid_arg "Smat.Into.mul: rank-one dst must share the operand's v";
+        mv a ~lo ~hi ~xre:r.ure ~xim:r.uim ~yre:d.ure ~yim:d.uim
     | Rank1 d, Rank1 r, _ ->
         (* (u·vᵀ)·B = u·(Bᵀv)ᵀ *)
         mtv b ~xre:r.vre ~xim:r.vim ~yre:d.vre ~yim:d.vim;
@@ -700,8 +708,8 @@ module Into = struct
      window's denominators, a rank-one loop its one scalar. A
      banded/dense loop realizes every row, and solves only column [col]
      of the result when [col >= 0]. *)
-  let feedback ~dst ?scratch ?denom_override ~checked ~lo ~hi ~col ~context
-      g =
+  let feedback ~dst ?scratch ?denom_override ~checked ?(v_finite = false) ~lo
+      ~hi ~col ~context g =
     let open Robust in
     let n = dim g in
     let max_cond = if checked then Config.get_smw_max_cond () else infinity in
@@ -744,6 +752,8 @@ module Into = struct
               Error (Pllscope_error.Non_finite { where = context })
             else Ok ())
     | Rank1 d, Rank1 r ->
+        if d.vre != r.vre then
+          invalid_arg "Smat.Into.feedback: rank-one dst must share the operand's v";
         (* the denominator term: λ(s) when given, else vᵀu, which reads
            every row of u. Two scalars, not one pair: this path is in
            the hot set and the intermediate tuple would allocate. *)
@@ -777,9 +787,12 @@ module Into = struct
               d.ure.(i) <- (zr *. ar) -. (zi *. ai);
               d.uim.(i) <- (zr *. ai) +. (zi *. ar)
             done;
-            Array.blit r.vre 0 d.vre 0 n;
-            Array.blit r.vim 0 d.vim 0 n;
-            if checked && not (rows_finite dst ~lo ~hi) then
+            if
+              checked
+              && not
+                   (finite_range d.ure d.uim lo (hi + 1)
+                   && (v_finite || finite_range d.vre d.vim 0 n))
+            then
               Error (Pllscope_error.Non_finite { where = context })
             else Ok ()
           end
@@ -790,7 +803,11 @@ module Into = struct
           | Some s -> s
           | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"
         in
-        densify_into g a;
+        (* [a] holds the last point's factors (or zeros): clearing their
+           support leaves the zero matrix that [densify_into] starts
+           from, at O(n·band) instead of O(n²) *)
+        Cmatf.lu_clear a ws;
+        axpy_sgn_into g 1.0 a;
         Cmatf.add_ident a;
         (* the right-hand sides: every column of G, or only the one the
            caller reads *)

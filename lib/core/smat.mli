@@ -17,8 +17,8 @@
     feedback of a diagonal or rank-one HTM is closed-form O(n). The
     in-place kernels work on a window of rows, so a caller reading one
     row pays only for the rows that reach it — for a rank-one loop
-    whose denominator is given in closed form, only the copy of [v]
-    stays O(n).
+    whose denominator is given in closed form, nothing stays O(n): its
+    [v] is its operand's storage, not a copy.
     Only [Band]/[Dense] feedback pays an LU — on the flat unboxed
     {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t] — and a [Band k]
     operand's LU stays inside its band: O(n·k²) to factor and O(n·k)
@@ -63,11 +63,12 @@ val to_cmat : t -> Numeric.Cmat.t
 val get : t -> int -> int -> Numeric.Cx.t
 val col : t -> int -> Numeric.Cvec.t
 
-(** [rows_finite t ~lo ~hi] — true iff every stored entry of rows
-    [lo..hi] is finite ([~lo:0 ~hi:(dim t - 1)]: of [t]); a rank-one
-    [t]'s [v] is scanned in full (every row reads it) and a dense [t]
-    is scanned whole. *)
-val rows_finite : t -> lo:int -> hi:int -> bool
+(** [rows_finite ?v_finite t ~lo ~hi] — true iff every stored entry of
+    rows [lo..hi] is finite ([~lo:0 ~hi:(dim t - 1)]: of [t]); a
+    rank-one [t]'s [v] is scanned in full (every row reads it) unless
+    [v_finite] (default [false]) says the caller has already found it
+    finite, and a dense [t] is scanned whole. *)
+val rows_finite : ?v_finite:bool -> t -> lo:int -> hi:int -> bool
 
 (** {1 Matrix–vector products on split re/im arrays}
 
@@ -136,16 +137,19 @@ module Into : sig
       clearing; [~lo:0 ~hi:(n - 1)] realizes the whole matrix with the
       loops of a full realization. A row of the window is computed by
       the same formula, in the same order, as in a full realization, so
-      it is bit-identical to that row of one. A rank-one [dst]'s [v] is
-      always realized in full, and a dense [dst] realizes every row
-      whatever the window. The rows a window reads of each operand are
-      the caller's to have realized: the operand's own rows [lo..hi]
+      it is bit-identical to that row of one. A rank-one result whose
+      [v] is its operand's ([A·(u vᵀ)], [z·(u vᵀ)], the closed loop of
+      [u vᵀ]) must hold the operand's [v] storage — the kernel writes
+      [u] alone; the [v] of [(u vᵀ)·B] is realized in full, and a dense
+      [dst] realizes every row whatever the window. The rows a window
+      reads of each operand are the caller's to have realized: the operand's own rows [lo..hi]
       (an [add], a [scale], [A] of a product, a closed loop over a
       diagonal operand or a rank-one one with [denom_override]); rows
       widened by [A]'s bandwidth for [B] of a diagonal/banded product
       and for [u] in [A·(u vᵀ)]; every row otherwise. [dst] must have
       exactly the shape the static rules assign to the operation and
-      must not alias an operand; violations raise [Invalid_argument]. *)
+      must not alias an operand (but for the shared [v] above);
+      violations raise [Invalid_argument]. *)
 
   val scale : dst:t -> lo:int -> hi:int -> Numeric.Cx.t -> t -> unit
 
@@ -167,8 +171,8 @@ module Into : sig
     t ->
     unit
 
-  (** [feedback ~dst ?scratch ?denom_override ~checked ~lo ~hi ~col
-      ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
+  (** [feedback ~dst ?scratch ?denom_override ~checked ?v_finite ~lo ~hi
+      ~col ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
       (diagonal, rank one) realize rows [lo..hi]. [scratch] (from
       {!lu_scratch} at [g]'s shape) is required for banded/dense [g],
       which realizes every row; there, [col >= 0] demands one column:
@@ -180,19 +184,22 @@ module Into : sig
       against {!Robust.Config.get_smw_max_cond} (a diagonal loop over
       the window's rows), banded/dense shapes use
       {!Numeric.Cmatf.lu_decompose_checked}, and the realized rows (or
-      the demanded column) are scanned for non-finite entries — and
+      the demanded column) are scanned for non-finite entries, a
+      rank-one result's [v] only when [v_finite] (default [false]) does
+      not say it is already known finite — and
       failures come back as [Error (Singular _)] or
       [Error (Non_finite _)]; with [~checked:false] exact singularity
       raises [Numeric.Lu.Singular]. [denom_override] replaces the
       rank-one Sherman–Morrison denominator term [vᵀu] with a
       closed-form loop gain λ(s) — the plan layer's [Special] fast path
       for time-invariant-VCO loops; the O(n) dot product is then
-      skipped and the loop costs O(hi − lo + 1) plus the copy of [v]. *)
+      skipped and the loop costs O(hi − lo + 1). *)
   val feedback :
     dst:t ->
     ?scratch:lu_scratch ->
     ?denom_override:Numeric.Cx.t ->
     checked:bool ->
+    ?v_finite:bool ->
     lo:int ->
     hi:int ->
     col:int ->

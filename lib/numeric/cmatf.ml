@@ -257,14 +257,18 @@ let lu_decompose_inplace a ws =
     then raise Lu.Singular;
     let b = !best in
     if b <> k then begin
-      ensure_scratch ws n;
-      let bk = b * n and kk = k * n in
-      Array.blit a.re kk ws.scratch_re 0 n;
-      Array.blit a.re bk a.re kk n;
-      Array.blit ws.scratch_re 0 a.re bk n;
-      Array.blit a.im kk ws.scratch_im 0 n;
-      Array.blit a.im bk a.im kk n;
-      Array.blit ws.scratch_im 0 a.im bk n;
+      (* both rows are exact zeros outside their L parts and [lend]:
+         exchange only the columns in between *)
+      let first = Int.min lfirst.(k) lfirst.(b) in
+      let len = lend - first + 1 in
+      ensure_scratch ws len;
+      let bk = (b * n) + first and kk = (k * n) + first in
+      Array.blit a.re kk ws.scratch_re 0 len;
+      Array.blit a.re bk a.re kk len;
+      Array.blit ws.scratch_re 0 a.re bk len;
+      Array.blit a.im kk ws.scratch_im 0 len;
+      Array.blit a.im bk a.im kk len;
+      Array.blit ws.scratch_im 0 a.im bk len;
       let tp = perm.(k) in
       perm.(k) <- perm.(b);
       perm.(b) <- tp;
@@ -304,6 +308,19 @@ let lu_decompose_inplace a ws =
     if llast.(j - 1) > llast.(j) then llast.(j) <- llast.(j - 1)
   done
 
+(* Zero what a factorization with [ws] may have left nonzero in [a]:
+   stored row i's support, from its L part (or its band, should [a]
+   hold an unfactored matrix) to i + u_width — every other entry is an
+   exact zero already. *)
+let lu_clear a ws =
+  let n = a.rows and kl = ws.kl and uw = u_width ws in
+  for i = 0 to n - 1 do
+    let first = Int.max 0 (Int.min ws.lfirst.(i) (i - kl)) in
+    let len = Int.min (n - 1) (i + uw) - first + 1 in
+    Array.fill a.re ((i * n) + first) len 0.0;
+    Array.fill a.im ((i * n) + first) len 0.0
+  done
+
 (* B := A⁻¹·B for a matrix factored by [lu_decompose_inplace]; all
    right-hand-side columns advance together so the factored matrix is
    swept once per substitution phase. Each column's arithmetic is
@@ -315,11 +332,15 @@ let lu_solve_inplace a ws b =
   if b.rows <> n then invalid_arg "Cmatf.lu_solve_inplace: dimension mismatch";
   let p = b.cols in
   let perm = ws.perm and lfirst = ws.lfirst and uw = u_width ws in
-  (* apply the row permutation: b := P·b *)
+  (* apply the row permutation: b := P·b (element by element: a row
+     of a one- or few-column b is shorter than a blit call) *)
   ensure_scratch ws (n * p);
   for i = 0 to n - 1 do
-    Array.blit b.re (perm.(i) * p) ws.scratch_re (i * p) p;
-    Array.blit b.im (perm.(i) * p) ws.scratch_im (i * p) p
+    let src = perm.(i) * p and dst = i * p in
+    for c = 0 to p - 1 do
+      ws.scratch_re.(dst + c) <- b.re.(src + c);
+      ws.scratch_im.(dst + c) <- b.im.(src + c)
+    done
   done;
   Array.blit ws.scratch_re 0 b.re 0 (n * p);
   Array.blit ws.scratch_im 0 b.im 0 (n * p);
@@ -454,14 +475,19 @@ let[@lint.hot] lu_cond_est_1 a ws ~norm1_a =
        let last_j = ref (-1) in
        for _round = 1 to 5 do
          lu_solve_inplace a ws x;
+         (* the moduli, summed here and reused to normalize *)
+         ensure_scratch ws n;
+         let mods = ws.scratch_re in
          let e = ref 0.0 in
          for i = 0 to n - 1 do
-           e := !e +. Float.hypot x.re.(i) x.im.(i)
+           let m = Float.hypot x.re.(i) x.im.(i) in
+           mods.(i) <- m;
+           e := !e +. m
          done;
          if not (!e > !est) then raise Exit;
          est := !e;
          for i = 0 to n - 1 do
-           let m = Float.hypot x.re.(i) x.im.(i) in
+           let m = mods.(i) in
            if m > 0.0 then begin
              x.re.(i) <- x.re.(i) /. m;
              x.im.(i) <- x.im.(i) /. m

@@ -89,6 +89,14 @@ val lu_ws : ?kl:int -> ?ku:int -> int -> lu_ws
     @raise Lu.Singular when a pivot column is exactly zero. *)
 val lu_decompose_inplace : t -> lu_ws -> unit
 
+(** [lu_clear a ws] — zero [a] where the last factorization with [ws]
+    (complete or not) may have left a nonzero: each stored row from
+    the start of its L part, or of its band if earlier, to its last
+    column within [ws]'s widened upper band. Every other entry of a
+    factored or band-limited [a] is already an exact zero, so on such
+    an [a] this is [fill_zero] at the cost of the band. *)
+val lu_clear : t -> lu_ws -> unit
+
 (** [lu_perm ws] — a copy of the row permutation of the last
     factorization: row [i] of the factors is row [(lu_perm ws).(i)] of
     the original matrix. *)

@@ -64,15 +64,73 @@ let harmonic_sum ~k ~omega0 z =
   let c = coth w in
   Cx.mul (Cx.of_float (ratio ** float_of_int k)) (poly_eval_c (q_poly k) c)
 
-(* One prepared term of [lattice_sum]: everything about it that does
-   not depend on s, computed once when the sum is prepared. *)
-type lattice_term = {
-  pole : Cx.t;
-  residue : Cx.t;
-  scale : Cx.t;  (* (π/ω₀)^order *)
-  q : float array;  (* Q_order, copied: the closure reads no global table *)
-  same_pole : bool;  (* bit-equal pole to the previous term: reuse its coth *)
+(* [lattice_sum]'s prepared terms: everything about them that does not
+   depend on s, computed once, on split re/im floats so a point
+   evaluation boxes nothing but its result. *)
+type lattice = {
+  ratio : float;  (* π/ω₀ *)
+  pole_re : float array;
+  pole_im : float array;
+  res_re : float array;
+  res_im : float array;
+  scale : float array;  (* (π/ω₀)^order *)
+  q : float array array;  (* Q_order, copied: the sum reads no global table *)
+  same_pole : bool array;  (* bit-equal pole to the previous term: reuse its coth *)
 }
+
+(* The term-by-term sum of [harmonic_sum] with [coth], [poly_eval_c] and
+   the [Complex] arithmetic written out on floats, each operation in
+   the order and with the rounding of the boxed code: cosh/sinh/cos/sin
+   once per class, Smith's division as [Complex.div], Horner from zero
+   as [poly_eval_c] (the [+. 0.0] is its [Cx.of_float] imaginary part,
+   which turns a -0 into +0), and [Cx.of_float]'s zero imaginary part
+   multiplied through by the scale. *)
+let[@lint.hot] lattice_eval l s =
+  let sr = Cx.re s and si = Cx.im s in
+  let acc_re = ref 0.0 and acc_im = ref 0.0 in
+  let c_re = ref 0.0 and c_im = ref 0.0 in
+  for i = 0 to Array.length l.pole_re - 1 do
+    if not l.same_pole.(i) then begin
+      let wr = l.ratio *. (sr -. l.pole_re.(i))
+      and wi = l.ratio *. (si -. l.pole_im.(i)) in
+      if Float.abs wr > 350.0 then begin
+        c_re := (if wr > 0.0 then 1.0 else -1.0);
+        c_im := 0.0
+      end
+      else begin
+        let ch = cosh wr and sh = sinh wr and co = cos wi and sn = sin wi in
+        (* cosh w / sinh w *)
+        let xr = ch *. co and xi = sh *. sn in
+        let yr = sh *. co and yi = ch *. sn in
+        if Float.abs yr >= Float.abs yi then begin
+          let r = yi /. yr in
+          let d = yr +. (r *. yi) in
+          c_re := (xr +. (r *. xi)) /. d;
+          c_im := (xi -. (r *. xr)) /. d
+        end
+        else begin
+          let r = yr /. yi in
+          let d = yi +. (r *. yr) in
+          c_re := ((r *. xr) +. xi) /. d;
+          c_im := ((r *. xi) -. xr) /. d
+        end
+      end
+    end;
+    let cr = !c_re and ci = !c_im in
+    let q = l.q.(i) in
+    let pr = ref 0.0 and pi = ref 0.0 in
+    for k = Array.length q - 1 downto 0 do
+      let ar = !pr and ai = !pi in
+      pr := ((ar *. cr) -. (ai *. ci)) +. q.(k);
+      pi := ((ar *. ci) +. (ai *. cr)) +. 0.0
+    done;
+    let kr = l.scale.(i) and ki = 0.0 in
+    let tr = (kr *. !pr) -. (ki *. !pi) and ti = (kr *. !pi) +. (ki *. !pr) in
+    let rr = l.res_re.(i) and ri = l.res_im.(i) in
+    acc_re := !acc_re +. ((rr *. tr) -. (ri *. ti));
+    acc_im := !acc_im +. ((rr *. ti) +. (ri *. tr))
+  done;
+  Cx.make !acc_re !acc_im
 
 let lattice_sum ~omega0 terms =
   let ratio = Float.pi /. omega0 in
@@ -82,30 +140,28 @@ let lattice_sum ~omega0 terms =
     && Int64.equal (bits (Cx.im a)) (bits (Cx.im b))
   in
   let terms = Array.of_list terms in
-  let prepared =
-    Array.mapi
-      (fun i { Partial_fraction.pole; order; residue } ->
-        if order < 1 then invalid_arg "Special.lattice_sum: order must be >= 1";
-        let prev = terms.(Int.max 0 (i - 1)).Partial_fraction.pole in
-        {
-          pole;
-          residue;
-          scale = Cx.of_float (ratio ** float_of_int order);
-          q = Array.copy (q_poly order);
-          same_pole = i > 0 && same prev pole;
-        })
-      terms
+  Array.iter
+    (fun { Partial_fraction.order; _ } ->
+      if order < 1 then invalid_arg "Special.lattice_sum: order must be >= 1")
+    terms;
+  let field f = Array.map f terms in
+  let l =
+    {
+      ratio;
+      pole_re = field (fun t -> Cx.re t.Partial_fraction.pole);
+      pole_im = field (fun t -> Cx.im t.Partial_fraction.pole);
+      res_re = field (fun t -> Cx.re t.Partial_fraction.residue);
+      res_im = field (fun t -> Cx.im t.Partial_fraction.residue);
+      scale = field (fun t -> ratio ** float_of_int t.Partial_fraction.order);
+      q = field (fun t -> Array.copy (q_poly t.Partial_fraction.order));
+      same_pole =
+        Array.mapi
+          (fun i t ->
+            i > 0 && same terms.(i - 1).Partial_fraction.pole t.Partial_fraction.pole)
+          terms;
+    }
   in
-  (* the term-by-term sum of [harmonic_sum], in the same order and with
-     the same formulas: only what is shared is computed once *)
-  fun s ->
-    let acc = ref Cx.zero and c = ref Cx.zero in
-    for i = 0 to Array.length prepared - 1 do
-      let t = prepared.(i) in
-      if not t.same_pole then c := coth (Cx.scale ratio (Cx.sub s t.pole));
-      acc := Cx.add !acc (Cx.mul t.residue (Cx.mul t.scale (poly_eval_c t.q !c)))
-    done;
-    !acc
+  lattice_eval l
 
 (* S_k(z + jdω₀) = S_k(z): terms of one order whose poles differ by a
    multiple of jω₀ are one term with the summed residue. A class is

@@ -31,8 +31,11 @@ val harmonic_sum : k:int -> omega0:float -> Cx.t -> Cx.t
     of a strictly proper loop gain's expansion. Bit-identical to summing
     [residue · harmonic_sum ~k:order ~omega0 (s − pole)] term by term
     from zero, but everything that does not depend on [s] ([(π/ω₀)^k],
-    the [Q_k] polynomials) is computed once here, and consecutive terms
-    with bit-equal poles share one [coth]. The returned closure reads
+    the [Q_k] polynomials) is computed once here, consecutive terms
+    with bit-equal poles share one [coth], and a point is evaluated on
+    unboxed floats — [cosh]/[sinh]/[cos]/[sin] once per [coth],
+    the boxed operations written out in their order — allocating only
+    the result. The returned closure reads
     only its own immutable data, so one closure may serve several
     domains at once.
     @raise Invalid_argument if an order is [< 1]. *)

@@ -198,8 +198,8 @@ let poll () =
 let extract out =
   Array.map (function Some v -> v | None -> assert false) out
 
-(* Run [body ctl i] for [i = 0 .. n-1], split into chunks handed out
-   through an atomic cursor. The caller is always one of the lanes;
+(* Run [body ctl lo hi] over the chunks [lo..hi] of [0 .. n-1], handed
+   out through an atomic cursor. The caller is always one of the lanes;
    worker domains pick up at most [chunks - 1] helper thunks from the
    shared queue. Each index is executed exactly once by whichever lane
    claims its chunk, and each lane writes only its own indices, so
@@ -251,10 +251,7 @@ let run_core ?chunk ?(cancel = Cancel.global ()) ?task_timeout pool n body =
             let t0 = now () in
             (try
                let lo = c * chunk in
-               let hi = Stdlib.min n (lo + chunk) - 1 in
-               for i = lo to hi do
-                 body ctl i
-               done;
+               body ctl lo (Stdlib.min n (lo + chunk) - 1);
                Atomic.incr completed
              with e ->
                let bt = Printexc.get_raw_backtrace () in
@@ -318,10 +315,16 @@ let run_core ?chunk ?(cancel = Cancel.global ()) ?task_timeout pool n body =
 
 (* Plain variant: cancellation mid-map has no partial result to return,
    so it raises in the caller. *)
-let run_indices ?chunk ?cancel pool n body =
-  match run_core ?chunk ?cancel pool n (fun _ i -> body i) with
+let run_chunks ?chunk ?cancel pool n body =
+  match run_core ?chunk ?cancel pool n (fun _ lo hi -> body lo hi) with
   | None -> ()
   | Some r -> raise (Cancel.Cancelled r)
+
+let run_indices ?chunk ?cancel pool n body =
+  run_chunks ?chunk ?cancel pool n (fun lo hi ->
+      for i = lo to hi do
+        body i
+      done)
 
 let mapi ?chunk ?cancel pool f a =
   let n = Array.length a in
@@ -333,6 +336,26 @@ let mapi ?chunk ?cancel pool f a =
   end
 
 let map ?chunk ?cancel pool f a = mapi ?chunk ?cancel pool (fun _ x -> f x) a
+
+let map_chunked ?chunk ?cancel pool ~enter ~leave f a =
+  let n = Array.length a in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n None in
+    run_chunks ?chunk ?cancel pool n (fun lo hi ->
+        let st = enter () in
+        match
+          for i = lo to hi do
+            out.(i) <- Some (f st a.(i))
+          done
+        with
+        | () -> leave st
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            leave st;
+            Printexc.raise_with_backtrace e bt);
+    extract out
+  end
 
 (* One task under the retry policy. Retries happen in-lane, per index,
    before the lane moves on — the schedule never observes a failure, so
@@ -440,9 +463,11 @@ let map_checked ?chunk ?(retries = 2) ?cancel ?task_timeout pool f a =
   else begin
     let out = Array.make n None in
     let reason =
-      run_core ?chunk ?cancel ?task_timeout pool n (fun ctl i ->
-          out.(i) <-
-            Some (run_one ~retries ~task:i ~ctl ~timeout:task_timeout f a.(i)))
+      run_core ?chunk ?cancel ?task_timeout pool n (fun ctl lo hi ->
+          for i = lo to hi do
+            out.(i) <-
+              Some (run_one ~retries ~task:i ~ctl ~timeout:task_timeout f a.(i))
+          done)
     in
     match reason with
     | None -> extract out

@@ -71,6 +71,25 @@ val map : ?chunk:int -> ?cancel:Cancel.t -> t -> ('a -> 'b) -> 'a array -> 'b ar
 val mapi :
   ?chunk:int -> ?cancel:Cancel.t -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
+(** [map_chunked ?chunk ?cancel pool ~enter ~leave f a] — {!map} with
+    per-chunk state: the lane that claims a chunk calls [enter ()] once,
+    maps every element of the chunk as [f st a.(i)] with that one [st],
+    and calls [leave st] after the chunk's last element — also when [f]
+    raises, before the exception goes on to the caller as in {!map}.
+    Chunks are those of {!map} for the same [chunk] and array length;
+    output ordering and values are independent of pool size and
+    scheduling as long as [f]'s results do not depend on which [st] it
+    is handed. *)
+val map_chunked :
+  ?chunk:int ->
+  ?cancel:Cancel.t ->
+  t ->
+  enter:(unit -> 's) ->
+  leave:('s -> unit) ->
+  ('s -> 'a -> 'b) ->
+  'a array ->
+  'b array
+
 (** [map_checked ?retries ?cancel ?task_timeout pool f a] — like {!map},
     but a task that raises is retried in-lane up to [retries] times
     (default 2) before its slot becomes [Error (Worker_failure _)];

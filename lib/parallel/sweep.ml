@@ -3,12 +3,13 @@ let pool_of = function Some p -> p | None -> Pool.default ()
 let grid ?pool ?chunk f a = Pool.map ?chunk (pool_of pool) f a
 
 (* Lane-local state without Domain.DLS: a mutex-guarded free list of
-   [local ()] instances. A task pops an instance (creating one when the
-   list is empty), runs, and pushes it back — so at most [lanes]
-   instances ever exist, and an instance is owned by exactly one task
-   at a time. [Domain.DLS] would also work, but its slots are never
-   reclaimed: a fresh key per sweep would grow every domain's local
-   table for the life of the process. *)
+   [local ()] instances. A chunk pops an instance (creating one when the
+   list is empty), runs every point of the chunk on it, and pushes it
+   back — so at most [lanes] instances ever exist, an instance is owned
+   by exactly one chunk at a time, and the lock is taken twice per
+   chunk, not per point. [Domain.DLS] would also work, but its slots
+   are never reclaimed: a fresh key per sweep would grow every domain's
+   local table for the life of the process. *)
 type 'l lane_cache = { lock : Mutex.t; mutable free : 'l list }
 
 let cache_acquire c local =
@@ -24,9 +25,9 @@ let cache_release c l =
 
 let grid_local ?pool ?chunk ~local f a =
   let cache = { lock = Mutex.create (); free = [] } in
-  Pool.map ?chunk (pool_of pool) (fun x ->
-      let l = cache_acquire cache local in
-      Fun.protect ~finally:(fun () -> cache_release cache l) (fun () -> f l x)) a
+  Pool.map_chunked ?chunk (pool_of pool)
+    ~enter:(fun () -> cache_acquire cache local)
+    ~leave:(cache_release cache) f a
 
 let map_list ?pool ?chunk f l =
   Array.to_list (Pool.map ?chunk (pool_of pool) f (Array.of_list l))

@@ -12,13 +12,16 @@
 (** [grid ?pool ?chunk f a] — [Array.map f a] on the pool. *)
 val grid : ?pool:Pool.t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [grid_local ?pool ?chunk ~local f a] — like {!grid}, but each task
+(** [grid_local ?pool ?chunk ~local f a] — like {!grid}, but each point
     runs as [f lane_state a.(i)] with a lane-owned instance of
-    [local ()]. Instances are pooled: at most one per concurrently
-    running lane is ever created, and an instance is owned by exactly
-    one task at a time — this is how mutable per-lane workspaces (e.g.
-    an [Htm_core.Plan.t], whose buffers are overwritten at every
-    evaluation) ride a sweep without aliasing across lanes.
+    [local ()], taken once per chunk ({!Pool.map_chunked}): every point
+    of a chunk sees the same instance. Instances are pooled: at most
+    one per concurrently running lane is ever created, and an instance
+    is owned by exactly one chunk at a time — this is how mutable
+    per-lane workspaces (e.g. an [Htm_core.Plan.t], whose buffers are
+    overwritten at every evaluation) ride a sweep without aliasing
+    across lanes. An exception in [f] returns the instance to the pool
+    and re-raises in the caller.
 
     Ownership rule: [f] may freely mutate its lane state but must leave
     it reusable, and its {b result must not depend on} which instance it

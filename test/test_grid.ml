@@ -41,7 +41,14 @@
    - the dense fallback of an exact-λ plan is the oracle of the same
      loop (G over 1 + λ): under grid-plan-nan a grid equals the clean
      grid, strict mode refuses, and plans without λ fall back to the
-     dense oracle of their tree bit for bit. *)
+     dense oracle of their tree bit for bit;
+   - a rank-one v that a constant carries is checked once, when the
+     plan is made: a non-finite one (the sampler times a periodic gain
+     with a NaN coefficient) still sends every point to the dense
+     oracle, counted, with and without λ, and strict mode refuses;
+   - a banded LU loop clears only its last factors' support between
+     points: a plan dirtied at other points equals a fresh plan bit for
+     bit. *)
 
 open Numeric
 open Helpers
@@ -909,6 +916,95 @@ let test_isf_golden () =
   check_golden "isf_exact_n20.bandwidth_3db"
     (Option.value ~default:Float.nan m.bandwidth_3db)
 
+(* ------------------------------------------------------------------ *)
+(* constant rank-one v, checked once; banded LU storage reuse          *)
+
+(* A rank-one node shares the v of a constant it is built from, and
+   that v is checked finite once, when the plan is made. A non-finite
+   constant v — the sampler times a periodic gain with a NaN
+   coefficient — still fails every point's guard: each point falls back
+   to the dense oracle of the loop, counted, and strict mode refuses it *)
+let test_const_v_nan_falls_back =
+  clean (fun () ->
+      let c = Htm.ctx ~n_harm:4 ~omega0:2.0 in
+      let g = Prng.create ~seed:0xC0EFL in
+      let coeffs = [| Cx.make 0.1 0.05; Cx.make Float.nan 0.0; Cx.make 0.2 (-0.1) |] in
+      let open_loop =
+        Htm.series (gen_lti_rat g) (Htm.series Htm.sampler (Htm.periodic_gain coeffs))
+      in
+      let t = Htm.feedback open_loop in
+      let lam s = Cx.make (0.3 +. (0.1 *. Cx.re s)) (0.2 *. Cx.im s) in
+      let ss = [| Cx.make 0.07 0.4; Cx.jomega 1.3; Cx.make (-0.2) 0.9 |] in
+      List.iter
+        (fun (what, plan, oracle) ->
+          check_true (what ^ ": rank-one root") (Plan.root_shape plan = `Rank1);
+          Robust.Stats.reset ();
+          Array.iter
+            (fun s ->
+              let i0 = Htm.index_of_harmonic c 0 in
+              let want = Cmat.get (oracle s) i0 i0 and got = Plan.baseband plan s in
+              check_true
+                (Printf.sprintf "%s at %s: oracle entry (%s vs %s)" what
+                   (Cx.to_string s) (Cx.to_string want) (Cx.to_string got))
+                (bits_equal (Cx.re want) (Cx.re got) && bits_equal (Cx.im want) (Cx.im got)))
+            ss;
+          let st = Robust.Stats.snapshot () in
+          check_int (what ^ ": one fallback per point") (Array.length ss)
+            st.Robust.Stats.dense_fallbacks;
+          Robust.Config.set_strict true;
+          (match Plan.baseband plan ss.(0) with
+          | exception E.Error (E.Non_finite _) -> ()
+          | exception e ->
+              Alcotest.failf "%s: expected typed Non_finite, got %s" what
+                (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: strict mode accepted a NaN v" what);
+          Robust.Config.set_strict false)
+        [
+          ("no λ", Plan.make c t, fun s -> Htm.to_matrix_dense c t s);
+          ( "λ override",
+            Plan.make ~lambda:lam c t,
+            fun s ->
+              Cmat.scale
+                (Cx.inv (Cx.add Cx.one (lam s)))
+                (Htm.to_matrix_dense c open_loop s) );
+        ])
+
+(* A banded LU closed loop keeps its factors' storage from point to
+   point and clears only their support: a plan dirtied at other points
+   (with row swaps) gives the bits of a fresh plan, every column and
+   one column alone *)
+let test_banded_lu_reuse_bit_identical () =
+  List.iter
+    (fun isf ->
+      let p = mixing_loop ~isf in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let c = Htm.ctx ~n_harm:6 ~omega0:w0 in
+      let t = Pll_lib.Pll.closed_loop_htm p in
+      let plan = Plan.make c t in
+      let ss =
+        Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-3) (w0 *. 0.49) 12)
+      in
+      Array.iteri
+        (fun j s ->
+          ignore (Plan.to_cmat plan ss.((j + 5) mod Array.length ss));
+          let fresh = Plan.to_cmat (Plan.make c t) s in
+          let reused = Plan.to_cmat plan s in
+          let n = Htm.dim c in
+          for i = 0 to n - 1 do
+            for k = 0 to n - 1 do
+              check_bits
+                (Printf.sprintf "isf %b point %d (%d,%d)" isf j i k)
+                (Cmat.get fresh i k) (Cmat.get reused i k)
+            done
+          done;
+          ignore (Plan.baseband plan ss.((j + 3) mod Array.length ss));
+          check_bits
+            (Printf.sprintf "isf %b point %d: baseband" isf j)
+            (Cmat.get fresh (Htm.index_of_harmonic c 0) (Htm.index_of_harmonic c 0))
+            (Plan.baseband plan s))
+        ss)
+    [ false; true ]
+
 let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
@@ -954,4 +1050,8 @@ let suite =
     case "fallback without λ = dense oracle, bit for bit"
       test_plain_fallback_unchanged;
     case "exact ISF H00 and metrics vs snapshot (n=20)" test_isf_golden;
+    case "non-finite constant rank-one v: fallback counted, strict refuses"
+      test_const_v_nan_falls_back;
+    case "banded LU loop reusing its factor storage = fresh plan, bit for bit"
+      test_banded_lu_reuse_bit_identical;
   ]

@@ -237,6 +237,45 @@ let test_banded_lu_pivot_injection () =
           same_bits (Printf.sprintf "lu-pivot:%d state" hit) fd fb)
         [ 1; 2; 9; 17 ])
 
+(* lu_clear zeroes whatever a factorization left in the matrix — row
+   swaps and an interrupted factorization included — so the cleared
+   matrix is fill_zero's, bit for bit (+0.0 everywhere) *)
+let test_lu_clear_is_fill_zero () =
+  let g = Prng.create ~seed:0xC1EAL in
+  let all_pos_zero what m =
+    let n = Cmatf.rows m in
+    for i = 0 to n - 1 do
+      for k = 0 to n - 1 do
+        let z = Cmatf.get m i k in
+        if bits (Cx.re z) <> bits 0.0 || bits (Cx.im z) <> bits 0.0 then
+          Alcotest.failf "%s: entry (%d,%d) = %s left behind" what i k (Cx.to_string z)
+      done
+    done
+  in
+  Fun.protect ~finally:Robust.Inject.disarm (fun () ->
+      List.iter
+        (fun (n, kl, ku, hit) ->
+          let what = Printf.sprintf "n %d kl %d ku %d lu-pivot:%d" n kl ku hit in
+          let ws = Cmatf.lu_ws ~kl ~ku n in
+          let a = Cmatf.create n n in
+          let swapped = ref false in
+          for trial = 1 to 4 do
+            (* the same storage through several factorizations *)
+            let fresh = random_banded g ~n ~kl ~ku ~weak_diag:true in
+            Cmatf.blit ~src:fresh ~dst:a;
+            if hit > 0 && trial = 4 then
+              Robust.Inject.configure (Printf.sprintf "lu-pivot:%d" hit);
+            (match Cmatf.lu_decompose_inplace a ws with
+            | () -> ()
+            | exception Lu.Singular -> ());
+            Robust.Inject.disarm ();
+            if Cmatf.lu_perm ws <> Array.init n Fun.id then swapped := true;
+            Cmatf.lu_clear a ws;
+            all_pos_zero (Printf.sprintf "%s trial %d" what trial) a
+          done;
+          check_true (what ^ ": row swaps exercised") !swapped)
+        [ (17, 2, 1, 0); (41, 3, 3, 0); (41, 1, 2, 9); (12, 11, 11, 5) ])
+
 let suite =
   [
     case "known 2x2 solve" test_solve_known;
@@ -253,4 +292,6 @@ let suite =
       test_banded_lu_singular;
     case "banded Cmatf LU: lu-pivot fires on the dense hit"
       test_banded_lu_pivot_injection;
+    case "lu_clear after a factorization = fill_zero, bit for bit"
+      test_lu_clear_is_fill_zero;
   ]

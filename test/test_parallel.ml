@@ -1,7 +1,10 @@
 (* The parallel sweep engine: Pool.map must be observationally identical
    to Array.map — same values, same order, same exceptions — for every
    pool size, chunk size and input size, and a pool must survive worker
-   exceptions and reuse its domains across calls. *)
+   exceptions and reuse its domains across calls. Pool.map_chunked
+   enters and leaves once per chunk (also when a chunk raises), and
+   Sweep.grid_local, built on it, hands every point of a chunk one lane
+   instance. *)
 
 open Helpers
 module Pool = Parallel.Pool
@@ -174,6 +177,94 @@ let test_fold_sum_pool_invariant () =
   in
   check_true "matches legacy sequential fold exactly" (r1 = seq)
 
+(* grid_local takes its lane instance once per chunk: with an explicit
+   chunk, every point of a chunk sees one instance (physically), no
+   more instances are made than there are lanes, the values are those
+   of Array.map bit for bit, and an exception in [f] still reaches the
+   caller *)
+let test_grid_local_per_chunk () =
+  let xs = Array.init 61 (fun i -> (float_of_int i *. 0.37) -. 3.0) in
+  let f x = (sin x *. exp (-.x)) +. (x *. x) in
+  let want = Array.map f xs in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun p ->
+          (* the chunk-level entry underneath: one enter and one leave per
+             chunk, and every point sees its own chunk's state *)
+          let enters = Atomic.make 0 and leaves = Atomic.make 0 in
+          let chunk_start =
+            Pool.map_chunked ~chunk:4 p
+              ~enter:(fun () ->
+                Atomic.incr enters;
+                ref (-1))
+              ~leave:(fun _ -> Atomic.incr leaves)
+              (fun st i ->
+                if !st < 0 then st := i;
+                !st)
+              (Array.init 61 Fun.id)
+          in
+          check_int "one enter per chunk" 16 (Atomic.get enters);
+          check_int "one leave per enter" 16 (Atomic.get leaves);
+          check_true "every point sees its chunk's state"
+            (chunk_start = Array.init 61 (fun i -> i - (i mod 4)));
+          (* a chunk that raises still leaves *)
+          (match
+             Pool.map_chunked ~chunk:4 p
+               ~enter:(fun () -> Atomic.incr enters)
+               ~leave:(fun () -> Atomic.incr leaves)
+               (fun () i -> if i = 22 then raise (Boom i) else i)
+               (Array.init 61 Fun.id)
+           with
+          | _ -> Alcotest.fail "map_chunked lost the exception"
+          | exception Boom _ ->
+              check_int "every entered chunk left" (Atomic.get enters)
+                (Atomic.get leaves));
+          let made = Atomic.make 0 in
+          let local () =
+            Atomic.incr made;
+            ref 0
+          in
+          let chunk = 4 in
+          let got =
+            Sweep.grid_local ~pool:p ~chunk ~local
+              (fun l x ->
+                incr l;
+                (l, f x))
+              xs
+          in
+          let what = Printf.sprintf "%d domain(s)" domains in
+          check_true
+            (Printf.sprintf "%s: %d instance(s) for %d lane(s)" what (Atomic.get made) domains)
+            (Atomic.get made >= 1 && Atomic.get made <= domains);
+          Array.iteri
+            (fun i (l, y) ->
+              check_true
+                (Printf.sprintf "%s: point %d = Array.map, bit for bit" what i)
+                (Int64.equal (bits y) (bits want.(i)));
+              let first, _ = got.(i - (i mod chunk)) in
+              check_true
+                (Printf.sprintf "%s: point %d shares its chunk's instance" what i)
+                (l == first))
+            got;
+          (* the instances counted every point between them *)
+          let seen = ref [] in
+          Array.iter (fun (l, _) -> if not (List.memq l !seen) then seen := l :: !seen) got;
+          check_int (what ^ ": points counted") (Array.length xs)
+            (List.fold_left (fun acc l -> acc + !l) 0 !seen);
+          let bad = 37 in
+          (match
+             Sweep.grid_local ~pool:p ~chunk ~local
+               (fun _ i -> if i = bad then raise (Boom i) else i)
+               (Array.init 61 Fun.id)
+           with
+          | _ -> Alcotest.failf "%s: the exception was lost" what
+          | exception Boom i -> check_int (what ^ ": re-raised") bad i);
+          check_true (what ^ ": pool usable after the failure")
+            (Sweep.grid_local ~pool:p ~chunk ~local (fun _ x -> x + 1) [| 1; 2 |]
+            = [| 2; 3 |])))
+    [ 1; 2; 4 ]
+
 let suite =
   [
     test_map_matches_array_map;
@@ -188,4 +279,6 @@ let suite =
     case "default pool sizing" test_default_sizing;
     case "closed-loop metrics pool-invariant" test_metrics_pool_invariant;
     case "noise fold sum pool-invariant" test_fold_sum_pool_invariant;
+    case "grid_local: one lane instance per chunk, = Array.map"
+      test_grid_local_per_chunk;
   ]

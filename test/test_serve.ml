@@ -14,13 +14,15 @@
    - a zero deadline cancels analyze with a typed Cancelled frame and
      turns a sweep into an all-points-cancelled partial;
    - with one worker and no queue, a busy daemon sheds with typed
-     Overloaded frames carrying the retry-after hint;
+     Overloaded frames carrying the retry-after hint (the slot is held
+     by a stream the test releases; see [hold_slot]);
    - slow-loris and mid-frame disconnects get typed Io_timeout / clean
      EOF treatment and never wedge the daemon;
    - an 8-client soak with net-torn/net-drop/net-slow injection armed
      completes through client retries with the daemon intact;
-   - stopping mid-request still returns from [serve] (typed error or
-     dropped connection on the client, never a hang);
+   - stopping mid-request (a held stream, released after the drain
+     grace) still returns from [serve] (typed error or dropped
+     connection on the client, never a hang);
    - a second SIGTERM force-exits a stuck process with code 143 (the
      re-exec'd "serve-stuck" subprocess below). *)
 
@@ -108,6 +110,49 @@ let wait_stats ?(tries = 800) path p =
         go (n - 1)
   in
   go tries
+
+(* A compute slot the test takes and lets go of: a streamed sweep whose
+   request journal is a FIFO. The daemon admits the stream, then blocks
+   opening the journal to replay it — holding the slot — until
+   [release_slot] opens the FIFO's other end. The FIFO is unlinked
+   before that end closes, so the replay reads an empty journal and the
+   stream goes on to journal into a fresh file like any other.
+   [with_held_slot] lets go on the way out whatever happens, so a
+   failing check cannot leave the daemon's drain waiting on the FIFO. *)
+let hold_dir () =
+  let dir = Filename.temp_file "pllscope_hold" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  dir
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let hold_slot dir ratios =
+  let key = Wire.stable_key (Wire.Sweep { spec; ratios }) in
+  let fifo = Filename.concat dir (key ^ ".stream") in
+  Unix.mkfifo fifo 0o600;
+  fifo
+
+let release_slot fifo =
+  (* a non-blocking write open succeeds once the daemon's read open is
+     waiting on the FIFO, and fails with ENXIO before that *)
+  let rec open_writer tries =
+    match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+    | fd -> Some fd
+    | exception Unix.Unix_error (Unix.ENXIO, _, _) when tries > 0 ->
+        Thread.delay 0.002;
+        open_writer (tries - 1)
+    | exception Unix.Unix_error (Unix.ENXIO, _, _) -> None
+  in
+  if Sys.file_exists fifo then begin
+    let fd = open_writer 2500 in
+    Sys.remove fifo;
+    Option.iter Unix.close fd
+  end
+
+let with_held_slot fifo f = Fun.protect ~finally:(fun () -> release_slot fifo) f
 
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
@@ -425,17 +470,29 @@ let test_deadline_sweep_partial () =
   check_int "partial never cached" 0 stats.Wire.cache_hits
 
 let test_overload_sheds () =
-  let cfg = { base_cfg with Daemon.workers = 1; queue_depth = 0 } in
+  let dir = hold_dir () in
+  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+  let cfg =
+    { base_cfg with Daemon.workers = 1; queue_depth = 0; state_dir = Some dir }
+  in
   let (), stats =
     with_daemon ~cfg (fun path _d ->
-        (* occupy the only slot with a long sweep *)
-        let occupier = ref (Ok Wire.R_healthy) in
+        (* occupy the only slot with a sweep held until the test lets
+           it go *)
         let ratios =
-          Array.init 512 (fun i -> 0.05 +. (0.0005 *. float_of_int i))
+          Array.init 64 (fun i -> 0.05 +. (0.002 *. float_of_int i))
         in
+        let fifo = hold_slot dir ratios in
+        with_held_slot fifo @@ fun () ->
+        let occupier = ref None in
         let th =
           Thread.create
-            (fun () -> occupier := request path (Wire.Sweep { spec; ratios }))
+            (fun () ->
+              occupier :=
+                Some
+                  (Client.sweep_streamed ~attempts:1
+                     ~connect:(fun () -> conn path)
+                     ~spec ~ratios ()))
             ()
         in
         let _ = wait_stats path (fun s -> s.Wire.active >= 1) in
@@ -457,11 +514,12 @@ let test_overload_sheds () =
         | Error err ->
             Alcotest.failf "wrong stream error: %s"
               (Robust.Pllscope_error.to_string err));
+        release_slot fifo;
         Thread.join th;
         match !occupier with
-        | Ok (Wire.R_sweep s) -> check_int "occupier completed" 512 s.Wire.total
-        | Ok _ -> Alcotest.fail "occupier reply mismatch"
-        | Error err ->
+        | Some (Ok (s, _)) -> check_int "occupier completed" 64 s.Wire.total
+        | None -> Alcotest.fail "occupier produced nothing"
+        | Some (Error err) ->
             Alcotest.failf "occupier failed: %s"
               (Robust.Pllscope_error.to_string err))
   in
@@ -580,25 +638,39 @@ let test_soak_with_faults () =
 (* shutdown                                                            *)
 
 let test_stop_mid_request_returns () =
-  let cfg = { base_cfg with Daemon.drain_grace = 0.05; workers = 1 } in
+  let dir = hold_dir () in
+  Fun.protect ~finally:(fun () -> remove_dir dir) @@ fun () ->
+  let cfg =
+    { base_cfg with Daemon.drain_grace = 0.05; workers = 1; state_dir = Some dir }
+  in
   let (), _stats =
     with_daemon ~cfg (fun path d ->
         let got_reply = ref None in
-        let ratios = Array.init 256 (fun i -> 0.05 +. (0.001 *. float_of_int i)) in
+        let ratios = Array.init 64 (fun i -> 0.05 +. (0.002 *. float_of_int i)) in
+        let fifo = hold_slot dir ratios in
+        with_held_slot fifo @@ fun () ->
         let th =
           Thread.create
-            (fun () -> got_reply := Some (request path (Wire.Sweep { spec; ratios })))
+            (fun () ->
+              got_reply :=
+                Some
+                  (Client.sweep_streamed ~attempts:1
+                     ~connect:(fun () -> conn path)
+                     ~spec ~ratios ()))
             ()
         in
         let _ = wait_stats path (fun s -> s.Wire.active >= 1) in
+        (* stop while the request holds its slot, and let it go on only
+           once the drain grace is over *)
         Daemon.stop d;
+        Thread.delay (4.0 *. cfg.Daemon.drain_grace);
+        release_slot fifo;
         Thread.join th;
         (* the in-flight request must resolve — a typed error frame, a
            cancelled partial, or a dropped connection — never a hang
            (Thread.join above is the real assertion) *)
         match !got_reply with
-        | Some (Ok (Wire.R_sweep _)) | Some (Error _) -> ()
-        | Some (Ok _) -> Alcotest.fail "sweep reply mismatch"
+        | Some (Ok _) | Some (Error _) -> ()
         | None -> Alcotest.fail "client thread produced nothing")
   in
   ()

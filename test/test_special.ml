@@ -139,6 +139,75 @@ let test_lattice_sum_bit_identical () =
       let (_ : Cx.t -> Cx.t) = Special.lattice_sum ~omega0 [ term p0 0 Cx.one ] in
       ())
 
+(* the unboxed evaluator against the boxed reference over many points:
+   both sides of the |Re w| > 350 clamp (w = π(s − pole)/ω₀), runs of
+   bit-equal poles that reuse one coth, orders up to 5, and points
+   whose Q polynomial sees -0 entries *)
+let test_lattice_sum_unboxed_vs_boxed () =
+  let term pole order residue = { Partial_fraction.pole; order; residue } in
+  let omega0 = 2.0 *. Float.pi in
+  let p0 = Cx.zero and p1 = Cx.make (-0.3) 0.8 and p2 = Cx.make 0.0 (-0.0) in
+  let terms =
+    [ term p0 1 (Cx.make 1.5 0.0); term p0 2 (Cx.make (-0.4) 0.1);
+      term p0 5 (Cx.make 0.01 0.0); term p1 1 (Cx.make 0.2 (-0.7));
+      term p1 4 (Cx.make 0.05 0.02); term p2 3 (Cx.make (-0.0) 1.0);
+      term p1 2 (Cx.make 0.3 0.3) ]
+  in
+  let lam = Special.lattice_sum ~omega0 terms in
+  let fold s =
+    List.fold_left
+      (fun acc { Partial_fraction.pole; order; residue } ->
+        Cx.add acc
+          (Cx.mul residue (Special.harmonic_sum ~k:order ~omega0 (Cx.sub s pole))))
+      Cx.zero terms
+  in
+  let bits x = Int64.bits_of_float x in
+  let rng = Random.State.make [| 17 |] in
+  let random_point () =
+    (* Re(w) = Re(s)/2 here: ±(0 .. 1000) crosses the clamp at 350 *)
+    let re = Random.State.float rng 2000.0 -. 1000.0 in
+    Cx.make re (Random.State.float rng 40.0 -. 20.0)
+  in
+  let fixed =
+    [ Cx.make 699.9 0.3; Cx.make 700.1 0.3; Cx.make (-700.1) (-2.0);
+      Cx.make (-699.9) 5.0; Cx.make 700.0 0.3; Cx.make (-700.0) 1.1;
+      Cx.make 0.0 0.0; Cx.make (-0.0) 0.5;
+      Cx.make 1e-9 1e-9; Cx.jomega 3.0 ]
+  in
+  List.iter
+    (fun s ->
+      let want = fold s and got = lam s in
+      check_true
+        (Printf.sprintf "unboxed = boxed at %h%+hi" (Cx.re s) (Cx.im s))
+        (Int64.equal (bits (Cx.re want)) (bits (Cx.re got))
+        && Int64.equal (bits (Cx.im want)) (bits (Cx.im got))))
+    (fixed @ List.init 400 (fun _ -> random_point ()));
+  (* real poles and residues at real points: λ is real and the sign of
+     its zero imaginary part is all that is left to compare, down to
+     the -0 → +0 of poly_eval_c's Cx.of_float *)
+  let real_terms =
+    [ term (Cx.of_float (-0.4)) 1 (Cx.of_float 1.5);
+      term (Cx.of_float (-0.4)) 2 (Cx.of_float (-0.3));
+      term Cx.zero 3 (Cx.of_float 0.7); term (Cx.of_float 2.5) 2 (Cx.of_float (-1.1)) ]
+  in
+  let lam = Special.lattice_sum ~omega0 real_terms in
+  let fold s =
+    List.fold_left
+      (fun acc { Partial_fraction.pole; order; residue } ->
+        Cx.add acc
+          (Cx.mul residue (Special.harmonic_sum ~k:order ~omega0 (Cx.sub s pole))))
+      Cx.zero real_terms
+  in
+  List.iter
+    (fun re ->
+      let s = Cx.of_float re in
+      let want = fold s and got = lam s in
+      check_true
+        (Printf.sprintf "real terms: unboxed = boxed at %h" re)
+        (Int64.equal (bits (Cx.re want)) (bits (Cx.re got))
+        && Int64.equal (bits (Cx.im want)) (bits (Cx.im got))))
+    [ -3.7; -1.2; -0.1; 0.3; 0.9; 4.4; 700.0; -700.0 ]
+
 (* fold_classes: a time-invariant loop's expansion comes back term for
    term; terms whose poles differ by multiples of jω₀ fold into their
    class, and the folded sum equals the unfolded one *)
@@ -235,4 +304,6 @@ let suite =
       test_fold_classes_same_sum;
     prop_s2_matches_truncation;
     prop_derivative_recursion;
+    case "unboxed lattice_sum = boxed fold: clamp, same pole, 400 points"
+      test_lattice_sum_unboxed_vs_boxed;
   ]
