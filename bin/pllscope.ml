@@ -807,47 +807,33 @@ let client_cmd =
       const run $ spec_term $ what $ socket_term $ port_term $ points
       $ req_deadline $ timeout $ attempts $ seed $ budget $ stream)
 
+(* every figure id, in the order `fig all` runs them *)
+let figures =
+  Experiments.
+    [
+      ("2", Exp_fig2.run);
+      ("4", Exp_fig4.run);
+      ("5", Exp_fig5.run);
+      ("6", Exp_fig6.run);
+      ("7", Exp_fig7.run);
+      ("xchk", Exp_xchk.run);
+      ("ablation", Exp_ablation.run);
+      ("isf", Exp_isf.run);
+      ("nonideal", Exp_nonideal.run);
+      ("pfd", Exp_pfd.run);
+      ("noise", Exp_noise.run);
+      ("fractional", Exp_fractional.run);
+      ("grid", Exp_grid.run);
+      ("perf", Exp_perf.run);
+    ]
+
 let fig_cmd =
+  let ids = figures @ [ ("all", fun () -> List.iter (fun (_, run) -> run ()) figures) ] in
   let which =
-    let doc =
-      "Figure to regenerate: 2, 4, 5, 6, 7, perf, xchk, ablation, isf, nonideal, pfd, noise, fractional, grid or all."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIG" ~doc)
+    let doc = Printf.sprintf "Figure to regenerate: %s." (Arg.doc_alts_enum ids) in
+    Arg.(required & pos 0 (some (enum ids)) None & info [] ~docv:"FIG" ~doc)
   in
-  let run which deadline strict =
-    with_robust ?deadline strict @@ fun () ->
-    match which with
-    | "2" -> Experiments.Exp_fig2.run ()
-    | "4" -> Experiments.Exp_fig4.run ()
-    | "5" -> Experiments.Exp_fig5.run ()
-    | "6" -> Experiments.Exp_fig6.run ()
-    | "7" -> Experiments.Exp_fig7.run ()
-    | "perf" -> Experiments.Exp_perf.run ()
-    | "xchk" -> Experiments.Exp_xchk.run ()
-    | "ablation" -> Experiments.Exp_ablation.run ()
-    | "isf" -> Experiments.Exp_isf.run ()
-    | "nonideal" -> Experiments.Exp_nonideal.run ()
-    | "pfd" -> Experiments.Exp_pfd.run ()
-    | "noise" -> Experiments.Exp_noise.run ()
-    | "fractional" -> Experiments.Exp_fractional.run ()
-    | "grid" -> Experiments.Exp_grid.run ()
-    | "all" ->
-        Experiments.Exp_fig2.run ();
-        Experiments.Exp_fig4.run ();
-        Experiments.Exp_fig5.run ();
-        Experiments.Exp_fig6.run ();
-        Experiments.Exp_fig7.run ();
-        Experiments.Exp_xchk.run ();
-        Experiments.Exp_ablation.run ();
-        Experiments.Exp_isf.run ();
-        Experiments.Exp_nonideal.run ();
-        Experiments.Exp_pfd.run ();
-        Experiments.Exp_noise.run ();
-        Experiments.Exp_fractional.run ();
-        Experiments.Exp_grid.run ();
-        Experiments.Exp_perf.run ()
-    | other -> Format.fprintf pp "unknown figure %s@." other
-  in
+  let run which deadline strict = with_robust ?deadline strict which in
   let doc = "Regenerate a paper figure" in
   Cmd.v (Cmd.info "fig" ~doc)
     Term.(const run $ which $ deadline_term $ strict_term)
