@@ -50,6 +50,22 @@ let spec_term =
 
 let pp = Format.std_formatter
 
+(* Every command's info: --help lists the exit codes the CLI uses, with
+   usage errors at 2 (see the end of this file), apart from --deadline's. *)
+let cmd_info =
+  let exits =
+    Cmd.Exit.
+      [
+        info ok ~doc:"on success.";
+        info 1 ~doc:"on a typed error or an invalid option value.";
+        info 2 ~doc:"on command line usage errors.";
+        info 124 ~doc:"when $(b,--deadline) expires.";
+        info internal_error ~doc:"on an unexpected internal error.";
+        info 130 ~doc:"when a signal cancels the run (143: a forced SIGTERM).";
+      ]
+  in
+  fun ?version name ~doc -> Cmd.info ?version name ~doc ~exits
+
 (* Robustness plumbing shared by every subcommand: --strict turns
    guarded fallbacks into hard failures, the per-run counters and the
    global cancellation token are reset at subcommand start (back-to-back
@@ -71,49 +87,108 @@ let deadline_term =
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
 
-let shards_term =
-  let doc =
-    "Run the sweep as a farm of $(docv) worker subprocesses with per-shard \
-     checkpoint journals merged deterministically at the end (0 = run in \
-     this process). Sharded-and-merged results are bit-identical to an \
-     in-process run at any shard count."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
+(* The grid-driver options `sweep` and `mc` share. *)
+type grid_opts = {
+  checkpoint : string option;
+  resume : bool;
+  task_timeout : float option;
+  shards : int;
+  steal : bool;
+}
 
-let no_steal_term =
-  let doc =
-    "Disable work stealing between farm shards; a shard that finishes \
-     early goes idle instead of taking ranges from slower shards."
+let grid_term =
+  let checkpoint =
+    let doc =
+      "Append each computed point to a crash-safe journal at $(docv) (with \
+       --shards, the merged base journal; shard K journals at \
+       $(docv).shardK); an interrupted run can be completed with --resume."
+    in
+    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"PATH" ~doc)
   in
-  Arg.(value & flag & info [ "no-steal" ] ~doc)
+  let resume =
+    let doc =
+      "Replay the --checkpoint journal(s) and recompute only the missing \
+       points. The completed run is bit-identical to an uninterrupted one."
+    in
+    Arg.(value & flag & info [ "resume" ] ~doc)
+  in
+  let task_timeout =
+    let doc =
+      "Per-point watchdog timeout in seconds; an overrunning point becomes \
+       a typed timed-out failure instead of hanging the run."
+    in
+    Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)
+  in
+  let shards =
+    let doc =
+      "Run as a farm of $(docv) worker subprocesses with per-shard \
+       checkpoint journals merged deterministically at the end (0 = run in \
+       this process). Sharded-and-merged results are bit-identical to an \
+       in-process run at any shard count."
+    in
+    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
+  in
+  let no_steal =
+    let doc =
+      "Disable work stealing between farm shards; a shard that finishes \
+       early goes idle instead of taking ranges from slower shards."
+    in
+    Arg.(value & flag & info [ "no-steal" ] ~doc)
+  in
+  let build checkpoint resume task_timeout shards no_steal =
+    { checkpoint; resume; task_timeout; shards; steal = not no_steal }
+  in
+  Term.(const build $ checkpoint $ resume $ task_timeout $ shards $ no_steal)
 
-(* Execute a workload on the farm. Without --checkpoint the base journal
-   lives in a temp path and is removed afterwards (the run is then
-   neither resumable nor resumed). *)
-let farm_run ~shards ~steal ~resume ~checkpoint ?task_timeout workload =
-  let base, temporary =
-    match checkpoint with
-    | Some p -> (p, false)
-    | None -> (Filename.temp_file "pllscope_farm" ".journal", true)
-  in
-  let cfg =
+(* Run a workload's grid: on the farm with --shards > 0, else in this
+   process through Run.grid. Without --checkpoint the farm's base
+   journal lives in a temp path and is removed afterwards (the run is
+   then neither resumable nor resumed). *)
+let run_grid (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
+  if g.resume && g.checkpoint = None then begin
+    Format.fprintf pp "error: --resume requires --checkpoint@.";
+    exit 1
+  end;
+  if g.shards < 0 then begin
+    Format.fprintf pp "error: --shards must be >= 0@.";
+    exit 1
+  end;
+  let n = Workloads.size w in
+  if g.shards = 0 then
+    Runner.Run.grid ?task_timeout:g.task_timeout ?checkpoint:g.checkpoint
+      ~resume:g.resume (Workloads.point w) (Array.init n Fun.id)
+  else begin
+    let base =
+      match g.checkpoint with
+      | Some p -> p
+      | None -> Filename.temp_file "pllscope_farm" ".journal"
+    in
+    let cfg =
+      {
+        Farm.Coordinator.shards = g.shards;
+        steal = g.steal;
+        resume = g.resume;
+        checkpoint = base;
+        blob = Workloads.to_blob w;
+        worker_argv = (fun _ -> [| Sys.executable_name; "farm-worker" |]);
+        slice = None;
+        chunk = None;
+        retries = None;
+        task_timeout = g.task_timeout;
+        progress = true;
+      }
+    in
+    let r = Farm.Coordinator.run cfg ~n in
+    if g.checkpoint = None then (try Sys.remove base with Sys_error _ -> ());
     {
-      Farm.Coordinator.shards;
-      steal;
-      resume;
-      checkpoint = base;
-      blob = Workloads.to_blob workload;
-      worker_argv = (fun _ -> [| Sys.executable_name; "farm-worker" |]);
-      slice = None;
-      chunk = None;
-      retries = None;
-      task_timeout;
-      progress = true;
+      Parallel.Sweep.values =
+        Array.map
+          (Option.map (Runner.Codec.decode_exn ~file:base))
+          r.Farm.Coordinator.payloads;
+      failures = r.Farm.Coordinator.failures;
+      total = r.Farm.Coordinator.total;
     }
-  in
-  let report = Farm.Coordinator.run cfg ~n:(Workloads.size workload) in
-  if temporary then (try Sys.remove base with Sys_error _ -> ());
-  report
+  end
 
 let with_robust ?deadline strict f =
   Robust.Config.set_strict strict;
@@ -146,6 +221,12 @@ let with_robust ?deadline strict f =
   | Some r -> exit (Runner.Shutdown.exit_code_of_reason r)
   | None -> ()
 
+let print_loop_reports lti eff =
+  Format.fprintf pp "LTI  open loop A(jw):      %a@."
+    Pll_lib.Analysis.pp_loop_report lti;
+  Format.fprintf pp "TV   open loop lambda(jw): %a@."
+    Pll_lib.Analysis.pp_loop_report eff
+
 let analyze_cmd =
   let run spec strict =
    with_robust strict @@ fun () ->
@@ -158,10 +239,7 @@ let analyze_cmd =
     let lti = Pll_lib.Analysis.lti_report p in
     let eff = Pll_lib.Analysis.effective_report p in
     let m = Pll_lib.Analysis.closed_loop_metrics p in
-    Format.fprintf pp "LTI  open loop A(jw):      %a@."
-      Pll_lib.Analysis.pp_loop_report lti;
-    Format.fprintf pp "TV   open loop lambda(jw): %a@."
-      Pll_lib.Analysis.pp_loop_report eff;
+    print_loop_reports lti eff;
     Experiments.Report.kv pp "closed-loop peaking" "%.2f dB at %g rad/s"
       m.Pll_lib.Analysis.peak_db m.Pll_lib.Analysis.peak_freq;
     (match m.Pll_lib.Analysis.bandwidth_3db with
@@ -171,7 +249,7 @@ let analyze_cmd =
       (if Pll_lib.Analysis.is_stable_tv p then "yes" else "NO (discrete model has poles outside the unit circle)")
   in
   let doc = "LTI vs time-varying analysis of one loop design" in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ spec_term $ strict_term)
+  Cmd.v (cmd_info "analyze" ~doc) Term.(const run $ spec_term $ strict_term)
 
 let bode_cmd =
   let points =
@@ -201,7 +279,18 @@ let bode_cmd =
          (Array.to_list sweep) (Array.to_list lam_sweep))
   in
   let doc = "Bode sweeps of A(jw) and lambda(jw)" in
-  Cmd.v (Cmd.info "bode" ~doc) Term.(const run $ spec_term $ points $ strict_term)
+  Cmd.v (cmd_info "bode" ~doc) Term.(const run $ spec_term $ points $ strict_term)
+
+(* --points N of a ratio sweep: N ratios linearly spaced over
+   [0.02, 0.5], or the 12 paper ratios *)
+let ratio_grid = function
+  | None -> Array.of_list Experiments.Exp_fig7.default_ratios
+  | Some n when n >= 2 ->
+      Array.init n (fun i ->
+          0.02 +. ((0.5 -. 0.02) *. float_of_int i /. float_of_int (n - 1)))
+  | Some _ ->
+      Format.fprintf pp "error: --points must be >= 2@.";
+      exit 1
 
 let sweep_cmd =
   let points =
@@ -211,63 +300,10 @@ let sweep_cmd =
     in
     Arg.(value & opt (some int) None & info [ "points" ] ~docv:"N" ~doc)
   in
-  let checkpoint =
-    let doc =
-      "Append each computed point to a crash-safe journal at $(docv); an \
-       interrupted run can be completed with --resume."
-    in
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"PATH" ~doc)
-  in
-  let resume =
-    let doc =
-      "Replay the --checkpoint journal and recompute only the missing \
-       points. The completed sweep is bit-identical to an uninterrupted one."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let task_timeout =
-    let doc =
-      "Per-point watchdog timeout in seconds; an overrunning point becomes \
-       a typed timed-out failure instead of hanging the sweep."
-    in
-    Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)
-  in
-  let run spec points checkpoint resume deadline task_timeout shards no_steal
-      strict =
-    if resume && checkpoint = None then begin
-      Format.fprintf pp "error: --resume requires --checkpoint@.";
-      exit 1
-    end;
-    if shards < 0 then begin
-      Format.fprintf pp "error: --shards must be >= 0@.";
-      exit 1
-    end;
+  let run spec points g deadline strict =
     with_robust ?deadline strict @@ fun () ->
-    let ratios =
-      match points with
-      | None -> Array.of_list Experiments.Exp_fig7.default_ratios
-      | Some n when n >= 2 ->
-          Array.init n (fun i ->
-              0.02 +. ((0.5 -. 0.02) *. float_of_int i /. float_of_int (n - 1)))
-      | Some _ ->
-          Format.fprintf pp "error: --points must be >= 2@.";
-          exit 1
-    in
-    let partial =
-      if shards > 0 then
-        let report =
-          farm_run ~shards ~steal:(not no_steal) ~resume ~checkpoint
-            ?task_timeout
-            (Workloads.Ratio { spec; ratios })
-        in
-        Workloads.partial_of_report report ~decode:(fun s ->
-            (Marshal.from_string s 0 : Pll_lib.Analysis.ratio_point))
-      else
-        Runner.Run.grid ?task_timeout ?checkpoint ~resume
-          ~codec:(Runner.Run.marshal_codec ())
-          (fun ratio -> Workloads.ratio_point spec ratio)
-          ratios
-    in
+    let ratios = ratio_grid points in
+    let partial = run_grid g (Workloads.Ratio { spec; ratios }) in
     let rows =
       Array.to_list partial.Parallel.Sweep.values |> List.filter_map Fun.id
     in
@@ -279,10 +315,9 @@ let sweep_cmd =
     "Ratio sweep (Fig. 7 quantities), checkpointable, resumable and \
      shardable across worker processes"
   in
-  Cmd.v (Cmd.info "sweep" ~doc)
+  Cmd.v (cmd_info "sweep" ~doc)
     Term.(
-      const run $ spec_term $ points $ checkpoint $ resume $ deadline_term
-      $ task_timeout $ shards_term $ no_steal_term $ strict_term)
+      const run $ spec_term $ points $ grid_term $ deadline_term $ strict_term)
 
 let mc_cmd =
   let points =
@@ -294,50 +329,15 @@ let mc_cmd =
     Arg.(value & opt int Experiments.Exp_nonideal.default_mc.mc_seed
          & info [ "seed" ] ~docv:"S" ~doc)
   in
-  let checkpoint =
-    let doc = "Crash-safe journal base path (shards use $(docv).shardK)." in
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"PATH" ~doc)
-  in
-  let resume =
-    let doc = "Resume an interrupted run from the --checkpoint journals." in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let task_timeout =
-    let doc = "Per-point watchdog timeout in seconds." in
-    Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)
-  in
-  let run spec points seed checkpoint resume deadline task_timeout shards
-      no_steal strict =
+  let run spec points seed g deadline strict =
     if points < 1 then begin
       Format.fprintf pp "error: --points must be >= 1@.";
       exit 1
     end;
-    if resume && checkpoint = None then begin
-      Format.fprintf pp "error: --resume requires --checkpoint@.";
-      exit 1
-    end;
-    if shards < 0 then begin
-      Format.fprintf pp "error: --shards must be >= 0@.";
-      exit 1
-    end;
     with_robust ?deadline strict @@ fun () ->
     let cfg = { Experiments.Exp_nonideal.default_mc with mc_seed = seed } in
+    let partial = run_grid g (Workloads.Mc { spec; cfg; points }) in
     let env = Experiments.Exp_nonideal.mc_env ~spec cfg in
-    let partial =
-      if shards > 0 then
-        let report =
-          farm_run ~shards ~steal:(not no_steal) ~resume ~checkpoint
-            ?task_timeout
-            (Workloads.Mc { spec; cfg; points })
-        in
-        Workloads.partial_of_report report ~decode:(fun s ->
-            (Marshal.from_string s 0 : Experiments.Exp_nonideal.mc_row))
-      else
-        Runner.Run.grid ?task_timeout ?checkpoint ~resume
-          ~codec:(Runner.Run.marshal_codec ())
-          (fun i -> Experiments.Exp_nonideal.mc_point env i)
-          (Array.init points Fun.id)
-    in
     let summary =
       Experiments.Exp_nonideal.mc_summarize env partial.Parallel.Sweep.values
     in
@@ -350,10 +350,9 @@ let mc_cmd =
      (first-order signatures over process spread); the sweep-farm \
      showcase workload"
   in
-  Cmd.v (Cmd.info "mc" ~doc)
+  Cmd.v (cmd_info "mc" ~doc)
     Term.(
-      const run $ spec_term $ points $ seed $ checkpoint $ resume
-      $ deadline_term $ task_timeout $ shards_term $ no_steal_term
+      const run $ spec_term $ points $ seed $ grid_term $ deadline_term
       $ strict_term)
 
 let journal_path_arg =
@@ -400,7 +399,7 @@ let journal_cmd =
       if json then print_journal_json path else print_journal_info path
     in
     let doc = "Frame counts, CRC status and torn-tail size of a journal" in
-    Cmd.v (Cmd.info "inspect" ~doc) Term.(const run $ journal_path_arg $ json)
+    Cmd.v (cmd_info "inspect" ~doc) Term.(const run $ journal_path_arg $ json)
   in
   let compact =
     let run path =
@@ -418,10 +417,10 @@ let journal_cmd =
        (drops superseded duplicates and any torn tail); bounds the replay \
        cost of long-lived resumed journals"
     in
-    Cmd.v (Cmd.info "compact" ~doc) Term.(const run $ journal_path_arg)
+    Cmd.v (cmd_info "compact" ~doc) Term.(const run $ journal_path_arg)
   in
   let doc = "Checkpoint-journal utilities" in
-  Cmd.group (Cmd.info "journal" ~doc) [ inspect; compact ]
+  Cmd.group (cmd_info "journal" ~doc) [ inspect; compact ]
 
 let farm_cmd =
   let status =
@@ -457,22 +456,22 @@ let farm_cmd =
              paths)
     in
     let doc = "Show base and per-shard journal state of a sharded sweep" in
-    Cmd.v (Cmd.info "status" ~doc) Term.(const run $ checkpoint)
+    Cmd.v (cmd_info "status" ~doc) Term.(const run $ checkpoint)
   in
   let doc = "Sweep-farm utilities" in
-  Cmd.group (Cmd.info "farm" ~doc) [ status ]
+  Cmd.group (cmd_info "farm" ~doc) [ status ]
 
 let farm_worker_cmd =
   let run () =
     Farm.Worker.serve
-      ~resolve:(fun _shard blob -> Workloads.task (Workloads.of_blob blob))
+      ~resolve:(fun _shard blob -> Workloads.task blob)
       ()
   in
   let doc =
     "Internal: sweep-farm worker; speaks the CRC-framed farm protocol on \
      stdin/stdout. Spawned by --shards runs."
   in
-  Cmd.v (Cmd.info "farm-worker" ~doc) Term.(const run $ const ())
+  Cmd.v (cmd_info "farm-worker" ~doc) Term.(const run $ const ())
 
 (* --------------------------------------------------------------- *)
 (* analysis daemon                                                  *)
@@ -645,7 +644,7 @@ let serve_cmd =
      protocol, admission control with typed overload shedding, per-request \
      deadlines, response cache, graceful drain on SIGTERM"
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (cmd_info "serve" ~doc)
     Term.(
       const run $ socket_term $ port_term $ workers $ queue $ max_clients
       $ cache $ read_timeout $ write_timeout $ default_deadline $ drain_grace
@@ -692,12 +691,6 @@ let client_cmd =
     in
     Arg.(value & flag & info [ "stream" ] ~doc)
   in
-  let print_loop_reports lti eff =
-    Format.fprintf pp "LTI  open loop A(jw):      %a@."
-      Pll_lib.Analysis.pp_loop_report lti;
-    Format.fprintf pp "TV   open loop lambda(jw): %a@."
-      Pll_lib.Analysis.pp_loop_report eff
-  in
   let run spec what socket port points req_deadline timeout attempts seed
       budget stream =
     let addr = client_addr socket port in
@@ -719,19 +712,7 @@ let client_cmd =
       | "analyze" -> Serve.Wire.Analyze spec
       | "bode" ->
           Serve.Wire.Bode { spec; points = Option.value points ~default:25 }
-      | "sweep" ->
-          let ratios =
-            match points with
-            | None -> Array.of_list Experiments.Exp_fig7.default_ratios
-            | Some n when n >= 2 ->
-                Array.init n (fun i ->
-                    0.02
-                    +. ((0.5 -. 0.02) *. float_of_int i /. float_of_int (n - 1)))
-            | Some _ ->
-                Format.fprintf pp "error: --points must be >= 2@.";
-                exit 1
-          in
-          Serve.Wire.Sweep { spec; ratios }
+      | "sweep" -> Serve.Wire.Sweep { spec; ratios = ratio_grid points }
       | "stats" -> Serve.Wire.Stats
       | "health" -> Serve.Wire.Health
       | other ->
@@ -802,7 +783,7 @@ let client_cmd =
     "Query a running analysis daemon (retries overload/connection loss with \
      deterministic exponential backoff)"
   in
-  Cmd.v (Cmd.info "client" ~doc)
+  Cmd.v (cmd_info "client" ~doc)
     Term.(
       const run $ spec_term $ what $ socket_term $ port_term $ points
       $ req_deadline $ timeout $ attempts $ seed $ budget $ stream)
@@ -835,7 +816,7 @@ let fig_cmd =
   in
   let run which deadline strict = with_robust ?deadline strict which in
   let doc = "Regenerate a paper figure" in
-  Cmd.v (Cmd.info "fig" ~doc)
+  Cmd.v (cmd_info "fig" ~doc)
     Term.(const run $ which $ deadline_term $ strict_term)
 
 let sim_cmd =
@@ -861,7 +842,7 @@ let sim_cmd =
     | None -> Experiments.Report.kv pp "lock" "not acquired within the run")
   in
   let doc = "Behavioral lock-acquisition run" in
-  Cmd.v (Cmd.info "sim" ~doc) Term.(const run $ spec_term $ offset $ periods)
+  Cmd.v (cmd_info "sim" ~doc) Term.(const run $ spec_term $ offset $ periods)
 
 let measure_cmd =
   let harmonic =
@@ -883,7 +864,7 @@ let measure_cmd =
     Experiments.Report.kv pp "relative error vs HTM" "%.5f" m.Sim.Extract.rel_err
   in
   let doc = "Measure H00 from time-marching simulation" in
-  Cmd.v (Cmd.info "measure" ~doc)
+  Cmd.v (cmd_info "measure" ~doc)
     Term.(const run $ spec_term $ harmonic $ window $ strict_term)
 
 let netlist_cmd =
@@ -930,23 +911,29 @@ let netlist_cmd =
       Pll_lib.Pll.make ~fref:spec.Pll_lib.Design.fref
         ~n_div:spec.Pll_lib.Design.n_div ~filter ~vco ()
     in
-    Format.fprintf pp "LTI  open loop A(jw):      %a@."
-      Pll_lib.Analysis.pp_loop_report (Pll_lib.Analysis.lti_report p);
-    Format.fprintf pp "TV   open loop lambda(jw): %a@."
-      Pll_lib.Analysis.pp_loop_report (Pll_lib.Analysis.effective_report p);
+    print_loop_reports (Pll_lib.Analysis.lti_report p)
+      (Pll_lib.Analysis.effective_report p);
     Experiments.Report.kv pp "time-varying stable" "%s"
       (if Pll_lib.Analysis.is_stable_tv p then "yes" else "NO")
   in
   let doc = "Analyze a PLL whose loop filter is given as a netlist file" in
-  Cmd.v (Cmd.info "netlist" ~doc)
+  Cmd.v (cmd_info "netlist" ~doc)
     Term.(const run $ spec_term $ file $ sense $ strict_term)
 
 let () =
   Runner.Shutdown.ignore_sigpipe ();
   Runner.Shutdown.install_handlers ();
   let doc = "time-varying frequency-domain PLL analysis (HTM formalism)" in
-  let info = Cmd.info "pllscope" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
-    [ analyze_cmd; bode_cmd; sweep_cmd; mc_cmd; fig_cmd; sim_cmd; measure_cmd;
-      netlist_cmd; farm_cmd; journal_cmd; farm_worker_cmd; serve_cmd;
-      client_cmd ]))
+  let info = cmd_info "pllscope" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ analyze_cmd; bode_cmd; sweep_cmd; mc_cmd; fig_cmd; sim_cmd;
+        measure_cmd; netlist_cmd; farm_cmd; journal_cmd; farm_worker_cmd;
+        serve_cmd; client_cmd ]
+  in
+  (* usage errors exit 2, apart from the 124 of an expired --deadline *)
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -1,59 +1,46 @@
-(* Workload blobs shared by the farm coordinator and the farm-worker
-   subprocess.
+(* The grid workloads of `sweep` and `mc`, shared by the in-process
+   driver, the farm coordinator and the farm-worker subprocess.
 
-   Both sides resolve the same Marshal blob to the same task closure,
-   and both encode point values with [Marshal.to_string v []] — the
-   exact bytes Runner.Run.marshal_codec writes — so a farm shard journal
-   holds frames byte-identical to a single-process `sweep --checkpoint`
-   journal for the same points. That byte equality is what the farm's
-   merge-level bit-identity guarantee reduces to. *)
+   A workload is typed by its point value. The farm ships it to workers
+   as a codec blob; every side resolves it to the same [point] closure
+   and encodes point values with Runner.Codec, the encoding Run.grid
+   journals, so farm and in-process runs hold the same bytes. *)
 
-type t =
-  | Ratio of { spec : Pll_lib.Design.spec; ratios : float array }
-  | Mc of {
+type _ t =
+  | Ratio : {
+      spec : Pll_lib.Design.spec;
+      ratios : float array;
+    }
+      -> Pll_lib.Analysis.ratio_point t
+  | Mc : {
       spec : Pll_lib.Design.spec;
       cfg : Experiments.Exp_nonideal.mc_config;
       points : int;
     }
+      -> Experiments.Exp_nonideal.mc_row t
 
-let to_blob (w : t) = Marshal.to_string w []
+type any = Any : 'a t -> any
 
-let of_blob s : t =
-  if String.length s < Marshal.header_size then
-    Robust.Pllscope_error.raise_
-      (Robust.Pllscope_error.Parse
-         {
-           file = "<blob>";
-           line = 0;
-           col = 0;
-           msg = "Workloads.of_blob: short workload blob";
-         });
-  Marshal.from_string s 0
+let to_blob w = Runner.Codec.encode (Any w)
 
-let size = function
+let size (type a) (w : a t) =
+  match w with
   | Ratio { ratios; _ } -> Array.length ratios
   | Mc { points; _ } -> points
 
-(* The single-point ratio task, shared verbatim between the in-process
-   sweep path and the farm path — same closure, same floats. *)
-let ratio_point spec ratio =
-  match Pll_lib.Analysis.ratio_sweep spec [ ratio ] with
-  | [ row ] -> row
-  | _ -> assert false
-
-(* [task w] maps a global grid index to its Marshal-encoded value. *)
-let task = function
-  | Ratio { spec; ratios } ->
-      fun i -> Marshal.to_string (ratio_point spec ratios.(i)) []
+(* [point w] maps a global grid index to its value. *)
+let point : type a. a t -> int -> a = function
+  | Ratio { spec; ratios } -> (
+      fun i ->
+        match Pll_lib.Analysis.ratio_sweep spec [ ratios.(i) ] with
+        | [ row ] -> row
+        | _ -> assert false)
   | Mc { spec; cfg; _ } ->
-      let env = Experiments.Exp_nonideal.mc_env ~spec cfg in
-      fun i -> Marshal.to_string (Experiments.Exp_nonideal.mc_point env i) []
+      Experiments.Exp_nonideal.mc_point
+        (Experiments.Exp_nonideal.mc_env ~spec cfg)
 
-(* Decode a farm report into the same partial summary an in-process
-   checked sweep returns. *)
-let partial_of_report (r : Farm.Coordinator.report) ~decode =
-  {
-    Parallel.Sweep.values = Array.map (Option.map decode) r.Farm.Coordinator.payloads;
-    failures = r.Farm.Coordinator.failures;
-    total = r.Farm.Coordinator.total;
-  }
+(* A farm worker's task: the blob's point function, encoded. *)
+let task blob =
+  let (Any w) = Runner.Codec.decode_exn ~file:"<blob>" blob in
+  let f = point w in
+  fun i -> Runner.Codec.encode (f i)

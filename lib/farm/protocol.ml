@@ -1,11 +1,11 @@
 (* Coordinator <-> worker wire protocol for the sweep farm.
 
    Messages travel over pipes as Journal CRC-32 frames: the frame's
-   index field carries the message tag, the payload is a [Marshal] of a
-   plain record (no closures, no custom blocks), so both sides validate
-   integrity with the same codec the checkpoint journals use and a
-   worker that dies mid-message reads as a clean EOF on the
-   coordinator's side.
+   index field carries the message tag, the payload is the Runner.Codec
+   bytes of a plain record (no closures, no custom blocks), so both
+   sides validate integrity with the same frames and codec the
+   checkpoint journals use and a worker that dies mid-message reads as
+   a clean EOF on the coordinator's side.
 
    Conversation:
 
@@ -56,61 +56,39 @@ type msg =
   | Fin
   | Exit of exit_
 
-let tag_hello = 1
-let tag_ready = 2
-let tag_assign = 3
-let tag_done = 4
-let tag_fin = 5
-let tag_exit = 6
+(* The tag table, once per direction. *)
+let frame = function
+  | Hello h -> (1, Runner.Codec.encode h)
+  | Ready -> (2, "")
+  | Assign r -> (3, Runner.Codec.encode r)
+  | Done d -> (4, Runner.Codec.encode d)
+  | Fin -> (5, "")
+  | Exit e -> (6, Runner.Codec.encode e)
 
-let marshal v = Marshal.to_string v []
-
-let unmarshal (s : string) : 'a =
-  if String.length s < Marshal.header_size then
-    Robust.Pllscope_error.raise_
-      (Robust.Pllscope_error.Parse
-         {
-           file = "<pipe>";
-           line = 0;
-           col = 0;
-           msg = "Protocol.unmarshal: short payload";
-         });
-  Marshal.from_string s 0
+let of_frame tag payload =
+  let decode () = Runner.Codec.decode_exn ~file:"<pipe>" payload in
+  match tag with
+  | 1 -> Hello (decode ())
+  | 2 -> Ready
+  | 3 -> Assign (decode ())
+  | 4 -> Done (decode ())
+  | 5 -> Fin
+  | 6 -> Exit (decode ())
+  | _ ->
+      let msg = "Protocol.recv: unknown message tag " ^ string_of_int tag in
+      Robust.Pllscope_error.(
+        raise_ (Parse { file = "<pipe>"; line = 0; col = 0; msg }))
 
 let send fd msg =
-  let tag, payload =
-    match msg with
-    | Hello h -> (tag_hello, marshal h)
-    | Ready -> (tag_ready, "")
-    | Assign r -> (tag_assign, marshal r)
-    | Done d -> (tag_done, marshal d)
-    | Fin -> (tag_fin, "")
-    | Exit e -> (tag_exit, marshal e)
-  in
-  Runner.Journal.Frame.write fd ~tag payload
+  let tag, payload = frame msg in
+  Runner.Journal.Frame.write_result fd ~tag payload
+  |> Result.iter_error Robust.Pllscope_error.raise_
 
 let recv fd =
-  match Runner.Journal.Frame.read fd with
-  | None -> None
-  | Some (tag, payload) ->
-      let msg =
-        if tag = tag_hello then Hello (unmarshal payload : hello)
-        else if tag = tag_ready then Ready
-        else if tag = tag_assign then Assign (unmarshal payload : range)
-        else if tag = tag_done then Done (unmarshal payload : done_)
-        else if tag = tag_fin then Fin
-        else if tag = tag_exit then Exit (unmarshal payload : exit_)
-        else
-          Robust.Pllscope_error.raise_
-            (Robust.Pllscope_error.Parse
-               {
-                 file = "<pipe>";
-                 line = 0;
-                 col = 0;
-                 msg = "Protocol.recv: unknown message tag " ^ string_of_int tag;
-               })
-      in
-      Some msg
+  match Runner.Journal.Frame.read_result fd with
+  | Ok None -> None
+  | Ok (Some (tag, payload)) -> Some (of_frame tag payload)
+  | Error err -> Robust.Pllscope_error.raise_ err
 
 let msg_name = function
   | Hello _ -> "hello"

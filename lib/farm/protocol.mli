@@ -1,8 +1,8 @@
 (** Coordinator/worker wire protocol for the sweep farm.
 
     Messages are {!Runner.Journal.Frame} CRC-32 frames over pipes; the
-    frame tag selects the constructor and the payload is a [Marshal] of
-    a plain record (Marshal-safe: no closures). A peer that dies
+    frame tag selects the constructor and the payload is the
+    {!Runner.Codec} bytes of a plain record (no closures). A peer that dies
     mid-frame reads as end-of-stream ({!recv} returns [None]), which the
     coordinator treats as worker death and the worker treats as
     coordinator shutdown.
@@ -59,7 +59,7 @@ val send : Unix.file_descr -> msg -> unit
 (** [recv fd] — block for the next message; [None] on end-of-stream
     (peer exited or died, including mid-frame). Raises
     {!Robust.Pllscope_error.Error} with a [Parse] payload on a CRC
-    failure or unknown tag. *)
+    failure, an unknown tag or a payload that does not decode. *)
 val recv : Unix.file_descr -> msg option
 
 (** Lowercase constructor name, for diagnostics. *)

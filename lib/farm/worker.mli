@@ -16,8 +16,8 @@
     loop to completion (Fin, coordinator EOF, or EPIPE — all clean
     exits). [resolve shard blob] must return the task function mapping a
     {b global} grid index to its encoded payload; the encoding must
-    match the coordinator's codec byte-for-byte (use [Marshal] on both
-    sides, as {!Runner.Run.marshal_codec} does). Settings carried in the
+    match the coordinator's codec byte-for-byte (use {!Runner.Codec} on
+    both sides, as {!Runner.Run.grid} does). Settings carried in the
     Hello override the optional arguments. [Robust.Stats] is reset at
     Hello and its snapshot travels back in the Exit frame for the
     coordinator to absorb. Raises [Invalid_argument] if the first

@@ -2,23 +2,24 @@
 
    Used to checksum journal frames; a table-driven byte-at-a-time
    implementation is plenty — journal payloads are a few hundred bytes
-   per sweep point and appends are already serialised by a mutex. *)
+   per sweep point. Frames are checksummed outside the journal's mutex,
+   from concurrent pool lanes, so the table is built eagerly at module
+   initialisation: a lazy one forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in the loser. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           let lsb = Int32.logand !c 1l in
-           c := Int32.shift_right_logical !c 1;
-           if lsb <> 0l then c := Int32.logxor !c 0xEDB88320l
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        let lsb = Int32.logand !c 1l in
+        c := Int32.shift_right_logical !c 1;
+        if lsb <> 0l then c := Int32.logxor !c 0xEDB88320l
+      done;
+      !c)
 
 let update crc s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update: range out of bounds";
-  let table = Lazy.force table in
   let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
   for i = pos to pos + len - 1 do
     let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in

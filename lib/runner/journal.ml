@@ -125,7 +125,9 @@ let write_all fd s =
   let n = Bytes.length b in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    match Unix.write fd b !off (n - !off) with
+    | k -> off := !off + k
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let open_append path =
@@ -287,8 +289,8 @@ module Frame = struct
   (* The journal's frame layout reused as a message codec over
      pipes/sockets: [tag] rides in the index field, the CRC covers tag
      and payload. A torn frame (peer died mid-write) reads as a clean
-     EOF; a CRC mismatch on a complete frame is real corruption and
-     raises. *)
+     EOF; a CRC mismatch on a complete frame is real corruption, a
+     typed [Parse] error. *)
 
   let rec retry_read fd buf off len =
     match Unix.read fd buf off len with
@@ -351,14 +353,10 @@ module Frame = struct
     if tag < 0 then invalid_arg "Journal.Frame.encode: negative tag";
     encode_frame ~index:tag payload
 
-  let write fd ~tag payload =
-    if tag < 0 then invalid_arg "Journal.Frame.write: negative tag";
-    let frame = encode_frame ~index:tag payload in
-    write_all fd frame
+  let write_all = write_all
 
   let write_result ?timeout fd ~tag payload =
-    if tag < 0 then invalid_arg "Journal.Frame.write_result: negative tag";
-    let frame = encode_frame ~index:tag payload in
+    let frame = encode ~tag payload in
     match timeout with
     | None ->
         write_all fd frame;
@@ -417,7 +415,7 @@ module Frame = struct
         let tag = get_u32 header 4 in
         let crc = Int32.of_int (get_u32 header 8) in
         if len < 0 || len > 1 lsl 30 then
-          Error (parse_error "Journal.Frame.read: implausible frame length")
+          Error (parse_error "Journal.Frame: implausible frame length")
         else
           let body = Bytes.create len in
           match fill body len with
@@ -428,11 +426,6 @@ module Frame = struct
               if frame_crc tag payload <> crc then
                 Error
                   (parse_error
-                     "Journal.Frame.read: CRC mismatch on pipe frame")
+                     "Journal.Frame: CRC mismatch on pipe frame")
               else Ok (Some (tag, payload)))
-
-  let read fd =
-    match read_result fd with
-    | Ok v -> v
-    | Error err -> Robust.Pllscope_error.raise_ err
 end

@@ -75,30 +75,30 @@ val compact : string -> int * int
     appear in [sources]; it is fully read before being replaced. *)
 val merge : into:string -> string list -> int
 
-(** The journal's CRC-32 frame layout reused as a message codec over
-    pipes: the frame's index field carries a small message [tag] and the
-    CRC covers tag + payload. Used by the sweep farm's
-    coordinator/worker protocol. *)
+(** The journal's CRC-32 frame layout reused as a message envelope over
+    pipes and sockets: the frame's index field carries a small message
+    [tag] and the CRC covers tag + payload. The sweep farm's
+    coordinator/worker protocol and the analysis daemon's wire protocol
+    both read and write through it. *)
 module Frame : sig
-  (** [encode ~tag payload] — the exact bytes {!write} would put on the
-      wire. Exposed so fault harnesses can write deliberately torn or
-      stalled partial frames. Raises [Invalid_argument] on a negative
-      tag. *)
+  (** [encode ~tag payload] — the exact bytes {!write_result} puts on
+      the wire. Exposed so fault harnesses can write deliberately torn
+      or stalled partial frames (with {!write_all}). Raises
+      [Invalid_argument] on a negative tag. *)
   val encode : tag:int -> string -> string
 
-  (** [write fd ~tag payload] — write one framed message with a single
-      [write(2)] (retrying on short writes). Raises [Invalid_argument]
-      on a negative [tag]; [Unix.Unix_error EPIPE] if the peer is gone
-      (callers treat that as peer death). *)
-  val write : Unix.file_descr -> tag:int -> string -> unit
+  (** [write_all fd s] — write every byte of [s], retrying short writes
+      and [EINTR]. Raises [Unix.Unix_error EPIPE] if the peer is gone. *)
+  val write_all : Unix.file_descr -> string -> unit
 
-  (** [write_result ?timeout fd ~tag payload] — like {!write}, but with
-      [~timeout] the whole frame must drain within that many seconds or
-      the call returns [Error (Io_timeout _)] (the descriptor's
-      [O_NONBLOCK] flag is toggled for the duration, so a slow or
-      stalled reader cannot wedge the writer). Without [~timeout] it is
-      {!write} returning [Ok ()]. Raises like {!write} on a negative
-      tag or a dead peer ([EPIPE]). *)
+  (** [write_result ?timeout fd ~tag payload] — write one framed
+      message. Without [~timeout] it is {!write_all} of {!encode} and
+      returns [Ok ()]. With [~timeout] the whole frame must drain within
+      that many seconds or the call returns [Error (Io_timeout _)] (the
+      descriptor's [O_NONBLOCK] flag is toggled for the duration, so a
+      slow or stalled reader cannot wedge the writer). Raises
+      [Invalid_argument] on a negative tag and [Unix.Unix_error EPIPE]
+      if the peer is gone (callers treat that as peer death). *)
   val write_result :
     ?timeout:float ->
     Unix.file_descr ->
@@ -106,18 +106,13 @@ module Frame : sig
     string ->
     (unit, Robust.Pllscope_error.t) result
 
-  (** [read fd] — block for the next complete frame. [None] on EOF,
-      including EOF mid-frame (a peer that died while writing). Raises
-      {!Robust.Pllscope_error.Error} with a [Parse] payload if a
-      complete frame fails its CRC — that is corruption, not a clean
-      shutdown. Retries [EINTR] internally. *)
-  val read : Unix.file_descr -> (int * string) option
-
-  (** [read_result ?timeout fd] — non-raising {!read}: [Ok None] on EOF
-      (including mid-frame), [Error] with a [Parse] payload on a CRC
-      mismatch or implausible length prefix. With [~timeout] the whole
-      frame — header and body — must arrive within that many seconds of
-      the call, else [Error (Io_timeout _)]: a peer trickling bytes
+  (** [read_result ?timeout fd] — the next complete frame as
+      [Ok (Some (tag, payload))]; [Ok None] on EOF, including EOF
+      mid-frame (a peer that died while writing); [Error] with a [Parse]
+      payload on a CRC mismatch or implausible length prefix — that is
+      corruption, not a clean shutdown. With [~timeout] the whole frame
+      — header and body — must arrive within that many seconds of the
+      call, else [Error (Io_timeout _)]: a peer trickling bytes
       (slow-loris) cannot hold the reader hostage. The wait is
       [select]-based and EINTR-safe, and tolerates nonblocking
       descriptors. *)

@@ -9,24 +9,16 @@
    short-circuiting to their replayed value. Running over the full
    range (rather than packing the remainder) keeps task indices, chunk
    boundaries and error payloads identical to an uninterrupted run —
-   which, together with Marshal's bit-exact float round-trip and the
+   which, together with Codec's bit-exact float round-trip and the
    pool's own schedule-independence, is why a resumed run is
    bit-identical to an uninterrupted one at any pool size. *)
-
-type 'b codec = { encode : 'b -> string; decode : string -> 'b }
-
-let marshal_codec () =
-  {
-    encode = (fun v -> Marshal.to_string v []);
-    decode = (fun s -> (Marshal.from_string s 0 : 'b));
-  }
 
 let crash_if_injected () =
   if Robust.Inject.fire Robust.Inject.Crash_at_point then
     raise Robust.Inject.Simulated_crash
 
 let grid ?pool ?chunk ?retries ?cancel ?task_timeout ?checkpoint
-    ?(resume = false) ~codec f a =
+    ?(resume = false) f a =
   if resume && checkpoint = None then
     invalid_arg "Run.grid: resume requires a checkpoint path";
   let n = Array.length a in
@@ -37,7 +29,7 @@ let grid ?pool ?chunk ?retries ?cancel ?task_timeout ?checkpoint
       List.iter
         (fun (i, payload) ->
           if i >= 0 && i < n && completed.(i) = None then begin
-            completed.(i) <- Some (codec.decode payload);
+            completed.(i) <- Some (Codec.decode_exn ~file:path payload);
             incr count
           end)
         (Journal.replay path);
@@ -56,7 +48,7 @@ let grid ?pool ?chunk ?retries ?cancel ?task_timeout ?checkpoint
         | None ->
             let v = f a.(i) in
             Option.iter
-              (fun j -> Journal.append j ~index:i (codec.encode v))
+              (fun j -> Journal.append j ~index:i (Codec.encode v))
               journal;
             (* fires only for freshly computed points, after their
                frame is on disk — the resume tests rely on that *)

@@ -8,29 +8,23 @@
     result directly. Because the resumed sweep still runs over the full
     index range (completed points short-circuit), task indices, chunking
     and error payloads match an uninterrupted run exactly; combined with
-    the codec's bit-exact round-trip this makes
+    {!Codec}'s bit-exact round-trip this makes
 
     {v  interrupted-and-resumed  ==  uninterrupted  v}
 
     bit-for-bit, at any pool size. Replayed points are counted in
     {!Robust.Stats} as resumed. *)
 
-type 'b codec = { encode : 'b -> string; decode : string -> 'b }
-
-(** A {!codec} backed by [Marshal], which round-trips OCaml floats
-    bit-exactly. The journal is trusted local state: [Marshal] decoding
-    is not type-safe against a journal written for a different result
-    type (use distinct checkpoint paths per sweep kind). *)
-val marshal_codec : unit -> 'b codec
-
-(** [grid ?checkpoint ?resume ~codec f a] — checked sweep of [f] over
-    [a]; see {!Parallel.Sweep.grid_checked} for [pool]/[chunk]/
-    [retries]/[cancel]/[task_timeout]. Without [~resume:true] an
-    existing journal at [checkpoint] is discarded (fresh run); with it,
-    journaled points are replayed instead of recomputed. The journal is
-    synced and closed on exit, including on exceptions and simulated
-    crashes. Raises [Invalid_argument] if [resume] is set without
-    [checkpoint]. *)
+(** [grid ?checkpoint ?resume f a] — checked sweep of [f] over [a];
+    see {!Parallel.Sweep.grid_checked} for [pool]/[chunk]/[retries]/
+    [cancel]/[task_timeout]. Points are journaled as {!Codec} bytes.
+    Without [~resume:true] an existing journal at [checkpoint] is
+    discarded (fresh run); with it, journaled points are replayed
+    instead of recomputed, and a journaled payload that does not decode
+    raises {!Robust.Pllscope_error.Error} with a [Parse] payload naming
+    the journal. The journal is synced and closed on exit, including on
+    exceptions and simulated crashes. Raises [Invalid_argument] if
+    [resume] is set without [checkpoint]. *)
 val grid :
   ?pool:Parallel.Pool.t ->
   ?chunk:int ->
@@ -39,7 +33,6 @@ val grid :
   ?task_timeout:float ->
   ?checkpoint:string ->
   ?resume:bool ->
-  codec:'b codec ->
   ('a -> 'b) ->
   'a array ->
   'b Parallel.Sweep.partial

@@ -71,21 +71,15 @@ let fd t = t.fd
 (* ------------------------------------------------------------------ *)
 (* fault-injected send path                                            *)
 
-let write_exact fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd b !off (n - !off) with
-    | k -> off := !off + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
 let socket_err msg =
   Robust.Pllscope_error.Parse { file = "<socket>"; line = 0; col = 0; msg }
 
 let send_request t ~stall (req : Wire.request) =
-  let payload = Wire.marshal_request req in
+  let encoded () =
+    let tag, payload = Wire.frame (Wire.Request req) in
+    Runner.Journal.Frame.encode ~tag payload
+  in
+  let write_all = Runner.Journal.Frame.write_all t.fd in
   if Robust.Inject.fire Robust.Inject.Net_drop then begin
     (* die between connect and send: the daemon sees an immediate EOF *)
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL
@@ -94,8 +88,8 @@ let send_request t ~stall (req : Wire.request) =
   end
   else if Robust.Inject.fire Robust.Inject.Net_torn then begin
     (* die mid-write: the daemon reads a half frame, then EOF *)
-    let frame = Runner.Journal.Frame.encode ~tag:Wire.tag_request payload in
-    write_exact t.fd (String.sub frame 0 (String.length frame / 2));
+    let frame = encoded () in
+    write_all (String.sub frame 0 (String.length frame / 2));
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error (_, "shutdown", _) -> ());
     Error (socket_err "Client.send_request: injected torn frame")
@@ -104,14 +98,13 @@ let send_request t ~stall (req : Wire.request) =
     (* slow-loris: half the header, a stall, then the rest — if the
        stall exceeds the daemon's read timeout the reply is a typed
        Io_timeout error frame *)
-    let frame = Runner.Journal.Frame.encode ~tag:Wire.tag_request payload in
-    write_exact t.fd (String.sub frame 0 6);
+    let frame = encoded () in
+    write_all (String.sub frame 0 6);
     Thread.delay stall;
-    write_exact t.fd
-      (String.sub frame 6 (String.length frame - 6));
+    write_all (String.sub frame 6 (String.length frame - 6));
     Ok ()
   end
-  else Wire.send_request t.fd req
+  else Wire.send t.fd (Wire.Request req)
 
 let request ?(timeout = 60.0) ?(stall = 0.75) t (req : Wire.request) =
   match send_request t ~stall req with
@@ -333,13 +326,18 @@ let sweep_streamed ?(timeout = 60.0) ?deadline ?attempts ?base_delay
     match send_request conn ~stall:0.75 req with
     | Error _ as e -> e
     | Ok () ->
+        (* EOF mid-stream is a retryable closed-connection error:
+           with_retries reconnects and resumes by key *)
         let rec consume () =
-          match Wire.recv_event ~timeout conn.fd with
+          match Wire.recv ~timeout conn.fd with
           | Error _ as e -> e
-          | Ok (Wire.Ev_progress _) ->
+          | Ok None ->
+              Error (socket_err "Wire: connection closed mid-stream")
+          | Ok (Some (Wire.Failed err)) -> Error err
+          | Ok (Some (Wire.Progress _)) ->
               (* heartbeat: the stream is alive, keep waiting *)
               consume ()
-          | Ok (Wire.Ev_chunk c) ->
+          | Ok (Some (Wire.Chunk c)) ->
               incr chunks_seen;
               Array.iteri
                 (fun k payload ->
@@ -347,7 +345,7 @@ let sweep_streamed ?(timeout = 60.0) ?deadline ?attempts ?base_delay
                   if i >= 0 && i < n then cells.(i) <- Some payload)
                 c.Wire.cells;
               consume ()
-          | Ok (Wire.Ev_summary s) ->
+          | Ok (Some (Wire.Summary s)) ->
               if Array.exists (fun c -> c = None) cells then
                 Error
                   (socket_err
@@ -371,7 +369,7 @@ let sweep_streamed ?(timeout = 60.0) ?deadline ?attempts ?base_delay
                     end
                     else Ok (sres, s)
               end
-          | Ok (Wire.Ev_reply (Wire.R_sweep sres)) ->
+          | Ok (Some (Wire.Reply (Wire.R_sweep sres))) ->
               (* a daemon that answered one-shot anyway *)
               Ok
                 ( sres,
@@ -382,7 +380,7 @@ let sweep_streamed ?(timeout = 60.0) ?deadline ?attempts ?base_delay
                     computed = n;
                     replayed = 0;
                   } )
-          | Ok (Wire.Ev_reply _) ->
+          | Ok (Some (Wire.Reply _ | Wire.Request _)) ->
               Error
                 (socket_err "Client.sweep_streamed: unexpected reply variant")
         in

@@ -285,8 +285,8 @@ let heartbeat_conn t tnow conn =
               when (not conn.closed)
                    && tnow -. conn.last_frame >= t.cfg.heartbeat -> (
                 match
-                  Wire.send_progress ~timeout:t.cfg.write_timeout conn.fd
-                    { Wire.done_points; total_points }
+                  Wire.send ~timeout:t.cfg.write_timeout conn.fd
+                    (Wire.Progress { Wire.done_points; total_points })
                 with
                 | Ok () ->
                     conn.last_frame <- now ();
@@ -361,17 +361,20 @@ let release t =
 (* ------------------------------------------------------------------ *)
 (* frame writes and admission                                          *)
 
-(* Every frame the daemon writes on a connection goes through here.
-   [write] is one of the [Wire.send_*] functions; it runs under the
-   connection's write mutex, so it never interleaves with a ticker
-   heartbeat. false => the connection is gone (the peer closed it, or
-   the write outran [write_timeout]). *)
-let send t conn write v =
+(* Every frame the daemon writes on a connection goes through here, as
+   a [Wire.frame] tag and payload. It runs under the connection's write
+   mutex, so it never interleaves with a ticker heartbeat. false => the
+   connection is gone (the peer closed it, or the write outran
+   [write_timeout]). *)
+let send_frame t conn (tag, payload) =
   Mutex.lock conn.wm;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.wm)
     (fun () ->
-      match write ?timeout:(Some t.cfg.write_timeout) conn.fd v with
+      match
+        Runner.Journal.Frame.write_result ~timeout:t.cfg.write_timeout conn.fd
+          ~tag payload
+      with
       | Ok () ->
           conn.last_frame <- now ();
           true
@@ -384,21 +387,24 @@ let send t conn write v =
         ->
           false)
 
+let send t conn msg = send_frame t conn (Wire.frame msg)
+
 (* A reply payload (counted as served once written) or a typed error
    frame (counted as a request error). *)
 let reply t conn = function
   | Ok payload ->
-      let ok = send t conn Wire.send_response_payload payload in
+      let ok = send_frame t conn (Wire.tag_result, payload) in
       if ok then Metrics.incr_served t.metrics;
       ok
   | Error err ->
       Metrics.incr_request_error t.metrics;
-      send t conn Wire.send_error err
+      send t conn (Wire.Failed err)
 
 let shed t conn =
   Metrics.incr_shed t.metrics;
-  send t conn Wire.send_error
-    (Robust.Pllscope_error.Overloaded { retry_after = t.cfg.retry_after })
+  send t conn
+    (Wire.Failed
+       (Robust.Pllscope_error.Overloaded { retry_after = t.cfg.retry_after }))
 
 (* Every compute request enters here: resolve its deadline, watch a
    fresh token, and wait for a compute slot — or answer a typed
@@ -513,16 +519,6 @@ let stats_snapshot t =
 (* ------------------------------------------------------------------ *)
 (* streamed sweeps                                                     *)
 
-let write_exact fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd b !off (n - !off) with
-    | k -> off := !off + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
 let request_parse_err msg =
   Robust.Pllscope_error.Parse { file = "<request>"; line = 0; col = 0; msg }
 
@@ -553,21 +549,20 @@ let set_streaming conn v =
    must heal by resuming. *)
 let send_chunk_inject t conn (c : Wire.chunk) =
   if Robust.Inject.fire Robust.Inject.Chunk_torn then begin
-    let frame =
-      Runner.Journal.Frame.encode ~tag:Wire.tag_chunk (Wire.marshal_chunk c)
-    in
-    let half = String.sub frame 0 (String.length frame / 2) in
-    let (_ : bool) =
-      send t conn
-        (fun ?timeout:_ fd s ->
-          write_exact fd s;
-          Ok ())
-        half
-    in
+    let tag, payload = Wire.frame (Wire.Chunk c) in
+    let frame = Runner.Journal.Frame.encode ~tag payload in
+    Mutex.lock conn.wm;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock conn.wm)
+      (fun () ->
+        try
+          Runner.Journal.Frame.write_all conn.fd
+            (String.sub frame 0 (String.length frame / 2))
+        with Unix.Unix_error _ -> ());
     quiet_shutdown conn.fd Unix.SHUTDOWN_ALL;
     false
   end
-  else if not (send t conn Wire.send_chunk c) then false
+  else if not (send t conn (Wire.Chunk c)) then false
   else begin
     Metrics.incr_chunk_sent t.metrics;
     if Robust.Inject.fire Robust.Inject.Stream_disconnect then begin
@@ -729,7 +724,7 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
               replayed = n - !computed;
             }
           in
-          let ok = send t conn Wire.send_summary summary in
+          let ok = send t conn (Wire.Summary summary) in
           if ok then Metrics.incr_served t.metrics;
           ok)
 
@@ -804,7 +799,7 @@ let handle_conn t conn =
         | Parse _ | Worker_failure _ | Timed_out _ | Cancelled _
         | Overloaded _ | Budget_exhausted _ | Circuit_open _ ->
             Metrics.incr_request_error t.metrics);
-        let (_ : bool) = send t conn Wire.send_error err in
+        let (_ : bool) = send t conn (Wire.Failed err) in
         ()
     | Ok (Some req) ->
         conn.busy <- true;

@@ -1,35 +1,36 @@
 (* Request/response protocol of the analysis daemon.
 
-   Messages ride the same CRC-32 frame codec the checkpoint journals
-   and the sweep farm use (Runner.Journal.Frame): the frame's index
-   field carries a message tag, the payload is a [Marshal] of a plain
-   record — floats, options, lists, no closures — so both sides
-   validate integrity identically and a peer that dies mid-write reads
-   as a clean EOF, never as garbage.
+   Messages ride the same CRC-32 frames and the same codec the
+   checkpoint journals and the sweep farm use (Runner.Journal.Frame,
+   Runner.Codec): the frame's index field carries a message tag, the
+   payload is the codec bytes of a plain record — floats, options,
+   lists, no closures — so both sides validate integrity identically
+   and a peer that dies mid-write reads as a clean EOF, never as
+   garbage.
 
-   Tags:
-     1  request     client -> daemon   Marshal of [request]
-     2  result      daemon -> client   Marshal of [response]
-     3  error       daemon -> client   Marshal of [Pllscope_error.t]
-     4  overloaded  daemon -> client   Marshal of [Pllscope_error.t]
+   Tags ([frame] and [recv] are the table, one per direction):
+     1  request     client -> daemon   [request]
+     2  result      daemon -> client   [response]
+     3  error       daemon -> client   [Pllscope_error.t]
+     4  overloaded  daemon -> client   [Pllscope_error.t]
                                        (always [Overloaded _])
-     5  chunk       daemon -> client   Marshal of [chunk] (streamed cells)
-     6  summary     daemon -> client   Marshal of [summary] (stream close)
-     7  progress    daemon -> client   Marshal of [progress] (heartbeat)
+     5  chunk       daemon -> client   [chunk] (streamed cells)
+     6  summary     daemon -> client   [summary] (stream close)
+     7  progress    daemon -> client   [progress] (heartbeat)
 
    Shedding gets its own tag so a minimal client can recognise
    "retry later" without decoding the payload; full clients decode the
    typed error either way.
 
-   Marshalling is [No_sharing]: every wire value is a tree, and
-   suppressing back-references makes the bytes a function of the
+   The codec marshals with [No_sharing]: every wire value is a tree,
+   and suppressing back-references makes the bytes a function of the
    *structure* alone. That is what lets a client reassemble a streamed
    sweep cell-by-cell and still produce bytes identical to the
    single-shot reply — with sharing enabled, two failures raised from
    the same site could share a physical string in the one-shot value
    and encode as a back-reference the reassembly cannot reproduce.
 
-   Cache identity: [cache_key] digests the Marshal bytes of the request
+   Cache identity: [cache_key] digests the codec bytes of the request
    {e body} — deliberately excluding the envelope (deadline, stream
    flags, idempotency key) — so two requests for the same analysis hit
    the same cache slot regardless of how patient their callers are, and
@@ -38,7 +39,7 @@
 
    Idempotency identity: [stable_key] digests a *canonical text*
    fingerprint (hex of [Int64.bits_of_float] per field) instead of
-   Marshal bytes, because request journals outlive daemon processes and
+   codec bytes, because request journals outlive daemon processes and
    Marshal's byte format is only guaranteed within one OCaml version.
    The fingerprint text itself is stored as the journal's header frame
    so a key collision is detected by content, not by digest. *)
@@ -121,11 +122,13 @@ type summary = {
 
 type progress = { done_points : int; total_points : int }
 
-type stream_event =
-  | Ev_chunk of chunk
-  | Ev_summary of summary
-  | Ev_progress of progress
-  | Ev_reply of response
+type msg =
+  | Request of request
+  | Reply of response
+  | Failed of Robust.Pllscope_error.t
+  | Chunk of chunk
+  | Summary of summary
+  | Progress of progress
 
 let tag_request = 1
 let tag_result = 2
@@ -135,25 +138,10 @@ let tag_chunk = 5
 let tag_summary = 6
 let tag_progress = 7
 
-let marshal v = Marshal.to_string v [ Marshal.No_sharing ]
-
 let parse_err msg =
   Robust.Pllscope_error.Parse { file = "<socket>"; line = 0; col = 0; msg }
 
-let closed_err what =
-  parse_err (Printf.sprintf "Wire: connection closed %s" what)
-
-let unmarshal (s : string) : ('a, Robust.Pllscope_error.t) result =
-  if String.length s < Marshal.header_size then
-    Error (parse_err "Wire.unmarshal: short payload")
-  else
-    (* CRC framing makes corruption here unlikely but not impossible
-       (journal payloads predating a wire change, hostile peers) *)
-    match Marshal.from_string s 0 with
-    | v -> Ok v
-    | exception Failure msg -> Error (parse_err ("Wire.unmarshal: " ^ msg))
-
-let cache_key (body : request_body) = Digest.string (marshal body)
+let cache_key (body : request_body) = Digest.string (Runner.Codec.encode body)
 
 let cacheable = function
   | Analyze _ | Bode _ | Sweep _ -> true
@@ -211,9 +199,8 @@ let stable_key body = Digest.to_hex (Digest.string (body_fingerprint body))
 
 type cell = (Pll_lib.Analysis.ratio_point, Robust.Pllscope_error.t) result
 
-let encode_cell (c : cell) = marshal c
-let decode_cell (s : string) : (cell, Robust.Pllscope_error.t) result =
-  unmarshal s
+let encode_cell : cell -> string = Runner.Codec.encode
+let decode_cell s : (cell, _) result = Runner.Codec.decode ~file:"<socket>" s
 
 (* Rebuild the exact [sweep_result] a single-shot reply would carry:
    rows by index, failures ascending (Parallel.Sweep.grid_checked
@@ -235,112 +222,63 @@ let assemble_sweep (cells : string array) :
   | Some e -> Error e
   | None -> Ok { rows; failures = !failures; total = n }
 
-let marshal_request (r : request) = marshal r
-let marshal_response (r : response) = marshal r
-let marshal_chunk (c : chunk) = marshal c
+let marshal_response : response -> string = Runner.Codec.encode
 
 (* ------------------------------------------------------------------ *)
 (* framed sends/receives                                               *)
 
-let send_request ?timeout fd (r : request) =
-  Runner.Journal.Frame.write_result ?timeout fd ~tag:tag_request
-    (marshal_request r)
+let frame = function
+  | Request r -> (tag_request, Runner.Codec.encode r)
+  | Reply r -> (tag_result, marshal_response r)
+  | Failed (Robust.Pllscope_error.Overloaded _ as err) ->
+      (tag_overloaded, Runner.Codec.encode err)
+  | Failed err -> (tag_error, Runner.Codec.encode err)
+  | Chunk c -> (tag_chunk, Runner.Codec.encode c)
+  | Summary s -> (tag_summary, Runner.Codec.encode s)
+  | Progress p -> (tag_progress, Runner.Codec.encode p)
 
-let send_response_payload ?timeout fd payload =
-  Runner.Journal.Frame.write_result ?timeout fd ~tag:tag_result payload
+let send ?timeout fd msg =
+  let tag, payload = frame msg in
+  Runner.Journal.Frame.write_result ?timeout fd ~tag payload
 
-let send_error ?timeout fd (err : Robust.Pllscope_error.t) =
-  let tag =
-    match err with
-    | Robust.Pllscope_error.Overloaded _ -> tag_overloaded
-    | Robust.Pllscope_error.Singular _ | Non_convergence _ | Non_finite _
-    | Parse _ | Worker_failure _ | Timed_out _ | Cancelled _ | Io_timeout _
-    | Budget_exhausted _ | Circuit_open _ ->
-        tag_error
-  in
-  Runner.Journal.Frame.write_result ?timeout fd ~tag (marshal err)
+let recv ?timeout fd =
+  match Runner.Journal.Frame.read_result ?timeout fd with
+  | Error e -> Error e
+  | Ok None -> Ok None
+  | Ok (Some (tag, payload)) ->
+      let decode wrap =
+        Result.map
+          (fun v -> Some (wrap v))
+          (Runner.Codec.decode ~file:"<socket>" payload)
+      in
+      if tag = tag_request then decode (fun r -> Request r)
+      else if tag = tag_result then decode (fun r -> Reply r)
+      else if tag = tag_error || tag = tag_overloaded then
+        decode (fun e -> Failed e)
+      else if tag = tag_chunk then decode (fun c -> Chunk c)
+      else if tag = tag_summary then decode (fun s -> Summary s)
+      else if tag = tag_progress then decode (fun p -> Progress p)
+      else Error (parse_err (Printf.sprintf "Wire: unexpected tag %d" tag))
 
-let send_chunk ?timeout fd (c : chunk) =
-  Runner.Journal.Frame.write_result ?timeout fd ~tag:tag_chunk (marshal c)
-
-let send_summary ?timeout fd (s : summary) =
-  Runner.Journal.Frame.write_result ?timeout fd ~tag:tag_summary (marshal s)
-
-let send_progress ?timeout fd (p : progress) =
-  Runner.Journal.Frame.write_result ?timeout fd ~tag:tag_progress (marshal p)
+let unexpected fn = Error (parse_err ("Wire." ^ fn ^ ": unexpected frame"))
 
 (* Daemon side: [Ok None] is a clean EOF (client went away between
    requests or died mid-frame); [Error _] is corruption or a stalled
    peer, both of which the caller answers with a typed error frame. *)
-let recv_request ?timeout fd :
-    (request option, Robust.Pllscope_error.t) result =
-  match Runner.Journal.Frame.read_result ?timeout fd with
-  | Error _ as e -> e
+let recv_request ?timeout fd =
+  match recv ?timeout fd with
+  | Error e -> Error e
   | Ok None -> Ok None
-  | Ok (Some (tag, payload)) ->
-      if tag <> tag_request then
-        Error
-          (parse_err
-             (Printf.sprintf "Wire.recv_request: unexpected tag %d" tag))
-      else begin
-        match unmarshal payload with
-        | Ok (r : request) -> Ok (Some r)
-        | Error _ as e -> e
-      end
+  | Ok (Some (Request r)) -> Ok (Some r)
+  | Ok (Some _) -> unexpected "recv_request"
 
 (* Client side: every failure mode is a typed error — a server-sent
    error frame, a dropped connection (EOF where a reply was due), a
    corrupt frame, or a reply that outran [timeout]. *)
-let recv_reply ?timeout fd : (response, Robust.Pllscope_error.t) result =
-  match Runner.Journal.Frame.read_result ?timeout fd with
+let recv_reply ?timeout fd =
+  match recv ?timeout fd with
   | Error _ as e -> e
-  | Ok None -> Error (closed_err "before a reply arrived")
-  | Ok (Some (tag, payload)) ->
-      if tag = tag_result then (unmarshal payload : (response, _) result)
-      else if tag = tag_error || tag = tag_overloaded then begin
-        match unmarshal payload with
-        | Ok (err : Robust.Pllscope_error.t) -> Error err
-        | Error _ as e -> e
-      end
-      else
-        Error
-          (parse_err (Printf.sprintf "Wire.recv_reply: unexpected tag %d" tag))
-
-(* Client side of a streamed reply: chunk/summary/progress frames plus
-   everything [recv_reply] accepts (so a daemon that answers a stream
-   request with a one-shot reply — non-sweep bodies — still decodes).
-   EOF mid-stream is a typed, retryable closed-connection error: the
-   caller reconnects and resumes by key. *)
-let recv_event ?timeout fd : (stream_event, Robust.Pllscope_error.t) result =
-  match Runner.Journal.Frame.read_result ?timeout fd with
-  | Error _ as e -> e
-  | Ok None -> Error (closed_err "mid-stream")
-  | Ok (Some (tag, payload)) ->
-      if tag = tag_chunk then begin
-        match unmarshal payload with
-        | Ok (c : chunk) -> Ok (Ev_chunk c)
-        | Error _ as e -> e
-      end
-      else if tag = tag_summary then begin
-        match unmarshal payload with
-        | Ok (s : summary) -> Ok (Ev_summary s)
-        | Error _ as e -> e
-      end
-      else if tag = tag_progress then begin
-        match unmarshal payload with
-        | Ok (p : progress) -> Ok (Ev_progress p)
-        | Error _ as e -> e
-      end
-      else if tag = tag_result then begin
-        match unmarshal payload with
-        | Ok (r : response) -> Ok (Ev_reply r)
-        | Error _ as e -> e
-      end
-      else if tag = tag_error || tag = tag_overloaded then begin
-        match unmarshal payload with
-        | Ok (err : Robust.Pllscope_error.t) -> Error err
-        | Error _ as e -> e
-      end
-      else
-        Error
-          (parse_err (Printf.sprintf "Wire.recv_event: unexpected tag %d" tag))
+  | Ok None -> Error (parse_err "Wire: connection closed before a reply")
+  | Ok (Some (Reply r)) -> Ok r
+  | Ok (Some (Failed err)) -> Error err
+  | Ok (Some _) -> unexpected "recv_reply"

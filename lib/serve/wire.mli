@@ -1,17 +1,18 @@
 (** Request/response protocol of the analysis daemon.
 
     Messages are {!Runner.Journal.Frame} CRC-32 frames whose index
-    field carries a message tag and whose payload is a [No_sharing]
-    [Marshal] of a plain record. Grammar (tags):
+    field carries a message tag and whose payload is the
+    {!Runner.Codec} bytes of a plain record. Grammar (tags, and the
+    {!msg} constructor each one carries):
 
     {v
-    1 request     client -> daemon   Marshal of request
-    2 result      daemon -> client   Marshal of response
-    3 error       daemon -> client   Marshal of Pllscope_error.t
-    4 overloaded  daemon -> client   Marshal of Pllscope_error.t
-    5 chunk       daemon -> client   Marshal of chunk (streamed cells)
-    6 summary     daemon -> client   Marshal of summary (closes a stream)
-    7 progress    daemon -> client   Marshal of progress (heartbeat)
+    1 request     client -> daemon   Request of request
+    2 result      daemon -> client   Reply of response
+    3 error       daemon -> client   Failed of Pllscope_error.t
+    4 overloaded  daemon -> client   Failed of Pllscope_error.t
+    5 chunk       daemon -> client   Chunk (streamed cells)
+    6 summary     daemon -> client   Summary (closes a stream)
+    7 progress    daemon -> client   Progress (heartbeat)
     v}
 
     The [overloaded] tag is an [error] frame whose payload is always
@@ -95,7 +96,7 @@ type server_stats = {
   heartbeats : int;  (** progress frames written by the ticker *)
   memo_hits : int;
       (** retired, always 0: the daemon no longer has a plan/grid memo.
-          The three [memo_*] fields stay because this record's Marshal
+          The three [memo_*] fields stay because this record's codec
           layout is the stats wire format and existing readers
           (including [serve --status] consumers) still name them. *)
   memo_misses : int;  (** retired, always 0 *)
@@ -134,13 +135,16 @@ type summary = {
     [total_points] cells exist so far. *)
 type progress = { done_points : int; total_points : int }
 
-type stream_event =
-  | Ev_chunk of chunk
-  | Ev_summary of summary
-  | Ev_progress of progress
-  | Ev_reply of response
-      (** a one-shot reply to a request that asked to stream (non-sweep
-          bodies, or a daemon with streaming disabled) *)
+(** One frame's message. *)
+type msg =
+  | Request of request
+  | Reply of response
+  | Failed of Robust.Pllscope_error.t
+      (** an [error] frame, or an [overloaded] one when the error is
+          [Overloaded _] *)
+  | Chunk of chunk
+  | Summary of summary
+  | Progress of progress
 
 val tag_request : int
 val tag_result : int
@@ -150,7 +154,7 @@ val tag_chunk : int
 val tag_summary : int
 val tag_progress : int
 
-(** Digest of the Marshal bytes of the request {e body} — the envelope
+(** Digest of the codec bytes of the request {e body} — the envelope
     is deliberately excluded, so identical analyses share a cache slot
     regardless of caller patience. Process-local identity only. *)
 val cache_key : request_body -> string
@@ -167,7 +171,7 @@ val spec_fingerprint : Pll_lib.Design.spec -> string
 (** Canonical text fingerprint of a request body: field-ordered hex of
     the raw IEEE-754 bits ([Int64.bits_of_float]) of every float. Two
     bodies share a fingerprint iff they are bit-identical analyses; the
-    encoding contains no Marshal bytes, so it is stable across OCaml
+    encoding contains no codec bytes, so it is stable across OCaml
     versions — safe to persist in request journals that outlive the
     daemon process. *)
 val body_fingerprint : request_body -> string
@@ -181,7 +185,10 @@ val stable_key : request_body -> string
     one point — the row, or the typed reason there is none. *)
 type cell = (Pll_lib.Analysis.ratio_point, Robust.Pllscope_error.t) result
 
+(** The codec's {!Runner.Codec.encode} and {!Runner.Codec.decode} at
+    type {!cell}. *)
 val encode_cell : cell -> string
+
 val decode_cell : string -> (cell, Robust.Pllscope_error.t) result
 
 (** [assemble_sweep cells] — rebuild the exact {!sweep_result} a
@@ -193,80 +200,51 @@ val decode_cell : string -> (cell, Robust.Pllscope_error.t) result
 val assemble_sweep :
   string array -> (sweep_result, Robust.Pllscope_error.t) result
 
-val marshal_request : request -> string
+(** The payload of a [result] frame. The daemon caches and replays
+    these bytes verbatim, which is what makes cached replies
+    byte-identical to cold ones. *)
 val marshal_response : response -> string
 
-(** The chunk's frame payload — exposed so the daemon's [chunk-torn]
-    injection site can tear the encoded frame mid-write. *)
-val marshal_chunk : chunk -> string
+(** [frame msg] — the tag and payload [msg] travels as: the sending
+    half of the tag table. The daemon writes [(tag, payload)] pairs
+    itself (a cached reply is [(tag_result, bytes)]), and fault
+    harnesses tear or stall the {!Runner.Journal.Frame.encode} of
+    one. *)
+val frame : msg -> int * string
 
-(** All sends take an optional whole-frame [timeout] (see
-    {!Runner.Journal.Frame.write_result}); a stalled peer surfaces as
+(** [send ?timeout fd msg] — write [msg] as one frame. With [timeout]
+    the whole frame must drain in time (see
+    {!Runner.Journal.Frame.write_result}): a stalled peer surfaces as
     [Error (Io_timeout _)], never as a wedged daemon thread. *)
-
-val send_request :
+val send :
   ?timeout:float ->
   Unix.file_descr ->
-  request ->
+  msg ->
   (unit, Robust.Pllscope_error.t) result
 
-(** Send a pre-marshalled [response] payload (tag [result]). The daemon
-    caches and replays these bytes verbatim, which is what makes cached
-    replies byte-identical to cold ones. *)
-val send_response_payload :
-  ?timeout:float ->
-  Unix.file_descr ->
-  string ->
-  (unit, Robust.Pllscope_error.t) result
-
-(** Send a typed error frame; [Overloaded _] goes out under the
-    [overloaded] tag, everything else under [error]. *)
-val send_error :
-  ?timeout:float ->
-  Unix.file_descr ->
-  Robust.Pllscope_error.t ->
-  (unit, Robust.Pllscope_error.t) result
-
-val send_chunk :
-  ?timeout:float ->
-  Unix.file_descr ->
-  chunk ->
-  (unit, Robust.Pllscope_error.t) result
-
-val send_summary :
-  ?timeout:float ->
-  Unix.file_descr ->
-  summary ->
-  (unit, Robust.Pllscope_error.t) result
-
-val send_progress :
-  ?timeout:float ->
-  Unix.file_descr ->
-  progress ->
-  (unit, Robust.Pllscope_error.t) result
-
-(** Daemon side. [Ok None] — clean EOF (including a client that died
+(** [recv ?timeout fd] — the next frame's message: the receiving half
+    of the tag table. [Ok None] — clean EOF (including a peer that died
     mid-frame: torn frames read as EOF by construction). [Error _] —
-    corruption ([Parse]) or a stalled client ([Io_timeout]). *)
+    corruption, an unknown tag or an undecodable payload ([Parse]), or
+    a frame that outran [timeout] ([Io_timeout]); [timeout] bounds the
+    wait for the next frame of any kind, so heartbeats keep a
+    healthy-but-slow stream alive while a dead peer still fails within
+    one timeout. *)
+val recv :
+  ?timeout:float ->
+  Unix.file_descr ->
+  (msg option, Robust.Pllscope_error.t) result
+
+(** Daemon side: {!recv} expecting a [request] frame. *)
 val recv_request :
   ?timeout:float ->
   Unix.file_descr ->
   (request option, Robust.Pllscope_error.t) result
 
-(** Client side. Decodes a [result] frame to [Ok]; [error]/[overloaded]
-    frames, EOF-before-reply, corruption and reply timeouts all come
-    back as typed [Error]s. *)
+(** Client side: {!recv} expecting a reply. Decodes a [result] frame to
+    [Ok]; [error]/[overloaded] frames, EOF-before-reply, corruption and
+    reply timeouts all come back as typed [Error]s. *)
 val recv_reply :
   ?timeout:float ->
   Unix.file_descr ->
   (response, Robust.Pllscope_error.t) result
-
-(** Client side of a streamed reply. EOF mid-stream decodes as a
-    retryable closed-connection error (the caller reconnects and
-    resumes by key); [timeout] bounds the wait for the next frame of
-    any kind, so heartbeats keep a healthy-but-slow stream alive while
-    a dead peer still fails within one timeout. *)
-val recv_event :
-  ?timeout:float ->
-  Unix.file_descr ->
-  (stream_event, Robust.Pllscope_error.t) result

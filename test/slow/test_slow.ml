@@ -1,4 +1,4 @@
-(* @slow — multi-domain determinism cross-checks.
+(* Multi-domain determinism cross-checks (part of `dune runtest`).
 
    The parallel sweep engine promises that results are bit-identical for
    any pool size: each output slot is written by exactly one lane from

@@ -4,6 +4,8 @@
      compact report and repair duplicate/torn journals;
    - Journal.Frame round-trips messages over a pipe, reads a torn frame
      as EOF and rejects a corrupt frame with a typed Parse error;
+     Protocol.recv rejects a CRC-valid frame with an undecodable payload
+     the same way;
    - a farm run at shard counts 1, 2, 4 and 7 produces payloads and a
      merged base journal byte-identical to the canonical single-process
      journal — the bit-identity guarantee at the process level;
@@ -211,26 +213,26 @@ let test_compact () =
 
 let test_frame_roundtrip () =
   let r, w = Unix.pipe () in
-  Runner.Journal.Frame.write w ~tag:3 "hello";
-  Runner.Journal.Frame.write w ~tag:0 "";
+  check_true "write" (Runner.Journal.Frame.write_result w ~tag:3 "hello" = Ok ());
+  check_true "write empty" (Runner.Journal.Frame.write_result w ~tag:0 "" = Ok ());
   Unix.close w;
-  (match Runner.Journal.Frame.read r with
-  | Some (3, "hello") -> ()
+  (match Runner.Journal.Frame.read_result r with
+  | Ok (Some (3, "hello")) -> ()
   | _ -> Alcotest.fail "first frame mangled");
-  (match Runner.Journal.Frame.read r with
-  | Some (0, "") -> ()
+  (match Runner.Journal.Frame.read_result r with
+  | Ok (Some (0, "")) -> ()
   | _ -> Alcotest.fail "empty payload mangled");
-  check_true "EOF after last frame" (Runner.Journal.Frame.read r = None);
+  check_true "EOF after last frame" (Runner.Journal.Frame.read_result r = Ok None);
   Unix.close r;
-  match Runner.Journal.Frame.write Unix.stdin ~tag:(-1) "x" with
-  | () -> Alcotest.fail "negative tag accepted"
+  match Runner.Journal.Frame.write_result Unix.stdin ~tag:(-1) "x" with
+  | _ -> Alcotest.fail "negative tag accepted"
   | exception Invalid_argument _ -> ()
 
 let test_frame_torn_and_corrupt () =
   let dir = scratch_dir () in
   let path = Filename.concat dir "frames" in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  Runner.Journal.Frame.write fd ~tag:7 "payload";
+  Runner.Journal.Frame.write_all fd (Runner.Journal.Frame.encode ~tag:7 "payload");
   Unix.close fd;
   let full = read_file path in
   (* torn mid-frame reads as clean EOF *)
@@ -239,7 +241,7 @@ let test_frame_torn_and_corrupt () =
       Out_channel.output_string oc
         (String.sub full 0 (String.length full - 3)));
   let fd = Unix.openfile torn [ Unix.O_RDONLY ] 0o644 in
-  check_true "torn frame is EOF" (Runner.Journal.Frame.read fd = None);
+  check_true "torn frame is EOF" (Runner.Journal.Frame.read_result fd = Ok None);
   Unix.close fd;
   (* a bit flip in a complete frame is typed corruption *)
   let bad = Bytes.of_string full in
@@ -249,10 +251,25 @@ let test_frame_torn_and_corrupt () =
   Out_channel.with_open_bin corrupt (fun oc ->
       Out_channel.output_bytes oc bad);
   let fd = Unix.openfile corrupt [ Unix.O_RDONLY ] 0o644 in
-  (match Runner.Journal.Frame.read fd with
-  | _ -> Alcotest.fail "corrupt frame accepted"
-  | exception Robust.Pllscope_error.Error (Robust.Pllscope_error.Parse _) -> ());
+  (match Runner.Journal.Frame.read_result fd with
+  | Error (Robust.Pllscope_error.Parse _) -> ()
+  | _ -> Alcotest.fail "corrupt frame accepted");
   Unix.close fd
+
+let test_protocol_undecodable_payload () =
+  let r, w = Unix.pipe () in
+  (* a CRC-valid Hello frame whose payload is not codec bytes *)
+  Runner.Journal.Frame.write_all w
+    (Runner.Journal.Frame.encode ~tag:1 (String.make 40 '\x5a'));
+  Unix.close w;
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      match Farm.Protocol.recv r with
+      | _ -> Alcotest.fail "garbage payload accepted"
+      | exception Robust.Pllscope_error.Error (Robust.Pllscope_error.Parse _)
+        ->
+          ())
 
 (* ------------------------------------------------------------------ *)
 (* farm end to end                                                     *)
@@ -400,6 +417,8 @@ let suite =
     case "frame codec round-trips over a pipe" (clean test_frame_roundtrip);
     case "frame codec: torn is EOF, corrupt is Parse"
       (clean test_frame_torn_and_corrupt);
+    case "protocol: undecodable payload is a typed Parse error"
+      (clean test_protocol_undecodable_payload);
     slow_case "shard counts 1/2/4/7 bit-identical"
       (clean test_shard_counts_bit_identical);
     case "more shards than points" (clean test_more_shards_than_points);

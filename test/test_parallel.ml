@@ -145,7 +145,7 @@ let test_default_sizing () =
   check_int "default pool size" (Stdlib.max 1 (Pool.default_domains ())) (Pool.size p)
 
 (* cheap end-to-end determinism check; the full multi-domain sweep
-   determinism tests live behind the @slow alias (test/slow) *)
+   determinism tests live in test/slow *)
 let test_metrics_pool_invariant () =
   let pll = pll_of spec_default in
   let run domains =

@@ -9,6 +9,9 @@
    - a run crashed at a random point (crash-at-point) and resumed is
      bit-identical to an uninterrupted run, at pool sizes 1 and 4;
    - a resumed run recomputes only the points missing from the journal;
+   - a journal written with plain [Marshal.to_string v []] (before the
+     codec's No_sharing) resumes bit-identically, and an undecodable
+     payload is a typed Parse error naming the journal;
    - a hung task (task-hang) is condemned by the watchdog as a typed
      Timed_out while the rest of the grid completes;
    - cancellation surfaces as typed Cancelled failures, preserving
@@ -201,14 +204,12 @@ let test_journal_torn_injection () =
 (* ------------------------------------------------------------------ *)
 (* crash-at-point + resume: bit-identical to uninterrupted             *)
 
-let codec : float Runner.Run.codec = Runner.Run.marshal_codec ()
-
 let grid_n = 12
 let grid_idx = Array.init grid_n (fun i -> i)
 
 let uninterrupted () =
   Pool.with_pool ~domains:1 (fun p ->
-      Runner.Run.grid ~pool:p ~codec fval grid_idx)
+      Runner.Run.grid ~pool:p fval grid_idx)
 
 let crash_and_resume ~domains ~crash_at =
   let path = Filename.concat (scratch_dir ()) "sweep.ckpt" in
@@ -217,7 +218,7 @@ let crash_and_resume ~domains ~crash_at =
   Robust.Inject.configure (Printf.sprintf "crash-at-point:%d" (crash_at + 1));
   (match
      Pool.with_pool ~domains (fun p ->
-         Runner.Run.grid ~pool:p ~codec ~checkpoint:path fval grid_idx)
+         Runner.Run.grid ~pool:p ~checkpoint:path fval grid_idx)
    with
   | (_ : float Sweep.partial) ->
       (* a crash index past the grid size never fires: fine *)
@@ -229,7 +230,7 @@ let crash_and_resume ~domains ~crash_at =
   (* phase 2: resume *)
   let r =
     Pool.with_pool ~domains (fun p ->
-        Runner.Run.grid ~pool:p ~codec ~checkpoint:path ~resume:true fval
+        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true fval
           grid_idx)
   in
   let st = Robust.Stats.snapshot () in
@@ -271,7 +272,7 @@ let test_resume_recomputes_only_missing () =
   in
   let full =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~codec ~checkpoint:path f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:path f grid_idx)
   in
   check_int "first run computes everything" grid_n (Atomic.get computed);
   (* tear the tail: the last frame is lost, the rest stay durable *)
@@ -283,7 +284,7 @@ let test_resume_recomputes_only_missing () =
   Robust.Stats.reset ();
   let r =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~codec ~checkpoint:path ~resume:true f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true f grid_idx)
   in
   check_int "only the torn point recomputed" (grid_n - kept)
     (Atomic.get computed);
@@ -294,13 +295,49 @@ let test_resume_recomputes_only_missing () =
   Atomic.set computed 0;
   let r2 =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~codec ~checkpoint:path ~resume:true f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true f grid_idx)
   in
   check_int "nothing recomputed on a complete journal" 0 (Atomic.get computed);
   check_partial_bit_identical "complete-journal resume" full r2
 
+(* A journal written before checkpoint payloads moved to the codec's
+   [No_sharing] Marshal (plain [Marshal.to_string v []]) still resumes:
+   every value replays bit-identically and none is recomputed. *)
+let test_resume_across_upgrade () =
+  let path = Filename.concat (scratch_dir ()) "old.ckpt" in
+  let j = Runner.Journal.open_append path in
+  Array.iter
+    (fun i -> Runner.Journal.append j ~index:i (Marshal.to_string (fval i) []))
+    grid_idx;
+  Runner.Journal.close j;
+  let computed = Atomic.make 0 in
+  let f i =
+    Atomic.incr computed;
+    fval i
+  in
+  let r = Runner.Run.grid ~checkpoint:path ~resume:true f grid_idx in
+  check_int "nothing recomputed" 0 (Atomic.get computed);
+  check_int "every point replayed" grid_n
+    (Robust.Stats.snapshot ()).Robust.Stats.resumed_points;
+  Array.iteri
+    (fun i v ->
+      match v with
+      | Some x -> check_true "replayed bit-identical" (bits_equal x (fval i))
+      | None -> Alcotest.failf "point %d missing" i)
+    r.Sweep.values
+
+let test_resume_undecodable_payload () =
+  let path = Filename.concat (scratch_dir ()) "garbage.ckpt" in
+  let j = Runner.Journal.open_append path in
+  Runner.Journal.append j ~index:0 (String.make 40 '\x5a');
+  Runner.Journal.close j;
+  match Runner.Run.grid ~checkpoint:path ~resume:true fval grid_idx with
+  | _ -> Alcotest.fail "garbage journal payload accepted"
+  | exception E.Error (E.Parse { file; _ }) ->
+      check_true "error names the journal" (file = path)
+
 let test_resume_requires_checkpoint () =
-  match Runner.Run.grid ~resume:true ~codec fval grid_idx with
+  match Runner.Run.grid ~resume:true fval grid_idx with
   | _ -> Alcotest.fail "resume without checkpoint accepted"
   | exception Invalid_argument _ -> ()
 
@@ -431,6 +468,10 @@ let suite =
     test_crash_resume_random_index;
     case "resume recomputes only missing points"
       (clean test_resume_recomputes_only_missing);
+    case "resume of a journal from before the codec"
+      (clean test_resume_across_upgrade);
+    case "undecodable journal payload is a typed Parse error"
+      (clean test_resume_undecodable_payload);
     case "resume requires a checkpoint path"
       (clean test_resume_requires_checkpoint);
     case "inject task-hang: typed timeout, rest completes"

@@ -5,7 +5,7 @@
      random truncations read as clean EOF, random bit flips surface as
      typed Parse errors — never exceptions, never hangs (a timeout
      backstops every read);
-   - the deadline variants of Frame.read/write return typed Io_timeout
+   - Frame.read_result/write_result with a deadline return typed Io_timeout
      on stalled partial frames and wedged pipes;
    - daemon round trips: health, analyze, bode, sweep; request errors
      (bode with one point) come back as typed error frames;
@@ -298,7 +298,7 @@ let test_wire_roundtrip () =
       Unix.close b)
     (fun () ->
       let req = Wire.oneshot ~deadline:1.5 (Wire.Analyze spec) in
-      ok (Wire.send_request a req);
+      ok (Wire.send a (Wire.Request req));
       (match ok (Wire.recv_request ~timeout:1.0 b) with
       | Some got ->
           check_true "deadline survives" (got.Wire.deadline = Some 1.5);
@@ -307,14 +307,14 @@ let test_wire_roundtrip () =
       | None -> Alcotest.fail "EOF instead of request");
       (* an Overloaded error rides the dedicated tag *)
       let shed = Robust.Pllscope_error.Overloaded { retry_after = 0.25 } in
-      ok (Wire.send_error b shed);
+      ok (Wire.send b (Wire.Failed shed));
       (match Frame.read_result ~timeout:1.0 a with
       | Ok (Some (tag, _)) -> check_int "overloaded tag" Wire.tag_overloaded tag
       | Ok None -> Alcotest.fail "EOF instead of overloaded frame"
       | Error err ->
           Alcotest.failf "frame error: %s" (Robust.Pllscope_error.to_string err));
       (* and recv_reply decodes error frames to typed errors *)
-      ok (Wire.send_error b shed);
+      ok (Wire.send b (Wire.Failed shed));
       match Wire.recv_reply ~timeout:1.0 a with
       | Error (Robust.Pllscope_error.Overloaded { retry_after }) ->
           check_close "retry hint" 0.25 retry_after
@@ -384,7 +384,7 @@ let test_daemon_cache_byte_identical () =
       ~finally:(fun () -> Client.close c)
       (fun () ->
         let fd = Client.fd c in
-        ok (Wire.send_request fd (Wire.oneshot (Wire.Analyze spec)));
+        ok (Wire.send fd (Wire.Request (Wire.oneshot (Wire.Analyze spec))));
         match Frame.read_result ~timeout:10.0 fd with
         | Ok (Some (tag, payload)) ->
             check_int "result tag" Wire.tag_result tag;
@@ -537,8 +537,8 @@ let test_slow_loris_times_out () =
           (fun () ->
             let fd = Client.fd c in
             let raw =
-              Frame.encode ~tag:Wire.tag_request
-                (Wire.marshal_request (Wire.oneshot Wire.Health))
+              let tag, payload = Wire.frame (Wire.Request (Wire.oneshot Wire.Health)) in
+              Frame.encode ~tag payload
             in
             let b = Bytes.of_string raw in
             ignore (Unix.write fd b 0 6);
@@ -566,8 +566,8 @@ let test_abrupt_disconnects () =
         (* torn frame, then gone: reads as clean EOF at the daemon *)
         let c1 = conn path in
         let raw =
-          Frame.encode ~tag:Wire.tag_request
-            (Wire.marshal_request (Wire.oneshot (Wire.Analyze spec)))
+          let tag, payload = Wire.frame (Wire.Request (Wire.oneshot (Wire.Analyze spec))) in
+          Frame.encode ~tag payload
         in
         ignore (Unix.write (Client.fd c1) (Bytes.of_string raw) 0 9);
         Client.close c1;
@@ -575,8 +575,8 @@ let test_abrupt_disconnects () =
            must absorb the dead peer *)
         let c2 = conn path in
         ok
-          (Wire.send_request (Client.fd c2)
-             (Wire.oneshot (Wire.Bode { spec; points = 12 })));
+          (Wire.send (Client.fd c2)
+             (Wire.Request (Wire.oneshot (Wire.Bode { spec; points = 12 }))));
         Client.close c2;
         (* and the daemon keeps serving *)
         match ok (request path Wire.Health) with

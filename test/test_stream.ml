@@ -115,7 +115,7 @@ let raw_oneshot path body =
     ~finally:(fun () -> Client.close c)
     (fun () ->
       let fd = Client.fd c in
-      ok (Wire.send_request fd (Wire.oneshot body));
+      ok (Wire.send fd (Wire.Request (Wire.oneshot body)));
       match Frame.read_result ~timeout:10.0 fd with
       | Ok (Some (tag, payload)) ->
           check_int "result tag" Wire.tag_result tag;
@@ -169,9 +169,14 @@ let test_cell_roundtrip () =
   | Ok (Error (Robust.Pllscope_error.Worker_failure f)) ->
       check_int "task survives" 3 f.task
   | _ -> Alcotest.fail "failure cell did not round-trip");
-  match Wire.decode_cell "not a marshalled cell" with
+  (match Wire.decode_cell "not a marshalled cell" with
   | Error (Robust.Pllscope_error.Parse _) -> ()
-  | _ -> Alcotest.fail "garbage cell decoded"
+  | _ -> Alcotest.fail "garbage cell decoded");
+  (* a valid header over a truncated body *)
+  let enc = Wire.encode_cell err in
+  match Wire.decode_cell (String.sub enc 0 (String.length enc - 3)) with
+  | Error (Robust.Pllscope_error.Parse _) -> ()
+  | _ -> Alcotest.fail "truncated cell decoded"
 
 (* ------------------------------------------------------------------ *)
 (* streamed sweeps                                                     *)
