@@ -7,13 +7,14 @@
               the compiled exact-λ loops' Plan.baseband with λ alone
               (time-invariant and ISF VCO), at n_harm 10/20/40/80;
      grid     1000-point log grids: one-point plans per point against
-              one compiled plan streamed over the grid, n_harm 8/20/80;
-     robust   the guarded one-point plan against the same evaluation
-              with the Robust.Config guards off, n_harm 10/20/40/80;
+              one compiled plan queried per point (Plan.eval), n_harm
+              8/20/80;
      bench    the Bechamel suite, one kernel per paper figure.
 
-   kernels, grid and robust each write one record to the current
-   directory, BENCH_<mode>.json:
+   Every evaluation runs guarded, as in production; kernels exits 1 if
+   a guard fell back to the dense oracle while it timed, since that
+   would bill the oracle to the plan's rows. kernels and grid each
+   write one record to the current directory, BENCH_<mode>.json:
 
      {"host": {nproc, recommended_domain_count, ocaml_version, git_rev},
       "rows": [{layer, workload, n_harm, ns_per_pt, bytes_per_pt}]}
@@ -21,8 +22,7 @@
    A layer is the API rung timed (`to_matrix`, `plan.baseband`, ...), a
    workload the loop it runs on (ti: sampling PFD and time-invariant
    VCO; isf: the same behind an ISF VCO; mix: mixing PFD). Ratios
-   between rows (speedups, allocation ratios, guard overhead) are
-   printed, not stored. The paper's figures are printed by
+   between rows (speedups, allocation ratios) are printed, not stored. The paper's figures are printed by
    `pllscope fig <id>`; the end-to-end and per-layer metrics above these
    rungs are pllbench's (BENCHMARK.json). *)
 
@@ -43,9 +43,9 @@ type row = {
   bytes_per_pt : float;
 }
 
-(* ns per call of [f]: the best of [trials] batches, each repeated
-   until it runs at least [batch_s] seconds, after one warm-up call *)
-let time_ns ?(batch_s = 0.05) ?(trials = 3) f =
+(* ns per call of [f]: the best of 3 batches, each repeated until it
+   runs at least 50 ms, after one warm-up call *)
+let time_ns f =
   ignore (f ());
   let reps = ref 1 in
   let batch () =
@@ -56,12 +56,12 @@ let time_ns ?(batch_s = 0.05) ?(trials = 3) f =
     Unix.gettimeofday () -. t0
   in
   let dt = ref (batch ()) in
-  while !dt < batch_s && !reps < 1_000_000 do
+  while !dt < 0.05 && !reps < 1_000_000 do
     reps := !reps * 4;
     dt := batch ()
   done;
   let best = ref !dt in
-  for _ = 2 to trials do
+  for _ = 2 to 3 do
     best := Float.min !best (batch ())
   done;
   !best /. float_of_int !reps *. 1e9
@@ -80,14 +80,14 @@ let bytes_per_call ?(reps = 10) f =
   (Gc.allocated_bytes () -. b0) /. float_of_int reps
 
 (* a row for [f], which evaluates [points] points per call *)
-let measure ?(points = 1) ?batch_s ?trials ?reps ~layer ~workload ?n_harm f =
+let measure ?(points = 1) ?reps ~layer ~workload ?n_harm f =
   let per = float_of_int points in
   let r =
     {
       layer;
       workload;
       n_harm;
-      ns_per_pt = time_ns ?batch_s ?trials f /. per;
+      ns_per_pt = time_ns f /. per;
       bytes_per_pt = bytes_per_call ?reps f /. per;
     }
   in
@@ -141,7 +141,7 @@ let cl = Pll_lib.Pll.closed_loop_htm pll
 
 (* -- kernels: one-point realization at s = j·0.2ω₀ ----------------- *)
 
-let run_kernel_bench () =
+let kernel_bench () =
   Format.printf "@.== HTM kernels: one-point plan vs dense oracle, compiled exact λ ==@.";
   let one_point workload loop ~baseband n_harm =
     let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
@@ -197,11 +197,16 @@ let run_kernel_bench () =
   in
   let exact_ti = exact_lambda "ti" pll in
   let exact_isf = exact_lambda "isf" isf_pll in
-  write_record "BENCH_kernels.json" (ti @ mix @ exact_ti @ exact_isf)
+  write_record "BENCH_kernels.json" (ti @ mix @ exact_ti @ exact_isf);
+  let fallbacks = (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks in
+  if fallbacks > 0 then begin
+    Format.eprintf "kernels: %d dense fallback(s) during the benchmark@." fallbacks;
+    exit 1
+  end
 
 (* -- grid: 1000-point log grids, one-point plans vs one plan ------- *)
 
-let run_grid_bench () =
+let grid_bench () =
   Format.printf "@.== HTM grid: one compiled plan vs a one-point plan per point ==@.";
   let points = 1000 in
   let ss =
@@ -227,50 +232,17 @@ let run_grid_bench () =
               Array.iter (fun s -> ignore (Htm_core.Htm.element ctx cl ~n:0 ~m:0 s)) ss)
         in
         let planned =
-          grid "plan.run_grid_map" (fun () ->
-              Htm_core.Plan.run_grid_map plan (fun _ m -> Htm_core.Smat.get m i0 i0) ss)
+          grid "plan.eval" (fun () ->
+              Array.iter
+                (fun s -> ignore (Htm_core.Smat.get (Htm_core.Plan.eval plan s) i0 i0))
+                ss)
         in
-        let planned_ba = grid "plan.run_grid_ba" (fun () -> Htm_core.Plan.run_grid_ba plan ss) in
-        ratio "to_matrix / plan.run_grid_map" to_matrix planned;
-        ratio "element / plan.run_grid_map" element planned;
-        [ to_matrix; element; planned; planned_ba ])
+        ratio "to_matrix / plan.eval" to_matrix planned;
+        ratio "element / plan.eval" element planned;
+        [ to_matrix; element; planned ])
       [ 8; 20; 80 ]
   in
   write_record "BENCH_grid.json" rows
-
-(* -- robust: what the guards cost a production evaluation ---------- *)
-
-let run_robust_bench () =
-  Format.printf "@.== Robustness guards: guarded vs unguarded one-point plan ==@.";
-  Robust.Inject.disarm ();
-  Robust.Stats.reset ();
-  let rows =
-    List.concat_map
-      (fun n_harm ->
-        let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
-        (* the two sides differ by less than a shared host's noise:
-           longer batches and more trials than the other rungs *)
-        let eval layer =
-          measure ~batch_s:0.1 ~trials:5 ~layer ~workload:"ti" ~n_harm (fun () ->
-              Htm_core.Htm.to_matrix ctx cl s)
-        in
-        Robust.Config.reset ();
-        let guarded = eval "to_matrix.guarded" in
-        Robust.Config.set_guard_checks false;
-        let unguarded = eval "to_matrix.unguarded" in
-        Robust.Config.reset ();
-        Format.printf "    guard overhead: %+.2f%%@."
-          ((guarded.ns_per_pt /. unguarded.ns_per_pt -. 1.0) *. 100.0);
-        [ guarded; unguarded ])
-      [ 10; 20; 40; 80 ]
-  in
-  write_record "BENCH_robust.json" rows;
-  (* a fallback would bill the dense oracle to the guarded rows *)
-  let fallbacks = (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks in
-  if fallbacks > 0 then begin
-    Format.eprintf "robust: %d dense fallback(s) during the benchmark@." fallbacks;
-    exit 1
-  end
 
 (* -- the Bechamel suite: one test per figure's kernel -------------- *)
 
@@ -330,10 +302,9 @@ let run_benchmarks () =
 
 let () =
   match Sys.argv with
-  | [| _; "kernels" |] -> run_kernel_bench ()
-  | [| _; "grid" |] -> run_grid_bench ()
-  | [| _; "robust" |] -> run_robust_bench ()
+  | [| _; "kernels" |] -> kernel_bench ()
+  | [| _; "grid" |] -> grid_bench ()
   | [| _; "bench" |] -> run_benchmarks ()
   | _ ->
-      prerr_endline "usage: main.exe kernels|grid|robust|bench";
+      prerr_endline "usage: main.exe kernels|grid|bench";
       exit 1

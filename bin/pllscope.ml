@@ -141,10 +141,12 @@ let grid_term =
   Term.(const build $ checkpoint $ resume $ task_timeout $ shards $ no_steal)
 
 (* Run a workload's grid: on the farm with --shards > 0, else in this
-   process through Run.grid. Without --checkpoint the farm's base
-   journal lives in a temp path and is removed afterwards (the run is
-   then neither resumable nor resumed). *)
-let run_grid (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
+   process through Run.grid. Both record the digest of the workload's
+   blob in their journals, and a resume refuses a journal that records
+   another. Without --checkpoint the farm's base journal lives in a
+   temp path and is removed afterwards (the run is then neither
+   resumable nor resumed). *)
+let run_workload (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
   if g.resume && g.checkpoint = None then begin
     Format.fprintf pp "error: --resume requires --checkpoint@.";
     exit 1
@@ -154,8 +156,11 @@ let run_grid (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
     exit 1
   end;
   let n = Workloads.size w in
+  let blob = Workloads.to_blob w in
   if g.shards = 0 then
-    Runner.Run.grid ?task_timeout:g.task_timeout ?checkpoint:g.checkpoint
+    Runner.Run.grid ?task_timeout:g.task_timeout
+      ?checkpoint:
+        (Option.map (fun path -> (path, Digest.string blob)) g.checkpoint)
       ~resume:g.resume (Workloads.point w) (Array.init n Fun.id)
   else begin
     let base =
@@ -169,7 +174,7 @@ let run_grid (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
         steal = g.steal;
         resume = g.resume;
         checkpoint = base;
-        blob = Workloads.to_blob w;
+        blob;
         worker_argv = (fun _ -> [| Sys.executable_name; "farm-worker" |]);
         slice = None;
         chunk = None;
@@ -303,7 +308,7 @@ let sweep_cmd =
   let run spec points g deadline strict =
     with_robust ?deadline strict @@ fun () ->
     let ratios = ratio_grid points in
-    let partial = run_grid g (Workloads.Ratio { spec; ratios }) in
+    let partial = run_workload g (Workloads.Ratio { spec; ratios }) in
     let rows =
       Array.to_list partial.Parallel.Sweep.values |> List.filter_map Fun.id
     in
@@ -336,7 +341,7 @@ let mc_cmd =
     end;
     with_robust ?deadline strict @@ fun () ->
     let cfg = { Experiments.Exp_nonideal.default_mc with mc_seed = seed } in
-    let partial = run_grid g (Workloads.Mc { spec; cfg; points }) in
+    let partial = run_workload g (Workloads.Mc { spec; cfg; points }) in
     let env = Experiments.Exp_nonideal.mc_env ~spec cfg in
     let summary =
       Experiments.Exp_nonideal.mc_summarize env partial.Parallel.Sweep.values

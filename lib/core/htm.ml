@@ -2,8 +2,7 @@ open Numeric
 
 (* The composition tree itself lives in [Htm_expr] (shared with the
    plan/execute layer); this module provides the validated
-   constructors, the per-point queries (one-point plans) and the grid
-   sweeps. *)
+   constructors and the per-point queries (one-point plans). *)
 
 type ctx = Htm_expr.ctx = { n_harm : int; omega0 : float }
 type t = Htm_expr.t
@@ -61,12 +60,9 @@ let element c t ~n ~m s =
 
 let baseband c t w = element c t ~n:0 ~m:0 (Cx.jomega w)
 
-(* magnitude map of an already realized HTM — shared by the per-point
-   and the planned sweep paths *)
-let conversion_map_of n sm =
+let conversion_map c t w =
+  let sm = eval_at c t (Cx.jomega w) and n = dim c in
   Array.init n (fun i -> Array.init n (fun k -> Cx.abs (Smat.get sm i k)))
-
-let conversion_map c t w = conversion_map_of (dim c) (eval_at c t (Cx.jomega w))
 
 let apply_to_tone c t ~m w =
   if abs m > c.n_harm then invalid_arg "Htm.apply_to_tone: harmonic outside truncation";
@@ -91,8 +87,7 @@ type sv_certificate = {
    before convergence) and retried with a fresh vector from the same
    deterministic stream. Both products per iteration run on the Smat
    shape (O(n) for diagonal/rank-one HTMs, O(n·k) banded) and the
-   conjugate transpose is never materialized. Shared by the per-point
-   entry and the planned sweep, both of which hand it a plan view. *)
+   conjugate transpose is never materialized. *)
 let power_iter ~iterations ~tol ~seed n m =
   let g = Prng.create ~seed in
   let vre = Array.make n 0.0 and vim = Array.make n 0.0 in
@@ -185,15 +180,14 @@ let power_iter ~iterations ~tol ~seed n m =
     converged = !converged;
   }
 
-let max_singular_value_cert ?(iterations = 200) ?(tol = 1e-10)
-    ?(seed = 0x51C0FFEEL) c t w =
+let sv_cert ?(iterations = 200) ?(tol = 1e-10) ?(seed = 0x51C0FFEEL) c t w =
   power_iter ~iterations ~tol ~seed (dim c) (eval_at c t (Cx.jomega w))
 
 let max_singular_value ?iterations ?tol ?seed c t w =
-  (max_singular_value_cert ?iterations ?tol ?seed c t w).sigma
+  (sv_cert ?iterations ?tol ?seed c t w).sigma
 
 let max_singular_value_checked ?iterations ?tol ?seed c t w =
-  let cert = max_singular_value_cert ?iterations ?tol ?seed c t w in
+  let cert = sv_cert ?iterations ?tol ?seed c t w in
   if cert.converged then Ok cert
   else begin
     let e =
@@ -203,32 +197,6 @@ let max_singular_value_checked ?iterations ?tol ?seed c t w =
     Robust.Stats.record_guard e;
     Error e
   end
-
-(* Grid sweeps compile once per lane instead of once per point: one
-   [Plan.t] per concurrently running lane (never shared — a plan is a
-   mutable workspace), handed out by [Sweep.grid_local]'s instance
-   cache, streams its points through in place. *)
-
-let baseband_sweep ?pool c t ws =
-  Parallel.Sweep.grid_local ?pool
-    ~local:(fun () -> Plan.make c t)
-    (fun p w -> Plan.baseband p (Cx.jomega w))
-    ws
-
-let conversion_sweep ?pool c t ws =
-  Parallel.Sweep.grid_local ?pool
-    ~local:(fun () -> Plan.make c t)
-    (fun p w -> conversion_map_of (dim c) (Plan.eval p (Cx.jomega w)))
-    ws
-
-let max_singular_value_sweep ?pool ?(iterations = 200) ?(tol = 1e-10)
-    ?(seed = 0x51C0FFEEL) c t ws =
-  Parallel.Sweep.grid_local ?pool
-    ~local:(fun () -> Plan.make c t)
-    (fun p w ->
-      (power_iter ~iterations ~tol ~seed (dim c) (Plan.eval p (Cx.jomega w)))
-        .sigma)
-    ws
 
 let is_lti ?(tol = 1e-12) c t s =
   let m = eval_at c t s in

@@ -94,8 +94,9 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
     {!baseband}, {!conversion_map}, {!apply_to_tone},
     {!max_singular_value} and its variants, {!is_lti}) is a one-point
     {!Plan}: [Plan.make ctx t] followed by one evaluation, with no plan
-    cache. To evaluate one tree at many points, make the plan yourself
-    or use the sweeps at the end of this module. {!element},
+    cache. To evaluate one tree at many points, make the plan yourself:
+    [Parallel.Sweep.grid_local ~local:(fun () -> Plan.make ctx t)] with
+    one {!Plan} query per point gives each lane its own plan. {!element},
     {!baseband} and {!apply_to_tone} read one column and demand only
     that column (see {!Plan.column}): a loop closed around a banded or
     dense open loop then solves one right-hand side, with the bits of
@@ -106,8 +107,7 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
     is realized as {!Smat.t} shapes (diagonal LTI blocks, banded
     Toeplitz periodic gains, the rank-one sampler, Sherman–Morrison
     feedback) and densified only here, at the API boundary.
-    When the numerical guards are enabled (the default), an evaluation
-    whose conditioning or finiteness guard fires degrades
+    An evaluation whose conditioning or finiteness guard fires degrades
     transparently to {!to_matrix_dense} — counted in
     {!Robust.Stats} — unless strict mode is armed, in which case
     {!Robust.Pllscope_error.Error} is raised instead. For the guarded
@@ -158,7 +158,8 @@ val max_singular_value :
     iterations consumed, the final residual [|σ_k - σ_{k-1}|], how many
     null-space restarts were taken, and whether the tolerance was met
     within the iteration budget (σ = 0 after exhausting every restart is
-    the exact answer for a zero matrix and counts as converged). *)
+    the exact answer for a zero matrix and counts as converged);
+    {!max_singular_value_checked} returns it. *)
 type sv_certificate = {
   sigma : float;
   iterations : int;
@@ -166,17 +167,6 @@ type sv_certificate = {
   restarts : int;
   converged : bool;
 }
-
-(** [max_singular_value_cert ctx t w] — {!max_singular_value} with its
-    full certificate. *)
-val max_singular_value_cert :
-  ?iterations:int ->
-  ?tol:float ->
-  ?seed:int64 ->
-  ctx ->
-  t ->
-  float ->
-  sv_certificate
 
 (** [max_singular_value_checked ctx t w] — [Ok cert] when the iteration
     certifiably converged, [Error (Non_convergence _)] otherwise. *)
@@ -188,30 +178,3 @@ val max_singular_value_checked :
   t ->
   float ->
   (sv_certificate, Robust.Pllscope_error.t) result
-
-(** {1 Parallel sweeps}
-
-    Grid evaluations of one HTM at many frequencies are embarrassingly
-    parallel. In these helpers each concurrently running lane owns one
-    compiled {!Plan.t} (handed out by [Parallel.Sweep.grid_local]'s
-    instance cache, never shared) and streams its points through it in
-    place, instead of compiling a one-point plan per frequency.
-    They run on [pool] (default: the shared [Parallel.Pool.default])
-    with output order and values independent of the pool size. *)
-
-val baseband_sweep :
-  ?pool:Parallel.Pool.t -> ctx -> t -> float array -> Numeric.Cx.t array
-
-(** [conversion_sweep ctx t ws] — {!conversion_map} at each [ω]. *)
-val conversion_sweep :
-  ?pool:Parallel.Pool.t -> ctx -> t -> float array -> float array array array
-
-val max_singular_value_sweep :
-  ?pool:Parallel.Pool.t ->
-  ?iterations:int ->
-  ?tol:float ->
-  ?seed:int64 ->
-  ctx ->
-  t ->
-  float array ->
-  float array

@@ -1,6 +1,7 @@
 (* Two-phase plan/execute evaluation of HTM composition trees — the one
    structured evaluator: the per-point [Htm] queries are one-point
-   plans, the sweeps stream grids through one plan per lane.
+   plans, and a grid is one plan per lane of [Parallel.Sweep.grid_local]
+   queried point by point.
 
    [make] walks the tree once per (ctx, tree) pair: it runs the static
    shape rules of [Smat] over the composition, allocates one container
@@ -164,7 +165,7 @@ let window_lo nd ~row =
 let window_hi nd ~n ~row =
   if row < 0 || nd.reach < 0 then n - 1 else Int.min (n - 1) (row + nd.reach)
 
-let rec exec ~checked ~n ~row ~col s ({ slot; op; _ } as nd) =
+let rec exec ~n ~row ~col s ({ slot; op; _ } as nd) =
   let lo = window_lo nd ~row and hi = window_hi nd ~n ~row in
   (match op with
   | Const -> ()
@@ -198,23 +199,23 @@ let rec exec ~checked ~n ~row ~col s ({ slot; op; _ } as nd) =
         done
       done
   | Kscale (z, g) ->
-      let gv = exec ~checked ~n ~row ~col:all_cols s g in
+      let gv = exec ~n ~row ~col:all_cols s g in
       Smat.Into.scale ~dst:slot.view ~lo ~hi z gv
   | Kadd (sub, a, b) ->
-      let av = exec ~checked ~n ~row ~col:all_cols s a in
-      let bv = exec ~checked ~n ~row ~col:all_cols s b in
+      let av = exec ~n ~row ~col:all_cols s a in
+      let bv = exec ~n ~row ~col:all_cols s b in
       Smat.Into.add ~dst:slot.view ~sub ~lo ~hi av bv
   | Kmul (a, b, da, db) ->
-      let av = exec ~checked ~n ~row ~col:all_cols s a in
-      let bv = exec ~checked ~n ~row ~col:all_cols s b in
+      let av = exec ~n ~row ~col:all_cols s a in
+      let bv = exec ~n ~row ~col:all_cols s b in
       Smat.Into.mul ~dst:slot.view ?da ?db ~lo ~hi av bv
   | Kfb (g, scratch, lambda) -> (
-      let gv = exec ~checked ~n ~row ~col:all_cols s g in
+      let gv = exec ~n ~row ~col:all_cols s g in
       let denom_override =
         match lambda with None -> None | Some lam -> Some (lam s)
       in
       match
-        Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override ~checked
+        Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override
           ~v_finite:nd.v_finite ~lo ~hi ~col ~context:"Plan.feedback" gv
       with
       | Ok () -> ()
@@ -328,7 +329,7 @@ let rec compile c ~lambda (t : Htm_expr.t) =
     | Const | Fill_lti _ | Fill_rat _ | Fill_custom _ | Kfb _ -> false
   in
   if static then begin
-    ignore (exec ~checked:false ~n ~row:all_rows ~col:all_cols Cx.zero nd);
+    ignore (exec ~n ~row:all_rows ~col:all_cols Cx.zero nd);
     { nd with op = Const; v_finite = v_finite_now nd.slot }
   end
   else nd
@@ -415,7 +416,7 @@ let root_finite plan ~row ~col v =
         ~hi:(window_hi plan.root ~n ~row)
 
 let checked_view plan ~row ~col s =
-  match exec ~checked:true ~n:(dim plan) ~row ~col s plan.root with
+  match exec ~n:(dim plan) ~row ~col s plan.root with
   | v ->
       poison_root plan ~row ~col;
       if root_finite plan ~row ~col v then Ok v
@@ -439,26 +440,18 @@ let dense_oracle plan s =
       Cmat.scale (Cx.inv (Cx.add Cx.one (lam s))) (oracle g)
   | _ -> oracle plan.expr
 
-(* The one guard/fallback driver: guards off → unchecked kernels;
-   guards on → the checked evaluation, degrading to the dense oracle
-   (counted in [Robust.Stats]) unless strict mode refuses. [row] and
-   [col] are the entry demand (see [all_rows]). *)
+(* The one guard/fallback driver: the checked evaluation, degrading
+   to the dense oracle (counted in [Robust.Stats]) unless strict mode
+   refuses. [row] and [col] are the entry demand (see [all_rows]). *)
 let eval_view plan ~row ~col s =
-  let col = root_col plan col in
-  if not (Robust.Config.guards_enabled ()) then begin
-    let v = exec ~checked:false ~n:(dim plan) ~row ~col s plan.root in
-    poison_root plan ~row ~col;
-    `Structured v
-  end
-  else
-    match checked_view plan ~row ~col s with
-    | Ok v -> `Structured v
-    | Error e ->
-        if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
-        else begin
-          Robust.Stats.record_fallback e;
-          `Dense (dense_oracle plan s)
-        end
+  match checked_view plan ~row ~col:(root_col plan col) s with
+  | Ok v -> `Structured v
+  | Error e ->
+      if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
+      else begin
+        Robust.Stats.record_fallback e;
+        `Dense (dense_oracle plan s)
+      end
 
 let eval plan s =
   match eval_view plan ~row:all_rows ~col:all_cols s with
@@ -495,102 +488,3 @@ let row plan ~n s =
   match eval_view plan ~row:i ~col:all_cols s with
   | `Structured v -> Cvec.init (dim plan) (fun k -> Smat.get v i k)
   | `Dense d -> Cvec.init (dim plan) (fun k -> Cmat.get d i k)
-
-(* ------------------------------------------------------------------ *)
-(* grid drivers (sequential on one plan; parallel sweeps distribute    *)
-(* points over per-lane plans with Parallel.Sweep.grid_local)          *)
-
-(* Boxed-output convenience drivers: one closure and one fresh output
-   array per grid call (not per point) by contract; Out/run_grid_ba is
-   the allocation-free path. *)
-let[@lint.allow "hot-alloc"] run_grid plan ss =
-  Array.map (fun s -> to_cmat plan s) ss
-
-let[@lint.allow "hot-alloc"] run_grid_map plan f ss =
-  Array.mapi (fun i s -> f i (eval plan s)) ss
-
-module Out = struct
-  type ba3 =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array3.t
-
-  type t = { re : ba3; im : ba3 }
-
-  let points g = Bigarray.Array3.dim1 g.re
-  let dim g = Bigarray.Array3.dim2 g.re
-
-  let get g ~p ~i ~k =
-    Cx.make (Bigarray.Array3.get g.re p i k) (Bigarray.Array3.get g.im p i k)
-
-  let re g = g.re
-  let im g = g.im
-end
-
-(* Write one realized point into slice [p] of the output block. Each
-   slice is written exactly once; diagonal/banded roots write only
-   their support over the zero-filled background. *)
-let write_slice (re : Out.ba3) (im : Out.ba3) p slot n =
-  let open Bigarray in
-  match slot.sh with
-  | `Diag ->
-      for i = 0 to n - 1 do
-        Array3.unsafe_set re p i i slot.are.(i);
-        Array3.unsafe_set im p i i slot.aim.(i)
-      done
-  | `Band kmax ->
-      let w = (2 * kmax) + 1 in
-      for i = 0 to n - 1 do
-        for d = Int.max (-kmax) (-i) to Int.min kmax (n - 1 - i) do
-          let q = (i * w) + d + kmax in
-          Array3.unsafe_set re p i (i + d) slot.are.(q);
-          Array3.unsafe_set im p i (i + d) slot.aim.(q)
-        done
-      done
-  | `Rank1 ->
-      for i = 0 to n - 1 do
-        let ar = slot.are.(i) and ai = slot.aim.(i) in
-        for k = 0 to n - 1 do
-          let br = slot.bre.(k) and bi = slot.bim.(k) in
-          Array3.unsafe_set re p i k ((ar *. br) -. (ai *. bi));
-          Array3.unsafe_set im p i k ((ar *. bi) +. (ai *. br))
-        done
-      done
-  | `Dense ->
-      let mre, mim = Cmatf.raw (Option.get slot.dense) in
-      for i = 0 to n - 1 do
-        for k = 0 to n - 1 do
-          let q = (i * n) + k in
-          Array3.unsafe_set re p i k mre.(q);
-          Array3.unsafe_set im p i k mim.(q)
-        done
-      done
-
-let run_grid_ba plan ss =
-  let open Bigarray in
-  let n = dim plan and np = Array.length ss in
-  let re = Array3.create Float64 C_layout np n n in
-  let im = Array3.create Float64 C_layout np n n in
-  (* Rank-one and dense roots write every entry of their slice (and so
-     does a dense fallback), so the zero background is only needed for
-     diagonal/banded roots — skipping it saves a full pass over the
-     output block. *)
-  (match plan.root.slot.sh with
-  | `Diag | `Band _ ->
-      Array3.fill re 0.0;
-      Array3.fill im 0.0
-  | `Rank1 | `Dense -> ());
-  (* one closure per grid call; the boxed Cmat.get is confined to the
-     dense fallback branch, which structured evaluation never takes *)
-  let[@lint.allow "hot-alloc"] write_point p s =
-    match eval_view plan ~row:all_rows ~col:all_cols s with
-    | `Structured _ -> write_slice re im p plan.root.slot n
-    | `Dense m ->
-        for i = 0 to n - 1 do
-          for k = 0 to n - 1 do
-            let z = Cmat.get m i k in
-            Array3.unsafe_set re p i k (Cx.re z);
-            Array3.unsafe_set im p i k (Cx.im z)
-          done
-        done
-  in
-  Array.iteri write_point ss;
-  { Out.re; im }

@@ -1,6 +1,6 @@
 (** Plan/execute evaluation of HTM composition trees — the one
     structured evaluator. The per-point [Htm] queries are one-point
-    plans; grid sweeps stream many points through one plan.
+    plans; a grid streams its points through one plan per lane.
 
     {!make} walks a composition tree {b once}: it runs {!Smat}'s static
     shape rules over every node, preallocates one structured container
@@ -8,7 +8,7 @@
     evaluation can need, realizes s-independent feedback-free subtrees
     once into their own containers, and compiles LTI leaves into
     harmonic shift tables (allocation-free split-rational evaluation for
-    [Htm.lti_rat] leaves). {!eval} and the grid drivers then stream
+    [Htm.lti_rat] leaves). {!eval} and the entry queries then stream
     frequency points through the plan {b entirely in place}.
 
     Planned evaluation is proven equivalent to the dense oracle
@@ -54,13 +54,10 @@ val root_shape : t -> Smat.shape_t
 
 (** {1 Point evaluation}
 
-    This is the one guard/fallback driver: with
-    {!Robust.Config.guards_enabled} off, kernels run unchecked (exact
-    singularity raises [Numeric.Lu.Singular]); with guards on, checked
-    kernels plus a root finiteness scan ({!eval_checked}) degrade
-    failing points to the dense oracle, counted in {!Robust.Stats} —
-    unless strict mode ({!Robust.Config.is_strict}) raises the typed
-    error instead.
+    This is the one guard/fallback driver: checked kernels plus a root
+    finiteness scan ({!eval_checked}) degrade failing points to the
+    dense oracle, counted in {!Robust.Stats} — unless strict mode
+    ({!Robust.Config.is_strict}) raises the typed error instead.
 
     A [Custom] block must return a [dim × dim] matrix at every point;
     any other size raises [Invalid_argument "Plan.eval: ..."] before
@@ -127,38 +124,3 @@ val row : t -> n:int -> Cx.t -> Cvec.t
 (** [to_cmat p s] — boxed dense copy of the realized HTM (fresh
     storage, not a view). *)
 val to_cmat : t -> Cx.t -> Cmat.t
-
-(** {1 Grid drivers}
-
-    Sequential on one plan; to parallelize, hand [fun () -> Plan.make …]
-    to {!Parallel.Sweep.grid_local} so each lane owns its own plan. *)
-
-(** [run_grid p ss] — boxed dense copies, one per point. *)
-val run_grid : t -> Cx.t array -> Cmat.t array
-
-(** [run_grid_map p f ss] — [f i view] per point, in index order; [f]
-    must copy whatever it keeps out of the view. This is the
-    allocation-free path for scalar extraction (Bode responses, noise
-    rows). *)
-val run_grid_map : t -> (int -> Smat.t -> 'a) -> Cx.t array -> 'a array
-
-(** Bigarray-backed grid output: split re/im [points × dim × dim]
-    float64 C-layout blocks, allocated outside the OCaml heap — the
-    layout for handing whole grids to plotting or external tools
-    without boxing. *)
-module Out : sig
-  type ba3 =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array3.t
-
-  type t
-
-  val points : t -> int
-  val dim : t -> int
-  val get : t -> p:int -> i:int -> k:int -> Cx.t
-  val re : t -> ba3
-  val im : t -> ba3
-end
-
-(** [run_grid_ba p ss] — evaluate the whole grid into one Bigarray
-    block. Off-structure entries are exact zeros. *)
-val run_grid_ba : t -> Cx.t array -> Out.t

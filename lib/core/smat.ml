@@ -699,58 +699,46 @@ module Into = struct
         Cmatf.gemm ~dst:d (gemm_operand a da) (gemm_operand b db)
     | _ -> invalid_arg "Smat.Into.mul: dst shape mismatch"
 
-  (* Checked, the closed-form shapes guard their scalar denominators
-     with the conditioning proxy (1 + |d|)/|1 + d| — the exact κ of the
-     1×1 (or rank-one deflated) subproblem the closed form solves —
-     against Config.smw_max_cond; the banded/dense shapes go through the
-     checked LU with its Hager estimate. The closed forms realize rows
-     [lo..hi] and guard what they realize: a diagonal loop scans the
-     window's denominators, a rank-one loop its one scalar. A
-     banded/dense loop realizes every row, and solves only column [col]
-     of the result when [col >= 0]. *)
-  let feedback ~dst ?scratch ?denom_override ~checked ?(v_finite = false) ~lo
-      ~hi ~col ~context g =
+  (* The closed-form shapes guard their scalar denominators with the
+     conditioning proxy (1 + |d|)/|1 + d| — the exact κ of the 1×1 (or
+     rank-one deflated) subproblem the closed form solves — against
+     Config.smw_max_cond; the banded/dense shapes go through the checked
+     LU with its Hager estimate. The closed forms realize rows [lo..hi]
+     and guard what they realize: a diagonal loop scans the window's
+     denominators, a rank-one loop its one scalar. A banded/dense loop
+     realizes every row, and solves only column [col] of the result
+     when [col >= 0]. *)
+  let feedback ~dst ?scratch ?denom_override ?(v_finite = false) ~lo ~hi
+      ~col ~context g =
     let open Robust in
     let n = dim g in
-    let max_cond = if checked then Config.get_smw_max_cond () else infinity in
+    let max_cond = Config.smw_max_cond in
     match (dst, g) with
     | Diag d, Diag x ->
-        let guard_err = ref None in
-        if checked then begin
-          let worst = ref 1.0 and exact = ref false in
+        let worst = ref 1.0 and exact = ref false in
+        for i = lo to hi do
+          let dr = x.dre.(i) and di = x.dim_.(i) in
+          let dm = cnorm (1.0 +. dr) di in
+          if Float.equal dm 0.0 then exact := true
+          else begin
+            let proxy = (1.0 +. cnorm dr di) /. dm in
+            if proxy > !worst then worst := proxy
+          end
+        done;
+        if !exact then
+          Error (Pllscope_error.Singular { cond_est = infinity; context })
+        else if !worst > max_cond then
+          Error (Pllscope_error.Singular { cond_est = !worst; context })
+        else begin
           for i = lo to hi do
             let dr = x.dre.(i) and di = x.dim_.(i) in
-            let dm = cnorm (1.0 +. dr) di in
-            if Float.equal dm 0.0 then exact := true
-            else begin
-              let proxy = (1.0 +. cnorm dr di) /. dm in
-              if proxy > !worst then worst := proxy
-            end
+            let qr, qi = div_parts dr di (1.0 +. dr) di in
+            d.dre.(i) <- qr;
+            d.dim_.(i) <- qi
           done;
-          (* allocates only when the guard is about to fail — the error
-             payload is the failure path, not per-point work *)
-          (if !exact then
-             guard_err :=
-               Some (Pllscope_error.Singular { cond_est = infinity; context })
-           else if !worst > max_cond then
-             guard_err :=
-               Some (Pllscope_error.Singular { cond_est = !worst; context }))
-          [@lint.allow "hot-alloc"]
-        end;
-        (match !guard_err with
-        | Some e -> Error e
-        | None ->
-            for i = lo to hi do
-              let dr = x.dre.(i) and di = x.dim_.(i) in
-              let er = 1.0 +. dr in
-              if Float.equal (cnorm er di) 0.0 then raise Lu.Singular;
-              let qr, qi = div_parts dr di er di in
-              d.dre.(i) <- qr;
-              d.dim_.(i) <- qi
-            done;
-            if checked && not (finite_range d.dre d.dim_ lo (hi + 1)) then
-              Error (Pllscope_error.Non_finite { where = context })
-            else Ok ())
+          if finite_range d.dre d.dim_ lo (hi + 1) then Ok ()
+          else Error (Pllscope_error.Non_finite { where = context })
+        end
     | Rank1 d, Rank1 r ->
         if d.vre != r.vre then
           invalid_arg "Smat.Into.feedback: rank-one dst must share the operand's v";
@@ -773,12 +761,10 @@ module Into = struct
         let er = 1.0 +. lr and ei = li in
         let dm = cnorm er ei in
         if Float.equal dm 0.0 then
-          if checked then
-            Error (Pllscope_error.Singular { cond_est = infinity; context })
-          else raise Lu.Singular
+          Error (Pllscope_error.Singular { cond_est = infinity; context })
         else begin
           let proxy = (1.0 +. cnorm lr li) /. dm in
-          if checked && proxy > max_cond then
+          if proxy > max_cond then
             Error (Pllscope_error.Singular { cond_est = proxy; context })
           else begin
             let zr, zi = div_parts 1.0 0.0 er ei in
@@ -788,13 +774,10 @@ module Into = struct
               d.uim.(i) <- (zr *. ai) +. (zi *. ar)
             done;
             if
-              checked
-              && not
-                   (finite_range d.ure d.uim lo (hi + 1)
-                   && (v_finite || finite_range d.vre d.vim 0 n))
-            then
-              Error (Pllscope_error.Non_finite { where = context })
-            else Ok ()
+              finite_range d.ure d.uim lo (hi + 1)
+              && (v_finite || finite_range d.vre d.vim 0 n)
+            then Ok ()
+            else Error (Pllscope_error.Non_finite { where = context })
           end
         end
     | Dense b, (Band _ | Dense _) -> (
@@ -822,15 +805,9 @@ module Into = struct
           end
         in
         let solved =
-          if not checked then begin
-            Cmatf.lu_decompose_inplace a ws;
-            Cmatf.lu_solve_inplace a ws x;
-            Ok ()
-          end
-          else
-            match Cmatf.lu_decompose_checked ~context a ws with
-            | Error e -> Error e
-            | Ok _cond -> Cmatf.lu_solve_checked a ws x ~context
+          match Cmatf.lu_decompose_checked ~context a ws with
+          | Error e -> Error e
+          | Ok _cond -> Cmatf.lu_solve_checked a ws x ~context
         in
         if col >= 0 then store_column rhs b col;
         solved)

@@ -171,34 +171,31 @@ module Into : sig
     t ->
     unit
 
-  (** [feedback ~dst ?scratch ?denom_override ~checked ?v_finite ~lo ~hi
-      ~col ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
+  (** [feedback ~dst ?scratch ?denom_override ?v_finite ~lo ~hi ~col
+      ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
       (diagonal, rank one) realize rows [lo..hi]. [scratch] (from
       {!lu_scratch} at [g]'s shape) is required for banded/dense [g],
       which realizes every row; there, [col >= 0] demands one column:
       only column [col] of [dst] is realized (bit for bit what a full
       realization puts there) and the rest of [dst] is left stale; a
-      negative [col] realizes every column. With [~checked:true] the
-      guards run over what is realized — closed-form shapes check their
-      scalar denominators' conditioning proxy [(1 + |d|)/|1 + d|]
-      against {!Robust.Config.get_smw_max_cond} (a diagonal loop over
-      the window's rows), banded/dense shapes use
+      negative [col] realizes every column. The guards run over what is
+      realized — closed-form shapes check their scalar denominators'
+      conditioning proxy [(1 + |d|)/|1 + d|] against
+      {!Robust.Config.smw_max_cond} (a diagonal loop over the window's
+      rows), banded/dense shapes use
       {!Numeric.Cmatf.lu_decompose_checked}, and the realized rows (or
       the demanded column) are scanned for non-finite entries, a
       rank-one result's [v] only when [v_finite] (default [false]) does
-      not say it is already known finite — and
-      failures come back as [Error (Singular _)] or
-      [Error (Non_finite _)]; with [~checked:false] exact singularity
-      raises [Numeric.Lu.Singular]. [denom_override] replaces the
-      rank-one Sherman–Morrison denominator term [vᵀu] with a
-      closed-form loop gain λ(s) — the plan layer's [Special] fast path
-      for time-invariant-VCO loops; the O(n) dot product is then
+      not say it is already known finite — and failures come back as
+      [Error (Singular _)] or [Error (Non_finite _)]. [denom_override]
+      replaces the rank-one Sherman–Morrison denominator term [vᵀu]
+      with a closed-form loop gain λ(s) — the plan layer's [Special]
+      fast path for sampling loops; the O(n) dot product is then
       skipped and the loop costs O(hi − lo + 1). *)
   val feedback :
     dst:t ->
     ?scratch:lu_scratch ->
     ?denom_override:Numeric.Cx.t ->
-    checked:bool ->
     ?v_finite:bool ->
     lo:int ->
     hi:int ->

@@ -66,7 +66,7 @@ let compute ?(spec = Pll_lib.Design.default_spec) ?(n_harm = 12) () =
   let ss =
     Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) grid_points)
   in
-  let planned_grid = Htm_core.Plan.run_grid plan ss in
+  let planned_grid = Array.map (Htm_core.Plan.to_cmat plan) ss in
   let grid_oracle_max_dev =
     Array.to_list planned_grid
     |> List.mapi (fun i m ->

@@ -3,11 +3,15 @@
 
    The coordinator never computes a point itself. It
 
-     1. replays the base journal (on resume) and every existing shard
-        journal to find which points are already done;
+     1. on resume, checks the identity record of the base journal and
+        of every existing shard journal against the digest of the
+        workload blob (a journal of another workload is a typed Parse
+        error), then replays them to find which points are already
+        done;
      2. partitions the missing indices into [shards] contiguous regions
         balanced by count;
-     3. spawns [shards] workers (pipes on stdin/stdout, stderr
+     3. spawns [shards] workers, each shard journal created with the
+        blob digest as its identity record (pipes on stdin/stdout, stderr
         inherited) and feeds each one slices carved from the front of
         its own region — and, with stealing on, from the back of the
         largest remaining region once its own runs dry;
@@ -193,7 +197,11 @@ type wrk = {
   mutable outstanding : Protocol.range option;
 }
 
-let spawn cfg k =
+let spawn cfg ~key k =
+  (* a shard journal starts with the workload's identity record *)
+  let journal = shard_path cfg.checkpoint k in
+  if not (Sys.file_exists journal) then
+    Runner.Journal.close (Runner.Journal.create journal ~key);
   (* worker stdin <- [w_c]; worker stdout -> [r_c]. Both pipe ends are
      cloexec in this process; create_process dup2s the child ends onto
      fds 0/1, which clears cloexec there — essential, otherwise the
@@ -214,7 +222,7 @@ let spawn cfg k =
        (Protocol.Hello
           {
             shard = k;
-            journal = shard_path cfg.checkpoint k;
+            journal;
             blob = cfg.blob;
             chunk = cfg.chunk;
             retries = cfg.retries;
@@ -247,13 +255,15 @@ let run cfg ~n =
     remove_if_exists base;
     List.iter remove_if_exists (existing_shards base)
   end;
+  let key = Digest.string cfg.blob in
   let completed = Array.make (max n 1) false in
   let mark (i, _) = if i >= 0 && i < n then completed.(i) <- true in
   if cfg.resume then begin
-    if Sys.file_exists base then List.iter mark (Runner.Journal.replay base);
-    List.iter
-      (fun p -> List.iter mark (Runner.Journal.replay p))
-      (existing_shards base)
+    let prior =
+      (if Sys.file_exists base then [ base ] else []) @ existing_shards base
+    in
+    List.iter (fun p -> Runner.Journal.check_key p ~key) prior;
+    List.iter (fun p -> List.iter mark (Runner.Journal.replay p)) prior
   end;
   let resumed = Array.fold_left (fun a c -> if c then a + 1 else a) 0 completed in
   let resumed = if n = 0 then 0 else min resumed n in
@@ -312,7 +322,7 @@ let run cfg ~n =
   (* --- spawn --- *)
   let workers =
     if missing_total = 0 then [||]
-    else Array.init cfg.shards (fun k -> spawn cfg k)
+    else Array.init cfg.shards (fun k -> spawn cfg ~key k)
   in
   let live () =
     Array.exists (fun w -> w.state <> Gone) workers
@@ -447,7 +457,7 @@ let run cfg ~n =
     if sources = [] then begin
       (* nothing ran and nothing pre-existed: write an empty journal so
          the checkpoint path is valid for later resumes *)
-      Runner.Journal.close (Runner.Journal.open_append base);
+      Runner.Journal.close (Runner.Journal.create base ~key);
       0
     end
     else Runner.Journal.merge ~into:base sources

@@ -3,7 +3,9 @@
     journals into one canonical base journal.
 
     The coordinator computes nothing itself. It replays prior journals
-    (on resume) to find completed points, partitions the missing indices
+    (on resume) to find completed points — after checking that each
+    records [Digest.string blob] as its identity (see
+    {!Runner.Journal.check_key}) — partitions the missing indices
     into [shards] contiguous regions balanced by count, spawns the
     workers with pipes on their stdin/stdout, and feeds each one slices
     carved from the front of its own region — then, with stealing on,
@@ -62,7 +64,10 @@ val existing_shards : string -> string list
     return the merged result. Blocks until every worker has exited or
     died; honours {!Parallel.Cancel.global} (stops handing out work,
     lets in-flight ranges finish, marks the rest [Cancelled]). Worker
-    [Robust.Stats] are absorbed into this process's counters. Raises
+    [Robust.Stats] are absorbed into this process's counters. On
+    resume, a prior journal that records another workload's identity
+    raises {!Robust.Pllscope_error.Error} with a [Parse] payload naming
+    it, before any worker is spawned. Raises
     [Invalid_argument] on [shards < 1], negative [n], an empty
     checkpoint path, or [slice < 1]. *)
 val run : config -> n:int -> report

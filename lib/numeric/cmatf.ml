@@ -532,10 +532,7 @@ let lu_pivot_ratio a =
     if Float.equal !mx 0.0 then 0.0 else !mn /. !mx
   end
 
-let lu_decompose_checked ?max_cond ~context a ws =
-  let max_cond =
-    match max_cond with Some c -> c | None -> Robust.Config.get_max_cond ()
-  in
+let lu_decompose_checked ?(max_cond = Robust.Config.max_cond) ~context a ws =
   let nrm = norm1_band a ~kl:ws.kl ~ku:ws.ku in
   match lu_decompose_inplace a ws with
   | exception Lu.Singular ->

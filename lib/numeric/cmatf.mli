@@ -139,7 +139,7 @@ val lu_cond_est_1 : t -> lu_ws -> norm1_a:float -> float
     and returns its condition estimate, or
     [Error (Singular _)] when a pivot is exactly zero, the pivot
     diagonal is degenerate, or the estimate exceeds [max_cond]
-    (default {!Robust.Config.get_max_cond}), or
+    (default {!Robust.Config.max_cond}), or
     [Error (Non_finite _)] when a NaN/infinity reached the factors.
     On [Error] the contents of [a] are unspecified. *)
 val lu_decompose_checked :

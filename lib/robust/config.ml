@@ -1,45 +1,22 @@
-(* Runtime knobs of the robustness layer.
+(* Runtime knob and thresholds of the robustness layer.
 
-   All flags are atomics so pool workers read a consistent value; they
-   are meant to be set once at process start (CLI flags, bench setup,
-   test fixtures) before any parallel work is launched. *)
+   The strict flag is an atomic so pool workers read a consistent
+   value; it is meant to be set once at process start (CLI flag, test
+   fixtures) before any parallel work is launched. *)
 
 let strict = Atomic.make false
 let set_strict b = Atomic.set strict b
 let is_strict () = Atomic.get strict
 
-let guard_checks = Atomic.make true
-let set_guard_checks b = Atomic.set guard_checks b
-let guards_enabled () = Atomic.get guard_checks
-
 (* 1-norm condition number above which an LU-backed solve is declared
    numerically singular. 1e12 leaves ~4 trustworthy digits in double
    precision — past that the structured fast path's answer is noise and
    the dense oracle fallback is the honest choice. *)
-let default_max_cond = 1e12
-
-let max_cond = Atomic.make default_max_cond
-
-let set_max_cond c =
-  if not (c > 1.0) then invalid_arg "Config.set_max_cond: threshold must be > 1";
-  Atomic.set max_cond c
-
-let get_max_cond () = Atomic.get max_cond
+let max_cond = 1e12
 
 (* Guard threshold for the closed-form feedback denominators (diagonal
    [1+d] and Sherman–Morrison–Woodbury [1 + vᵀu]): the proxy condition
    number [(1 + |vᵀu|) / |1 + vᵀu|] must stay below this. *)
-let smw_max_cond = Atomic.make default_max_cond
+let smw_max_cond = 1e12
 
-let set_smw_max_cond c =
-  if not (c > 1.0) then
-    invalid_arg "Config.set_smw_max_cond: threshold must be > 1";
-  Atomic.set smw_max_cond c
-
-let get_smw_max_cond () = Atomic.get smw_max_cond
-
-let reset () =
-  Atomic.set strict false;
-  Atomic.set guard_checks true;
-  Atomic.set max_cond default_max_cond;
-  Atomic.set smw_max_cond default_max_cond
+let reset () = Atomic.set strict false

@@ -1,7 +1,7 @@
-(** Runtime knobs of the robustness layer.
+(** The robustness layer's one runtime knob, and its guard thresholds.
 
-    All flags are atomics (pool workers read them); set them once at
-    process start, before launching parallel work. *)
+    The knob is an atomic (pool workers read it); set it once at process
+    start, before launching parallel work. *)
 
 (** Strict mode: guarded failures raise {!Pllscope_error.Error} instead
     of degrading to the dense oracle. Off by default; the CLI arms it
@@ -10,26 +10,14 @@ val set_strict : bool -> unit
 
 val is_strict : unit -> bool
 
-(** Master switch for the numerical guards (condition estimates,
-    finiteness scans). On by default; benchmarks turn it off to measure
-    the unguarded baseline. With guards off the structured path behaves
-    exactly as before this layer existed. *)
-val set_guard_checks : bool -> unit
-
-val guards_enabled : unit -> bool
-
 (** 1-norm condition-number threshold above which LU-backed solves are
-    declared numerically singular (default 1e12). *)
-val set_max_cond : float -> unit
-
-val get_max_cond : unit -> float
+    declared numerically singular: 1e12. *)
+val max_cond : float
 
 (** Threshold for the closed-form feedback denominator guard
     ([(1 + |vᵀu|) / |1 + vᵀu|] for Sherman–Morrison–Woodbury, the
-    analogous ratio for diagonal feedback); default 1e12. *)
-val set_smw_max_cond : float -> unit
+    analogous ratio for diagonal feedback): 1e12. *)
+val smw_max_cond : float
 
-val get_smw_max_cond : unit -> float
-
-(** Restore every knob to its default. *)
+(** Restore the knob to its default (strict off). *)
 val reset : unit -> unit

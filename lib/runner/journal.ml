@@ -23,6 +23,13 @@
    construction: a process killed mid-append leaves a torn tail that
    replay treats exactly as if the append never happened.
 
+   A journal may open with an identity record: a frame at the reserved
+   index [record_index] holding the key of the workload that wrote it
+   (a digest of the workload's bytes). [check_key] compares it with the
+   caller's key before any point frame is decoded; [replay] never
+   returns it, and [merge] and [compact] carry it over. A journal
+   written before the record existed has none and is trusted as is.
+
    [open_append] re-scans an existing journal, truncates the torn tail
    (so the next append starts on a clean frame boundary) and positions
    at the end. Appends from concurrent pool lanes are serialised by a
@@ -34,15 +41,15 @@ let magic = "PLLSCJ1\n"
 let header_len = String.length magic
 let frame_header_len = 12
 
-let bad_header path =
+(* the largest index a 4-byte field holds, kept for the record *)
+let record_index = 0xFFFF_FFFF
+
+let parse_failure path msg =
   Robust.Pllscope_error.raise_
-    (Robust.Pllscope_error.Parse
-       {
-         file = path;
-         line = 0;
-         col = 0;
-         msg = "not a pllscope checkpoint journal (bad magic)";
-       })
+    (Robust.Pllscope_error.Parse { file = path; line = 0; col = 0; msg })
+
+let bad_header path =
+  parse_failure path "not a pllscope checkpoint journal (bad magic)"
 
 let put_u32 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
@@ -110,8 +117,69 @@ let read_raw path =
     Some (In_channel.with_open_bin path In_channel.input_all)
   else None
 
-let replay path =
-  match read_raw path with None -> [] | Some raw -> fst (scan path raw)
+(* the identity record, when the first frame is one, and the point
+   frames *)
+let split_record = function
+  | (i, key) :: frames when i = record_index -> (Some key, frames)
+  | frames -> (None, frames)
+
+let read path =
+  match read_raw path with
+  | None -> (None, [])
+  | Some raw -> split_record (fst (scan path raw))
+
+let replay path = snd (read path)
+
+(* Up to [k] bytes of [ic]: fewer only at end of file. Reads, never
+   seeks, so it works on a FIFO. *)
+let read_upto ic k =
+  let b = Bytes.create k in
+  let rec go off =
+    if off = k then off
+    else
+      match In_channel.input ic b off (k - off) with
+      | 0 -> off
+      | r -> go (off + r)
+  in
+  Bytes.sub_string b 0 (go 0)
+
+(* a record is a digest; anything longer is a corrupt length field *)
+let max_record_len = 4096
+
+(* The record alone: the header and the first frame, not the whole
+   journal. *)
+let key path =
+  if not (Sys.file_exists path) then None
+  else
+    In_channel.with_open_bin path (fun ic ->
+        let head = read_upto ic (header_len + frame_header_len) in
+        let n = String.length head in
+        if n = 0 then None
+        else if n < header_len || String.sub head 0 header_len <> magic then
+          bad_header path
+        else if
+          n < header_len + frame_header_len
+          || get_u32 head (header_len + 4) <> record_index
+        then None
+        else
+          let len = get_u32 head header_len in
+          let crc = Int32.of_int (get_u32 head (header_len + 8)) in
+          if len > max_record_len then None
+          else
+            let payload = read_upto ic len in
+            if
+              String.length payload = len
+              && frame_crc record_index payload = crc
+            then Some payload
+            else None)
+
+let check_key path ~key:expected =
+  match key path with
+  | Some k when not (String.equal k expected) ->
+      parse_failure path
+        "checkpoint journal was written by another workload (identity \
+         record mismatch)"
+  | Some _ | None -> ()
 
 type t = {
   fd : Unix.file_descr;
@@ -129,6 +197,13 @@ let write_all fd s =
     | k -> off := !off + k
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+let create path ~key =
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  write_all fd (magic ^ encode_frame ~index:record_index key);
+  { fd; path; m = Mutex.create (); closed = false }
 
 let open_append path =
   match read_raw path with
@@ -152,7 +227,8 @@ let check_open t fn =
     invalid_arg (fn ^ ": journal " ^ t.path ^ " is closed")
 
 let append t ~index payload =
-  if index < 0 then invalid_arg "Journal.append: negative index";
+  if index < 0 || index >= record_index then
+    invalid_arg "Journal.append: index outside 0 .. 2^32 - 2";
   let frame = encode_frame ~index payload in
   Mutex.lock t.m;
   Fun.protect
@@ -221,6 +297,7 @@ let inspect path =
       }
   | Some raw ->
       let frames, valid_len = scan path raw in
+      let frames = snd (split_record frames) in
       let n_frames = List.length frames in
       let distinct = distinct_count frames in
       {
@@ -251,9 +328,12 @@ let dedup_first frames =
       end)
     frames
 
-let write_frames path frames =
+let write_frames path (record, frames) =
   Atomic_file.write path (fun oc ->
       output_string oc magic;
+      Option.iter
+        (fun key -> output_string oc (encode_frame ~index:record_index key))
+        record;
       let b = Buffer.create 4096 in
       List.iter
         (fun (index, payload) ->
@@ -263,9 +343,9 @@ let write_frames path frames =
         frames)
 
 let compact path =
-  let frames = replay path in
+  let record, frames = read path in
   let kept = dedup_first frames in
-  write_frames path kept;
+  write_frames path (record, kept);
   (List.length kept, List.length frames - List.length kept)
 
 let merge ~into sources =
@@ -273,13 +353,14 @@ let merge ~into sources =
      first frame seen for each index in source-list order, then write
      the frames sorted by index: the merged journal depends only on the
      decoded content of the sources, never on interleaving or append
-     order, which is what makes sharded-and-merged runs canonical. *)
-  let frames = List.concat_map replay sources in
-  let kept = dedup_first frames in
+     order, which is what makes sharded-and-merged runs canonical. The
+     first identity record among the sources heads the result. *)
+  let parts = List.map read sources in
+  let kept = dedup_first (List.concat_map snd parts) in
   let sorted =
     List.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) kept
   in
-  write_frames into sorted;
+  write_frames into (List.find_map fst parts, sorted);
   List.length sorted
 
 (* ------------------------------------------------------------------ *)

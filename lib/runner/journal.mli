@@ -15,9 +15,33 @@
     recomputes the rest.
 
     Appends are serialised by a per-journal mutex and may come from
-    concurrent {!Parallel.Pool} lanes. *)
+    concurrent {!Parallel.Pool} lanes.
+
+    {b Identity record.} A journal made by {!create} opens with a frame
+    at a reserved index holding a [key]: a digest of the bytes of the
+    workload that writes it. {!check_key} compares it with the key of
+    the workload about to resume, before any point frame is decoded, so
+    a journal is never replayed into another workload's values.
+    {!replay} and {!inspect} leave the record out; {!merge} and
+    {!compact} carry it over. A journal written before the record
+    existed has none, and every check trusts it. *)
 
 type t
+
+(** [create path ~key] — a new journal at [path] (an existing file is
+    replaced) whose first frame records [key]. *)
+val create : string -> key:string -> t
+
+(** [key path] — the identity record of the journal at [path]; [None]
+    for a missing file or a journal without one. Reads the header and
+    the first frame only. Raises like {!open_append} on a bad magic. *)
+val key : string -> string option
+
+(** [check_key path ~key] — raises {!Robust.Pllscope_error.Error} with
+    a [Parse] payload naming [path] when the journal there records
+    another key than [key]. A missing journal, or one without a record,
+    passes. *)
+val check_key : string -> key:string -> unit
 
 (** [open_append path] — create [path] (with header) if absent;
     otherwise validate the header, truncate any torn tail and position
@@ -26,8 +50,9 @@ type t
 val open_append : string -> t
 
 (** [append t ~index payload] — durably order one frame after all
-    previous ones. Thread-safe. Raises [Invalid_argument] on a negative
-    [index] or a closed journal. *)
+    previous ones. Thread-safe. Raises [Invalid_argument] on an [index]
+    outside [0 .. 2^32 - 2] (the top one is the record's) or a closed
+    journal. *)
 val append : t -> index:int -> string -> unit
 
 (** [replay path] — the complete frames of [path] in file order, as

@@ -24,7 +24,8 @@ let grid ?pool ?chunk ?retries ?cancel ?task_timeout ?checkpoint
   let n = Array.length a in
   let completed = Array.make n None in
   (match checkpoint with
-  | Some path when resume ->
+  | Some (path, key) when resume ->
+      Journal.check_key path ~key;
       let count = ref 0 in
       List.iter
         (fun (i, payload) ->
@@ -34,11 +35,17 @@ let grid ?pool ?chunk ?retries ?cancel ?task_timeout ?checkpoint
           end)
         (Journal.replay path);
       Robust.Stats.record_resumed !count
-  | Some path ->
+  | Some (path, _) ->
       (* fresh run: a stale journal must not leak old points *)
       if Sys.file_exists path then Sys.remove path
   | None -> ());
-  let journal = Option.map Journal.open_append checkpoint in
+  (* a journal this run starts records its key; one it resumes keeps
+     what it has (a journal from before the record, none) *)
+  let open_journal (path, key) =
+    if Sys.file_exists path then Journal.open_append path
+    else Journal.create path ~key
+  in
+  let journal = Option.map open_journal checkpoint in
   Fun.protect
     ~finally:(fun () -> Option.iter Journal.close journal)
     (fun () ->

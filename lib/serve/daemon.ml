@@ -59,12 +59,13 @@
      computed window by window — one Engine.sweep over each window's
      missing points, the one-shot compute — and journaled to
      [state_dir/<key>.stream] through Runner.Journal the moment they
-     exist, with frame index 0 pinning the request's canonical
-     fingerprint. A client reconnecting with the same idempotency key
-     — after connection loss, client kill -9, or a daemon restart —
-     replays journaled cells and recomputes only the missing ones.
-     A fingerprint mismatch (or the [stale-key] injection) discards
-     the journal and heals by recomputing from scratch.
+     exist, the journal's identity record pinning the digest of the
+     request's canonical fingerprint. A client reconnecting with the
+     same idempotency key — after connection loss, client kill -9, or
+     a daemon restart — replays journaled cells and recomputes only
+     the missing ones. A record mismatch, a journal without one (or the
+     [stale-key] injection) discards the journal and heals by
+     recomputing from scratch.
    - Schedule-dependent failures (Cancelled, Timed_out) are never
      journaled and never streamed: they abort the stream with a typed
      error frame, and the journal keeps every deterministic cell for
@@ -587,48 +588,49 @@ let with_task task (err : Robust.Pllscope_error.t) =
    the connection is still usable afterwards. *)
 let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
   let n = Array.length ratios in
-  let fp = Wire.body_fingerprint req.Wire.body in
+  let journal_key = Digest.string (Wire.body_fingerprint req.Wire.body) in
   let journal_path =
     match (t.cfg.state_dir, key) with
     | Some dir, Some k -> Some (Filename.concat dir (k ^ ".stream"))
     | _ -> None
   in
-  (* replay the request journal, validating its identity header *)
+  (* replay the request journal when its identity record is this
+     body's; any other journal at the path is discarded *)
+  let discard path = try Sys.remove path with Sys_error _ -> () in
+  let resumable path =
+    match Runner.Journal.key path with
+    | exception Robust.Pllscope_error.Error _ ->
+        discard path;
+        false
+    | Some k
+      when String.equal k journal_key
+           && not (Robust.Inject.fire Robust.Inject.Stale_key) ->
+        true
+    | None when not (Sys.file_exists path) -> false
+    | Some _ | None ->
+        (* another body behind this key, a journal without the record,
+           or the stale-key fault: self-heal by recomputing *)
+        Metrics.incr_stale_key t.metrics;
+        discard path;
+        false
+  in
   let replayed_cells = Hashtbl.create 64 in
-  let have_header = ref false in
-  (match journal_path with
-  | None -> ()
-  | Some path -> (
-      let frames, corrupt =
-        match Runner.Journal.replay path with
-        | frames -> (frames, false)
-        | exception Robust.Pllscope_error.Error _ -> ([], true)
-      in
-      match frames with
-      | [] -> if corrupt then (try Sys.remove path with Sys_error _ -> ())
-      | _ -> (
-          match List.assoc_opt 0 frames with
-          | Some h
-            when h = fp && not (Robust.Inject.fire Robust.Inject.Stale_key) ->
-              have_header := true;
-              List.iter
-                (fun (idx, payload) ->
-                  if
-                    idx >= 1 && idx <= n
-                    && not (Hashtbl.mem replayed_cells (idx - 1))
-                  then Hashtbl.add replayed_cells (idx - 1) payload)
-                frames
-          | Some _ | None ->
-              (* wrong body behind this key (or the stale-key fault):
-                 self-heal by discarding and recomputing *)
-              Metrics.incr_stale_key t.metrics;
-              (try Sys.remove path with Sys_error _ -> ()))));
+  let journal =
+    Option.map
+      (fun path ->
+        if resumable path then begin
+          List.iter
+            (fun (idx, payload) ->
+              if idx < n && not (Hashtbl.mem replayed_cells idx) then
+                Hashtbl.add replayed_cells idx payload)
+            (Runner.Journal.replay path);
+          Runner.Journal.open_append path
+        end
+        else Runner.Journal.create path ~key:journal_key)
+      journal_path
+  in
   let replayed = Hashtbl.length replayed_cells in
   if replayed > 0 then Metrics.incr_stream_resumed t.metrics;
-  let journal = Option.map Runner.Journal.open_append journal_path in
-  (match journal with
-  | Some jr when not !have_header -> Runner.Journal.append jr ~index:0 fp
-  | _ -> ());
   let close_journal () =
     match journal with Some jr -> Runner.Journal.close jr | None -> ()
   in
@@ -675,7 +677,7 @@ let stream_compute t conn (req : Wire.request) ~spec ~ratios ~key ~token =
               let enc = Wire.encode_cell cell in
               cells.(i) <- Some enc;
               (match journal with
-              | Some jr -> Runner.Journal.append jr ~index:(i + 1) enc
+              | Some jr -> Runner.Journal.append jr ~index:i enc
               | None -> ());
               incr computed)
         idxs

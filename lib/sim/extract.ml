@@ -64,10 +64,7 @@ let correlate pll ~stimulus ~omega_m ~eps ~warmup_periods ~window_periods
   (* a diverging time march (unstable loop, bad step size) feeds the
      correlator NaN/inf samples; report that as a typed error rather
      than letting the bogus gain flow into a comparison table *)
-  if
-    Robust.Config.guards_enabled ()
-    && not (Float.is_finite (Cx.re gain) && Float.is_finite (Cx.im gain))
-  then
+  if not (Float.is_finite (Cx.re gain) && Float.is_finite (Cx.im gain)) then
     Robust.Pllscope_error.raise_
       (Non_finite { where = "Sim.Extract.correlate: measured gain" });
   gain

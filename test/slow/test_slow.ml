@@ -65,16 +65,47 @@ let test_noise_folding_deterministic () =
                Pll_lib.Noise.vco_noise_out pll ~folds:512 ~pool s (frac *. w0) ))
            [ 0.03; 0.1; 0.27; 0.44 ]))
 
-let test_htm_sweeps_deterministic () =
-  let pll = Pll_lib.Design.synthesize spec in
-  let w0 = Pll_lib.Pll.omega0 pll in
+(* The production HTM grid paths — one plan per lane of
+   Sweep.grid_local, one entry or row query per point — on a sampling
+   loop behind a time-invariant VCO, the same behind an ISF VCO, and a
+   mixing-PFD loop (banded LU feedback); and σ_max per point through
+   Sweep.grid. *)
+let test_htm_grids_deterministic () =
+  let base = Pll_lib.Design.synthesize spec in
+  let w0 = Pll_lib.Pll.omega0 base in
+  let loop ?(vco = base.Pll_lib.Pll.vco) ?(pfd = Pll_lib.Pfd.sampling) () =
+    Pll_lib.Pll.make ~fref:spec.Pll_lib.Design.fref
+      ~n_div:spec.Pll_lib.Design.n_div ~filter:base.Pll_lib.Pll.filter ~vco
+      ~pfd ()
+  in
+  let isf =
+    loop
+      ~vco:
+        (Pll_lib.Vco.with_isf ~kvco:spec.Pll_lib.Design.kvco
+           ~n_div:spec.Pll_lib.Design.n_div ~fref:spec.Pll_lib.Design.fref
+           ~harmonics:[ Numeric.Cx.of_float 0.3; Numeric.Cx.make 0.05 (-0.04) ])
+      ()
+  in
+  let mixing = loop ~pfd:(Pll_lib.Pfd.mixing ~gain:1.3) () in
+  let loops = [ loop (); isf; mixing ] in
+  let psd = Pll_lib.Noise.lorentzian ~level:1e-9 ~corner:(0.3 *. w0) in
   let ctx = Htm_core.Htm.ctx ~n_harm:12 ~omega0:w0 in
-  let cl = Pll_lib.Pll.closed_loop_htm pll in
+  let cl = Pll_lib.Pll.closed_loop_htm base in
   let ws = Numeric.Optimize.logspace (w0 *. 1e-3) (w0 *. 0.49) 24 in
-  check_identical "Htm baseband/singular-value sweeps"
+  check_identical "closed-loop metrics, noise folding and σ_max grids"
     (at_sizes (fun pool ->
-         ( Htm_core.Htm.baseband_sweep ~pool ctx cl ws,
-           Htm_core.Htm.max_singular_value_sweep ~pool ctx cl ws )))
+         ( List.map
+             (fun p ->
+               Pll_lib.Analysis.closed_loop_metrics_htm ~n_harm:8 ~points:96
+                 ~pool p)
+             loops,
+           List.map
+             (fun p ->
+               Pll_lib.Noise.reference_noise_out_htm p ~n_harm:8 ~pool psd ws)
+             loops,
+           Parallel.Sweep.grid ~pool
+             (Htm_core.Htm.max_singular_value ctx cl)
+             ws )))
 
 let () =
   Alcotest.run "pllscope-slow"
@@ -91,7 +122,7 @@ let () =
             `Slow test_fig7_metrics_deterministic;
           Alcotest.test_case "noise folding bit-identical at 1/2/4 domains"
             `Slow test_noise_folding_deterministic;
-          Alcotest.test_case "HTM sweeps bit-identical at 1/2/4 domains" `Slow
-            test_htm_sweeps_deterministic;
+          Alcotest.test_case "HTM grids bit-identical at 1/2/4 domains" `Slow
+            test_htm_grids_deterministic;
         ] );
     ]

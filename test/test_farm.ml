@@ -15,7 +15,11 @@
      Worker_failure and a --resume-style second run completes them,
      bytes equal again;
    - worker Robust.Stats travel back in Exit frames and are absorbed
-     into the coordinator's counters.
+     into the coordinator's counters;
+   - every journal records the digest of the workload blob: a resume
+     over a base or shard journal of another workload is a typed Parse
+     error naming the journal, a journal from before the record still
+     resumes, and merge and compact carry the record over.
 
    The farm spawns real subprocesses: this test binary re-execs itself
    with argv "farm-worker" (dispatched in test_main.ml before Alcotest
@@ -55,13 +59,22 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 (* the test workload served by the re-exec'd worker                    *)
 
 type wl = {
-  kill : (int * int) option;  (* (shard, kill after N computed points) *)
   flaky_every : int option;  (* index stride that fails on first attempt *)
 }
 
-let quiet = { kill = None; flaky_every = None }
+let quiet = { flaky_every = None }
+let blob_of (wl : wl) = Marshal.to_string wl []
 
+(* A kill is a fault of the worker process, not part of the workload:
+   it rides in the worker's argv ("farm-worker SHARD AFTER": shard
+   SHARD kills itself after AFTER computed points), so a killed run and
+   its resume share one workload identity. *)
 let worker_main () =
+  let kill =
+    match Sys.argv with
+    | [| _; _; ks; after |] -> Some (int_of_string ks, int_of_string after)
+    | _ -> None
+  in
   Farm.Worker.serve
     ~resolve:(fun shard blob ->
       let wl : wl = Marshal.from_string blob 0 in
@@ -69,7 +82,7 @@ let worker_main () =
       let m = Mutex.create () in
       let tried : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       fun i ->
-        (match wl.kill with
+        (match kill with
         | Some (ks, after) when ks = shard ->
             if Atomic.fetch_and_add computed 1 >= after then
               Unix.kill (Unix.getpid ()) Sys.sigkill
@@ -90,15 +103,21 @@ let worker_main () =
         encode_value i)
     ()
 
-let farm_cfg ?(steal = true) ?(resume = false) ?(slice = Some 3) ~base wl
-    shards =
+let farm_cfg ?(steal = true) ?(resume = false) ?(slice = Some 3) ?kill ~base
+    wl shards =
+  let fault =
+    match kill with
+    | Some (ks, after) -> [| string_of_int ks; string_of_int after |]
+    | None -> [||]
+  in
   {
     Farm.Coordinator.shards;
     steal;
     resume;
     checkpoint = base;
-    blob = Marshal.to_string wl [];
-    worker_argv = (fun _ -> [| Sys.executable_name; "farm-worker" |]);
+    blob = blob_of wl;
+    worker_argv =
+      (fun _ -> Array.append [| Sys.executable_name; "farm-worker" |] fault);
     slice;
     chunk = None;
     retries = None;
@@ -106,11 +125,11 @@ let farm_cfg ?(steal = true) ?(resume = false) ?(slice = Some 3) ~base wl
     progress = false;
   }
 
-(* canonical journal for grid 0..n-1: what any correct farm run's merged
-   base must equal byte for byte *)
+(* canonical journal for grid 0..n-1 of the [quiet] workload: what any
+   correct farm run's merged base must equal byte for byte *)
 let canonical_journal dir n =
   let path = Filename.concat dir "canonical.ckpt" in
-  let j = Runner.Journal.open_append path in
+  let j = Runner.Journal.create path ~key:(Digest.string (blob_of quiet)) in
   for i = 0 to n - 1 do
     Runner.Journal.append j ~index:i (encode_value i)
   done;
@@ -314,7 +333,7 @@ let test_stats_absorbed () =
   Robust.Stats.reset ();
   let report =
     Farm.Coordinator.run
-      (farm_cfg ~base { quiet with flaky_every = Some 5 } 3)
+      (farm_cfg ~base { flaky_every = Some 5 } 3)
       ~n:n_points
   in
   check_payloads_complete "flaky workload retried in-lane" n_points report;
@@ -352,7 +371,7 @@ let qcheck_kill_one_worker_steal =
       let base = Filename.concat dir "killed" in
       let report =
         Farm.Coordinator.run
-          (farm_cfg ~base { quiet with kill = Some (ks, after) } shards)
+          (farm_cfg ~kill:(ks, after) ~base quiet shards)
           ~n:n_points
       in
       check_payloads_complete
@@ -370,7 +389,7 @@ let test_kill_no_steal_then_resume () =
      must surface as typed Worker_failure *)
   let r1 =
     Farm.Coordinator.run
-      (farm_cfg ~steal:false ~base { quiet with kill = Some (0, 2) } 2)
+      (farm_cfg ~steal:false ~kill:(0, 2) ~base quiet 2)
       ~n:n_points
   in
   check_true "worker death detected" (r1.Farm.Coordinator.worker_deaths >= 1);
@@ -402,12 +421,80 @@ let test_steal_rebalances () =
      stolen by the survivor — steals is forced > 0 *)
   let report =
     Farm.Coordinator.run
-      (farm_cfg ~base { quiet with kill = Some (0, 0) } 2)
+      (farm_cfg ~kill:(0, 0) ~base quiet 2)
       ~n:n_points
   in
   check_payloads_complete "stolen run completes" n_points report;
   check_true "stealing happened" (report.Farm.Coordinator.steals > 0);
   check_true "death recorded" (report.Farm.Coordinator.worker_deaths >= 1)
+
+(* ------------------------------------------------------------------ *)
+(* workload identity                                                   *)
+
+let expect_parse_naming what path f =
+  match f () with
+  | _ -> Alcotest.failf "%s: resumed another workload's journal" what
+  | exception Robust.Pllscope_error.Error (Parse { file; _ }) ->
+      check_true
+        (Printf.sprintf "%s: Parse names %s (got %s)" what path file)
+        (String.equal file path)
+
+let test_resume_refuses_other_workload () =
+  let dir = scratch_dir () in
+  let base = Filename.concat dir "other" in
+  let other = { flaky_every = Some 5 } in
+  let r = Farm.Coordinator.run (farm_cfg ~base quiet 2) ~n:n_points in
+  check_payloads_complete "first run" n_points r;
+  let bytes = read_file base in
+  expect_parse_naming "base journal" base (fun () ->
+      Farm.Coordinator.run (farm_cfg ~resume:true ~base other 2) ~n:n_points);
+  check_true "refused journal unchanged" (read_file base = bytes);
+  (* a shard journal of another workload left by a killed run *)
+  let shard = Farm.Coordinator.shard_path base 1 in
+  let j = Runner.Journal.create shard ~key:(Digest.string (blob_of other)) in
+  Runner.Journal.append j ~index:0 (encode_value 0);
+  Runner.Journal.close j;
+  expect_parse_naming "shard journal" shard (fun () ->
+      Farm.Coordinator.run (farm_cfg ~resume:true ~base quiet 2) ~n:n_points)
+
+(* a base journal from before the identity record: no record, points in
+   completion order — it resumes, and the merge gives it the record *)
+let test_pre_identity_journal_resumes () =
+  let dir = scratch_dir () in
+  let canon = read_file (canonical_journal dir n_points) in
+  let base =
+    mk_journal dir "old"
+      (List.init (n_points / 2) (fun k ->
+           let i = n_points - 1 - (2 * k) in
+           (i, encode_value i)))
+  in
+  check_true "no record" (Runner.Journal.key base = None);
+  let r =
+    Farm.Coordinator.run (farm_cfg ~resume:true ~base quiet 2) ~n:n_points
+  in
+  check_payloads_complete "resumed" n_points r;
+  check_int "resumed counts points only" (n_points / 2)
+    r.Farm.Coordinator.resumed;
+  check_true "merged journal byte-identical" (read_file base = canon)
+
+let test_record_survives_compact () =
+  let dir = scratch_dir () in
+  let path = Filename.concat dir "keyed" in
+  let j = Runner.Journal.create path ~key:"k1" in
+  List.iter
+    (fun (i, p) -> Runner.Journal.append j ~index:i p)
+    [ (1, "a"); (0, "b"); (1, "c") ];
+  Runner.Journal.close j;
+  check_true "key" (Runner.Journal.key path = Some "k1");
+  check_true "replay leaves the record out"
+    (Runner.Journal.replay path = [ (1, "a"); (0, "b"); (1, "c") ]);
+  check_int "inspect leaves the record out" 3
+    (Runner.Journal.inspect path).Runner.Journal.frames;
+  ignore (Runner.Journal.compact path);
+  check_true "compact keeps the record" (Runner.Journal.key path = Some "k1");
+  Runner.Journal.check_key path ~key:"k1";
+  expect_parse_naming "check_key" path (fun () ->
+      Runner.Journal.check_key path ~key:"k2")
 
 let suite =
   [
@@ -431,4 +518,10 @@ let suite =
     slow_case "kill without stealing fails typed, resume completes"
       (clean test_kill_no_steal_then_resume);
     case "stealing rebalances a dead shard" (clean test_steal_rebalances);
+    case "resume refuses a base or shard journal of another workload"
+      (clean test_resume_refuses_other_workload);
+    case "journal from before the identity record resumes"
+      (clean test_pre_identity_journal_resumes);
+    case "identity record: replay omits it, compact and check_key keep it"
+      (clean test_record_survives_compact);
   ]

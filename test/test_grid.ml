@@ -207,53 +207,6 @@ let test_randomized_plan_vs_oracle () =
   (* the singular guard must not have eaten the test *)
   check_true "almost all trials checked" (!checked >= 330)
 
-let test_run_grid_matches_dense () =
-  let g = Prng.create ~seed:0x9157L in
-  for trial = 1 to 12 do
-    let n_harm = 1 + rint g 3 in
-    let c = Htm.ctx ~n_harm ~omega0:(Prng.uniform g ~lo:1.0 ~hi:3.0) in
-    let t = gen_expr g 3 in
-    let plan = Plan.make c t in
-    let ss = Array.init 9 (fun _ -> gen_s g) in
-    match (Plan.run_grid plan ss, Array.map (Htm.to_matrix_dense c t) ss) with
-    | exception Lu.Singular -> ()
-    | planned, oracle ->
-        Array.iteri
-          (fun i m ->
-            if not (Cmat.equal ~tol:1e-12 oracle.(i) m) then
-              Alcotest.failf "trial %d grid point %d disagrees with oracle"
-                trial i)
-          planned
-  done
-
-(* run_grid_ba writes the same values into the Bigarray block, with
-   exact zeros off-structure *)
-let test_run_grid_ba_matches_eval () =
-  let g = Prng.create ~seed:0xBA3L in
-  for trial = 1 to 12 do
-    let n_harm = 1 + rint g 3 in
-    let c = Htm.ctx ~n_harm ~omega0:(Prng.uniform g ~lo:1.0 ~hi:3.0) in
-    let t = gen_expr g 2 in
-    let plan = Plan.make c t in
-    let ss = Array.init 5 (fun _ -> gen_s g) in
-    match (Plan.run_grid_ba plan ss, Plan.run_grid plan ss) with
-    | exception Lu.Singular -> ()
-    | out, boxed ->
-        check_int "points" (Plan.Out.points out) (Array.length ss);
-        check_int "dim" (Plan.Out.dim out) (Htm.dim c);
-        let n = Htm.dim c in
-        for p = 0 to Array.length ss - 1 do
-          for i = 0 to n - 1 do
-            for k = 0 to n - 1 do
-              check_bits
-                (Printf.sprintf "trial %d ba (%d,%d,%d)" trial p i k)
-                (Cmat.get boxed.(p) i k)
-                (Plan.Out.get out ~p ~i ~k)
-            done
-          done
-        done
-  done
-
 (* A custom block whose size changes between calls: right (dim × dim)
    at its first call, 3×3 after. The plan must refuse the wrong size
    instead of copying it into a slot that still holds the first point. *)
@@ -299,11 +252,8 @@ let test_plan_reuse_bit_identical () =
     Array.map Cx.jomega (Optimize.logspace (lo *. w0) (hi *. w0) 48)
   in
   let ss1 = grid 1e-3 0.49 and ss2 = grid 3e-3 0.3 in
-  let h00 plan ss =
-    Plan.run_grid_map plan
-      (fun _ sm -> Smat.get sm (Htm.index_of_harmonic ctx 0) (Htm.index_of_harmonic ctx 0))
-      ss
-  in
+  let c0 = Htm.index_of_harmonic ctx 0 in
+  let h00 plan ss = Array.map (fun s -> Smat.get (Plan.eval plan s) c0 c0) ss in
   let plan = Plan.make ctx t in
   let first = h00 plan ss1 in
   let _second = h00 plan ss2 in
@@ -373,7 +323,7 @@ let test_injected_nan_falls_back =
       in
       Robust.Stats.reset ();
       Robust.Inject.configure "grid-plan-nan:1";
-      let planned = Plan.run_grid plan ss in
+      let planned = Array.map (Plan.to_cmat plan) ss in
       Robust.Inject.disarm ();
       (* every point — the poisoned one via the dense oracle — must
          still match the reference *)
@@ -426,7 +376,7 @@ let test_planned_grid_golden () =
     Array.map Cx.jomega (Optimize.logspace (w0 *. 1e-3) (w0 *. 0.49) 64)
   in
   let plan = Pll_lib.Pll.closed_loop_plan ctx p in
-  let h00s = Plan.run_grid_map plan (fun _ sm -> Smat.get sm c0 c0) ss in
+  let h00s = Array.map (fun s -> Smat.get (Plan.eval plan s) c0 c0) ss in
   Array.iteri
     (fun i h ->
       check_golden (Printf.sprintf "grid_n20.p%d.re" i) (Cx.re h);
@@ -1009,10 +959,8 @@ let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
       test_randomized_plan_vs_oracle;
-    case "run_grid matches the dense oracle" test_run_grid_matches_dense;
     case "custom block of the wrong size rejected"
       test_custom_wrong_size_rejected;
-    case "run_grid_ba bit-matches run_grid" test_run_grid_ba_matches_eval;
     case "plan reuse over grids is bit-identical" test_plan_reuse_bit_identical;
     case "planned sweeps pool-size independent (1 vs 4 domains)"
       test_pool_size_bit_identical;

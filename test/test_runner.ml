@@ -12,6 +12,10 @@
    - a journal written with plain [Marshal.to_string v []] (before the
      codec's No_sharing) resumes bit-identically, and an undecodable
      payload is a typed Parse error naming the journal;
+   - a run records its workload key in the journal, and a resume with
+     another key is a typed Parse error naming the journal, raised
+     before any payload is decoded (the journals built by hand above
+     carry no record and resume as before);
    - a hung task (task-hang) is condemned by the watchdog as a typed
      Timed_out while the rest of the grid completes;
    - cancellation surfaces as typed Cancelled failures, preserving
@@ -218,7 +222,7 @@ let crash_and_resume ~domains ~crash_at =
   Robust.Inject.configure (Printf.sprintf "crash-at-point:%d" (crash_at + 1));
   (match
      Pool.with_pool ~domains (fun p ->
-         Runner.Run.grid ~pool:p ~checkpoint:path fval grid_idx)
+         Runner.Run.grid ~pool:p ~checkpoint:(path, "fval") fval grid_idx)
    with
   | (_ : float Sweep.partial) ->
       (* a crash index past the grid size never fires: fine *)
@@ -230,7 +234,7 @@ let crash_and_resume ~domains ~crash_at =
   (* phase 2: resume *)
   let r =
     Pool.with_pool ~domains (fun p ->
-        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true fval
+        Runner.Run.grid ~pool:p ~checkpoint:(path, "fval") ~resume:true fval
           grid_idx)
   in
   let st = Robust.Stats.snapshot () in
@@ -272,7 +276,7 @@ let test_resume_recomputes_only_missing () =
   in
   let full =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~checkpoint:path f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:(path, "fval") f grid_idx)
   in
   check_int "first run computes everything" grid_n (Atomic.get computed);
   (* tear the tail: the last frame is lost, the rest stay durable *)
@@ -284,7 +288,7 @@ let test_resume_recomputes_only_missing () =
   Robust.Stats.reset ();
   let r =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:(path, "fval") ~resume:true f grid_idx)
   in
   check_int "only the torn point recomputed" (grid_n - kept)
     (Atomic.get computed);
@@ -295,7 +299,7 @@ let test_resume_recomputes_only_missing () =
   Atomic.set computed 0;
   let r2 =
     Pool.with_pool ~domains:2 (fun p ->
-        Runner.Run.grid ~pool:p ~checkpoint:path ~resume:true f grid_idx)
+        Runner.Run.grid ~pool:p ~checkpoint:(path, "fval") ~resume:true f grid_idx)
   in
   check_int "nothing recomputed on a complete journal" 0 (Atomic.get computed);
   check_partial_bit_identical "complete-journal resume" full r2
@@ -315,7 +319,7 @@ let test_resume_across_upgrade () =
     Atomic.incr computed;
     fval i
   in
-  let r = Runner.Run.grid ~checkpoint:path ~resume:true f grid_idx in
+  let r = Runner.Run.grid ~checkpoint:(path, "fval") ~resume:true f grid_idx in
   check_int "nothing recomputed" 0 (Atomic.get computed);
   check_int "every point replayed" grid_n
     (Robust.Stats.snapshot ()).Robust.Stats.resumed_points;
@@ -331,10 +335,39 @@ let test_resume_undecodable_payload () =
   let j = Runner.Journal.open_append path in
   Runner.Journal.append j ~index:0 (String.make 40 '\x5a');
   Runner.Journal.close j;
-  match Runner.Run.grid ~checkpoint:path ~resume:true fval grid_idx with
+  match Runner.Run.grid ~checkpoint:(path, "fval") ~resume:true fval grid_idx with
   | _ -> Alcotest.fail "garbage journal payload accepted"
   | exception E.Error (E.Parse { file; _ }) ->
       check_true "error names the journal" (file = path)
+
+(* A journal of another workload — here its points are strings, which
+   a float sweep must never decode — is refused by its record. *)
+let test_resume_refuses_other_key () =
+  let path = Filename.concat (scratch_dir ()) "other.ckpt" in
+  let words i = String.make (1 + (i mod 7)) 'w' in
+  ignore (Runner.Run.grid ~checkpoint:(path, "words") words grid_idx);
+  check_true "record written" (Runner.Journal.key path = Some "words");
+  let bytes = read_file path in
+  let computed = Atomic.make 0 in
+  let f i =
+    Atomic.incr computed;
+    fval i
+  in
+  (match
+     Runner.Run.grid ~checkpoint:(path, "floats") ~resume:true f grid_idx
+   with
+  | _ -> Alcotest.fail "journal of another workload resumed"
+  | exception E.Error (E.Parse { file; _ }) ->
+      check_true "error names the journal" (file = path));
+  check_int "nothing computed" 0 (Atomic.get computed);
+  check_int "nothing resumed" 0
+    (Robust.Stats.snapshot ()).Robust.Stats.resumed_points;
+  check_true "journal untouched" (read_file path = bytes);
+  (* the same key resumes every point *)
+  let r =
+    Runner.Run.grid ~checkpoint:(path, "words") ~resume:true words grid_idx
+  in
+  check_int "all replayed" grid_n (Sweep.ok_count r)
 
 let test_resume_requires_checkpoint () =
   match Runner.Run.grid ~resume:true fval grid_idx with
@@ -482,4 +515,6 @@ let suite =
       (clean test_deadline_drains_cleanly);
     case "stats reset isolates back-to-back runs"
       (clean test_stats_reset_between_runs);
+    case "resume with another workload key is a typed Parse error"
+      (clean test_resume_refuses_other_key);
   ]

@@ -13,7 +13,9 @@
    - the journal survives a daemon restart: a fresh daemon on the same
      state dir replays the dead one's cells, still byte-identical;
    - a stale journal (injected fingerprint mismatch) is discarded and
-     recomputed from scratch, not served;
+     recomputed from scratch, not served — and so is a journal from
+     before the identity record (fingerprint in frame 0, cells from
+     frame 1 on);
    - LRU eviction racing concurrent single-flight misses at capacity 1
      stays coherent (all replies correct, evictions counted);
    - the retry budget turns a permanently dead daemon into a typed
@@ -286,6 +288,31 @@ let test_stale_key_discarded () =
   in
   check_int "stale journal counted" 1 stats.Wire.stale_keys
 
+let test_pre_record_journal_stale () =
+  let dir = scratch_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = { base_cfg with Daemon.state_dir = Some dir } in
+  (* the old layout, cells that must never be served *)
+  let j =
+    Runner.Journal.open_append
+      (Filename.concat dir (Wire.stable_key sweep6 ^ ".stream"))
+  in
+  Runner.Journal.append j ~index:0 (Wire.body_fingerprint sweep6);
+  Array.iteri
+    (fun i _ -> Runner.Journal.append j ~index:(i + 1) "not a cell")
+    ratios6;
+  Runner.Journal.close j;
+  let (), stats =
+    with_daemon ~cfg (fun path _d ->
+        let cold = raw_oneshot path sweep6 in
+        let result, st = ok (streamed path) in
+        check_true "recomputed result byte-identical"
+          (String.equal cold (Wire.marshal_response (Wire.R_sweep result)));
+        check_int "every cell computed" 6 st.Client.computed;
+        check_int "nothing replayed" 0 st.Client.replayed)
+  in
+  check_int "old journal counted stale" 1 stats.Wire.stale_keys
+
 let test_stream_empty_grid_rejected () =
   let (), _stats =
     with_daemon (fun path _d ->
@@ -444,6 +471,8 @@ let suite =
       (clean test_daemon_restart_resumes);
     case "stale journal discarded and recomputed"
       (clean test_stale_key_discarded);
+    case "journal from before the identity record discarded"
+      (clean test_pre_record_journal_stale);
     case "empty streamed grid rejected" (clean test_stream_empty_grid_rejected);
     slow_case "lru eviction races single-flight misses"
       (clean test_lru_races_single_flight);

@@ -68,7 +68,7 @@ let generate () =
         [ 0.07; 0.2; 0.45 ];
       (* Planned grid evaluation at n_harm = 20: one compiled plan
          streamed over a 64-point log grid. Pins the plan/execute path
-         (Plan.run_grid) point by point; test_grid diffs a fresh planned
+         (Plan.eval) point by point; test_grid diffs a fresh planned
          run against these rows, so any drift between the planned and
          the per-point evaluator shows up as a golden failure. *)
       let ss =
@@ -77,9 +77,7 @@ let generate () =
       in
       let plan = Pll_lib.Pll.closed_loop_plan ctx p in
       let h00s =
-        Htm_core.Plan.run_grid_map plan
-          (fun _ sm -> Htm_core.Smat.get sm c0 c0)
-          ss
+        Array.map (fun s -> Htm_core.Smat.get (Htm_core.Plan.eval plan s) c0 c0) ss
       in
       Array.iteri
         (fun i h ->

@@ -230,12 +230,12 @@ let check_float_eq ctx e =
 (* The designated hot set: (file basename, module-qualified binding).
    These are the kernels whose allocation-freedom the benchmarks in
    BENCH_kernels/BENCH_grid depend on; [@lint.hot] extends the set to
-   their internals and to new kernels. *)
+   their internals and to new kernels. An entry that names no binding
+   of its file is itself a finding, so renaming or deleting a kernel
+   cannot drop it from the set unnoticed. *)
 let builtin_hot =
   [
-    ( "plan.ml",
-      [ "eval"; "element"; "baseband"; "run_grid"; "run_grid_map";
-        "run_grid_ba" ] );
+    ("plan.ml", [ "eval"; "element"; "baseband" ]);
     ("smat.ml", [ "Into.scale"; "Into.add"; "Into.mul"; "Into.feedback" ]);
     ( "cmatf.ml",
       [ "gemm"; "gemv"; "gemv_herm"; "axpy"; "scale_inplace"; "add_ident";
@@ -658,10 +658,10 @@ let oracle_apis =
   [
     (("Htm", "to_matrix_dense"), [ "htm.ml"; "htm_expr.ml" ]);
     (("Htm_expr", "to_matrix_dense"), [ "htm.ml"; "htm_expr.ml" ]);
-    (* smat.ml is the sanctioned wrapper: it exposes the raw LU pair
-       only behind Into.feedback ~checked *)
-    (("Cmatf", "lu_decompose_inplace"), [ "cmatf.ml"; "smat.ml" ]);
-    (("Cmatf", "lu_solve_inplace"), [ "cmatf.ml"; "smat.ml" ]);
+    (* the raw LU pair: library code factors through the checked
+       variants (Cmatf.lu_decompose_checked / lu_solve_checked) *)
+    (("Cmatf", "lu_decompose_inplace"), [ "cmatf.ml" ]);
+    (("Cmatf", "lu_solve_inplace"), [ "cmatf.ml" ]);
   ]
 
 let oracle_caller_exempt basename =
@@ -785,12 +785,27 @@ let binding_name vb =
 let qualified ctx name =
   String.concat "." (List.rev (name :: ctx.module_path))
 
-let in_builtin_hot ctx name =
-  match List.assoc_opt ctx.basename builtin_hot with
-  | Some names -> List.mem (qualified ctx name) names
-  | None -> false
+let hot_set ctx =
+  Option.value (List.assoc_opt ctx.basename builtin_hot) ~default:[]
+
+let report_missing_hot ctx ~seen =
+  List.iter
+    (fun name ->
+      if not (List.mem name seen || suppressed ctx rule_hot_alloc) then
+        ctx.findings <-
+          Finding.with_tier Finding.Typed
+            (Finding.make ~file:ctx.file ~line:1 ~col:0 ~rule:rule_hot_alloc
+               ~message:
+                 (Printf.sprintf
+                    "hot-set entry '%s' names no binding in %s: rename or \
+                     drop it with the kernel, or the kernel leaves hot-alloc \
+                     coverage"
+                    name ctx.basename))
+          :: ctx.findings)
+    (hot_set ctx)
 
 let lint_structure ctx structure =
+  let seen = ref [] in
   (* file-level [@@@lint.allow] attributes cover the whole file *)
   List.iter
     (fun item ->
@@ -819,10 +834,13 @@ let lint_structure ctx structure =
           ctx.stack <- pushed :: ctx.stack;
           check_ignored_binding ctx vb;
           (match binding_name vb with
-          | Some name when hot_attr vb.vb_attributes || in_builtin_hot ctx name
-            ->
-              scan_hot ctx ~fname:(qualified ctx name) vb.vb_expr
-          | _ -> ());
+          | Some name ->
+              let q = qualified ctx name in
+              let builtin = List.mem q (hot_set ctx) in
+              if builtin then seen := q :: !seen;
+              if hot_attr vb.vb_attributes || builtin then
+                scan_hot ctx ~fname:q vb.vb_expr
+          | None -> ());
           Tast_iterator.default_iterator.value_binding self vb;
           ctx.stack <- List.tl ctx.stack);
       structure_item =
@@ -839,4 +857,5 @@ let lint_structure ctx structure =
     }
   in
   it.structure it structure;
+  report_missing_hot ctx ~seen:!seen;
   List.rev ctx.findings
