@@ -4,8 +4,9 @@
 
      kernels  one-point HTM realization: the dense oracle against the
               one-point plan (time-invariant and mixing-PFD loops), and
-              the compiled exact-λ loops' Plan.baseband with λ alone
-              (time-invariant and ISF VCO), at n_harm 10/20/40/80;
+              compiled plans' Plan.baseband: the mixing-PFD loop's, and
+              the exact-λ loops' with λ alone (time-invariant and ISF
+              VCO), at n_harm 10/20/40/80;
      grid     1000-point log grids: one-point plans per point against
               one compiled plan queried per point (Plan.eval), n_harm
               8/20/80;
@@ -174,19 +175,24 @@ let kernel_bench () =
       (one_point "mix" (Pll_lib.Pll.closed_loop_htm mix_pll) ~baseband:true)
       [ 10; 20; 40; 80 ]
   in
+  (* Plan.baseband on a plan compiled outside the timed call *)
+  let planned workload p =
+    List.map
+      (fun n_harm ->
+        let plan = Pll_lib.Pll.closed_loop_plan (Htm_core.Htm.ctx ~n_harm ~omega0:w0) p in
+        measure ~layer:"plan.baseband" ~workload ~n_harm (fun () ->
+            Htm_core.Plan.baseband plan s))
+      [ 10; 20; 40; 80 ]
+  in
+  (* a mixing loop's baseband point realizes every row of its banded
+     open loop, then eliminates for the one entry *)
+  let mix_planned = planned "mix" mix_pll in
   (* In a compiled plan an exact-λ baseband point is λ(s) plus the leaf
      rows that feed row 0 — two behind a time-invariant VCO, ±K behind
      an ISF VCO with K harmonics — whatever n_harm is. *)
   let exact_lambda workload p =
     let lam = Pll_lib.Pll.lambda_fn p Pll_lib.Pll.Exact in
-    let alone = measure ~layer:"lambda" ~workload (fun () -> lam s) in
-    alone
-    :: List.map
-         (fun n_harm ->
-           let plan = Pll_lib.Pll.closed_loop_plan (Htm_core.Htm.ctx ~n_harm ~omega0:w0) p in
-           measure ~layer:"plan.baseband" ~workload ~n_harm (fun () ->
-               Htm_core.Plan.baseband plan s))
-         [ 10; 20; 40; 80 ]
+    measure ~layer:"lambda" ~workload (fun () -> lam s) :: planned workload p
   in
   let isf_pll =
     Pll_lib.Pll.make ~fref:spec.fref ~n_div:spec.n_div ~filter:pll.Pll_lib.Pll.filter
@@ -197,7 +203,7 @@ let kernel_bench () =
   in
   let exact_ti = exact_lambda "ti" pll in
   let exact_isf = exact_lambda "isf" isf_pll in
-  write_record "BENCH_kernels.json" (ti @ mix @ exact_ti @ exact_isf);
+  write_record "BENCH_kernels.json" (ti @ mix @ mix_planned @ exact_ti @ exact_isf);
   let fallbacks = (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks in
   if fallbacks > 0 then begin
     Format.eprintf "kernels: %d dense fallback(s) during the benchmark@." fallbacks;

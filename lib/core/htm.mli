@@ -96,11 +96,14 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
     {!Plan}: [Plan.make ctx t] followed by one evaluation, with no plan
     cache. To evaluate one tree at many points, make the plan yourself:
     [Parallel.Sweep.grid_local ~local:(fun () -> Plan.make ctx t)] with
-    one {!Plan} query per point gives each lane its own plan. {!element},
-    {!baseband} and {!apply_to_tone} read one column and demand only
-    that column (see {!Plan.column}): a loop closed around a banded or
-    dense open loop then solves one right-hand side, with the bits of
-    the full realization. *)
+    one {!Plan} query per point gives each lane its own plan.
+    {!apply_to_tone} reads one column and demands only that column (see
+    {!Plan.column}): a loop closed around a banded or dense open loop
+    then solves one right-hand side, with the bits of the full
+    realization. {!element} and {!baseband} demand one entry (see
+    {!Plan.element}): a loop closed around a banded open loop computes
+    it by a two-sided elimination, equal to the full realization's
+    entry to rounding, and a dense one solves its column. *)
 
 (** [to_matrix ctx t s] realizes the truncated HTM at the complex
     frequency [s]. Evaluation is structure-aware: the composition tree

@@ -13,9 +13,11 @@
    tables (split-coefficient rational forms for [Lti_rat], which
    evaluate without boxing). [eval] then streams one s-point through
    the schedule entirely in place: after the first point, the
-   composition kernels allocate nothing. What a point still allocates
-   is a few boxed scalars — mostly the shifted frequency handed to each
-   rational leaf, about one boxed float per realized harmonic row.
+   composition kernels allocate nothing, and neither do the rational
+   leaves (one [Rat.eval_shifted_into] call fills a leaf's window).
+   What a point still allocates is a few boxed scalars — λ(s), the
+   entry it returns — and, per realized row, the argument and result
+   of a closure leaf ([Lti]).
 
    Entry demand: [element] and [baseband] read one entry, [row] one
    row and [column] one column of the root, and pass that down. Row
@@ -25,16 +27,21 @@
    Column demand: a dense feedback root (a loop closed around a banded
    or dense open loop) solves only the demanded right-hand side.
    Either way the entries read are bit-identical to the same entries
-   of a full realization. A rank-one node built as A·(u vᵀ), scaled or
+   of a full realization — but for one entry of a loop closed around a
+   banded open loop (a mixing PFD), which the two-sided elimination of
+   [Smat.Into.feedback] computes without an LU, equal to the LU's entry
+   to rounding (~5e-16 relative over the seeded mixing designs of
+   test/test_grid.ml). A rank-one node built as A·(u vᵀ), scaled or
    closed by rank-one feedback shares its operand's v storage, so the
    window is all a point writes; a v that a constant carries (the
    sampler's) is checked finite once, here, so the guards read the
    window too. Measured with Gc.minor_words on one domain, a
-   [baseband] point of an exact-λ loop allocates 80 words
-   (time-invariant VCO) or 118 (ISF VCO, two harmonics) at n_harm 8
-   and at n_harm 80 alike, 11 of them for λ(s) (a full realization:
-   ~340 and ~910); at n_harm 20, ~230 for a mixing-PFD loop (banded LU
-   feedback), which needs every row.
+   [baseband] point allocates 68 words behind the exact λ of a
+   time-invariant VCO and 98 behind an ISF VCO (two harmonics), at
+   n_harm 8 and at n_harm 80 alike, 11 of them for λ(s); a mixing-PFD
+   loop, whose open loop is realized in every row, 35 (65 behind an
+   ISF VCO) at every n_harm, where its banded LU point allocated 133 /
+   229 / 709 at n_harm 8 / 20 / 80.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -170,20 +177,16 @@ let rec exec ~n ~row ~col s ({ slot; op; _ } as nd) =
   (match op with
   | Const -> ()
   | Fill_lti (h, shifts) ->
-      let sre = Cx.re s and sim = Cx.im s in
+      (* fields read in place: [Cx.re] is a call from here, which
+         returns its float boxed *)
       let dre = slot.are and dim_ = slot.aim in
       for i = lo to hi do
-        let z = h (Cx.make sre (sim +. shifts.(i))) in
-        dre.(i) <- Cx.re z;
-        dim_.(i) <- Cx.im z
+        let z = h { Complex.re = s.Complex.re; im = s.im +. shifts.(i) } in
+        dre.(i) <- z.re;
+        dim_.(i) <- z.im
       done
   | Fill_rat (sp, shifts) ->
-      let sre = Cx.re s and sim = Cx.im s in
-      let dre = slot.are and dim_ = slot.aim in
-      for i = lo to hi do
-        Rat.eval_into sp ~re:sre ~im:(sim +. shifts.(i)) ~out_re:dre
-          ~out_im:dim_ ~idx:i
-      done
+      Rat.eval_shifted_into sp s ~shifts ~lo ~hi ~out_re:slot.are ~out_im:slot.aim
   | Fill_custom f ->
       let m = f s in
       let d = Option.get slot.dense in
@@ -216,7 +219,7 @@ let rec exec ~n ~row ~col s ({ slot; op; _ } as nd) =
       in
       match
         Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override
-          ~v_finite:nd.v_finite ~lo ~hi ~col ~context:"Plan.feedback" gv
+          ~v_finite:nd.v_finite ~lo ~hi ~row ~col ~context:"Plan.feedback" gv
       with
       | Ok () -> ()
       | Error e -> raise (Guard e)));
@@ -405,9 +408,14 @@ let poison_root plan ~row ~col =
     | _ -> ()
 
 (* the root scan covers what the caller reads: the root's window of
-   rows, or the demanded column of a dense root — the rest is stale *)
+   rows, or the demanded entry or column of a dense root — the rest is
+   stale *)
 let root_finite plan ~row ~col v =
   match plan.root.slot.dense with
+  | Some m when col >= 0 && row >= 0 ->
+      let re, im = Cmatf.raw m in
+      let p = (row * dim plan) + col in
+      Float.is_finite re.(p) && Float.is_finite im.(p)
   | Some m when col >= 0 -> Cmatf.is_finite_col m col
   | _ ->
       let n = dim plan in

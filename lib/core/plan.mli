@@ -86,7 +86,7 @@ val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
     ([Pll.closed_loop_plan]) the baseband entry is then λ plus two leaf
     evaluations (time-invariant VCO) or a ±K-row window (ISF VCO with
     K harmonics), whatever [n_harm] is: measured with
-    [Gc.minor_words] on one domain, 80 (time-invariant) and 118
+    [Gc.minor_words] on one domain, 68 (time-invariant) and 98
     (K = 2) words per {!baseband} point at n_harm 8 and at n_harm 80
     alike (~340 and ~910 when every row was realized). A rank-one
     node's [v] that is its operand's is shared, not copied, and one
@@ -96,12 +96,18 @@ val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
     row. {b Column demand}: a dense feedback root (a loop closed
     around a banded or dense open loop) solves only the demanded
     right-hand side of [(I + G)⁻¹·G] instead of all [dim] of them.
+    {b One entry} of a loop closed around a banded open loop (a
+    mixing PFD: {!element}, {!baseband}) needs no LU: a two-sided
+    elimination without pivoting computes it alone, O(dim·k²) for
+    bandwidth k, its pivots guarded by closed-form conditioning
+    proxies (see {!Smat.Into.feedback}).
     The guards scan what is read (the demanded rows, or the demanded
-    column of a dense root), and the [grid-plan-nan] site poisons the
-    demanded entry. Values are bit-identical to the same entries of
-    {!eval}: each realized row is computed by the same formula in the
-    same order as in a full realization, and substitution never mixes
-    right-hand-side columns. *)
+    column or entry of a dense root), and the [grid-plan-nan] site
+    poisons the demanded entry. Values are bit-identical to the same
+    entries of {!eval} — each realized row is computed by the same
+    formula in the same order as in a full realization, and
+    substitution never mixes right-hand-side columns — except that
+    one entry of a banded loop equals the banded LU's to rounding. *)
 
 (** [element p ~n ~m s] — entry [H_{n,m}(s)] by harmonic index (row
     and column demand). *)

@@ -25,13 +25,19 @@
        with λ(s) override   O(w) — no vᵀu, v shared with the operand
      feedback(band k)       LU via Cmatf inside the band: O(n·k²) to
                             factor, O(n·k) per solved column
+     feedback(band k),      two-sided elimination, O(n·k²), no
+       entry demand         pivoting, proxy-guarded
      feedback(dense)        dense LU via Cmatf, O(n³) unboxed
    "v shared" means the result holds its operand's v storage, so it
    costs nothing per point (see [Into]). Both LU shapes realize every
    row: they rebuild I + G inside the last factors' support (O(n·k)
    stores for band k; the rest of the n×n storage stays zero) and write
    a dense result, every column of it or the one a caller demands (see
-   [Into.feedback]). *)
+   [Into.feedback]). One demanded entry of a banded loop skips the LU:
+   [twisted_entry] eliminates a band copy of I + G from both ends
+   towards the entry's row and writes that entry alone; the banded LU
+   stays the path of columns, rows and full realizations, and the
+   oracle the entry is tested against. *)
 
 open Numeric
 
@@ -499,18 +505,215 @@ let cnorm re im =
 
 (* LU storage for the closed loop of a banded or dense operand: the
    factors of I + G, a workspace carrying G's bandwidth (the identity
-   adds none), and one right-hand-side column. *)
-type lu_scratch = { lu : Cmatf.t; ws : Cmatf.lu_ws; rhs : Cmatf.t }
+   adds none), and one right-hand-side column. A banded operand also
+   gets the band of I + G that the entry elimination works in ([tre],
+   [tim], n·(2k+1) each; empty for a dense operand) and [q], three
+   float slots for its unboxed scalars. *)
+type lu_scratch = {
+  lu : Cmatf.t;
+  ws : Cmatf.lu_ws;
+  rhs : Cmatf.t;
+  rre : float array;  (* [rhs]'s storage *)
+  rim : float array;
+  tre : float array;
+  tim : float array;
+  q : float array;
+}
 
 let lu_scratch ~n (g : shape_t) =
-  let ws =
+  let ws, band =
     match g with
     | `Diag | `Band _ ->
         let k = band_k g in
-        Cmatf.lu_ws ~kl:k ~ku:k n
-    | `Rank1 | `Dense -> Cmatf.lu_ws n
+        (Cmatf.lu_ws ~kl:k ~ku:k n, n * ((2 * k) + 1))
+    | `Rank1 | `Dense -> (Cmatf.lu_ws n, 0)
   in
-  { lu = Cmatf.create n n; ws; rhs = Cmatf.create n 1 }
+  let rhs = Cmatf.create n 1 in
+  let rre, rim = Cmatf.raw rhs in
+  {
+    lu = Cmatf.create n n;
+    ws;
+    rhs;
+    rre;
+    rim;
+    tre = Array.make band 0.0;
+    tim = Array.make band 0.0;
+    q = Array.make 3 0.0;
+  }
+
+(* q.(0) + i·q.(1) := (ar + i·ai)/(br + i·bi) by Smith's algorithm, as
+   [Complex.div] computes it. Inlined, so no float is boxed. *)
+let[@inline] div_into q ar ai br bi =
+  if Float.abs br >= Float.abs bi then begin
+    let r = bi /. br in
+    let d = br +. (r *. bi) in
+    q.(0) <- (ar +. (r *. ai)) /. d;
+    q.(1) <- (ai -. (r *. ar)) /. d
+  end
+  else begin
+    let r = br /. bi in
+    let d = bi +. (r *. br) in
+    q.(0) <- ((r *. ar) +. ai) /. d;
+    q.(1) <- ((r *. ai) -. ar) /. d
+  end
+
+(* A pivot of the entry elimination failed its guard; [q.(2)] holds the
+   condition estimate to report. *)
+exception Breakdown
+
+(* The exact proxy (|a| + |d|)/|p| of a pivot p = a + d, on the cold
+   path only: [twisted_pivot] compares squares first. *)
+let pivot_proxy ar ai pr pi = (cnorm ar ai +. cnorm (pr -. ar) (pi -. ai)) /. cnorm pr pi
+
+(* max|p|/min|p| over the n pivots on the diagonal of the band *)
+let pivot_spread sc ~n ~w ~k =
+  let lo = ref infinity and hi = ref 0.0 in
+  for j = 0 to n - 1 do
+    let m = cnorm sc.tre.((j * w) + k) sc.tim.((j * w) + k) in
+    lo := Float.min !lo m;
+    hi := Float.max !hi m
+  done;
+  !hi /. !lo
+
+(* Guards pivot j of the entry elimination (the diagonal entry j of the
+   band [sc.tre]/[sc.tim], width w), whose entry in I + G was 1 + G_jj,
+   and leaves 1/p_j in q.(0), q.(1). *)
+let[@lint.hot] twisted_pivot sc ~gre ~gim ~w ~k j =
+  let p = (j * w) + k and q = sc.q in
+  let pr = sc.tre.(p) and pi = sc.tim.(p) in
+  if
+    (not (Float.is_finite pr && Float.is_finite pi))
+    || (Float.equal pr 0.0 && Float.equal pi 0.0)
+    || Robust.Inject.fire Robust.Inject.Lu_pivot
+  then begin
+    q.(2) <- infinity;
+    raise_notrace Breakdown
+  end;
+  let ar = gre.(p) +. 1.0 and ai = gim.(p) in
+  let dr = pr -. ar and di = pi -. ai in
+  let smw = Robust.Config.smw_max_cond in
+  let p2 = (pr *. pr) +. (pi *. pi) in
+  (* (|a| + |d|)² ≤ 2(|a|² + |d|²) *)
+  if not (2.0 *. ((ar *. ar) +. (ai *. ai) +. (dr *. dr) +. (di *. di)) < smw *. smw *. p2)
+  then begin
+    (* cold: a pivot within a factor √2 of the threshold, or squares
+       that over- or underflowed *)
+    let proxy = (pivot_proxy ar ai pr pi [@lint.allow "hot-alloc"]) in
+    if not (proxy <= smw) then begin
+      q.(2) <- proxy;
+      raise_notrace Breakdown
+    end
+  end;
+  (* 1/p = conj(p)/|p|², one division, while |p|² is a normal float *)
+  if p2 >= Float.min_float && p2 <= Float.max_float then begin
+    let t = 1.0 /. p2 in
+    q.(0) <- pr *. t;
+    q.(1) <- -.(pi *. t)
+  end
+  else div_into q 1.0 0.0 pr pi
+
+(* One entry H_rc of H = (I + G)⁻¹·G for a banded G, by two-sided
+   ("twisted") elimination of A = I + G against the right-hand side b =
+   column c of G. Columns 0 … r−1 are eliminated top-down, which leaves
+   rows r … n−1 holding the Schur complement of the leading block (still
+   banded: no pivoting, so no fill outside the band); its columns
+   n−1 … r+1 are then eliminated bottom-up, which leaves row r as the one
+   equation a″_rr·x_r = b″_r. H_rc = x_r, read off the eliminated
+   right-hand side, never as 1 − [A⁻¹]_rr, which cancels where |G| is
+   small. O(n·k²) flops, every pivot used once: no search, no swap.
+
+   Each pivot p_j is guarded ([twisted_pivot]): a zero or non-finite
+   pivot, or a fired lu-pivot site (one hit per pivot), is exactly
+   singular; otherwise the closed-form proxy (|a_jj| + |p_j − a_jj|)/|p_j|
+   — a_jj the diagonal of I + G, p_j − a_jj the sum of the elimination's
+   updates to it — must not exceed [Config.smw_max_cond]. Every pivot
+   stays on the band's diagonal, so a last scan bounds their spread
+   max|p|/min|p| by [Config.max_cond], the banded LU's [1/lu_pivot_ratio]
+   test. Both tests compare squared moduli first and take square roots
+   only when that is inconclusive. A failed guard raises [Breakdown]
+   with its estimate in q.(2); on success H_rc lands in q.(0), q.(1). *)
+let[@lint.hot] twisted_entry sc ~n ~k ~gre ~gim ~row:r ~col:c =
+  let w = (2 * k) + 1 in
+  let are = sc.tre and aim = sc.tim and q = sc.q in
+  let bre = sc.rre and bim = sc.rim in
+  (* A := I + G inside the band, b := column c of G *)
+  Array.blit gre 0 are 0 (n * w);
+  Array.blit gim 0 aim 0 (n * w);
+  for i = 0 to n - 1 do
+    are.((i * w) + k) <- are.((i * w) + k) +. 1.0
+  done;
+  Array.fill bre 0 n 0.0;
+  Array.fill bim 0 n 0.0;
+  for i = Int.max 0 (c - k) to Int.min (n - 1) (c + k) do
+    let p = (i * w) + (c - i) + k in
+    bre.(i) <- gre.(p);
+    bim.(i) <- gim.(p)
+  done;
+  (* top-down: pivot row j clears column j from rows j+1 … j+k *)
+  for j = 0 to r - 1 do
+    twisted_pivot sc ~gre ~gim ~w ~k j;
+    let vr = q.(0) and vi = q.(1) in
+    let hi = Int.min (n - 1) (j + k) in
+    for i = j + 1 to hi do
+      let x = (i * w) + (j - i) + k in
+      let xr = are.(x) and xi = aim.(x) in
+      if not (Float.equal xr 0.0 && Float.equal xi 0.0) then begin
+        let mr = (xr *. vr) -. (xi *. vi) and mi = (xr *. vi) +. (xi *. vr) in
+        for l = j + 1 to hi do
+          let pj = (j * w) + (l - j) + k and pl = (i * w) + (l - i) + k in
+          let ur = are.(pj) and ui = aim.(pj) in
+          are.(pl) <- are.(pl) -. ((mr *. ur) -. (mi *. ui));
+          aim.(pl) <- aim.(pl) -. ((mr *. ui) +. (mi *. ur))
+        done;
+        let br = bre.(j) and bi = bim.(j) in
+        bre.(i) <- bre.(i) -. ((mr *. br) -. (mi *. bi));
+        bim.(i) <- bim.(i) -. ((mr *. bi) +. (mi *. br))
+      end
+    done
+  done;
+  (* bottom-up over the Schur complement (rows and columns r … n−1):
+     pivot row j clears column j from rows max(r, j−k) … j−1 *)
+  for j = n - 1 downto r + 1 do
+    twisted_pivot sc ~gre ~gim ~w ~k j;
+    let vr = q.(0) and vi = q.(1) in
+    let lo = Int.max r (j - k) in
+    for i = lo to j - 1 do
+      let x = (i * w) + (j - i) + k in
+      let xr = are.(x) and xi = aim.(x) in
+      if not (Float.equal xr 0.0 && Float.equal xi 0.0) then begin
+        let mr = (xr *. vr) -. (xi *. vi) and mi = (xr *. vi) +. (xi *. vr) in
+        for l = lo to j - 1 do
+          let pj = (j * w) + (l - j) + k and pl = (i * w) + (l - i) + k in
+          let ur = are.(pj) and ui = aim.(pj) in
+          are.(pl) <- are.(pl) -. ((mr *. ur) -. (mi *. ui));
+          aim.(pl) <- aim.(pl) -. ((mr *. ui) +. (mi *. ur))
+        done;
+        let br = bre.(j) and bi = bim.(j) in
+        bre.(i) <- bre.(i) -. ((mr *. br) -. (mi *. bi));
+        bim.(i) <- bim.(i) -. ((mr *. bi) +. (mi *. br))
+      end
+    done
+  done;
+  twisted_pivot sc ~gre ~gim ~w ~k r;
+  (* the spread of the pivots, as the banded LU bounds its U diagonal *)
+  let pmin = ref infinity and pmax = ref 0.0 in
+  for j = 0 to n - 1 do
+    let pr = are.((j * w) + k) and pi = aim.((j * w) + k) in
+    let p2 = (pr *. pr) +. (pi *. pi) in
+    if p2 < !pmin then pmin := p2;
+    if p2 > !pmax then pmax := p2
+  done;
+  let mc = Robust.Config.max_cond in
+  if not (!pmax <= mc *. mc *. !pmin) then begin
+    (* cold: the squares over- or underflowed, or the pivots spread *)
+    let spread = (pivot_spread sc ~n ~w ~k [@lint.allow "hot-alloc"]) in
+    if not (spread <= mc) then begin
+      q.(2) <- spread;
+      raise_notrace Breakdown
+    end
+  end;
+  let p = (r * w) + k in
+  div_into q bre.(r) bim.(r) are.(p) aim.(p)
 
 (* x := column k of a banded/dense t, rounded as [densify_into] rounds
    it (0 + entry), so the column equals that column of the dense
@@ -707,9 +910,11 @@ module Into = struct
      and guard what they realize: a diagonal loop scans the window's
      denominators, a rank-one loop its one scalar. A banded/dense loop
      realizes every row, and solves only column [col] of the result
-     when [col >= 0]. *)
+     when [col >= 0] — but for one entry ([row >= 0] and [col >= 0]) of
+     a banded loop, which [twisted_entry] computes alone, guarding its
+     pivots with the same proxy family. *)
   let feedback ~dst ?scratch ?denom_override ?(v_finite = false) ~lo ~hi
-      ~col ~context g =
+      ~row ~col ~context g =
     let open Robust in
     let n = dim g in
     let max_cond = Config.smw_max_cond in
@@ -780,8 +985,25 @@ module Into = struct
             else Error (Pllscope_error.Non_finite { where = context })
           end
         end
+    | Dense b, Band { kmax = k; bre = gre; bim = gim; _ } when row >= 0 && col >= 0
+      -> (
+        let sc =
+          match scratch with
+          | Some s -> s
+          | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"
+        in
+        match twisted_entry sc ~n ~k ~gre ~gim ~row ~col with
+        | exception Breakdown ->
+            Error (Pllscope_error.Singular { cond_est = sc.q.(2); context })
+        | () ->
+            let hre = sc.q.(0) and him = sc.q.(1) in
+            let bre, bim = Cmatf.raw b in
+            bre.((row * n) + col) <- hre;
+            bim.((row * n) + col) <- him;
+            if Float.is_finite hre && Float.is_finite him then Ok ()
+            else Error (Pllscope_error.Non_finite { where = context }))
     | Dense b, (Band _ | Dense _) -> (
-        let { lu = a; ws; rhs } =
+        let { lu = a; ws; rhs; _ } =
           match scratch with
           | Some s -> s
           | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"

@@ -22,7 +22,9 @@
     Only [Band]/[Dense] feedback pays an LU — on the flat unboxed
     {!Numeric.Cmatf.t} layer, not on boxed [Cmat.t] — and a [Band k]
     operand's LU stays inside its band: O(n·k²) to factor and O(n·k)
-    per solved column, against O(n³) for a dense operand.
+    per solved column, against O(n³) for a dense operand. One entry
+    of a [Band k] loop needs no LU at all: a two-sided elimination
+    without pivoting reaches it in O(n·k²) (see {!Into.feedback}).
 
     Storage is split unboxed re/im [float array]s. The algebra exists
     only as the in-place {!Into} kernels over containers sized by the
@@ -122,7 +124,8 @@ val mul_scratch : n:int -> shape_t -> shape_t -> bool * bool
 
 (** LU storage for {!Into.feedback} of a banded or dense operand: the
     factors of [I + G], an LU workspace carrying the operand's
-    bandwidth, and one right-hand-side column. *)
+    bandwidth, one right-hand-side column, and for a banded operand the
+    [n·(2k+1)] band that an entry-demand elimination works in. *)
 type lu_scratch
 
 (** [lu_scratch ~n g] — scratch for the closed loop of an [n×n]
@@ -171,27 +174,36 @@ module Into : sig
     t ->
     unit
 
-  (** [feedback ~dst ?scratch ?denom_override ?v_finite ~lo ~hi ~col
-      ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
+  (** [feedback ~dst ?scratch ?denom_override ?v_finite ~lo ~hi ~row
+      ~col ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
       (diagonal, rank one) realize rows [lo..hi]. [scratch] (from
       {!lu_scratch} at [g]'s shape) is required for banded/dense [g],
       which realizes every row; there, [col >= 0] demands one column:
       only column [col] of [dst] is realized (bit for bit what a full
       realization puts there) and the rest of [dst] is left stale; a
-      negative [col] realizes every column. The guards run over what is
-      realized — closed-form shapes check their scalar denominators'
-      conditioning proxy [(1 + |d|)/|1 + d|] against
+      negative [col] realizes every column. {b Entry demand}: with
+      [row >= 0] and [col >= 0] a banded [g] realizes entry [(row, col)]
+      of [dst] alone, by a two-sided elimination without pivoting
+      (O(n·k²), no LU, no condition estimate), equal to the banded LU's
+      entry to rounding; a dense [g] ignores [row]. The guards run over
+      what is realized — closed-form shapes check their scalar
+      denominators' conditioning proxy [(1 + |d|)/|1 + d|] against
       {!Robust.Config.smw_max_cond} (a diagonal loop over the window's
-      rows), banded/dense shapes use
+      rows), the entry elimination checks each pivot [p] the same way
+      ([(|a| + |p − a|)/|p|], [a] the pivot's entry in [I + G]) and the
+      pivots' spread [max|p|/min|p|] against {!Robust.Config.max_cond},
+      the other banded/dense loops use
       {!Numeric.Cmatf.lu_decompose_checked}, and the realized rows (or
-      the demanded column) are scanned for non-finite entries, a
-      rank-one result's [v] only when [v_finite] (default [false]) does
-      not say it is already known finite — and failures come back as
-      [Error (Singular _)] or [Error (Non_finite _)]. [denom_override]
-      replaces the rank-one Sherman–Morrison denominator term [vᵀu]
-      with a closed-form loop gain λ(s) — the plan layer's [Special]
-      fast path for sampling loops; the O(n) dot product is then
-      skipped and the loop costs O(hi − lo + 1). *)
+      the demanded column, or entry) are scanned for non-finite
+      entries, a rank-one result's [v] only when [v_finite] (default
+      [false]) does not say it is already known finite — and failures
+      come back as [Error (Singular _)] or [Error (Non_finite _)]; a
+      zero or non-finite pivot, or a fired [lu-pivot] site, is
+      [Singular] with an infinite estimate. [denom_override] replaces
+      the rank-one Sherman–Morrison denominator term [vᵀu] with a
+      closed-form loop gain λ(s) — the plan layer's [Special] fast path
+      for sampling loops; the O(n) dot product is then skipped and the
+      loop costs O(hi − lo + 1). *)
   val feedback :
     dst:t ->
     ?scratch:lu_scratch ->
@@ -199,6 +211,7 @@ module Into : sig
     ?v_finite:bool ->
     lo:int ->
     hi:int ->
+    row:int ->
     col:int ->
     context:string ->
     t ->

@@ -22,9 +22,10 @@ type split = {
   den_re : float array;
   den_im : float array;
   acc : float array;
-      (* 4-slot Horner scratch — float-array slots keep the accumulators
-         unboxed (refs or tuple returns would allocate per evaluation),
-         at the price of making a [split] a single-thread workspace *)
+      (* 6-slot scratch: the two Horner accumulators and the point x —
+         float-array slots keep them unboxed (refs, tuple returns or
+         float arguments of a call would allocate per evaluation), at
+         the price of making a [split] a single-thread workspace *)
 }
 
 let split r =
@@ -34,10 +35,12 @@ let split r =
       Array.map Cx.im cs )
   in
   let num_re, num_im = unzip r.num and den_re, den_im = unzip r.den in
-  { num_re; num_im; den_re; den_im; acc = Array.make 4 0.0 }
+  { num_re; num_im; den_re; den_im; acc = Array.make 6 0.0 }
 
-(* Horner on split arrays into (acc.(j), acc.(j+1)) = p(x). *)
-let horner_into acc j re im xr xi =
+(* Horner on split arrays into (acc.(j), acc.(j+1)) = p(x), x at
+   (acc.(4), acc.(5)). *)
+let horner_into acc j re im =
+  let xr = acc.(4) and xi = acc.(5) in
   acc.(j) <- 0.0;
   acc.(j + 1) <- 0.0;
   for i = Array.length re - 1 downto 0 do
@@ -48,10 +51,11 @@ let horner_into acc j re im xr xi =
     acc.(j + 1) <- mi +. im.(i)
   done
 
-let eval_into sp ~re ~im ~out_re ~out_im ~idx =
+(* the rational at the point in (acc.(4), acc.(5)), into out.(idx) *)
+let eval_at_acc sp out_re out_im idx =
   let acc = sp.acc in
-  horner_into acc 0 sp.num_re sp.num_im re im;
-  horner_into acc 2 sp.den_re sp.den_im re im;
+  horner_into acc 0 sp.num_re sp.num_im;
+  horner_into acc 2 sp.den_re sp.den_im;
   let nr = acc.(0) and ni = acc.(1) in
   let dr = acc.(2) and di = acc.(3) in
   (* Smith's algorithm, exactly as [Complex.div] *)
@@ -67,6 +71,22 @@ let eval_into sp ~re ~im ~out_re ~out_im ~idx =
     out_re.(idx) <- ((r *. nr) +. ni) /. d;
     out_im.(idx) <- ((r *. ni) -. nr) /. d
   end
+
+let eval_into sp ~re ~im ~out_re ~out_im ~idx =
+  sp.acc.(4) <- re;
+  sp.acc.(5) <- im;
+  eval_at_acc sp out_re out_im idx
+
+(* One call per fill, and no float crosses a call: the shifted points
+   are formed in float-array slots, from [s]'s fields read in place
+   ([Cx.re] is a call from here, which returns its float boxed). *)
+let[@lint.hot] eval_shifted_into sp (s : Cx.t) ~shifts ~lo ~hi ~out_re ~out_im =
+  let acc = sp.acc in
+  for i = lo to hi do
+    acc.(4) <- s.re;
+    acc.(5) <- s.im +. shifts.(i);
+    eval_at_acc sp out_re out_im i
+  done
 
 let eval_split sp x =
   let out_re = [| 0.0 |] and out_im = [| 0.0 |] in

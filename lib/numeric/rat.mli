@@ -49,6 +49,21 @@ val eval_into :
   idx:int ->
   unit
 
+(** [eval_shifted_into sp s ~shifts ~lo ~hi ~out_re ~out_im] — for [i]
+    in [lo..hi], evaluate at [s + i·shifts.(i)] and store the result at
+    [out_re.(i)], [out_im.(i)]: the bits of
+    [eval_into sp ~re:(Cx.re s) ~im:(Cx.im s +. shifts.(i))], with no
+    float boxed per row (an HTM leaf's harmonic fill). *)
+val eval_shifted_into :
+  split ->
+  Cx.t ->
+  shifts:float array ->
+  lo:int ->
+  hi:int ->
+  out_re:float array ->
+  out_im:float array ->
+  unit
+
 (** [eval_split sp x] — boxed convenience wrapper over {!eval_into}
     (equality-with-{!eval} tests). *)
 val eval_split : split -> Cx.t -> Cx.t

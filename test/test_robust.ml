@@ -9,6 +9,11 @@
      grid-plan-nan also under row demand, at a row other than 0;
    - the SMW denominator guard degrades a near-singular closed loop to
      the dense oracle (and raises under --strict);
+   - the entry elimination of a banded loop refuses near-singular
+     tridiagonal loops (a small outer pivot, a cancelled inner one) as
+     the banded LU does, falls back counted and raises under --strict;
+     lu-pivot fires on it; an entry read after a column fallback on the
+     same plan is fresh;
    - checked pool sweeps retry deterministically, survivors staying
      bit-identical at any pool size. *)
 
@@ -279,6 +284,127 @@ let test_smw_guard_and_strict () =
         (Float.is_finite cond_est && cond_est > Robust.Config.smw_max_cond)
 
 (* ------------------------------------------------------------------ *)
+(* entry demand on a banded loop: the two-sided elimination's guards   *)
+
+let bits_equal a b =
+  Int64.equal (Int64.bits_of_float (Cx.re a)) (Int64.bits_of_float (Cx.re b))
+  && Int64.equal (Int64.bits_of_float (Cx.im a)) (Int64.bits_of_float (Cx.im b))
+
+(* Two near-singular tridiagonal loops I + G, G = D·P with D an LTI
+   block and P a periodic gain (band 1), at s = j·0.3:
+   - "outer pivot" (n_harm 2): D is −(1 − 1e-14) at the lowest harmonic
+     (0.3 − 4 rad/s) and 0.3 elsewhere, P has 1 on the diagonal, 0.5
+     above and 1e-16 below it — row 0 of I + G is [~1e-14, ~−0.5], its
+     column all but zero below the diagonal, so its pivot is the one
+     small one: no update touches it, and the pivots' spread trips;
+   - "inner cancellation" (n_harm 1, 3×3): D = 1/√2·(1 − 5e-15), P =
+     [1 0 1] — the centre pivot 1 − 2·D² ~ 1e-14 comes out of the
+     updates, and its proxy (|1| + |−2·D²|)/|p| trips.
+   Both have a condition number ~1e14: the banded LU ([eval_checked])
+   refuses them as well. *)
+let near_singular_loops =
+  let c = Htm.ctx ~n_harm:2 ~omega0:2.0 in
+  let outer =
+    Htm.feedback
+      (Htm.series
+         (Htm.lti (fun z ->
+              if Cx.im z < -3.0 then Cx.of_float (-.(1.0 -. 1e-14)) else Cx.of_float 0.3))
+         (Htm.periodic_gain [| Cx.of_float 0.5; Cx.one; Cx.of_float 1e-16 |]))
+  in
+  let inner =
+    Htm.feedback
+      (Htm.series
+         (Htm.lti (fun _ -> Cx.of_float (Float.sqrt 0.5 *. (1.0 -. 5e-15))))
+         (Htm.periodic_gain [| Cx.one; Cx.zero; Cx.one |]))
+  in
+  [ ("outer pivot", c, outer); ("inner cancellation", Htm.ctx ~n_harm:1 ~omega0:2.0, inner) ]
+
+let test_twisted_near_singular () =
+  let s = Cx.jomega 0.3 in
+  List.iter
+    (fun (what, c, t) ->
+      Robust.Stats.reset ();
+      let plan = Plan.make c t in
+      (match Plan.eval_checked plan s with
+      | Error (Singular { cond_est; _ }) ->
+          check_true
+            (Printf.sprintf "%s: banded LU refuses (%g)" what cond_est)
+            (cond_est > Robust.Config.max_cond)
+      | Error e -> Alcotest.failf "%s: unexpected error: %s" what (E.to_string e)
+      | Ok _ -> Alcotest.failf "%s: banded LU accepted the loop" what);
+      (* the entry path degrades to the oracle, counted once *)
+      let h = Plan.baseband plan s in
+      let i0 = Htm.index_of_harmonic c 0 in
+      check_true (what ^ ": fallback = oracle")
+        (bits_equal h (Cmat.get (Htm.to_matrix_dense c t s) i0 i0));
+      let st = Robust.Stats.snapshot () in
+      check_int (what ^ ": one dense fallback") 1 st.Robust.Stats.dense_fallbacks;
+      check_int (what ^ ": counted as singular") 1 st.Robust.Stats.singular_guards;
+      (* ... and strict mode refuses it with the finite estimate *)
+      Robust.Config.set_strict true;
+      (match Plan.baseband plan s with
+      | _ -> Alcotest.failf "%s: strict mode did not raise" what
+      | exception E.Error (Singular { cond_est; _ }) ->
+          check_true
+            (Printf.sprintf "%s: strict raises the pivot estimate (%g)" what cond_est)
+            (Float.is_finite cond_est && cond_est > 1e12));
+      Robust.Config.reset ())
+    near_singular_loops
+
+(* a mixing-PFD loop (band 1) at n_harm 8 *)
+let mixing_plan () =
+  let base = Pll_lib.Design.synthesize Pll_lib.Design.default_spec in
+  let spec = Pll_lib.Design.default_spec in
+  let p =
+    Pll_lib.Pll.make ~fref:spec.fref ~n_div:spec.n_div ~filter:base.Pll_lib.Pll.filter
+      ~vco:base.Pll_lib.Pll.vco ~pfd:(Pll_lib.Pfd.mixing ~gain:1.3) ()
+  in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let c = Htm.ctx ~n_harm:8 ~omega0:w0 in
+  (c, Pll_lib.Pll.closed_loop_htm p, Pll_lib.Pll.closed_loop_plan c p, Cx.jomega (0.07 *. w0))
+
+let test_injected_lu_pivot_entry () =
+  let c, t, plan, s = mixing_plan () in
+  let i0 = Htm.index_of_harmonic c 0 in
+  let oracle = Cmat.get (Htm.to_matrix_dense c t s) i0 i0 in
+  Robust.Inject.configure "lu-pivot:1";
+  let h = Plan.baseband plan s in
+  check_true "the site fired on the entry path" (Robust.Inject.hits Lu_pivot >= 1);
+  Robust.Inject.disarm ();
+  check_true "fallback = oracle" (bits_equal h oracle);
+  let st = Robust.Stats.snapshot () in
+  check_int "one dense fallback" 1 st.Robust.Stats.dense_fallbacks;
+  check_int "counted as singular" 1 st.Robust.Stats.singular_guards;
+  (* a later pivot: the third hit *)
+  Robust.Config.set_strict true;
+  Robust.Inject.configure "lu-pivot:3";
+  match Plan.baseband plan s with
+  | _ -> Alcotest.fail "strict mode did not raise"
+  | exception E.Error (Singular { cond_est; _ }) ->
+      check_true "forced breakdown is exactly singular" (cond_est = Float.infinity)
+
+(* A column query that fell back leaves its NaN in the plan's dense
+   root; an entry query on the same plan afterwards computes and scans
+   its own entry, the poisoned one included, and reads nothing stale *)
+let test_column_nan_then_element () =
+  let c, t, plan, s = mixing_plan () in
+  let fresh = Plan.make c t in
+  Robust.Inject.configure "grid-plan-nan:1";
+  ignore (Plan.column plan ~m:1 s);
+  Robust.Inject.disarm ();
+  check_int "the column fell back" 1
+    (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks;
+  List.iter
+    (fun n ->
+      let e = Plan.element plan ~n ~m:1 s in
+      check_true
+        (Printf.sprintf "element (%d,1) = a fresh plan's" n)
+        (bits_equal e (Plan.element fresh ~n ~m:1 s)))
+    [ -c.Htm.n_harm; 0; 1 ];
+  check_int "no further fallback" 1
+    (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks
+
+(* ------------------------------------------------------------------ *)
 (* checked pool sweeps                                                 *)
 
 let test_pool_partial_failure_deterministic () =
@@ -428,6 +554,12 @@ let suite =
       (clean test_injected_power_stall);
     case "SMW guard: near-singular loop falls back; strict raises"
       (clean test_smw_guard_and_strict);
+    case "entry elimination: near-singular tridiagonal loops refused, fall back; strict raises"
+      (clean test_twisted_near_singular);
+    case "inject lu-pivot on an entry query: fallback counted, strict raises"
+      (clean test_injected_lu_pivot_entry);
+    case "column fallback then element on the same plan: no stale entry"
+      (clean test_column_nan_then_element);
     case "pool: partial failure is typed and deterministic"
       (clean test_pool_partial_failure_deterministic);
     case "pool: transient failure absorbed by retry"
