@@ -14,6 +14,21 @@
 
 open Cmdliner
 
+(* [checked name what ok arg] — [arg], refusing a value the library
+   would reject: [error: --NAME must be WHAT] and exit 1 (an invalid
+   option value, not a usage error) before any work starts. *)
+let checked name what ok arg =
+  let check v =
+    if not (ok v) then begin
+      Format.printf "error: --%s must be %s@." name what;
+      exit 1
+    end;
+    v
+  in
+  Term.(const check $ arg)
+
+let positive_opt = Option.fold ~none:true ~some:(fun s -> s > 0.0)
+
 let spec_term =
   let fref =
     let doc = "Reference frequency in Hz." in
@@ -37,7 +52,8 @@ let spec_term =
   in
   let ratio =
     let doc = "Target unity-gain-to-reference ratio w_UG/w0." in
-    Arg.(value & opt float 0.1 & info [ "ratio" ] ~docv:"R" ~doc)
+    checked "ratio" "> 0" (fun r -> r > 0.0)
+      Arg.(value & opt float 0.1 & info [ "ratio" ] ~docv:"R" ~doc)
   in
   let pm =
     let doc = "Target LTI phase margin in degrees." in
@@ -85,7 +101,8 @@ let deadline_term =
      sweep chunks drain cleanly (checkpoints stay consistent) and the \
      exit code is 124."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
+  checked "deadline" "> 0" positive_opt
+    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
 
 (* The grid-driver options `sweep` and `mc` share. *)
 type grid_opts = {
@@ -117,7 +134,8 @@ let grid_term =
       "Per-point watchdog timeout in seconds; an overrunning point becomes \
        a typed timed-out failure instead of hanging the run."
     in
-    Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)
+    checked "task-timeout" "> 0" positive_opt
+      Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)
   in
   let shards =
     let doc =
@@ -126,7 +144,8 @@ let grid_term =
        this process). Sharded-and-merged results are bit-identical to an \
        in-process run at any shard count."
     in
-    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
+    checked "shards" ">= 0" (fun n -> n >= 0)
+      Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let no_steal =
     let doc =
@@ -149,10 +168,6 @@ let grid_term =
 let run_workload (type a) g (w : a Workloads.t) : a Parallel.Sweep.partial =
   if g.resume && g.checkpoint = None then begin
     Format.fprintf pp "error: --resume requires --checkpoint@.";
-    exit 1
-  end;
-  if g.shards < 0 then begin
-    Format.fprintf pp "error: --shards must be >= 0@.";
     exit 1
   end;
   let n = Workloads.size w in
@@ -258,7 +273,8 @@ let analyze_cmd =
 
 let bode_cmd =
   let points =
-    Arg.(value & opt int 25 & info [ "points" ] ~docv:"N" ~doc:"Sweep points.")
+    checked "points" ">= 2" (fun n -> n >= 2)
+      Arg.(value & opt int 25 & info [ "points" ] ~docv:"N" ~doc:"Sweep points.")
   in
   let run spec points strict =
     with_robust strict @@ fun () ->
@@ -290,12 +306,9 @@ let bode_cmd =
    [0.02, 0.5], or the 12 paper ratios *)
 let ratio_grid = function
   | None -> Array.of_list Experiments.Exp_fig7.default_ratios
-  | Some n when n >= 2 ->
+  | Some n ->
       Array.init n (fun i ->
           0.02 +. ((0.5 -. 0.02) *. float_of_int i /. float_of_int (n - 1)))
-  | Some _ ->
-      Format.fprintf pp "error: --points must be >= 2@.";
-      exit 1
 
 let sweep_cmd =
   let points =
@@ -303,7 +316,8 @@ let sweep_cmd =
       "Number of ratio points, linearly spaced over [0.02, 0.5] (default: \
        the 12 paper ratios)."
     in
-    Arg.(value & opt (some int) None & info [ "points" ] ~docv:"N" ~doc)
+    checked "points" ">= 2" (Option.fold ~none:true ~some:(fun n -> n >= 2))
+      Arg.(value & opt (some int) None & info [ "points" ] ~docv:"N" ~doc)
   in
   let run spec points g deadline strict =
     with_robust ?deadline strict @@ fun () ->
@@ -327,7 +341,8 @@ let sweep_cmd =
 let mc_cmd =
   let points =
     let doc = "Number of Monte Carlo points." in
-    Arg.(value & opt int 10_000 & info [ "points" ] ~docv:"N" ~doc)
+    checked "points" ">= 1" (fun n -> n >= 1)
+      Arg.(value & opt int 10_000 & info [ "points" ] ~docv:"N" ~doc)
   in
   let seed =
     let doc = "Base seed; point $(i)'s draws depend only on (seed, i)." in
@@ -335,10 +350,6 @@ let mc_cmd =
          & info [ "seed" ] ~docv:"S" ~doc)
   in
   let run spec points seed g deadline strict =
-    if points < 1 then begin
-      Format.fprintf pp "error: --points must be >= 1@.";
-      exit 1
-    end;
     with_robust ?deadline strict @@ fun () ->
     let cfg = { Experiments.Exp_nonideal.default_mc with mc_seed = seed } in
     let partial = run_workload g (Workloads.Mc { spec; cfg; points }) in
@@ -510,21 +521,24 @@ let fetch_stats addr =
 let serve_cmd =
   let workers =
     let doc = "Concurrent compute slots." in
-    Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.workers
-         & info [ "workers" ] ~docv:"N" ~doc)
+    checked "workers" ">= 1" (fun n -> n >= 1)
+      Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.workers
+           & info [ "workers" ] ~docv:"N" ~doc)
   in
   let queue =
     let doc =
       "Requests queued past the compute slots before shedding with a typed \
        overloaded frame."
     in
-    Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.queue_depth
-         & info [ "queue" ] ~docv:"N" ~doc)
+    checked "queue" ">= 0" (fun n -> n >= 0)
+      Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.queue_depth
+           & info [ "queue" ] ~docv:"N" ~doc)
   in
   let max_clients =
     let doc = "Open connections before accept-time shedding." in
-    Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.max_clients
-         & info [ "max-clients" ] ~docv:"N" ~doc)
+    checked "max-clients" ">= 1" (fun n -> n >= 1)
+      Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.max_clients
+           & info [ "max-clients" ] ~docv:"N" ~doc)
   in
   let cache =
     let doc = "Response-cache capacity in entries (0 disables)." in
@@ -573,15 +587,17 @@ let serve_cmd =
   in
   let chunk_points =
     let doc = "Sweep cells per streamed chunk frame." in
-    Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.chunk_points
-         & info [ "chunk-points" ] ~docv:"N" ~doc)
+    checked "chunk-points" ">= 1" (fun n -> n >= 1)
+      Arg.(value & opt int Serve.Daemon.default_config.Serve.Daemon.chunk_points
+           & info [ "chunk-points" ] ~docv:"N" ~doc)
   in
   let heartbeat =
     let doc =
       "Seconds of stream silence before the ticker writes a progress frame."
     in
-    Arg.(value & opt float Serve.Daemon.default_config.Serve.Daemon.heartbeat
-         & info [ "heartbeat" ] ~docv:"SECS" ~doc)
+    checked "heartbeat" "> 0" (fun s -> s > 0.0)
+      Arg.(value & opt float Serve.Daemon.default_config.Serve.Daemon.heartbeat
+           & info [ "heartbeat" ] ~docv:"SECS" ~doc)
   in
   let run socket port workers queue max_clients cache read_timeout
       write_timeout default_deadline drain_grace retry_after status state_dir

@@ -22,6 +22,7 @@ exception Singular_network of string
     @raise Singular_network when the network has no finite solution
     (floating port, shorted source loop, ...). *)
 val impedance : Netlist.t -> port:int -> Lti.Tf.t
+[@@lint.allow "test-only-export" "test seam: the port impedance the circuit.mna physics tests read"]
 
 (** [transimpedance netlist ~inject ~sense] — [V_sense(s) / I_inject(s)]:
     current into [inject], voltage read at [sense] (e.g. a third-order
@@ -33,12 +34,15 @@ val transimpedance : Netlist.t -> inject:int -> sense:int -> Lti.Tf.t
     [V_to(s) / V_from(s)] with an ideal voltage source driving
     [from_node]. *)
 val voltage_transfer : Netlist.t -> from_node:int -> to_node:int -> Lti.Tf.t
+[@@lint.allow "test-only-export" "test seam: node-to-node transfer the divider and VCVS tests read"]
 
 (** [solve_at netlist ~inject s] — node voltages (index 0 = node 1) for
     a unit current injection, at a single complex frequency; the direct
     LU reference the rational extraction is tested against. *)
 val solve_at : Netlist.t -> inject:int -> Numeric.Cx.t -> Numeric.Cvec.t
+[@@lint.allow "test-only-export" "test seam: one-frequency solve the ladder property checks"]
 
 (** [characteristic_freq netlist] — the geometric frequency scale used
     internally for conditioning (exposed for tests). *)
 val characteristic_freq : Netlist.t -> float
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]

@@ -28,3 +28,4 @@ val netlist : ?file:string -> string -> Netlist.t
     (e.g. ["4.7k"], ["100n"], ["2meg"], ["1e-9"]).
     @raise Failure on malformed input. *)
 val value : string -> float
+[@@lint.allow "test-only-export" "test seam: the engineering-value grammar, tested apart from netlists"]

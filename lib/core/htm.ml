@@ -36,7 +36,6 @@ let series_list = function
 
 let parallel g1 g2 = Htm_expr.Parallel (g1, g2)
 let sub g1 g2 = Htm_expr.Sub (g1, g2)
-let neg g = Htm_expr.Scale (Cx.neg Cx.one, g)
 let feedback g = Htm_expr.Feedback g
 let custom f = Htm_expr.Custom f
 
@@ -59,10 +58,6 @@ let element c t ~n ~m s =
   Plan.element (Plan.make c t) ~n ~m s
 
 let baseband c t w = element c t ~n:0 ~m:0 (Cx.jomega w)
-
-let conversion_map c t w =
-  let sm = eval_at c t (Cx.jomega w) and n = dim c in
-  Array.init n (fun i -> Array.init n (fun k -> Cx.abs (Smat.get sm i k)))
 
 let apply_to_tone c t ~m w =
   if abs m > c.n_harm then invalid_arg "Htm.apply_to_tone: harmonic outside truncation";

@@ -36,10 +36,12 @@ val ctx : n_harm:int -> omega0:float -> ctx
 
 (** Matrix dimension of a truncation: [2*n_harm + 1]. *)
 val dim : ctx -> int
+[@@lint.allow "test-only-export" "test seam: matrix size the differential tests build and read with"]
 
 (** [harmonic_of_index ctx i] is [i - n_harm]; inverse of
     {!index_of_harmonic}. *)
 val harmonic_of_index : ctx -> int -> int
+[@@lint.allow "test-only-export" "test seam: index map the differential tests read matrices with"]
 
 val index_of_harmonic : ctx -> int -> int
 
@@ -67,8 +69,11 @@ val periodic_gain : Numeric.Cx.t array -> t
 val sampler : t
 
 val identity : t
+[@@lint.allow "test-only-export" "test seam: HTM constructor the randomized plan-vs-oracle trees draw"]
 val zero : t
+[@@lint.allow "test-only-export" "test seam: HTM constructor the randomized plan-vs-oracle trees draw"]
 val scale : Numeric.Cx.t -> t -> t
+[@@lint.allow "test-only-export" "test seam: HTM constructor the randomized plan-vs-oracle trees draw"]
 
 (** [series g2 g1] applies [g1] first: the matrix is [G2·G1] (eq. 11). *)
 val series : t -> t -> t
@@ -77,9 +82,10 @@ val series_list : t list -> t
 
 (** [parallel g1 g2] is [G1 + G2] (eq. 10). *)
 val parallel : t -> t -> t
+[@@lint.allow "test-only-export" "test seam: HTM constructor (eq. 10) the randomized plan-vs-oracle trees draw"]
 
 val sub : t -> t -> t
-val neg : t -> t
+[@@lint.allow "test-only-export" "test seam: HTM constructor the randomized plan-vs-oracle trees draw"]
 
 (** [feedback g] is the closed loop [(I + G)^{-1} G] — the truncated
     version of eq. 28, realized with an LU solve. *)
@@ -87,12 +93,13 @@ val feedback : t -> t
 
 (** [custom f] — escape hatch: any explicit matrix function of [s]. *)
 val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
+[@@lint.allow "test-only-export" "test seam: HTM constructor the randomized plan-vs-oracle trees draw"]
 
 (** {1 Realization} *)
 
 (** Every per-point query below ({!to_matrix}, {!element},
-    {!baseband}, {!conversion_map}, {!apply_to_tone},
-    {!max_singular_value} and its variants, {!is_lti}) is a one-point
+    {!baseband}, {!apply_to_tone}, {!max_singular_value} and its
+    variants, {!is_lti}) is a one-point
     {!Plan}: [Plan.make ctx t] followed by one evaluation, with no plan
     cache. To evaluate one tree at many points, make the plan yourself:
     [Parallel.Sweep.grid_local ~local:(fun () -> Plan.make ctx t)] with
@@ -130,11 +137,6 @@ val element : ctx -> t -> n:int -> m:int -> Numeric.Cx.t -> Numeric.Cx.t
     classical LTI analysis reasons about. *)
 val baseband : ctx -> t -> float -> Numeric.Cx.t
 
-(** [conversion_map ctx t w] is the magnitude map
-    [|H_{n,m}(jω)|] — the quantitative version of the paper's Fig. 2.
-    Row/column order matches harmonics [-n_harm..n_harm]. *)
-val conversion_map : ctx -> t -> float -> float array array
-
 (** [apply_to_tone ctx t ~m w] — the stacked output spectrum produced by
     a unit tone in band [m] at baseband offset [ω]: the [m]-column of
     the HTM, indexed by output harmonic. *)
@@ -143,6 +145,7 @@ val apply_to_tone : ctx -> t -> m:int -> float -> Numeric.Cvec.t
 (** [is_lti ctx t s ~tol] — true when the realized matrix is diagonal
     with the shifted-diagonal structure of an LTI block. *)
 val is_lti : ?tol:float -> ctx -> t -> Numeric.Cx.t -> bool
+[@@lint.allow "test-only-export" "test seam: the structural LTI check the VCO and periodic-gain tests assert"]
 
 (** [max_singular_value ctx t w] — the largest singular value of the
     realized HTM at [jω]: the worst-case gain over all distributions of
@@ -156,6 +159,7 @@ val is_lti : ?tol:float -> ctx -> t -> Numeric.Cx.t -> bool
     rank-deficient HTM, so rank-one matrices cannot stall it at 0. *)
 val max_singular_value :
   ?iterations:int -> ?tol:float -> ?seed:int64 -> ctx -> t -> float -> float
+[@@lint.allow "test-only-export" "kept: carries the power-stall inject site and Stats.non_convergences"]
 
 (** Convergence certificate of the power iteration: the estimate, the
     iterations consumed, the final residual [|σ_k - σ_{k-1}|], how many
@@ -181,3 +185,4 @@ val max_singular_value_checked :
   t ->
   float ->
   (sv_certificate, Robust.Pllscope_error.t) result
+[@@lint.allow "test-only-export" "kept: carries the power-stall inject site and Stats.non_convergences"]

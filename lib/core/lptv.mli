@@ -5,6 +5,9 @@
     eq. 13), plus analytic single-tone responses used to validate HTM
     realizations against direct time-domain evaluation. *)
 
+[@@@lint.allow "test-only-export"
+  "oracle: the LPTV tone response the HTM columns are checked against"]
+
 (** [coeffs_of_function f ~period ~max_harmonic] — Fourier coefficients
     of the real periodic function [f], indexed [k + max_harmonic]
     (ready for {!Htm.periodic_gain}). *)

@@ -148,7 +148,6 @@ and op =
 
 type t = { ctx : ctx; expr : Htm_expr.t; root : node }
 
-let ctx t = t.ctx
 let dim t = Htm_expr.dim t.ctx
 let root_shape t = t.root.slot.sh
 

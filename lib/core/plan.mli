@@ -42,11 +42,6 @@ type t
     [(I + G)⁻¹·G]. *)
 val make : ?lambda:(Cx.t -> Cx.t) -> ctx -> Htm_expr.t -> t
 
-val ctx : t -> ctx
-
-(** Matrix dimension [2·n_harm + 1]. *)
-val dim : t -> int
-
 (** The statically assigned shape of the realized root — what every
     structured evaluation of this plan returns (see the static shape
     rules in {!Smat}). *)
@@ -74,6 +69,7 @@ val eval : t -> Cx.t -> Smat.t
     {!Robust.Stats}. [Ok] carries a view into plan storage, as for
     {!eval}. *)
 val eval_checked : t -> Cx.t -> (Smat.t, Robust.Pllscope_error.t) result
+[@@lint.allow "test-only-export" "fault hook: the typed-error evaluation the guard tests assert on"]
 
 (** {2 Entry demand}
 

@@ -33,9 +33,6 @@
 
 type t
 
-(** Matrix dimension (all shapes are square). *)
-val dim : t -> int
-
 (** {1 Constructors} *)
 
 (** [diag_of_arrays ~dre ~dim_] — zero-copy diagonal view: the arrays

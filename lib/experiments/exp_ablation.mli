@@ -35,5 +35,5 @@ type t = {
 }
 
 val compute : ?spec:Pll_lib.Design.spec -> unit -> t
-val print : Format.formatter -> t -> unit
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 val run : unit -> unit

@@ -24,6 +24,6 @@ type t = {
 
 val compute :
   ?spec:Pll_lib.Design.spec -> ?harmonics:int -> ?n_harm:int -> ?omega_frac:float -> unit -> t
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 
-val print : Format.formatter -> t -> unit
 val run : unit -> unit

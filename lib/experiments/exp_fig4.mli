@@ -27,9 +27,4 @@ val compute :
   unit ->
   row list
 
-(** Typical in-lock pulse widths from the behavioral simulator, for
-    context: (max width)/T during a modulated locked run. *)
-val typical_lock_width : ?spec:Pll_lib.Design.spec -> unit -> float
-
-val print : Format.formatter -> row list -> unit
 val run : unit -> unit

@@ -18,9 +18,4 @@ val compute :
   unit ->
   row list
 
-(** Invariant checks usable by the test suite: magnitude slope is
-    −40 dB/dec at both ends, −20 dB/dec near crossover; phase peaks at
-    crossover. *)
-val print : Format.formatter -> row list -> unit
-
 val run : unit -> unit

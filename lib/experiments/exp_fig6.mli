@@ -36,6 +36,6 @@ val compute :
   ?pool:Parallel.Pool.t ->
   unit ->
   curve list
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 
-val print : Format.formatter -> curve list -> unit
 val run : unit -> unit

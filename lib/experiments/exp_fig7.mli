@@ -14,6 +14,7 @@ val compute :
   ?pool:Parallel.Pool.t ->
   unit ->
   Pll_lib.Analysis.ratio_point list
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 
 val print : Format.formatter -> Pll_lib.Analysis.ratio_point list -> unit
 val run : unit -> unit

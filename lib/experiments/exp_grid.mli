@@ -30,6 +30,4 @@ type t = {
   metrics_htm : Pll_lib.Analysis.closed_loop_metrics;
 }
 
-val compute : ?spec:Pll_lib.Design.spec -> ?n_harm:int -> unit -> t
-val print : Format.formatter -> t -> unit
 val run : unit -> unit

@@ -27,6 +27,6 @@ type row = {
 
 val compute :
   ?spec:Pll_lib.Design.spec -> ?omega_frac:float -> ?n_harm:int -> unit -> row list
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 
-val print : Format.formatter -> row list -> unit
 val run : unit -> unit

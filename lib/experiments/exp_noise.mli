@@ -18,6 +18,4 @@ type row = {
   ratio_lti : float;  (** measured / LTI prediction *)
 }
 
-val compute : ?spec:Pll_lib.Design.spec -> ?periods:int -> unit -> row list
-val print : Format.formatter -> row list -> unit
 val run : unit -> unit

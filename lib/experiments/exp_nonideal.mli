@@ -31,7 +31,7 @@ type row = {
 }
 
 val compute : ?spec:Pll_lib.Design.spec -> unit -> row list
-val print : Format.formatter -> row list -> unit
+[@@lint.allow "test-only-export" "test seam: the numbers behind the printed figure, which the experiments tests assert"]
 val run : unit -> unit
 
 (** {1 Monte Carlo component-tolerance study}
@@ -74,10 +74,6 @@ type mc_row = {
   mc_spur_dbc : float;  (** narrowband-FM reference spur, clamped ≥ −200 *)
   mc_gain_err_pct : float;  (** loop-gain error vs nominal, percent *)
 }
-
-(** [mc_point_seed cfg i] — the 64-bit Prng seed of point [i]
-    (SplitMix64 golden-ratio mix), exposed for tests. *)
-val mc_point_seed : mc_config -> int -> int64
 
 (** [mc_point env i] — the deterministic outcome of point [i]. Raises
     [Invalid_argument] on a negative index. *)

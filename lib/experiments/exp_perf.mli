@@ -17,6 +17,4 @@ type row = {
 
 type t = { rows : row list; speedup : float }
 
-val compute : ?spec:Pll_lib.Design.spec -> unit -> t
-val print : Format.formatter -> t -> unit
 val run : unit -> unit

@@ -55,6 +55,7 @@ type report = {
 (** [shard_path base k] — shard [k]'s private journal path,
     [base ^ ".shard" ^ k]. *)
 val shard_path : string -> int -> string
+[@@lint.allow "test-only-export" "test seam: locates a shard journal for the farm resume tests"]
 
 (** [existing_shards base] — every shard journal currently on disk for
     [base], sorted by name, whatever shard count wrote them. *)

@@ -40,5 +40,3 @@ let sweep ?pool f ~lo ~hi ~points =
   of_responses ~ws (Parallel.Sweep.grid ?pool f ws)
 
 let sweep_tf ?pool tf = sweep ?pool (Tf.freq_response tf)
-let mag_db_at f w = Stats.db (Cx.abs (f w))
-let phase_deg_at f w = Stats.deg (Cx.arg (f w))

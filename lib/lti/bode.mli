@@ -37,11 +37,6 @@ val sweep :
 val sweep_tf :
   ?pool:Parallel.Pool.t -> Tf.t -> lo:float -> hi:float -> points:int -> point array
 
-(** [mag_db_at f w] / [phase_deg_at f w] — single-point helpers (phase
-    in (-180, 180], not unwrapped). *)
-val mag_db_at : (float -> Numeric.Cx.t) -> float -> float
-
-val phase_deg_at : (float -> Numeric.Cx.t) -> float -> float
-
 (** [unwrap phases_deg] removes ±360° jumps from a phase sequence. *)
 val unwrap : float array -> float array
+[@@lint.allow "test-only-export" "test seam: the phase unwrap of sweep, unit-tested directly"]

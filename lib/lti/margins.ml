@@ -30,21 +30,3 @@ let analyze ?(steps = 600) f ~lo ~hi =
     gain_margin_db;
     phase_cross_freq = wpc;
   }
-
-let analyze_tf ?steps tf = analyze ?steps (Tf.freq_response tf)
-
-let pp_opt pp_v ppf = function
-  | None -> Format.pp_print_string ppf "n/a"
-  | Some v -> pp_v ppf v
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>unity-gain freq: %a rad/s@,phase margin: %a deg@,gain margin: %a dB@,phase crossover: %a rad/s@]"
-    (pp_opt (fun f x -> Format.fprintf f "%.6g" x))
-    r.unity_gain_freq
-    (pp_opt (fun f x -> Format.fprintf f "%.3f" x))
-    r.phase_margin_deg
-    (pp_opt (fun f x -> Format.fprintf f "%.3f" x))
-    r.gain_margin_db
-    (pp_opt (fun f x -> Format.fprintf f "%.6g" x))
-    r.phase_cross_freq

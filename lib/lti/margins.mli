@@ -20,8 +20,6 @@ type report = {
     at [jω]) between the positive frequencies [lo] and [hi]. *)
 val analyze : ?steps:int -> (float -> Numeric.Cx.t) -> lo:float -> hi:float -> report
 
-val analyze_tf : ?steps:int -> Tf.t -> lo:float -> hi:float -> report
-
 (** [unity_gain_crossover f ~lo ~hi] — just the crossover search. *)
 val unity_gain_crossover :
   ?steps:int -> (float -> Numeric.Cx.t) -> lo:float -> hi:float -> float option
@@ -29,5 +27,4 @@ val unity_gain_crossover :
 (** [phase_margin_at f w] is [180 + arg f(jw)] in degrees, using the
     principal value of the argument. *)
 val phase_margin_at : (float -> Numeric.Cx.t) -> float -> float
-
-val pp_report : Format.formatter -> report -> unit
+[@@lint.allow "test-only-export" "test seam: the margin step of analyze, unit-tested directly"]

@@ -72,15 +72,4 @@ let discretize ss ~dt =
   let gamma = Array.init n (fun i -> Rmat.get em i n) in
   (phi, gamma)
 
-let step_response ss ~t1 ~n =
-  let dt = t1 /. float_of_int (n - 1) in
-  let phi, gamma = discretize ss ~dt in
-  let x = ref (Array.make (order ss) 0.0) in
-  Array.init n (fun i ->
-      let t = float_of_int i *. dt in
-      let y = output ss !x 1.0 in
-      let px = Rmat.mv phi !x in
-      x := Array.mapi (fun k pk -> pk +. gamma.(k)) px;
-      (t, y))
-
 let impulse_state ss w = Array.map (fun bi -> bi *. w) ss.b

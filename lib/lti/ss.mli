@@ -21,6 +21,7 @@ val order : t -> int
 (** [eval ss s] is [C (sI - A)^{-1} B + D]; cross-checks against
     [Tf.eval]. *)
 val eval : t -> Numeric.Cx.t -> Numeric.Cx.t
+[@@lint.allow "test-only-export" "test seam: evaluates a realization against its Tf in the lti.ss tests"]
 
 (** [derivative ss x u] is [A x + B u]. *)
 val derivative : t -> float array -> float -> float array
@@ -30,10 +31,6 @@ val output : t -> float array -> float -> float
 (** [discretize ss ~dt] — exact zero-order-hold discretization; returns
     [(phi, gamma)] with [x_{k+1} = phi x_k + gamma u_k]. *)
 val discretize : t -> dt:float -> Numeric.Rmat.t * float array
-
-(** [step_response ss ~t1 ~n] — [n] samples of the unit step response on
-    [[0, t1]] via exact ZOH stepping. *)
-val step_response : t -> t1:float -> n:int -> (float * float) array
 
 (** [impulse_state ss w] — state jump produced by an input impulse of
     weight [w]: [x <- x + B w]. *)

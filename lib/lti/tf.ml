@@ -26,20 +26,14 @@ let from_zpk ~zeros ~poles ~gain =
 
 let eval = Rat.eval
 let freq_response tf w = Rat.eval tf (Cx.jomega w)
-let add = Rat.add
-let sub = Rat.sub
 let mul = Rat.mul
-let div = Rat.div
 let scale k = Rat.scale (Cx.of_float k)
-let neg = Rat.neg
-let feedback ~g ~h = Rat.feedback g h
 let feedback_unity = Rat.feedback_unity
 let poles = Rat.poles
 let zeros = Rat.zeros
 
 let dc_gain tf = Cx.re (Rat.eval tf Cx.zero)
 
-let relative_degree = Rat.relative_degree
 let is_proper = Rat.is_proper
 
 let is_stable ?(tol = 1e-9) tf =

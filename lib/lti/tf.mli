@@ -16,52 +16,51 @@ val to_rat : t -> Numeric.Rat.t
 
 (** Gain [k] as a transfer function. *)
 val gain : float -> t
+[@@lint.allow "test-only-export" "test seam: reference transfer function of the LTI tests"]
 
 (** The integrator [1/s]. *)
 val integrator : t
 
 (** The double integrator [1/s²]. *)
 val double_integrator : t
+[@@lint.allow "test-only-export" "test seam: reference transfer function of the LTI tests"]
 
 (** [first_order_pole wp] is [1 / (1 + s/wp)]. *)
 val first_order_pole : float -> t
 
 (** [first_order_zero wz] is [1 + s/wz]. *)
 val first_order_zero : float -> t
+[@@lint.allow "test-only-export" "test seam: reference transfer function of the LTI tests"]
 
 (** [from_zpk ~zeros ~poles ~gain] builds
     [k Π(s - z_i) / Π(s - p_i)] from real zeros/poles. *)
 val from_zpk : zeros:float list -> poles:float list -> gain:float -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val eval : t -> Numeric.Cx.t -> Numeric.Cx.t
 
 (** [freq_response tf w] is [eval tf (jw)]. *)
 val freq_response : t -> float -> Numeric.Cx.t
 
-val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
 val scale : float -> t -> t
-val neg : t -> t
-
-(** [feedback g h] is [g/(1 + g h)] (negative feedback). *)
-val feedback : g:t -> h:t -> t
 
 val feedback_unity : t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 val poles : t -> Numeric.Cx.t list
 val zeros : t -> Numeric.Cx.t list
 
 (** [dc_gain tf] is [lim_{s->0} tf(s)] (may be infinite for poles at the
     origin). *)
 val dc_gain : t -> float
+[@@lint.allow "test-only-export" "test seam: DC gain the loop-filter and Tf tests check"]
 
-val relative_degree : t -> int
 val is_proper : t -> bool
 
 (** [is_stable ?tol tf] — all poles strictly in the open left half plane
     ([Re p < -tol * scale]). Poles at the origin count as unstable. *)
 val is_stable : ?tol:float -> t -> bool
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val num_coeffs : t -> float array
 val den_coeffs : t -> float array

@@ -5,8 +5,6 @@ type t = Rat.t
 let make ~num ~den =
   Rat.make (Poly.of_real_coeffs num) (Poly.of_real_coeffs den)
 
-let of_rat r = r
-let to_rat r = r
 let eval = Rat.eval
 
 let freq_response h ~period w = Rat.eval h (Cx.exp (Cx.jomega (w *. period)))
@@ -16,7 +14,6 @@ let mul = Rat.mul
 let scale k = Rat.scale (Cx.of_float k)
 let feedback_unity = Rat.feedback_unity
 let poles = Rat.poles
-let zeros = Rat.zeros
 
 let is_stable ?(tol = 1e-9) h =
   List.for_all (fun p -> Cx.abs p < 1.0 -. tol) (poles h)
@@ -57,5 +54,3 @@ let from_state_space ~phi ~b ~c =
       (Poly.of_real_coeffs (Array.to_list num))
       (Poly.of_real_coeffs (Array.to_list den))
   end
-
-let pp = Rat.pp

@@ -6,13 +6,8 @@ let rows (m : t) = Array.length m
 let cols (m : t) = if rows m = 0 then 0 else Array.length m.(0)
 let get (m : t) i k = m.(i).(k)
 let set (m : t) i k z = m.(i).(k) <- z
-let copy (m : t) = Array.map Array.copy m
 let zeros r c = make r c Cx.zero
 let identity n = init n n (fun i k -> if i = k then Cx.one else Cx.zero)
-
-let diagonal v =
-  let n = Cvec.dim v in
-  init n n (fun i k -> if i = k then Cvec.get v i else Cx.zero)
 
 let of_rows a = Array.map Array.copy a
 let row (m : t) i = Cvec.of_array m.(i)
@@ -26,7 +21,6 @@ let lift2 op a b =
 let add = lift2 Cx.add
 let sub = lift2 Cx.sub
 let scale z m = Array.map (Array.map (Cx.mul z)) m
-let neg m = Array.map (Array.map Cx.neg) m
 
 let mul a b =
   if cols a <> rows b then invalid_arg "Cmat.mul: dimension mismatch";
@@ -55,44 +49,18 @@ let mv m v =
       done;
       !acc)
 
-let vm v m =
-  if rows m <> Cvec.dim v then invalid_arg "Cmat.vm: dimension mismatch";
-  Cvec.init (cols m) (fun k ->
-      let acc = ref Cx.zero in
-      for i = 0 to rows m - 1 do
-        acc := Cx.add !acc (Cx.mul (Cvec.get v i) m.(i).(k))
-      done;
-      !acc)
-
 let outer u v =
   init (Cvec.dim u) (Cvec.dim v) (fun i k ->
       Cx.mul (Cvec.get u i) (Cvec.get v k))
 
 let transpose m = init (cols m) (rows m) (fun i k -> m.(k).(i))
-let conj_transpose m = init (cols m) (rows m) (fun i k -> Cx.conj m.(k).(i))
-let map f m = Array.map (Array.map f) m
-let mapi f m = Array.mapi (fun i r -> Array.mapi (fun k z -> f i k z) r) m
 
 let fold f acc m =
   Array.fold_left (fun acc r -> Array.fold_left f acc r) acc m
 
 let sum_entries m = fold Cx.add Cx.zero m
 
-let trace m =
-  let n = Stdlib.min (rows m) (cols m) in
-  let acc = ref Cx.zero in
-  for i = 0 to n - 1 do
-    acc := Cx.add !acc m.(i).(i)
-  done;
-  !acc
-
 let norm_frobenius m = Stdlib.sqrt (fold (fun a z -> a +. Cx.norm2 z) 0.0 m)
-
-let norm_inf m =
-  Array.fold_left
-    (fun acc r ->
-      Stdlib.max acc (Array.fold_left (fun a z -> a +. Cx.abs z) 0.0 r))
-    0.0 m
 
 let equal ?(tol = 1e-9) a b =
   rows a = rows b && cols a = cols b
@@ -105,15 +73,3 @@ let equal ?(tol = 1e-9) a b =
        done;
        !ok
      end
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "[@[<hov>%a@]]@,"
-        (Format.pp_print_array
-           ~pp_sep:(fun f () -> Format.fprintf f ";@ ")
-           Cx.pp)
-        r)
-    m;
-  Format.fprintf ppf "@]"

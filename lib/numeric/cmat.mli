@@ -7,7 +7,6 @@
 
 type t
 
-val make : int -> int -> Cx.t -> t
 val init : int -> int -> (int -> int -> Cx.t) -> t
 
 (** [rows m], [cols m]: dimensions. *)
@@ -16,46 +15,36 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
-val copy : t -> t
 val zeros : int -> int -> t
 val identity : int -> t
 
-(** [diagonal v] is the square matrix with [v] on the diagonal. *)
-val diagonal : Cvec.t -> t
-
 val of_rows : Cx.t array array -> t
+[@@lint.allow "test-only-export" "test seam: fixture builder of the matrix and LU tests"]
 val row : t -> int -> Cvec.t
+[@@lint.allow "test-only-export" "test seam: reads the sampler rank-one structure in core.htm"]
 val col : t -> int -> Cvec.t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Cx.t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 
 (** [mv m v] is the matrix-vector product. *)
 val mv : t -> Cvec.t -> Cvec.t
 
-(** [vm v m] is the row-vector product [v^T m]. *)
-val vm : Cvec.t -> t -> Cvec.t
-
 (** [outer u v] is the rank-one matrix [u v^T] (no conjugation) — the
     shape of the sampling-PFD HTM. *)
 val outer : Cvec.t -> Cvec.t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val transpose : t -> t
-val conj_transpose : t -> t
-val map : (Cx.t -> Cx.t) -> t -> t
-val mapi : (int -> int -> Cx.t -> Cx.t) -> t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [sum_entries m] is [l^T m l]: the sum of all entries, which for an
     HTM product equals the paper's effective open-loop gain λ(s). *)
 val sum_entries : t -> Cx.t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
-val trace : t -> Cx.t
 val norm_frobenius : t -> float
 
-(** Max row sum of moduli (induced infinity norm). *)
-val norm_inf : t -> float
-
 val equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
+[@@lint.allow "test-only-export" "test seam: the comparator of the HTM and plan differential tests"]

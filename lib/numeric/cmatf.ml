@@ -75,17 +75,6 @@ let scale_inplace z m =
     m.im.(p) <- (zr *. ai) +. (zi *. ar)
   done
 
-(* Y += z·X, in place. *)
-let axpy z x y =
-  if x.rows <> y.rows || x.cols <> y.cols then
-    invalid_arg "Cmatf.axpy: dimension mismatch";
-  let zr = Cx.re z and zi = Cx.im z in
-  for p = 0 to (x.rows * x.cols) - 1 do
-    let ar = x.re.(p) and ai = x.im.(p) in
-    y.re.(p) <- y.re.(p) +. ((zr *. ar) -. (zi *. ai));
-    y.im.(p) <- y.im.(p) +. ((zr *. ai) +. (zi *. ar))
-  done
-
 (* dst = A·B (dst cleared first); i-l-k loop order so the inner loop
    walks both B and dst contiguously. dst must not alias A or B. *)
 let gemm ~dst a b =

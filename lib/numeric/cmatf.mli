@@ -21,21 +21,20 @@ val cols : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
 val copy : t -> t
+[@@lint.allow "test-only-export" "test seam: clones an LU input for the banded-vs-dense bit-identity tests"]
 
 (** [blit ~src ~dst] copies [src] over [dst] (same shape). *)
 val blit : src:t -> dst:t -> unit
 
 val fill_zero : t -> unit
 val identity : int -> t
+[@@lint.allow "test-only-export" "test seam: input of the checked-LU identity test"]
 
 (** [add_ident ?alpha a] — [a += alpha·I] in place (default [alpha] 1). *)
 val add_ident : ?alpha:Cx.t -> t -> unit
 
 (** [scale_inplace z a] — [a *= z] in place. *)
 val scale_inplace : Cx.t -> t -> unit
-
-(** [axpy z x y] — [y += z·x] in place. *)
-val axpy : Cx.t -> t -> t -> unit
 
 (** [gemm ~dst a b] — [dst = a·b]; [dst] is cleared first and must not
     alias an operand. Entries of [a] that are exactly zero skip their
@@ -88,6 +87,7 @@ val lu_ws : ?kl:int -> ?ku:int -> int -> lu_ws
     recorded in [ws]).
     @raise Lu.Singular when a pivot column is exactly zero. *)
 val lu_decompose_inplace : t -> lu_ws -> unit
+[@@lint.allow "test-only-export" "oracle: the raw dense LU the banded LU equals bit for bit"]
 
 (** [lu_clear a ws] — zero [a] where the last factorization with [ws]
     (complete or not) may have left a nonzero: each stored row from
@@ -101,6 +101,7 @@ val lu_clear : t -> lu_ws -> unit
     factorization: row [i] of the factors is row [(lu_perm ws).(i)] of
     the original matrix. *)
 val lu_perm : lu_ws -> int array
+[@@lint.allow "test-only-export" "test seam: pivot order the banded-vs-dense bit-identity tests compare"]
 
 (** [lu_solve_inplace a ws b] — [b := a⁻¹·b] for [a] previously
     factored with [ws]; all columns of [b] advance together. The
@@ -108,11 +109,13 @@ val lu_perm : lu_ws -> int array
     right-hand side gets the same bits as that column of the wide
     solve. *)
 val lu_solve_inplace : t -> lu_ws -> t -> unit
+[@@lint.allow "test-only-export" "oracle: the raw dense solve the banded solve equals bit for bit"]
 
 (** {1 Norms, finiteness and condition estimation} *)
 
 (** 1-norm (max column sum of moduli). *)
 val norm1 : t -> float
+[@@lint.allow "test-only-export" "test seam: norm the condition-estimate tests compare against"]
 
 (** True iff every entry is finite (no NaN or infinity). *)
 val is_finite : t -> bool
@@ -128,6 +131,7 @@ val is_finite_col : t -> int -> bool
     O(n²) dense or O(n·(kl + ku)) banded, give a lower bound on κ₁ that
     is reliably within a small factor. *)
 val lu_cond_est_1 : t -> lu_ws -> norm1_a:float -> float
+[@@lint.allow "test-only-export" "test seam: condition estimate the banded-vs-dense tests compare"]
 
 (** {1 Checked factorization}
 

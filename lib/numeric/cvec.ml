@@ -1,17 +1,11 @@
 type t = Cx.t array
 
-let make n z = Array.make n z
 let init n f = Array.init n f
 let of_array a = Array.copy a
-let to_array v = Array.copy v
 let of_real_array a = Array.map Cx.of_float a
 let dim = Array.length
 let get (v : t) i = v.(i)
-let set (v : t) i z = v.(i) <- z
-let copy = Array.copy
-let zeros n = Array.make n Cx.zero
 let ones n = Array.make n Cx.one
-let basis n i = init n (fun k -> if k = i then Cx.one else Cx.zero)
 
 let lift2 op a b =
   if dim a <> dim b then invalid_arg "Cvec.lift2: dimension mismatch";
@@ -20,9 +14,6 @@ let lift2 op a b =
 let add = lift2 Cx.add
 let sub = lift2 Cx.sub
 let scale a v = Array.map (Cx.mul a) v
-let neg v = Array.map Cx.neg v
-let map = Array.map
-let mapi = Array.mapi
 
 let dot a b =
   if dim a <> dim b then invalid_arg "Cvec.dot: dimension mismatch";
@@ -46,8 +37,3 @@ let norm2 v = Stdlib.sqrt (Cx.re (dot_herm v v))
 
 let norm_inf v =
   Array.fold_left (fun acc z -> Stdlib.max acc (Cx.abs z)) 0.0 v
-
-let pp ppf v =
-  Format.fprintf ppf "[@[<hov>%a@]]"
-    (Format.pp_print_array ~pp_sep:(fun f () -> Format.fprintf f ";@ ") Cx.pp)
-    v

@@ -6,43 +6,32 @@
 
 type t
 
-val make : int -> Cx.t -> t
 val init : int -> (int -> Cx.t) -> t
 val of_array : Cx.t array -> t
-val to_array : t -> Cx.t array
 val of_real_array : float array -> t
 val dim : t -> int
 val get : t -> int -> Cx.t
-val set : t -> int -> Cx.t -> unit
-val copy : t -> t
 
-val zeros : int -> t
 val ones : int -> t
 
-(** [basis n i] is the [i]-th standard basis vector of dimension [n]. *)
-val basis : int -> int -> t
-
 val add : t -> t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 val sub : t -> t -> t
+[@@lint.allow "test-only-export" "test seam: residual of the LU solve property"]
 
 (** [scale a v] multiplies every entry by the complex scalar [a]. *)
 val scale : Cx.t -> t -> t
-
-val neg : t -> t
-val map : (Cx.t -> Cx.t) -> t -> t
-val mapi : (int -> Cx.t -> Cx.t) -> t -> t
 
 (** [dot u v] is the bilinear product [sum u_i * v_i] (no conjugation);
     this is the product that appears in the HTM rank-one algebra
     [l^T V]. *)
 val dot : t -> t -> Cx.t
-
-(** [dot_herm u v] is the sesquilinear product [sum (conj u_i) * v_i]. *)
-val dot_herm : t -> t -> Cx.t
+[@@lint.allow "test-only-export" "test seam: the rank-one action check of the matrix tests"]
 
 (** [sum v] is the sum of all entries ([l^T v]). *)
 val sum : t -> Cx.t
 
 val norm2 : t -> float
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 val norm_inf : t -> float
-val pp : Format.formatter -> t -> unit
+[@@lint.allow "test-only-export" "test seam: residual norm of the LU and entry-elimination tests"]

@@ -50,6 +50,4 @@ module Infix = struct
   let ( + ) = add
   let ( - ) = sub
   let ( * ) = mul
-  let ( / ) = div
-  let ( ~- ) = neg
 end

@@ -71,6 +71,4 @@ module Infix : sig
   val ( + ) : t -> t -> t
   val ( - ) : t -> t -> t
   val ( * ) : t -> t -> t
-  val ( / ) : t -> t -> t
-  val ( ~- ) : t -> t
 end

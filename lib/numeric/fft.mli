@@ -11,9 +11,11 @@ val fft : Cx.t array -> unit
 
 (** [ifft a] is the inverse transform (including the [1/N] factor). *)
 val ifft : Cx.t array -> unit
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [transform a] is a non-destructive [fft]. *)
 val transform : Cx.t array -> Cx.t array
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val next_pow2 : int -> int
 
@@ -27,3 +29,4 @@ val goertzel : float array -> dt:float -> omega:float -> Cx.t
 (** [dft_bin xs k] is the k-th DFT bin computed directly (O(N)) —
     reference implementation for tests. *)
 val dft_bin : Cx.t array -> int -> Cx.t
+[@@lint.allow "test-only-export" "oracle: the direct DFT the FFT is checked against"]

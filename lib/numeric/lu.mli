@@ -12,9 +12,6 @@ type factorization
     @raise Singular if a pivot is (numerically) zero. *)
 val decompose : Cmat.t -> factorization
 
-(** [solve f b] solves [A x = b] given [f = decompose a]. *)
-val solve : factorization -> Cvec.t -> Cvec.t
-
 (** [solve_mat f b] solves [A X = B] column-wise. *)
 val solve_mat : factorization -> Cmat.t -> Cmat.t
 

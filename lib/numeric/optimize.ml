@@ -95,11 +95,6 @@ let logspace lo hi n =
   Array.init n (fun i ->
       exp (llo +. ((lhi -. llo) *. float_of_int i /. float_of_int (n - 1))))
 
-let linspace lo hi n =
-  if n < 2 then invalid_arg "Optimize.linspace: need at least 2 points";
-  Array.init n (fun i ->
-      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
-
 let scan_crossings ?(steps = 400) f ~lo ~hi =
   let xs = logspace lo hi steps in
   let out = ref [] in

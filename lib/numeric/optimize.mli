@@ -9,6 +9,7 @@ exception No_bracket
 (** [bisect f a b] finds a root of [f] in [[a, b]]; [f a] and [f b] must
     have opposite signs. @raise No_bracket otherwise. *)
 val bisect : ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [brent f a b] — Brent's method; same bracketing contract as
     {!bisect} but superlinear. *)
@@ -32,6 +33,3 @@ val golden_min : ?tol:float -> (float -> float) -> float -> float -> float
 (** [logspace lo hi n] is [n] log-spaced points from [lo] to [hi]
     inclusive (both positive). *)
 val logspace : float -> float -> int -> float array
-
-(** [linspace lo hi n] is [n] evenly spaced points, endpoints included. *)
-val linspace : float -> float -> int -> float array

@@ -27,6 +27,8 @@ val expand : ?tol:float -> Rat.t -> t
 (** [eval e x] re-evaluates the expansion — used to validate residues
     against the original rational. *)
 val eval : t -> Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "test seam: evaluates an expansion against its rational"]
 
 (** [to_rat e] recombines the expansion over a common denominator. *)
 val to_rat : t -> Rat.t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]

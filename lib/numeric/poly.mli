@@ -29,6 +29,7 @@ val constant : Cx.t -> t
 
 (** [monomial z k] is [z s^k]. *)
 val monomial : Cx.t -> int -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [degree p] is -1 for the zero polynomial. *)
 val degree : t -> int
@@ -38,7 +39,6 @@ val eval : t -> Cx.t -> Cx.t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 val scale : Cx.t -> t -> t
 
 (** [pow p n] for [n >= 0]. *)
@@ -66,4 +66,5 @@ val shift : t -> Cx.t -> t
 val deflate : t -> Cx.t -> t
 
 val equal : ?tol:float -> t -> t -> bool
+[@@lint.allow "test-only-export" "test seam: the comparator of the polynomial tests"]
 val pp : Format.formatter -> t -> unit

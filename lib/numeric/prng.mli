@@ -13,12 +13,11 @@ val create : seed:int64 -> t
 
 (** [copy g] — independent continuation of the current state. *)
 val copy : t -> t
-
-(** [bits64 g] — next raw 64-bit word. *)
-val bits64 : t -> int64
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [float g] — uniform in [0, 1) with 53-bit resolution. *)
 val float : t -> float
+[@@lint.allow "test-only-export" "test seam: uniform draws the randomized tests generate inputs with"]
 
 (** [uniform g ~lo ~hi] — uniform in [lo, hi). *)
 val uniform : t -> lo:float -> hi:float -> float

@@ -27,3 +27,4 @@ val band_average : estimate -> lo:float -> hi:float -> float
 (** [variance_of est] — [(1/π) Σ S Δω]: sanity check against the time-
     domain variance. *)
 val variance_of : estimate -> float
+[@@lint.allow "test-only-export" "test seam: integrates a Welch estimate in the PSD level tests"]

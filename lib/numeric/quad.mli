@@ -12,11 +12,13 @@ val simpson : ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float
 (** [periodic_trapezoid f ~period ~n] integrates one period of the
     periodic function [f] with [n] uniform samples. *)
 val periodic_trapezoid : (float -> float) -> period:float -> n:int -> float
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [fourier_coeff f ~period ~k ?n] is
     [(1/T) ∫₀ᵀ f(t) exp(-j k ω₀ t) dt] — the k-th Fourier coefficient
     with the paper's convention [f(t) = Σ_k f_k exp(j k ω₀ t)]. *)
 val fourier_coeff : (float -> float) -> period:float -> k:int -> ?n:int -> unit -> Cx.t
+[@@lint.allow "test-only-export" "test seam: one coefficient of fourier_coeffs, unit-tested directly"]
 
 (** [fourier_coeffs f ~period ~max_harmonic ?n ()] returns coefficients
     for k = -max_harmonic .. max_harmonic as an array indexed by

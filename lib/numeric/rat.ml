@@ -5,7 +5,6 @@ let make num den =
   { num; den }
 
 let of_poly p = { num = p; den = Poly.one }
-let constant z = of_poly (Poly.constant z)
 let zero = of_poly Poly.zero
 let one = of_poly Poly.one
 let s = of_poly Poly.s
@@ -98,26 +97,13 @@ let add a b =
     (Poly.add (Poly.mul a.num b.den) (Poly.mul b.num a.den))
     (Poly.mul a.den b.den)
 
-let neg a = { a with num = Poly.neg a.num }
-let sub a b = add a (neg b)
 let mul a b = make (Poly.mul a.num b.num) (Poly.mul a.den b.den)
 
 let inv a =
   if Poly.is_zero a.num then raise Division_by_zero;
   { num = a.den; den = a.num }
 
-let div a b = mul a (inv b)
 let scale z a = { a with num = Poly.scale z a.num }
-
-let pow a n =
-  if n >= 0 then { num = Poly.pow a.num n; den = Poly.pow a.den n }
-  else inv { num = Poly.pow a.num (-n); den = Poly.pow a.den (-n) }
-
-let feedback g h =
-  (* g / (1 + g h) = g.num h.den / (g.den h.den + g.num h.num) *)
-  make
-    (Poly.mul g.num h.den)
-    (Poly.add (Poly.mul g.den h.den) (Poly.mul g.num h.num))
 
 let feedback_unity g = make g.num (Poly.add g.den g.num)
 

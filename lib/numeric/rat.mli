@@ -10,9 +10,9 @@ type t = { num : Poly.t; den : Poly.t }
 val make : Poly.t -> Poly.t -> t
 
 val of_poly : Poly.t -> t
-val constant : Cx.t -> t
 val zero : t
 val one : t
+[@@lint.allow "test-only-export" "test seam: fixture of the rational-algebra properties"]
 
 (** The rational [s] (identity map). *)
 val s : t
@@ -38,17 +38,6 @@ type split
 
 val split : t -> split
 
-(** [eval_into sp ~re ~im ~out_re ~out_im ~idx] — evaluate at
-    [re + i·im] and store the result at [out_re.(idx)], [out_im.(idx)]. *)
-val eval_into :
-  split ->
-  re:float ->
-  im:float ->
-  out_re:float array ->
-  out_im:float array ->
-  idx:int ->
-  unit
-
 (** [eval_shifted_into sp s ~shifts ~lo ~hi ~out_re ~out_im] — for [i]
     in [lo..hi], evaluate at [s + i·shifts.(i)] and store the result at
     [out_re.(i)], [out_im.(i)]: the bits of
@@ -67,29 +56,19 @@ val eval_shifted_into :
 (** [eval_split sp x] — boxed convenience wrapper over {!eval_into}
     (equality-with-{!eval} tests). *)
 val eval_split : split -> Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "oracle: the split evaluation the unboxed kernels equal bit for bit"]
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
-val neg : t -> t
 val inv : t -> t
 val scale : Cx.t -> t -> t
-val pow : t -> int -> t
-
-(** [feedback g h] is the negative-feedback closed loop
-    [g / (1 + g h)]. *)
-val feedback : t -> t -> t
 
 (** [feedback_unity g] is [g / (1 + g)]. *)
 val feedback_unity : t -> t
 
 val derivative : t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 val poles : t -> Cx.t list
 val zeros : t -> Cx.t list
-
-(** [relative_degree r] is [degree den - degree num]; positive for a
-    strictly proper rational. *)
-val relative_degree : t -> int
 
 val is_proper : t -> bool
 val is_strictly_proper : t -> bool
@@ -97,9 +76,12 @@ val is_strictly_proper : t -> bool
 (** [reduce ?tol r] cancels pole/zero pairs that coincide within [tol]
     (relative) and normalizes the denominator to monic form. *)
 val reduce : ?tol:float -> t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [normalize r] makes the denominator monic without cancelling. *)
 val normalize : t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val equal_response : ?tol:float -> ?points:int -> t -> t -> bool
+[@@lint.allow "test-only-export" "test seam: the comparator of the rational tests"]
 val pp : Format.formatter -> t -> unit

@@ -44,8 +44,6 @@ let mv m v =
       done;
       !acc)
 
-let transpose m = init (cols m) (rows m) (fun i k -> m.(k).(i))
-
 let norm_inf m =
   Array.fold_left
     (fun acc r ->
@@ -130,15 +128,3 @@ let equal ?(tol = 1e-9) a b =
        done;
        !ok
      end
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun r ->
-      Format.fprintf ppf "[@[<hov>%a@]]@,"
-        (Format.pp_print_array
-           ~pp_sep:(fun f () -> Format.fprintf f ";@ ")
-           (fun f x -> Format.fprintf f "%.6g" x))
-        r)
-    m;
-  Format.fprintf ppf "@]"

@@ -7,14 +7,12 @@
 
 type t
 
-val make : int -> int -> float -> t
 val init : int -> int -> (int -> int -> float) -> t
 val of_rows : float array array -> t
+[@@lint.allow "test-only-export" "test seam: fixture builder of the real-matrix, ODE and z-domain tests"]
 val rows : t -> int
-val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-val copy : t -> t
 val zeros : int -> int -> t
 val identity : int -> t
 val add : t -> t -> t
@@ -22,17 +20,14 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val mul : t -> t -> t
 val mv : t -> float array -> float array
-val transpose : t -> t
-val norm_inf : t -> float
-
-(** [to_cmat m] embeds into the complex matrices. *)
-val to_cmat : t -> Cmat.t
 
 (** [solve a b] solves [A x = b] (via complex LU on the embedding).
     @raise Lu.Singular when [a] is singular. *)
 val solve : t -> float array -> float array
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 val inverse : t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [expm a] — matrix exponential by scaling-and-squaring with a
     degree-6 Padé approximant. *)
@@ -42,9 +37,10 @@ val expm : t -> t
     (monic, real coefficients returned as a {!Poly.t}), computed with
     the Faddeev–LeVerrier recursion. *)
 val char_poly : t -> Poly.t
+[@@lint.allow "test-only-export" "test seam: the polynomial behind eigenvalues, unit-tested directly"]
 
 (** [eigenvalues a] — roots of the characteristic polynomial. *)
 val eigenvalues : t -> Cx.t list
 
 val equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
+[@@lint.allow "test-only-export" "test seam: the comparator of the real-matrix tests"]

@@ -13,6 +13,7 @@ val all : ?max_iter:int -> ?tol:float -> Poly.t -> Cx.t list
 
 (** [newton_polish p z] runs a few Newton steps on [p] from [z]. *)
 val newton_polish : ?steps:int -> Poly.t -> Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "test seam: the polish step of the root finder, unit-tested directly"]
 
 (** [cluster_eps ?tol roots] is the distance at or below which
     {!cluster} merges two of [roots]: [tol] (default [1e-6]) times the

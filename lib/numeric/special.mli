@@ -19,12 +19,14 @@ val coth : Cx.t -> Cx.t
 
 (** [csch2 z] is [1/sinh² z]. *)
 val csch2 : Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "oracle: closed form of the k = 2 lattice sum"]
 
 (** [harmonic_sum ~k ~omega0 z] is [S_k(z, ω₀)] in closed form.
     @raise Invalid_argument if [k < 1]. Supported for any [k >= 1]
     (the coth-derivative polynomials are computed on demand and
     memoized). *)
 val harmonic_sum : k:int -> omega0:float -> Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "oracle: the boxed fold lattice_sum equals bit for bit"]
 
 (** [lattice_sum ~omega0 terms] is [fun s -> Σ residue·S_order(s − pole)]
     over the partial-fraction [terms] in list order — the exact λ(s)
@@ -67,6 +69,7 @@ val fold_classes :
     truncation [Σ_{m=-terms}^{terms} 1/(z + j m ω₀)^k] — the reference
     the closed form is property-tested against. *)
 val harmonic_sum_truncated : k:int -> omega0:float -> terms:int -> Cx.t -> Cx.t
+[@@lint.allow "test-only-export" "oracle: the direct truncated sum the closed forms converge to"]
 
 (** [sinc x] is [sin x / x] with the removable singularity filled. *)
 val sinc : float -> float

@@ -9,24 +9,11 @@ let variance xs =
 
 let std_dev xs = sqrt (variance xs)
 
-let rms xs =
-  sqrt
-    (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs
-    /. float_of_int (Array.length xs))
-
 let max_abs xs = Array.fold_left (fun acc x -> Stdlib.max acc (Float.abs x)) 0.0 xs
 
 let rel_err a b =
   Float.abs (a -. b) /. Stdlib.max (Stdlib.max (Float.abs a) (Float.abs b)) 1e-300
 
-let max_rel_err xs ys =
-  if Array.length xs <> Array.length ys then
-    invalid_arg "Stats.max_rel_err: length mismatch";
-  let worst = ref 0.0 in
-  Array.iteri (fun i x -> worst := Stdlib.max !worst (rel_err x ys.(i))) xs;
-  !worst
-
 let db x = 20.0 *. log10 x
-let of_db d = 10.0 ** (d /. 20.0)
 let deg r = r *. 180.0 /. Float.pi
 let rad d = d *. Float.pi /. 180.0

@@ -4,21 +4,15 @@
 
 val mean : float array -> float
 val variance : float array -> float
+[@@lint.allow "test-only-export" "test seam: sample moment the Prng and stats tests measure with"]
 val std_dev : float array -> float
-val rms : float array -> float
 val max_abs : float array -> float
 
 (** [rel_err a b] is [|a - b| / max(|a|, |b|, eps)]. *)
 val rel_err : float -> float -> float
 
-(** [max_rel_err xs ys] — the worst pointwise relative error. *)
-val max_rel_err : float array -> float array -> float
-
 (** [db x] is [20 log10 x]. *)
 val db : float -> float
-
-(** [of_db d] inverts {!db}. *)
-val of_db : float -> float
 
 (** [deg r] / [rad d] — angle conversions. *)
 val deg : float -> float

@@ -176,21 +176,8 @@ let watchdog_stop wd =
   wd_active := List.filter (fun w -> w != wd) !wd_active;
   Mutex.unlock wd_mutex
 
-(* Ambient watchdog context of the attempt running on this domain, so
-   long task bodies can honour the watchdog via [poll] without
-   threading pool internals through their signature. *)
+(* The watchdog condemned the running attempt. *)
 exception Lane_timeout
-
-let dls_ctl : lane_ctl option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let poll () =
-  match Domain.DLS.get dls_ctl with
-  | None -> ()
-  | Some c -> (
-      match Atomic.get c.slot with
-      | Some (seq, _, _) when Atomic.get c.overdue = seq -> raise Lane_timeout
-      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Chunked index execution                                             *)
@@ -386,7 +373,7 @@ let run_one ~retries ~task ~ctl ~timeout f x =
     | None -> false
   in
   (* injected cooperative hang: park until the watchdog condemns this
-     attempt, exactly like a stuck solver that polls [Pool.poll] *)
+     attempt, exactly like a stuck solver that checks the watchdog *)
   let hang () =
     match ctl with
     | Some _ ->
@@ -398,11 +385,8 @@ let run_one ~retries ~task ~ctl ~timeout f x =
         failwith
           "Pool.map_checked: injected task-hang with no task_timeout armed"
   in
-  let saved_dls = Domain.DLS.get dls_ctl in
-  Domain.DLS.set dls_ctl ctl;
   let finish r =
     clear ();
-    Domain.DLS.set dls_ctl saved_dls;
     r
   in
   let rec attempt k =
@@ -422,7 +406,6 @@ let run_one ~retries ~task ~ctl ~timeout f x =
                 { task; seconds = Option.value timeout ~default:0.0 }))
     | exception Robust.Inject.Simulated_crash ->
         clear ();
-        Domain.DLS.set dls_ctl saved_dls;
         raise Robust.Inject.Simulated_crash
     | exception Cancel.Cancelled r ->
         (* a nested map inside the task body observed the cancellation;
@@ -509,14 +492,6 @@ let reset_stats pool =
   Atomic.set pool.items 0;
   Atomic.set pool.wall_us 0;
   Atomic.set pool.busy_us 0
-
-let speedup s = s.busy_seconds /. s.wall_seconds
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "pool: %d domains, %d maps, %d tasks, %d items, wall %.3fs, busy %.3fs, \
-     speedup %.2fx"
-    s.domains s.maps s.tasks s.items s.wall_seconds s.busy_seconds (speedup s)
 
 let shutdown pool =
   Mutex.lock pool.m;

@@ -70,6 +70,7 @@ val map : ?chunk:int -> ?cancel:Cancel.t -> t -> ('a -> 'b) -> 'a array -> 'b ar
 (** [mapi ?chunk ?cancel pool f a] — indexed variant of {!map}. *)
 val mapi :
   ?chunk:int -> ?cancel:Cancel.t -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [map_chunked ?chunk ?cancel pool ~enter ~leave f a] — {!map} with
     per-chunk state: the lane that claims a chunk calls [enter ()] once,
@@ -100,8 +101,8 @@ val map_chunked :
 
     [task_timeout] (seconds, > 0) arms a watchdog: a monitor domain
     marks any attempt running longer than the bound as overdue, the task
-    is abandoned at its next poll point ({!poll}, or the cooperative
-    hang of the [task-hang] injection site), and its slot becomes
+    is abandoned at its next poll point (the cooperative hang of the
+    [task-hang] injection site), and its slot becomes
     [Error (Timed_out _)] without retrying — the timeout payload carries
     the configured bound, not a wall-clock measurement, so results stay
     deterministic. Cancellation mid-map turns never-claimed points into
@@ -121,24 +122,10 @@ val map_checked :
     guarantees as {!map}. *)
 val init : ?chunk:int -> ?cancel:Cancel.t -> t -> int -> (int -> 'b) -> 'b array
 
-(** [poll ()] — cooperative watchdog check for long task bodies: raises
-    an internal timeout signal iff the calling task runs under
-    [map_checked ~task_timeout] and the watchdog has marked the current
-    attempt overdue. The raise is caught by the pool and surfaces as
-    that task's [Error (Timed_out _)] slot. A no-op (one domain-local
-    read) everywhere else. *)
-val poll : unit -> unit
-
 (** Snapshot of the cumulative counters. *)
 val stats : t -> stats
 
 val reset_stats : t -> unit
-
-(** [speedup s] — [busy_seconds /. wall_seconds], the measured effective
-    parallelism (1.0 on a single lane; [nan] before any work). *)
-val speedup : stats -> float
-
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [shutdown pool] — join the worker domains. Idempotent. Maps on a
     shut-down pool raise [Invalid_argument]. *)

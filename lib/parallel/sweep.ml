@@ -32,8 +32,6 @@ let grid_local ?pool ?chunk ~local f a =
 let map_list ?pool ?chunk f l =
   Array.to_list (Pool.map ?chunk (pool_of pool) f (Array.of_list l))
 
-let init ?pool ?chunk n f = Pool.init ?chunk (pool_of pool) n f
-
 type 'a partial = {
   values : 'a option array;
   failures : (int * Robust.Pllscope_error.t) list;

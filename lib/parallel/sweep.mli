@@ -42,9 +42,6 @@ val grid_local :
     order. *)
 val map_list : ?pool:Pool.t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [init ?pool ?chunk n f] — [Array.init n f] on the pool. *)
-val init : ?pool:Pool.t -> ?chunk:int -> int -> (int -> 'b) -> 'b array
-
 (** Partial-failure summary of a checked sweep: [values.(i)] is [None]
     exactly when point [i] failed, [failures] lists those points in
     ascending index order with their typed errors, and [total] is the
@@ -56,6 +53,7 @@ type 'a partial = {
 }
 
 val ok_count : 'a partial -> int
+[@@lint.allow "test-only-export" "test seam: counts the successes of a partial sweep in the robust and runner tests"]
 
 (** [grid_checked ?retries ?cancel ?task_timeout f a] — {!grid} through
     {!Pool.map_checked}: each point is retried in-lane up to [retries]

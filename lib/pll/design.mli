@@ -34,6 +34,7 @@ val with_ratio : spec -> float -> spec
 (** [gamma_of_phase_margin pm_deg] — the pole/zero spread
     [γ = tan(45° + φ_m/2)]. *)
 val gamma_of_phase_margin : float -> float
+[@@lint.allow "test-only-export" "test seam: the gamma(PM) step of synthesize, unit-tested directly"]
 
 (** [omega_ug spec] — the target unity-gain frequency in rad/s. *)
 val omega_ug : spec -> float

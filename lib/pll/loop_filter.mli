@@ -39,8 +39,10 @@ val tf : t -> Lti.Tf.t
     second/third-order topology in rad/s.
     @raise Invalid_argument for [Custom]. *)
 val zero_freq : t -> float
+[@@lint.allow "test-only-export" "test seam: the placed zero the synthesis tests check"]
 
 val pole_freq : t -> float
+[@@lint.allow "test-only-export" "test seam: the placed pole the synthesis tests check"]
 
 (** [synthesize_second_order ~omega_ug ~gamma ~kdc] returns [(r, c1, c2)]
     for a second-order filter with zero at [omega_ug/gamma], pole at

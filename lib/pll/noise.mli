@@ -19,6 +19,7 @@ type psd = float -> float
 
 (** [white level] — flat PSD. *)
 val white : float -> psd
+[@@lint.allow "test-only-export" "test seam: flat reference PSD of the noise-folding tests"]
 
 (** [one_over_f2 k] — [k/ω²], the open-loop VCO phase-noise shape
     ([Demir et al.]'s diffusive phase noise). *)
@@ -48,6 +49,7 @@ val reference_noise_out :
     up to the folding tail (bands beyond the truncation). *)
 val reference_noise_out_htm :
   Pll.t -> ?n_harm:int -> ?pool:Parallel.Pool.t -> psd -> float array -> float array
+[@@lint.allow "test-only-export" "oracle: the HTM noise fold the folded-band noise is checked against"]
 
 (** [vco_noise_out p ?folds ?pool s_vco w] — output PSD from open-loop
     VCO noise. *)

@@ -152,7 +152,7 @@ let open_loop_htm p =
 
 let closed_loop_htm p = Htm_core.Htm.feedback (open_loop_htm p)
 
-let closed_loop_planner ?(exact_lambda = true) p =
+let closed_loop_planner p =
   (* the Special fast path: behind the sampler the closed loop realizes
      as rank one, and its Sherman–Morrison denominator term can be
      replaced by the exact λ(s) (coth lattice sums) instead of the
@@ -164,7 +164,7 @@ let closed_loop_planner ?(exact_lambda = true) p =
      shared by every plan the planner makes. *)
   let lambda =
     match p.pfd with
-    | Pfd.Sampling when exact_lambda -> Some (lambda_fn p Exact)
+    | Pfd.Sampling -> Some (lambda_fn p Exact)
     | _ -> None
   in
   let k = Option.fold ~none:0 ~some:(fun g -> Array.length g / 2) p.vco.harmonics in
@@ -173,7 +173,7 @@ let closed_loop_planner ?(exact_lambda = true) p =
     let lambda = if ctx.n_harm >= k then lambda else None in
     Htm_core.Plan.make ?lambda ctx tree
 
-let closed_loop_plan ?exact_lambda ctx p = closed_loop_planner ?exact_lambda p ctx
+let closed_loop_plan ctx p = closed_loop_planner p ctx
 
 let forward_chain_matrix ctx p s =
   (* H_VCO(s) * H_LF(s) as a truncated matrix *)

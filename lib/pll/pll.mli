@@ -88,6 +88,7 @@ val h00 : t -> Numeric.Cx.t -> Numeric.Cx.t
     plan's [(n, m)] entry equals it to rounding for
     [|n| ≤ n_harm − K]. *)
 val htm_element_fn : t -> lambda_method -> n:int -> Numeric.Cx.t -> Numeric.Cx.t
+[@@lint.allow "test-only-export" "oracle: closed-form H_nm (eqs. 29-34) the plans are checked against"]
 
 (** [h00_lti p s] — the classical LTI approximation [A/(1+A)] (the
     second form of eq. 38). *)
@@ -97,33 +98,31 @@ val h00_lti : t -> Numeric.Cx.t -> Numeric.Cx.t
 
 (** [open_loop_htm p] — [G = H_VCO·H_LF·H_PFD] as a composition tree. *)
 val open_loop_htm : t -> Htm_core.Htm.t
+[@@lint.allow "test-only-export" "oracle: the open-loop tree of the truncated-matrix lambda (eq. 33)"]
 
 (** [closed_loop_htm p] — [(I+G)^{-1}G] via truncated LU (eq. 28). *)
 val closed_loop_htm : t -> Htm_core.Htm.t
 
 (** [closed_loop_plan ctx p] — {!closed_loop_htm} compiled for
     grid-batched evaluation ({!Htm_core.Plan}). When the PFD is the
-    sampler (and [exact_lambda] is left [true], the default), the plan's
-    rank-one feedback uses the {b exact} λ(s) of {!lambda_fn} in place
-    of the truncated Sherman–Morrison denominator [vᵀu]: the planned
-    entries then match {!htm_element_fn} to rounding rather than to the
-    truncation tail, and an entry reads only the rows that feed it (two
-    leaf rows behind a time-invariant VCO, ±K behind an ISF VCO with K
-    harmonics) whatever [n_harm] is. Behind an ISF VCO with
-    [ctx.n_harm < K], row 0's [u] is itself truncated, and the plan
-    keeps [vᵀu] — it is the [~exact_lambda:false] plan. Each concurrent
-    lane needs its own plan — see the ownership rule in
+    sampler, the plan's rank-one feedback uses the {b exact} λ(s) of
+    {!lambda_fn} in place of the truncated Sherman–Morrison denominator
+    [vᵀu]: the planned entries then match {!htm_element_fn} to rounding
+    rather than to the truncation tail, and an entry reads only the rows
+    that feed it (two leaf rows behind a time-invariant VCO, ±K behind
+    an ISF VCO with K harmonics) whatever [n_harm] is. Behind an ISF VCO
+    with [ctx.n_harm < K], row 0's [u] is itself truncated, and the plan
+    keeps [vᵀu] — it is [Htm_core.Plan.make ctx (closed_loop_htm p)].
+    Each concurrent lane needs its own plan — see the ownership rule in
     [Parallel.Sweep.grid_local]. *)
-val closed_loop_plan : ?exact_lambda:bool -> Htm_core.Htm.ctx -> t -> Htm_core.Plan.t
+val closed_loop_plan : Htm_core.Htm.ctx -> t -> Htm_core.Plan.t
 
-(** [closed_loop_planner ?exact_lambda p] — [closed_loop_plan
-    ?exact_lambda] staged: the tree and the exact λ (its
-    partial-fraction expansion) are built once, and each application
-    to a [ctx] compiles one more plan over them. The λ closure is
+(** [closed_loop_planner p] — [closed_loop_plan] staged: the tree and
+    the exact λ (its partial-fraction expansion) are built once, and
+    each application to a [ctx] compiles one more plan over them. The λ closure is
     immutable, so the plans of several lanes may share it; the plans
     themselves stay one per lane. *)
-val closed_loop_planner :
-  ?exact_lambda:bool -> t -> Htm_core.Htm.ctx -> Htm_core.Plan.t
+val closed_loop_planner : t -> Htm_core.Htm.ctx -> Htm_core.Plan.t
 
 (** [closed_loop_rank_one ctx p s] — the Sherman–Morrison closed form
     evaluated with truncated matrices (eqs. 29–34): valid for any VCO
@@ -134,6 +133,7 @@ val closed_loop_rank_one : Htm_core.Htm.ctx -> t -> Numeric.Cx.t -> Numeric.Cmat
 
 (** [v_tilde ctx p s] — the vector [Ṽ(s)] of eq. 29. *)
 val v_tilde : Htm_core.Htm.ctx -> t -> Numeric.Cx.t -> Numeric.Cvec.t
+[@@lint.allow "test-only-export" "oracle: the sampler row vector of the rank-one closed form"]
 
 (** [lambda_matrix ctx p s] — λ(s) computed as the sum of all entries of
     the truncated [H_VCO·H_LF] (eq. 33 / eq. 37); cross-check for

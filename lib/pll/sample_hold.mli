@@ -27,6 +27,9 @@
     *gracefully* instead of collapsing at the Gardner bound — see the
     PFD-comparison experiment. *)
 
+[@@@lint.allow "test-only-export"
+  "oracle: the sample-and-hold closed forms the generic machinery is checked against"]
+
 (** [a_of_s pll s] — per-band open-loop gain [A_sh(s)]. *)
 val a_of_s : Pll.t -> Numeric.Cx.t -> Numeric.Cx.t
 
@@ -37,10 +40,6 @@ val lambda : Pll.t -> Numeric.Cx.t -> Numeric.Cx.t
 
 (** [h00 pll s] — baseband closed loop. *)
 val h00 : Pll.t -> Numeric.Cx.t -> Numeric.Cx.t
-
-(** [htm pll] — the full composition tree (generic machinery
-    cross-check): [H_VCO·H_LF·H_zoh·H_sampler]. *)
-val htm : Pll.t -> Htm_core.Htm.t
 
 (** [closed_loop_htm pll] — [(I+G)^{-1}G] via truncated LU. *)
 val closed_loop_htm : Pll.t -> Htm_core.Htm.t
@@ -57,13 +56,7 @@ type discrete = {
 (** [discretize pll] — exact ZOH state update over one period. *)
 val discretize : Pll.t -> discrete
 
-(** [open_loop_z m] is [L(z) = C(zI−Φ)^{-1}Γ]. *)
-val open_loop_z : discrete -> Lti.Zdomain.t
-
 (** [open_loop_response m w] is [L(e^{jwT})] (equals [λ_sh(jw)]). *)
 val open_loop_response : discrete -> float -> Numeric.Cx.t
-
-(** [closed_loop_poles m] — eigenvalues of [Φ − Γ·C]. *)
-val closed_loop_poles : discrete -> Numeric.Cx.t list
 
 val is_stable : ?tol:float -> Pll.t -> bool

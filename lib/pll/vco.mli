@@ -39,6 +39,7 @@ val with_isf :
 (** [isf_coeffs vco ~max_harmonic] — padded/truncated coefficient array
     (odd length [2*max_harmonic+1]) ready for HTM construction. *)
 val isf_coeffs : t -> max_harmonic:int -> Numeric.Cx.t array
+[@@lint.allow "test-only-export" "test seam: reads the ISF harmonics the VCO tests check"]
 
 val is_time_invariant : t -> bool
 

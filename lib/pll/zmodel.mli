@@ -16,6 +16,9 @@
     entirely different numerics (matrix exponential vs. coth lattice
     sums). *)
 
+[@@@lint.allow "test-only-export"
+  "oracle: the exact discrete-time model lambda is checked against"]
+
 type t = {
   phi : Numeric.Rmat.t;  (** [e^{AT}] *)
   b : float array;

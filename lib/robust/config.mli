@@ -21,3 +21,4 @@ val smw_max_cond : float
 
 (** Restore the knob to its default (strict off). *)
 val reset : unit -> unit
+[@@lint.allow "test-only-export" "fault hook: restores the default guard configuration between tests"]

@@ -57,8 +57,6 @@ let to_string = function
       Printf.sprintf
         "circuit breaker open; next probe allowed in %.3f s" cooldown_s
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Caret-context snippet for parse errors: the offending source line
    with a '^' under the offending column. *)
 let parse_snippet ~src = function

@@ -52,7 +52,6 @@ exception Error of t
 val raise_ : t -> 'a
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** [parse_snippet ~src t] — for a {!Parse} error, the offending source
     line of [src] with a caret under the offending column; [None] for

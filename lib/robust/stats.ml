@@ -76,7 +76,6 @@ let record_guard err =
   | Io_timeout _ | Budget_exhausted _ | Circuit_open _ ->
       ()
 
-let record_non_convergence () = Atomic.incr non_convergences
 let record_retry () = Atomic.incr pool_retries
 let record_worker_failure () = Atomic.incr worker_failures
 let record_timeout () = Atomic.incr task_timeouts

@@ -44,7 +44,6 @@ val record_fallback : Pllscope_error.t -> unit
     checked APIs); increments only the kind counter. *)
 val record_guard : Pllscope_error.t -> unit
 
-val record_non_convergence : unit -> unit
 val record_retry : unit -> unit
 val record_worker_failure : unit -> unit
 val record_timeout : unit -> unit

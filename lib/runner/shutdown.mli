@@ -1,16 +1,10 @@
 (** Graceful shutdown for the CLI: signal handling, distinct exit
     codes, and broken-pipe hygiene. *)
 
-(** Exit code after a signal-cancelled run: 130 (128 + SIGINT, the
-    shell convention). *)
-val exit_interrupted : int
-
 (** Exit code after a forced (second-signal) SIGTERM exit: 143
     (128 + SIGTERM). *)
 val exit_terminated : int
-
-(** Exit code after a [--deadline] expiry: 124, matching [timeout(1)]. *)
-val exit_deadline : int
+[@@lint.allow "test-only-export" "test seam: the forced-exit code the double-signal test expects"]
 
 (** Install SIGINT/SIGTERM handlers. The {e first} signal cancels
     {!Parallel.Cancel.global} instead of killing the process, so
@@ -29,16 +23,6 @@ val ignore_sigpipe : unit -> unit
 (** Map a cancellation reason to the process exit code:
     {!exit_interrupted} for signals, {!exit_deadline} for deadlines. *)
 val exit_code_of_reason : Parallel.Cancel.reason -> int
-
-(** Recognise a broken-pipe failure, whether it surfaces as
-    [Unix_error (EPIPE, _, _)] or as the stdlib's
-    [Sys_error "...: Broken pipe"]. *)
-val is_epipe : exn -> bool
-
-(** Redirect the std/err formatters to a sink. Called after an EPIPE so
-    the at-exit flush of pending formatter output cannot raise during
-    [exit]. *)
-val silence_std_formatters : unit -> unit
 
 (** [run_quiet_epipe f] — run [f ()]; on a broken pipe, silence the
     formatters and return [Some 0] (the exit code for a downstream

@@ -35,10 +35,6 @@ type addr = Unix_path of string | Tcp of string * int
 
 type t = { fd : Unix.file_descr }
 
-let addr_to_string = function
-  | Unix_path p -> p
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 let resolve host =
   match Unix.inet_addr_of_string host with
   | a -> a

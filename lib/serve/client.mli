@@ -7,8 +7,6 @@ type addr = Unix_path of string | Tcp of string * int
 
 type t
 
-val addr_to_string : addr -> string
-
 (** [connect addr] — open a connection. Raises [Unix.Unix_error] when
     the daemon is unreachable (wrap in {!with_retries} for backoff). *)
 val connect : addr -> t
@@ -18,6 +16,7 @@ val close : t -> unit
 (** The raw descriptor — for harnesses that want to speak frames
     directly (half-written requests, raw reply-byte comparisons). *)
 val fd : t -> Unix.file_descr
+[@@lint.allow "test-only-export" "test seam: raw socket of a connection, for malformed-frame tests"]
 
 (** [request ?timeout ?stall t req] — send one request, decode one
     reply. [timeout] bounds the wait for the complete reply frame
@@ -47,9 +46,11 @@ type breaker
     1 s. Raises [Invalid_argument] on [threshold < 1] or a
     non-positive [cooldown]. *)
 val breaker : ?threshold:int -> ?cooldown:float -> unit -> breaker
+[@@lint.allow "test-only-export" "test seam: circuit breaker the breaker test drives"]
 
 (** Observability for tests and callers deciding whether to probe. *)
 val breaker_is_open : breaker -> bool
+[@@lint.allow "test-only-export" "test seam: breaker state the breaker test reads"]
 
 (** [with_retries ?attempts ?base_delay ?max_delay ?seed ?budget
     ?breaker ~connect f] — run [f] on a fresh connection, retrying on

@@ -70,6 +70,7 @@ val tcp_port : t -> int option
 
 (** Request a drain programmatically (same path as the first signal). *)
 val stop : t -> unit
+[@@lint.allow "test-only-export" "test seam: stops an in-process daemon in the serve tests"]
 
 (** [serve t] — run accept loop, connection threads and deadline ticker
     until {!stop} or the global cancel token fires, then drain and

@@ -22,6 +22,7 @@ val find : t -> string -> string option
 val add : t -> string -> string -> unit
 
 val length : t -> int
+[@@lint.allow "test-only-export" "test seam: cache occupancy the eviction tests read"]
 
 (** Entries displaced by a full-capacity {!add} since creation
     (refreshes of an existing key do not count). *)

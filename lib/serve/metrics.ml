@@ -55,8 +55,6 @@ let add_points_computed t n = ignore (Atomic.fetch_and_add t.points_computed n)
 let add_points_replayed t n = ignore (Atomic.fetch_and_add t.points_replayed n)
 let incr_stale_key t = Atomic.incr t.stale_keys
 let incr_heartbeat t = Atomic.incr t.heartbeats
-let points_computed t = Atomic.get t.points_computed
-let points_replayed t = Atomic.get t.points_replayed
 
 let snapshot t ~active ~cache_evictions : Wire.server_stats =
   {

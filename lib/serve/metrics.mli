@@ -25,8 +25,6 @@ val incr_chunk_sent : t -> unit
 val add_points_computed : t -> int -> unit
 
 val add_points_replayed : t -> int -> unit
-val points_computed : t -> int
-val points_replayed : t -> int
 val incr_stale_key : t -> unit
 val incr_heartbeat : t -> unit
 

@@ -146,13 +146,9 @@ type msg =
   | Summary of summary
   | Progress of progress
 
-val tag_request : int
 val tag_result : int
-val tag_error : int
 val tag_overloaded : int
-val tag_chunk : int
-val tag_summary : int
-val tag_progress : int
+[@@lint.allow "test-only-export" "test seam: frame tag of the wire round-trip test"]
 
 (** Digest of the codec bytes of the request {e body} — the envelope
     is deliberately excluded, so identical analyses share a cache slot
@@ -161,12 +157,14 @@ val cache_key : request_body -> string
 
 (** Compute requests are cacheable; [Stats]/[Health] are not. *)
 val cacheable : request_body -> bool
+[@@lint.allow "test-only-export" "test seam: cache admission rule the cache-key test checks"]
 
 val body_name : request_body -> string
 
 (** Canonical text fingerprint of one design spec (field-ordered hex of
     the raw IEEE-754 bits); building block of {!body_fingerprint}. *)
 val spec_fingerprint : Pll_lib.Design.spec -> string
+[@@lint.allow "test-only-export" "test seam: stable key of the golden journal-key test"]
 
 (** Canonical text fingerprint of a request body: field-ordered hex of
     the raw IEEE-754 bits ([Int64.bits_of_float]) of every float. Two
@@ -190,6 +188,7 @@ type cell = (Pll_lib.Analysis.ratio_point, Robust.Pllscope_error.t) result
 val encode_cell : cell -> string
 
 val decode_cell : string -> (cell, Robust.Pllscope_error.t) result
+[@@lint.allow "test-only-export" "test seam: inverse of the cell codec, for the round-trip test"]
 
 (** [assemble_sweep cells] — rebuild the exact {!sweep_result} a
     single-shot reply would carry from one encoded cell per point

@@ -31,6 +31,7 @@ val sine_modulation : eps:float -> omega:float -> stimulus
 
 (** [step_modulation ~eps ~at] — [θ_ref(t) = eps·1(t ≥ at)]. *)
 val step_modulation : eps:float -> at:float -> stimulus
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [vco_sine_disturbance ~eps ~omega ~pll] — an oscillator time-shift
     disturbance [θ_n(t) = eps·sin(ω t)] injected inside the VCO (its

@@ -11,6 +11,9 @@
     ([ω_m + k ω₀]), so the correlation has zero leakage and isolates the
     baseband-to-baseband element [H₀₀(jω_m)] exactly. *)
 
+[@@@lint.allow "test-only-export"
+  "oracle: simulation measurements the HTM predictions are checked against"]
+
 type measurement = {
   omega : float;  (** modulation frequency, rad/s *)
   measured : Numeric.Cx.t;  (** simulator estimate of H₀₀(jω_m) *)

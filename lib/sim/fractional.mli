@@ -25,6 +25,7 @@ type config = {
     (memoized; call with ascending or repeated indices freely). The
     long-run average of [b_k] is [frac] for every modulator. *)
 val divider_sequence : config -> int -> float
+[@@lint.allow "test-only-export" "test seam: the modulus sequence of the run, unit-tested directly"]
 
 (** [run pll config ~periods ()] — locked behavioral run with the
     dithered divider. [pll.n_div] must equal [n_int + frac] (that

@@ -8,7 +8,6 @@ let length w = Array.length w.data
 let time_of_index w i = w.t0 +. (float_of_int i *. w.dt)
 let value w i = w.data.(i)
 let at w t = Numeric.Interp.uniform ~t0:w.t0 ~dt:w.dt w.data t
-let duration w = float_of_int (length w - 1) *. w.dt
 let map f w = { w with data = Array.map f w.data }
 
 let slice w ~from_time ~to_time =
@@ -25,5 +24,4 @@ let slice w ~from_time ~to_time =
   }
 
 let max_abs w = Numeric.Stats.max_abs w.data
-let rms w = Numeric.Stats.rms w.data
 let to_array w = Array.copy w.data

@@ -13,14 +13,15 @@ val value : t -> int -> float
 
 (** [at w t] — linear interpolation, clamped at the ends. *)
 val at : t -> float -> float
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
-val duration : t -> float
 val map : (float -> float) -> t -> t
+[@@lint.allow "test-only-export" "queued: only its own unit tests call it"]
 
 (** [slice w ~from_time ~to_time] — the sub-waveform covering the given
     interval (snapped outward to sample boundaries). *)
 val slice : t -> from_time:float -> to_time:float -> t
 
 val max_abs : t -> float
-val rms : t -> float
+[@@lint.allow "test-only-export" "test seam: peak the behavioral settle tests check"]
 val to_array : t -> float array

@@ -4,9 +4,7 @@ type t =
   | Add of t list
   | Mul of t list
   | Pow of t * int
-  | App of func * t
-
-and func = Coth | Exp | Sin | Cos | Log
+  | Coth of t
 
 let num x = Num x
 let sym s = Sym s
@@ -68,19 +66,7 @@ let pow base n =
 let inv e = pow e (-1)
 let div a b = mul a (inv b)
 
-let app f e =
-  match (f, e) with
-  | Exp, Num 0.0 -> one
-  | Sin, Num 0.0 -> zero
-  | Cos, Num 0.0 -> one
-  | Log, Num 1.0 -> zero
-  | _ -> App (f, e)
-
-let coth e = app Coth e
-let exp e = app Exp e
-let sin e = app Sin e
-let cos e = app Cos e
-let log e = app Log e
+let coth e = Coth e
 
 let rec eval env e =
   let open Numeric in
@@ -90,19 +76,7 @@ let rec eval env e =
   | Add ts -> List.fold_left (fun acc t -> Cx.add acc (eval env t)) Cx.zero ts
   | Mul fs -> List.fold_left (fun acc f -> Cx.mul acc (eval env f)) Cx.one fs
   | Pow (b, n) -> Cx.pow_int (eval env b) n
-  | App (Coth, x) -> Special.coth (eval env x)
-  | App (Exp, x) -> Cx.exp (eval env x)
-  | App (Sin, x) ->
-      let z = eval env x in
-      (* sin z = (e^{jz} - e^{-jz}) / 2j *)
-      Cx.div
-        (Cx.sub (Cx.exp (Cx.mul Cx.j z)) (Cx.exp (Cx.neg (Cx.mul Cx.j z))))
-        (Cx.scale 2.0 Cx.j)
-  | App (Cos, x) ->
-      let z = eval env x in
-      Cx.scale 0.5
-        (Cx.add (Cx.exp (Cx.mul Cx.j z)) (Cx.exp (Cx.neg (Cx.mul Cx.j z))))
-  | App (Log, x) -> Cx.log (eval env x)
+  | Coth x -> Special.coth (eval env x)
 
 let eval_real env e =
   let z = eval (fun s -> Numeric.Cx.of_float (env s)) e in
@@ -124,13 +98,9 @@ let rec derivative ~wrt e =
            fs)
   | Pow (b, n) ->
       prod [ Num (float_of_int n); pow b (n - 1); derivative ~wrt b ]
-  | App (Coth, x) ->
+  | Coth x ->
       (* d coth = 1 - coth^2 *)
       mul (sub one (pow (coth x) 2)) (derivative ~wrt x)
-  | App (Exp, x) -> mul (exp x) (derivative ~wrt x)
-  | App (Sin, x) -> mul (cos x) (derivative ~wrt x)
-  | App (Cos, x) -> mul (neg (sin x)) (derivative ~wrt x)
-  | App (Log, x) -> mul (inv x) (derivative ~wrt x)
 
 let rec subst name replacement e =
   match e with
@@ -139,7 +109,7 @@ let rec subst name replacement e =
   | Add ts -> sum (List.map (subst name replacement) ts)
   | Mul fs -> prod (List.map (subst name replacement) fs)
   | Pow (b, n) -> pow (subst name replacement b) n
-  | App (f, x) -> app f (subst name replacement x)
+  | Coth x -> coth (subst name replacement x)
 
 let symbols e =
   let rec go acc = function
@@ -147,24 +117,11 @@ let symbols e =
     | Sym s -> s :: acc
     | Add ts | Mul ts -> List.fold_left go acc ts
     | Pow (b, _) -> go acc b
-    | App (_, x) -> go acc x
+    | Coth x -> go acc x
   in
   List.sort_uniq compare (go [] e)
 
 let equal a b = a = b
-
-let rec size = function
-  | Num _ | Sym _ -> 1
-  | Add ts | Mul ts -> List.fold_left (fun acc t -> acc + size t) 1 ts
-  | Pow (b, _) -> 1 + size b
-  | App (_, x) -> 1 + size x
-
-let func_name = function
-  | Coth -> "coth"
-  | Exp -> "exp"
-  | Sin -> "sin"
-  | Cos -> "cos"
-  | Log -> "log"
 
 (* precedence: Add 1, Mul 2, Pow 3, atoms 4 *)
 let rec print ~prec buf e =
@@ -200,9 +157,8 @@ let rec print ~prec buf e =
       paren 3 (fun () ->
           print ~prec:4 buf b;
           add_string buf (Printf.sprintf "^%d" n))
-  | App (f, x) ->
-      add_string buf (func_name f);
-      add_char buf '(';
+  | Coth x ->
+      add_string buf "coth(";
       print ~prec:0 buf x;
       add_char buf ')'
 
@@ -210,5 +166,3 @@ let to_string e =
   let buf = Buffer.create 64 in
   print ~prec:0 buf e;
   Buffer.contents buf
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

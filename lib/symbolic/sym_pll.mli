@@ -18,6 +18,9 @@
     pole [−ω_p]. Every expression here is validated in the test suite
     against the independent numeric pipeline ({!Pll_lib.Pll}). *)
 
+[@@@lint.allow "test-only-export"
+  "oracle: the symbolic lambda of eq. 37 and its closed forms"]
+
 (** Residues and pole of the open loop, as expressions in the component
     symbols. *)
 type residues = {
@@ -36,25 +39,8 @@ val a_expr : Expr.t
     closed form. *)
 val lambda_expr : Expr.t
 
-(** [h00_expr] — [A/(1+λ)] (eq. 38). *)
-val h00_expr : Expr.t
-
 (** [h00_lti_expr] — the textbook [A/(1+A)]. *)
 val h00_lti_expr : Expr.t
-
-(** [env_of_components ~icp ~kvco ~n_div ~fref ~r ~c1 ~c2 ~s] — an
-    evaluation environment binding every symbol. *)
-val env_of_components :
-  icp:float ->
-  kvco:float ->
-  n_div:float ->
-  fref:float ->
-  r:float ->
-  c1:float ->
-  c2:float ->
-  s:Numeric.Cx.t ->
-  string ->
-  Numeric.Cx.t
 
 (** [env_of_pll pll ~s] — environment from an assembled PLL.
     @raise Invalid_argument unless the filter is [Second_order]. *)

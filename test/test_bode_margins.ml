@@ -44,7 +44,7 @@ let test_unwrap_monotone_integrator2 () =
 let test_margins_integrator () =
   (* L = 10/s: crossover at 10 rad/s with 90 deg margin *)
   let tf = Tf.scale 10.0 Tf.integrator in
-  let r = Margins.analyze_tf tf ~lo:0.1 ~hi:1000.0 in
+  let r = Margins.analyze (Tf.freq_response tf) ~lo:0.1 ~hi:1000.0 in
   (match r.Margins.unity_gain_freq with
   | Some w -> check_close ~tol:1e-6 "crossover" 10.0 w
   | None -> Alcotest.fail "crossover expected");
@@ -55,7 +55,7 @@ let test_margins_integrator () =
 let test_margins_second_order () =
   (* L = wn^2 / s^2 would have 0 margin; add a zero for positive margin *)
   let tf = Tf.mul (Tf.scale 100.0 Tf.double_integrator) (Tf.first_order_zero 5.0) in
-  let r = Margins.analyze_tf tf ~lo:0.01 ~hi:1000.0 in
+  let r = Margins.analyze (Tf.freq_response tf) ~lo:0.01 ~hi:1000.0 in
   match (r.Margins.unity_gain_freq, r.Margins.phase_margin_deg) with
   | Some w, Some pm ->
       check_true "crossover above 10 (zero boosts gain)" (w >= 10.0);
@@ -69,7 +69,7 @@ let test_gain_margin () =
      pick gain 4: GM = 20 log10 (8/4) = 6.02 dB *)
   let pole = Tf.first_order_pole 1.0 in
   let tf = Tf.scale 4.0 (Tf.mul pole (Tf.mul pole pole)) in
-  let r = Margins.analyze_tf tf ~lo:0.01 ~hi:100.0 in
+  let r = Margins.analyze (Tf.freq_response tf) ~lo:0.01 ~hi:100.0 in
   (match r.Margins.phase_cross_freq with
   | Some w -> check_close ~tol:1e-4 "phase crossover at sqrt(3)" (sqrt 3.0) w
   | None -> Alcotest.fail "phase crossover expected");
@@ -80,7 +80,7 @@ let test_gain_margin () =
 let test_no_crossover () =
   (* |L| < 1 everywhere: no unity-gain crossover *)
   let tf = Tf.scale 0.1 (Tf.first_order_pole 1.0) in
-  let r = Margins.analyze_tf tf ~lo:0.01 ~hi:100.0 in
+  let r = Margins.analyze (Tf.freq_response tf) ~lo:0.01 ~hi:100.0 in
   check_true "no crossover" (Option.is_none r.Margins.unity_gain_freq);
   check_true "no margin" (Option.is_none r.Margins.phase_margin_deg)
 
@@ -91,7 +91,7 @@ let test_phase_margin_at () =
 let prop_margins_scale_invariance =
   qcheck ~count:20 "crossover moves with gain for an integrator"
     (QCheck2.Gen.float_range 1.0 100.0) (fun k ->
-      let r = Margins.analyze_tf (Tf.scale k Tf.integrator) ~lo:0.01 ~hi:1000.0 in
+      let r = Margins.analyze (Tf.freq_response (Tf.scale k Tf.integrator)) ~lo:0.01 ~hi:1000.0 in
       match r.Lti.Margins.unity_gain_freq with
       | Some w -> Float.abs (w -. k) < 1e-6 *. k
       | None -> false)

@@ -10,17 +10,13 @@ let test_construction () =
   check_int "cols" 3 (Cmat.cols m);
   check_cx "init" (Cx.of_float 12.0) (Cmat.get m 1 2);
   check_cx "identity diag" Cx.one (Cmat.get (Cmat.identity 3) 1 1);
-  check_cx "identity off" Cx.zero (Cmat.get (Cmat.identity 3) 0 2);
-  let d = Cmat.diagonal (Cvec.of_real_array [| 1.0; 2.0 |]) in
-  check_cx "diagonal" (Cx.of_float 2.0) (Cmat.get d 1 1);
-  check_cx "diagonal off" Cx.zero (Cmat.get d 0 1)
+  check_cx "identity off" Cx.zero (Cmat.get (Cmat.identity 3) 0 2)
 
 let test_add_scale () =
   let a = m22 1.0 2.0 3.0 4.0 and b = m22 10.0 20.0 30.0 40.0 in
   check_cx "add" (Cx.of_float 22.0) (Cmat.get (Cmat.add a b) 0 1);
   check_cx "sub" (Cx.of_float 27.0) (Cmat.get (Cmat.sub b a) 1 0);
-  check_cx "scale" (Cx.of_float 8.0) (Cmat.get (Cmat.scale (Cx.of_float 2.0) a) 1 1);
-  check_cx "neg" (Cx.of_float (-3.0)) (Cmat.get (Cmat.neg a) 1 0)
+  check_cx "scale" (Cx.of_float 8.0) (Cmat.get (Cmat.scale (Cx.of_float 2.0) a) 1 1)
 
 let test_mul () =
   let a = m22 1.0 2.0 3.0 4.0 and b = m22 5.0 6.0 7.0 8.0 in
@@ -36,9 +32,7 @@ let test_mv_vm () =
   let a = m22 1.0 2.0 3.0 4.0 in
   let v = Cvec.of_real_array [| 1.0; 10.0 |] in
   check_cx "mv" (Cx.of_float 21.0) (Cvec.get (Cmat.mv a v) 0);
-  check_cx "mv row1" (Cx.of_float 43.0) (Cvec.get (Cmat.mv a v) 1);
-  check_cx "vm" (Cx.of_float 31.0) (Cvec.get (Cmat.vm v a) 0);
-  check_cx "vm col1" (Cx.of_float 42.0) (Cvec.get (Cmat.vm v a) 1)
+  check_cx "mv row1" (Cx.of_float 43.0) (Cvec.get (Cmat.mv a v) 1)
 
 let test_outer_rank_one () =
   let u = Cvec.of_real_array [| 1.0; 2.0 |] in
@@ -57,16 +51,12 @@ let test_transpose () =
   let a = Cmat.init 2 3 (fun i k -> Cx.make (float_of_int i) (float_of_int k)) in
   let t = Cmat.transpose a in
   check_int "transpose rows" 3 (Cmat.rows t);
-  check_cx "transpose entry" (Cmat.get a 1 2) (Cmat.get t 2 1);
-  let h = Cmat.conj_transpose a in
-  check_cx "conj transpose entry" (Cx.conj (Cmat.get a 1 2)) (Cmat.get h 2 1)
+  check_cx "transpose entry" (Cmat.get a 1 2) (Cmat.get t 2 1)
 
 let test_aggregates () =
   let a = m22 1.0 2.0 3.0 4.0 in
   check_cx "sum_entries" (Cx.of_float 10.0) (Cmat.sum_entries a);
-  check_cx "trace" (Cx.of_float 5.0) (Cmat.trace a);
-  check_close "frobenius" (sqrt 30.0) (Cmat.norm_frobenius a);
-  check_close "norm_inf" 7.0 (Cmat.norm_inf a)
+  check_close "frobenius" (sqrt 30.0) (Cmat.norm_frobenius a)
 
 let test_row_col () =
   let a = m22 1.0 2.0 3.0 4.0 in

@@ -7,9 +7,6 @@ let test_construction () =
   check_int "dim" 3 (Cvec.dim v123);
   check_cx "get" (Cx.of_float 2.0) (Cvec.get v123 1);
   check_cx "ones" Cx.one (Cvec.get (Cvec.ones 4) 3);
-  check_cx "zeros" Cx.zero (Cvec.get (Cvec.zeros 4) 0);
-  check_cx "basis hit" Cx.one (Cvec.get (Cvec.basis 3 1) 1);
-  check_cx "basis miss" Cx.zero (Cvec.get (Cvec.basis 3 1) 2);
   let v = Cvec.init 3 (fun i -> Cx.of_float (float_of_int (i * i))) in
   check_cx "init" (Cx.of_float 4.0) (Cvec.get v 2)
 
@@ -17,28 +14,20 @@ let test_mutation_isolated () =
   let a = [| Cx.one; Cx.one |] in
   let v = Cvec.of_array a in
   a.(0) <- Cx.zero;
-  check_cx "of_array copies" Cx.one (Cvec.get v 0);
-  let b = Cvec.to_array v in
-  b.(1) <- Cx.zero;
-  check_cx "to_array copies" Cx.one (Cvec.get v 1)
+  check_cx "of_array copies" Cx.one (Cvec.get v 0)
 
 let test_algebra () =
   let w = Cvec.of_real_array [| 10.0; 20.0; 30.0 |] in
   check_cx "add" (Cx.of_float 22.0) (Cvec.get (Cvec.add v123 w) 1);
   check_cx "sub" (Cx.of_float 18.0) (Cvec.get (Cvec.sub w v123) 1);
-  check_cx "scale" (Cx.of_float 6.0) (Cvec.get (Cvec.scale (Cx.of_float 2.0) v123) 2);
-  check_cx "neg" (Cx.of_float (-3.0)) (Cvec.get (Cvec.neg v123) 2);
-  check_cx "map" (Cx.of_float 9.0) (Cvec.get (Cvec.map (fun z -> Cx.mul z z) v123) 2);
-  check_cx "mapi" (Cx.of_float 6.0)
-    (Cvec.get (Cvec.mapi (fun i z -> Cx.scale (float_of_int i) z) v123) 2)
+  check_cx "scale" (Cx.of_float 6.0) (Cvec.get (Cvec.scale (Cx.of_float 2.0) v123) 2)
 
 let test_products () =
   check_cx "dot" (Cx.of_float 140.0)
     (Cvec.dot v123 (Cvec.of_real_array [| 10.0; 20.0; 30.0 |]));
-  (* sesquilinear vs bilinear differ for complex entries *)
+  (* bilinear: no conjugation of complex entries *)
   let u = Cvec.of_array [| Cx.j |] and w = Cvec.of_array [| Cx.j |] in
   check_cx "dot (bilinear) j*j" (Cx.neg Cx.one) (Cvec.dot u w);
-  check_cx "dot_herm conj(j)*j" Cx.one (Cvec.dot_herm u w);
   check_cx "sum" (Cx.of_float 6.0) (Cvec.sum v123);
   check_close "norm2" (sqrt 14.0) (Cvec.norm2 v123);
   check_close "norm_inf" 3.0 (Cvec.norm_inf v123)
@@ -46,7 +35,7 @@ let test_products () =
 let test_dim_mismatch () =
   Alcotest.check_raises "add mismatch"
     (Invalid_argument "Cvec.lift2: dimension mismatch") (fun () ->
-      ignore (Cvec.add v123 (Cvec.zeros 2)))
+      ignore (Cvec.add v123 (Cvec.ones 2)))
 
 let prop_dot_linear =
   qcheck "dot linear in first argument"

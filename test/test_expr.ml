@@ -26,11 +26,7 @@ let test_eval () =
   check_cx "2*3 + 4" (Cx.of_float 10.0) (Expr.eval env_xy e);
   check_close "real eval" 10.0 (Expr.eval_real (function "x" -> 2.0 | "y" -> 3.0 | _ -> raise Not_found) e);
   check_cx "division" (Cx.of_float (2.0 /. 3.0)) (Expr.eval env_xy (Expr.div x y));
-  check_cx "exp" (Cx.exp (Cx.of_float 2.0)) (Expr.eval env_xy (Expr.exp x));
-  check_cx ~tol:1e-12 "coth" (Special.coth (Cx.of_float 2.0)) (Expr.eval env_xy (Expr.coth x));
-  check_cx ~tol:1e-12 "sin" (Cx.of_float (sin 2.0)) (Expr.eval env_xy (Expr.sin x));
-  check_cx ~tol:1e-12 "cos" (Cx.of_float (cos 2.0)) (Expr.eval env_xy (Expr.cos x));
-  check_cx ~tol:1e-12 "log" (Cx.of_float (log 2.0)) (Expr.eval env_xy (Expr.log x))
+  check_cx ~tol:1e-12 "coth" (Special.coth (Cx.of_float 2.0)) (Expr.eval env_xy (Expr.coth x))
 
 let finite_diff e name h =
   let base v = Expr.eval_real (function n when n = name -> v | "x" -> 2.0 | "y" -> 3.0 | _ -> raise Not_found) e in
@@ -48,11 +44,8 @@ let test_derivatives () =
   check_derivative (Expr.pow x 3);
   check_derivative (Expr.mul x y);
   check_derivative (Expr.div Expr.one x);
-  check_derivative (Expr.exp (Expr.mul x (Expr.num 0.5)));
-  check_derivative (Expr.sin x);
-  check_derivative (Expr.cos (Expr.pow x 2));
   check_derivative (Expr.coth x);
-  check_derivative (Expr.log x);
+  check_derivative (Expr.coth (Expr.pow x 2));
   check_derivative
     (Expr.div (Expr.add Expr.one (Expr.mul x y)) (Expr.add x (Expr.pow y 2)));
   check_true "d/dx y = 0"
@@ -88,7 +81,7 @@ let prop_eval_add_homomorphic =
 let prop_derivative_linear =
   qcheck ~count:30 "d(a e1 + e2) = a de1 + de2"
     (QCheck2.Gen.float_range (-5.0) 5.0) (fun a ->
-      let e1 = Expr.pow x 3 and e2 = Expr.sin x in
+      let e1 = Expr.pow x 3 and e2 = Expr.coth x in
       let lhs =
         Expr.derivative ~wrt:"x" (Expr.add (Expr.mul (Expr.num a) e1) e2)
       in

@@ -632,8 +632,9 @@ let test_twisted_matches_lu () =
       let w0 = Pll_lib.Pll.omega0 p in
       List.iter
         (fun n_harm ->
-          let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm ~omega0:w0) p in
-          let idx = Htm.index_of_harmonic (Plan.ctx plan) in
+          let ctx = Htm.ctx ~n_harm ~omega0:w0 in
+          let plan = Pll_lib.Pll.closed_loop_plan ctx p in
+          let idx = Htm.index_of_harmonic ctx in
           List.iter
             (fun frac ->
               let s = Cx.jomega (frac *. w0) in
@@ -772,11 +773,11 @@ let test_row_demand_roots () =
       ("ti, exact λ", false, Pll_lib.Pll.closed_loop_plan cp ti);
       ( "ti, no override",
         false,
-        Pll_lib.Pll.closed_loop_plan ~exact_lambda:false cp ti );
+        Plan.make cp (Pll_lib.Pll.closed_loop_htm ti) );
       ("isf, exact λ", false, Pll_lib.Pll.closed_loop_plan cp isf);
       ( "isf, no override",
         false,
-        Pll_lib.Pll.closed_loop_plan ~exact_lambda:false cp isf );
+        Plan.make cp (Pll_lib.Pll.closed_loop_htm isf) );
       ("mix", true, Pll_lib.Pll.closed_loop_plan cp (mixing_loop ~isf:false));
     ]
 
@@ -792,7 +793,10 @@ let test_noise_row_demand () =
       let c = Htm.ctx ~n_harm ~omega0:w0 in
       let s_ref = Pll_lib.Noise.lorentzian ~level:1e-12 ~corner:(0.02 *. w0) in
       let ws = [| 0.01 *. w0; 0.15 *. w0; 0.35 *. w0 |] in
-      let plan = Pll_lib.Pll.closed_loop_plan ~exact_lambda c p in
+      let plan =
+        if exact_lambda then Pll_lib.Pll.closed_loop_plan c p
+        else Plan.make c (Pll_lib.Pll.closed_loop_htm p)
+      in
       (* Noise folds through the planner, which always takes λ *)
       let got =
         if exact_lambda then
@@ -908,7 +912,7 @@ let test_isf_below_k_keeps_truncated () =
   let w0 = Pll_lib.Pll.omega0 p in
   let c = Htm.ctx ~n_harm:1 ~omega0:w0 in
   let exact = Pll_lib.Pll.closed_loop_plan c p in
-  let plain = Pll_lib.Pll.closed_loop_plan ~exact_lambda:false c p in
+  let plain = Plan.make c (Pll_lib.Pll.closed_loop_htm p) in
   List.iter
     (fun frac ->
       let s = Cx.jomega (frac *. w0) in
@@ -978,7 +982,7 @@ let test_plain_fallback_unchanged =
       let p = isf_loop () in
       let w0 = Pll_lib.Pll.omega0 p in
       let c = Htm.ctx ~n_harm:8 ~omega0:w0 in
-      let plan = Pll_lib.Pll.closed_loop_plan ~exact_lambda:false c p in
+      let plan = Plan.make c (Pll_lib.Pll.closed_loop_htm p) in
       let s = Cx.jomega (0.13 *. w0) in
       Robust.Inject.configure "grid-plan-nan:1";
       let e = Plan.element plan ~n:1 ~m:0 s in

@@ -83,8 +83,6 @@ let test_composition () =
     (Cmat.equal (Cmat.add ma mb) (Htm.to_matrix ctx3 (Htm.parallel a b) s0));
   check_true "sub"
     (Cmat.equal (Cmat.sub ma mb) (Htm.to_matrix ctx3 (Htm.sub a b) s0));
-  check_true "neg"
-    (Cmat.equal (Cmat.neg ma) (Htm.to_matrix ctx3 (Htm.neg a) s0));
   check_true "series_list"
     (Cmat.equal
        (Cmat.mul ma (Cmat.mul mb ma))
@@ -133,13 +131,6 @@ let test_apply_to_tone () =
           amp
           (Cvec.get col (Htm.index_of_harmonic ctx3 n)))
     expected
-
-let test_conversion_map () =
-  let h = Htm.periodic_gain [| Cx.zero; Cx.one; Cx.of_float 0.5 |] in
-  let map = Htm.conversion_map ctx3 h 0.3 in
-  check_close "diag" 1.0 map.(2).(2);
-  check_close "first lower diag" 0.5 map.(3).(2);
-  check_close "upper" 0.0 map.(2).(3)
 
 let test_custom () =
   let h = Htm.custom (fun c _ -> Cmat.identity (Htm.dim c)) in
@@ -247,7 +238,6 @@ let suite =
     case "feedback (eq. 28)" test_feedback;
     case "element access" test_element_baseband;
     case "tone response" test_apply_to_tone;
-    case "conversion map" test_conversion_map;
     case "custom block" test_custom;
     case "max singular value" test_max_singular_value;
     case "rank-one null-space stall (regression)" test_max_singular_rank_one_stall;

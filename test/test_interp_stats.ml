@@ -27,18 +27,14 @@ let test_stats_basics () =
   check_close "mean" 2.5 (Stats.mean xs);
   check_close "variance" 1.25 (Stats.variance xs);
   check_close "std" (sqrt 1.25) (Stats.std_dev xs);
-  check_close "rms" (sqrt 7.5) (Stats.rms xs);
   check_close "max_abs" 4.0 (Stats.max_abs [| -4.0; 3.0 |])
 
 let test_rel_err () =
   check_close "rel_err" 0.1 (Stats.rel_err 9.0 10.0);
-  check_close "rel_err zero safe" 0.0 (Stats.rel_err 0.0 0.0);
-  check_close "max_rel_err" 0.5
-    (Stats.max_rel_err [| 1.0; 2.0 |] [| 1.0; 4.0 |])
+  check_close "rel_err zero safe" 0.0 (Stats.rel_err 0.0 0.0)
 
 let test_db_deg () =
   check_close "db of 10" 20.0 (Stats.db 10.0);
-  check_close "of_db round trip" 3.0 (Stats.of_db (Stats.db 3.0));
   check_close "deg" 180.0 (Stats.deg Float.pi);
   check_close "rad" Float.pi (Stats.rad 180.0)
 

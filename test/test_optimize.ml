@@ -20,11 +20,6 @@ let test_brent () =
       ignore (Optimize.brent (fun x -> (x *. x) +. 1.0) (-1.0) 1.0))
 
 let test_spaces () =
-  let ls = Optimize.linspace 0.0 10.0 11 in
-  check_int "linspace count" 11 (Array.length ls);
-  check_close "linspace start" 0.0 ls.(0);
-  check_close "linspace mid" 5.0 ls.(5);
-  check_close "linspace end" 10.0 ls.(10);
   let lg = Optimize.logspace 1.0 100.0 3 in
   check_close "logspace mid" 10.0 lg.(1);
   check_close "logspace end" 100.0 lg.(2);

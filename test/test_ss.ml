@@ -47,18 +47,6 @@ let test_discretize_first_order () =
   check_close ~tol:1e-12 "phi" (exp (-0.5)) (Rmat.get phi 0 0);
   check_close ~tol:1e-12 "gamma" (1.0 -. exp (-0.5)) gamma.(0)
 
-let test_step_response () =
-  (* first-order lowpass step: 1 - e^{-w t} *)
-  let tf = Tf.first_order_pole 2.0 in
-  let ss = Ss.of_tf tf in
-  let resp = Ss.step_response ss ~t1:2.0 ~n:21 in
-  check_int "samples" 21 (Array.length resp);
-  let t, y = resp.(10) in
-  check_close "sample time" 1.0 t;
-  check_close ~tol:1e-9 "step value" (1.0 -. exp (-2.0)) y;
-  let _, y0 = resp.(0) in
-  check_close "starts at 0" 0.0 y0
-
 let test_impulse_state () =
   let ss = Ss.of_tf (Tf.first_order_pole 1.0) in
   let x = Ss.impulse_state ss 2.5 in
@@ -84,7 +72,6 @@ let suite =
     case "improper rejected" test_improper_rejected;
     case "derivative/output" test_derivative_output;
     case "exact discretization" test_discretize_first_order;
-    case "step response" test_step_response;
     case "impulse state" test_impulse_state;
     prop_realization_matches;
   ]

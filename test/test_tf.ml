@@ -28,28 +28,18 @@ let test_from_zpk () =
 let test_algebra () =
   let x = Cx.make 0.3 1.1 in
   let a = lowpass and b = Tf.first_order_zero 3.0 in
-  check_cx "add" (Cx.add (Tf.eval a x) (Tf.eval b x)) (Tf.eval (Tf.add a b) x);
-  check_cx "sub" (Cx.sub (Tf.eval a x) (Tf.eval b x)) (Tf.eval (Tf.sub a b) x);
   check_cx "mul" (Cx.mul (Tf.eval a x) (Tf.eval b x)) (Tf.eval (Tf.mul a b) x);
-  check_cx "div" (Cx.div (Tf.eval a x) (Tf.eval b x)) (Tf.eval (Tf.div a b) x);
-  check_cx "scale" (Cx.scale 3.0 (Tf.eval a x)) (Tf.eval (Tf.scale 3.0 a) x);
-  check_cx "neg" (Cx.neg (Tf.eval a x)) (Tf.eval (Tf.neg a) x)
+  check_cx "scale" (Cx.scale 3.0 (Tf.eval a x)) (Tf.eval (Tf.scale 3.0 a) x)
 
 let test_feedback () =
   let g = Tf.gain 9.0 in
   (* unity feedback of a gain: 9/10 *)
-  check_close "static loop" 0.9 (Tf.dc_gain (Tf.feedback_unity g));
-  let x = Cx.jomega 2.0 in
-  let gv = Tf.eval lowpass x and hv = Tf.eval (Tf.gain 0.5) x in
-  check_cx "feedback formula"
-    (Cx.div gv (Cx.add Cx.one (Cx.mul gv hv)))
-    (Tf.eval (Tf.feedback ~g:lowpass ~h:(Tf.gain 0.5)) x)
+  check_close "static loop" 0.9 (Tf.dc_gain (Tf.feedback_unity g))
 
 let test_poles_zeros () =
   (match Tf.poles lowpass with
   | [ p ] -> check_cx "pole at -10" (Cx.of_float (-10.0)) p
   | _ -> Alcotest.fail "one pole expected");
-  check_int "integrator relative degree" 1 (Tf.relative_degree Tf.integrator);
   check_true "integrator proper" (Tf.is_proper Tf.integrator);
   check_true "differentiator improper"
     (not (Tf.is_proper (Tf.make ~num:[ 0.0; 1.0 ] ~den:[ 1.0 ])))

@@ -98,18 +98,6 @@ let test_pfd_mixing () =
   check_cx "lower diag" Cx.one (Cmat.get m 2 1);
   check_cx "main diag empty" Cx.zero (Cmat.get m 2 2)
 
-let test_divider () =
-  let d = Pll_lib.Divider.make 64.0 in
-  check_close "time shift preserved" 1.0 (Pll_lib.Divider.time_shift_gain d);
-  check_close "radian gain 1/N" (1.0 /. 64.0) (Pll_lib.Divider.radian_gain d);
-  check_close "to_radians" (2.0 *. Float.pi)
-    (Pll_lib.Divider.to_radians d ~fref:1e6 1e-6);
-  check_close "vco radians" (2.0 *. Float.pi *. 64.0)
-    (Pll_lib.Divider.vco_radians_of_time_shift d ~fref:1e6 1e-6);
-  Alcotest.check_raises "bad ratio"
-    (Invalid_argument "Divider.make: ratio must be positive") (fun () ->
-      ignore (Pll_lib.Divider.make 0.0))
-
 let suite =
   [
     case "time-invariant sensitivity" test_time_invariant_sensitivity;
@@ -120,5 +108,4 @@ let suite =
     case "vco HTM time-varying (eq. 25)" test_vco_htm_time_varying;
     case "sampling pfd" test_pfd_sampling;
     case "mixing pfd" test_pfd_mixing;
-    case "divider conventions" test_divider;
   ]

@@ -1,12 +1,14 @@
 (* Discovery and loading of .cmt files for the typed tier.
 
-   Dune's regular build already produces a .cmt per module (it always
-   passes -bin-annot), stored next to the object files in the library's
-   hidden [.<lib>.objs/byte/] directory. We walk a --cmt-root for every
-   [*.cmt] (descending into hidden directories, which the source-file
-   walker deliberately skips) and index them by the source path recorded
-   in the cmt, so each requested .ml file can be paired with its typed
-   tree.
+   Dune produces a .cmt per module (it always passes -bin-annot; for an
+   executable whose module has an .mli, only the check alias does),
+   stored next to the object files in the library's hidden
+   [.<lib>.objs/byte/] directory. We walk a --cmt-root for every
+   [*.cmt] and [*.cmti] (descending into hidden directories, which the
+   source-file walker deliberately skips) and index the cmts by the
+   source path recorded in them, so each requested .ml file can be
+   paired with its typed tree; the same pass feeds the cross-unit
+   reference index (Xref).
 
    Environment reconstruction: cmt files store typing environments in
    summary form; [Envaux.env_of_only_summary] rebuilds them, which needs
@@ -30,7 +32,8 @@ let rec walk_cmts acc path =
     |> List.fold_left
          (fun acc entry -> walk_cmts acc (Filename.concat path entry))
          acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+  then path :: acc
   else acc
 
 (* Re-anchor a compile-time load-path entry against where we run from. *)
@@ -54,21 +57,25 @@ let load ~path_root cmt_path =
           Some { cmt_path; source; structure }
       | _ -> None)
 
-(* Pair each requested source file with its cmt. The cmt records the
-   path relative to the compiler's build root; the caller may have named
-   the same file from a subdirectory, so fall back to suffix matching
-   (unambiguous in practice: one cmt per module per tree). *)
-let index ~cmt_root =
-  let cmts = walk_cmts [] cmt_root in
-  List.filter_map
-    (fun p ->
+(* Read every .cmt and .cmti under [cmt_root] once: pair each
+   implementation's recorded source with its cmt path, and keep what
+   [scan] extracts from every file. [find_cmt] then pairs a requested
+   source file with its cmt. The cmt records the path relative to the
+   compiler's build root; the caller may have named the same file from
+   a subdirectory, so fall back to suffix matching (unambiguous in
+   practice: one cmt per module per tree). *)
+let index ~cmt_root ~scan =
+  List.fold_left
+    (fun (index, scanned) p ->
       match Cmt_format.read_cmt p with
-      | exception _ -> None
-      | cmt -> (
-          match cmt.Cmt_format.cmt_sourcefile with
-          | Some src when Filename.check_suffix src ".ml" -> Some (src, p)
-          | _ -> None))
-    cmts
+      | exception _ -> (index, scanned)
+      | cmt ->
+          ( (match cmt.Cmt_format.cmt_sourcefile with
+            | Some src when Filename.check_suffix src ".ml" -> (src, p) :: index
+            | _ -> index),
+            Option.fold ~none:scanned ~some:(fun s -> s :: scanned) (scan cmt) ))
+    ([], [])
+    (List.rev (walk_cmts [] cmt_root))
 
 let find_cmt index file =
   match List.assoc_opt file index with

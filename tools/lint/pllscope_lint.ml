@@ -4,9 +4,10 @@
 
    - the untyped tier parses .ml sources (compiler-libs Parse +
      Ast_iterator) and runs the fast syntactic rules;
-   - the typed tier loads the .cmt files the regular dune build already
-     produced (Cmt_format + Tast_iterator) and runs semantic rules over
-     resolved paths and inferred types.
+   - the typed tier loads the .cmt/.cmti files of the build
+     (Cmt_format + Tast_iterator) and runs semantic rules over resolved
+     paths and inferred types, and the export rules over a cross-unit
+     reference index of every unit (Xref).
 
    Usage:
      pllscope_lint [--typed | --untyped] [--cmt-root DIR] [--path-root DIR]
@@ -78,6 +79,14 @@ let hint_of_rule = function
       Some
         "call the _checked variant, or move this use into an \
          oracle/fallback/experiment/test module"
+  | "unused-export" ->
+      Some
+        "delete the val from the .mli, and its definition if nothing in \
+         its own unit uses it"
+  | "test-only-export" ->
+      Some
+        "delete it with the tests that only exercise it, or keep it with \
+         [@@lint.allow \"test-only-export\" \"reason\"]"
   | "ignored-result" ->
       Some
         "match on Ok/Error and decide about the degradation (count \
@@ -90,7 +99,7 @@ let catalog =
       (fun (n, d) ->
         (* float-eq appears in both tiers under one id *)
         if List.mem_assoc n Rules.all_rules then None else Some ((n, d, "typed")))
-      Typed_rules.all_rules
+      (Typed_rules.all_rules @ Xref.all_rules)
 
 let valid_rules = List.map (fun (n, _, _) -> n) catalog
 
@@ -307,16 +316,20 @@ let () =
     match (!mode, !cmt_root) with
     | Untyped_only, _ | _, None -> ([], [])
     | _, Some root ->
-        let cmt_index = Cmt_loader.index ~cmt_root:root in
+        let cmt_index, scanned =
+          Cmt_loader.index ~cmt_root:root ~scan:Xref.scan
+        in
+        let xref = Xref.build scanned in
         List.fold_left
           (fun (fs, covered) file ->
             if not (in_lib ~lib_prefixes file) then (fs, covered)
             else
+              let exports = Xref.check xref ~valid_rules ~mli:(file ^ "i") in
               match
                 lint_file_typed ~cmt_index ~path_root:!path_root file
               with
-              | None -> (fs, covered)
-              | Some findings -> (findings @ fs, file :: covered))
+              | None -> (exports @ fs, covered)
+              | Some findings -> (exports @ findings @ fs, file :: covered))
           ([], []) files
   in
   (* the typed float-eq supersedes the untyped heuristic where it ran *)

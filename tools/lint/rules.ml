@@ -72,40 +72,50 @@ let report ctx rule loc message =
 (* ------------------------------------------------------------------ *)
 (* [@lint.allow "..."] parsing                                         *)
 
+(* The payload of one [@lint.allow]: the rule names (space or comma
+   separated) and, in the two-string form [@lint.allow "rule" "reason"],
+   the stated reason. A bare [@lint.allow] suppresses everything. *)
+let parse_allow (a : attribute) =
+  let str e =
+    match e.pexp_desc with
+    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
+    | _ -> None
+  in
+  let rules s =
+    String.split_on_char ' ' s
+    |> List.concat_map (String.split_on_char ',')
+    |> List.filter (fun r -> not (String.equal r ""))
+  in
+  match a.attr_payload with
+  | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
+      match (str e, e.pexp_desc) with
+      | Some s, _ -> (rules s, None)
+      | None, Pexp_apply (f, [ (Asttypes.Nolabel, r) ]) -> (
+          match (str f, str r) with
+          | Some s, Some reason -> (rules s, Some reason)
+          | _ -> ([ "all" ], None))
+      | _ -> ([ "all" ], None))
+  | _ -> ([ "all" ], None)
+
+let is_allow (a : attribute) = String.equal a.attr_name.txt "lint.allow"
+
 let allow_rules_of_attrs attrs =
   List.concat_map
-    (fun (a : attribute) ->
-      if not (String.equal a.attr_name.txt "lint.allow") then []
-      else
-        match a.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ( {
-                        pexp_desc = Pexp_constant (Pconst_string (s, _, _));
-                        _;
-                      },
-                      _ );
-                _;
-              };
-            ] ->
-            String.split_on_char ' ' s
-            |> List.concat_map (String.split_on_char ',')
-            |> List.filter (fun r -> not (String.equal r ""))
-        | _ -> [ "all" ] (* a bare [@lint.allow] suppresses everything *))
+    (fun a -> if is_allow a then fst (parse_allow a) else [])
     attrs
 
 (* A suppression naming a rule that does not exist silences nothing and
-   reads as if it did — flag it (untyped tier only, so the check runs
-   exactly once per file). The catalog is injected by the driver so this
-   module needs no knowledge of the typed tier's rules. *)
-let validate_allow ctx (attrs : attributes) =
+   reads as if it did — flag it (the untyped tier checks each .ml and
+   the floating attributes of its .mli; Xref checks the .mli vals it
+   reads). The catalog is injected by the driver so this module needs
+   no knowledge of the typed tier's rules; so is the list of rules whose
+   allow must state a reason ([reasoned]). *)
+let validate_allow ?(reasoned = []) ctx (attrs : attributes) =
   if ctx.valid_rules <> [] then
     List.iter
       (fun (a : attribute) ->
-        if String.equal a.attr_name.txt "lint.allow" then
+        if is_allow a then
+          let rules, reason = parse_allow a in
           List.iter
             (fun r ->
               if not (String.equal r "all" || List.mem r ctx.valid_rules) then
@@ -113,8 +123,14 @@ let validate_allow ctx (attrs : attributes) =
                   (Printf.sprintf
                      "[@lint.allow %S] names no known rule and suppresses \
                       nothing; see --list-rules"
-                     r))
-            (allow_rules_of_attrs [ a ]))
+                     r)
+              else if List.mem r reasoned && Option.is_none reason then
+                report ctx rule_bad_allow a.attr_loc
+                  (Printf.sprintf
+                     "[@lint.allow %S] suppresses nothing without a reason: \
+                      [@lint.allow %S \"why\"]"
+                     r r))
+            rules)
       attrs
 
 (* ------------------------------------------------------------------ *)

@@ -238,7 +238,7 @@ let builtin_hot =
     ("plan.ml", [ "eval"; "element"; "baseband" ]);
     ("smat.ml", [ "Into.scale"; "Into.add"; "Into.mul"; "Into.feedback" ]);
     ( "cmatf.ml",
-      [ "gemm"; "gemv"; "gemv_herm"; "axpy"; "scale_inplace"; "add_ident";
+      [ "gemm"; "gemv"; "gemv_herm"; "scale_inplace"; "add_ident";
         "lu_decompose_inplace"; "lu_solve_inplace" ] );
     ("rat.ml", [ "eval_into" ]);
   ]
