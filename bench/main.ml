@@ -2,14 +2,17 @@
 
    `dune exec bench/main.exe -- MODE`, with MODE one of
 
-     kernels  one-point HTM realization: the dense oracle against the
-              one-point plan (time-invariant and mixing-PFD loops), and
-              compiled plans' Plan.baseband: the mixing-PFD loop's, and
-              the exact-λ loops' with λ alone (time-invariant and ISF
-              VCO), at n_harm 10/20/40/80;
-     grid     1000-point log grids: one-point plans per point against
-              one compiled plan queried per point (Plan.eval), n_harm
-              8/20/80;
+     kernels  single-point HTM queries (time-invariant and mixing-PFD
+              loops): the dense oracle, the compile rung (Plan.make),
+              Htm.to_matrix and Htm.element on a tree the plan memo
+              holds, and the same queries cold, on a fresh tree per
+              call (the memo misses: compile plus query); compiled
+              plans' Plan.baseband: the mixing-PFD loop's, and the
+              exact-λ loops' with λ alone (time-invariant and ISF VCO),
+              at n_harm 10/20/40/80;
+     grid     1000-point log grids: Htm queries per point, held by the
+              memo and cold, against one compiled plan queried per
+              point (Plan.eval), n_harm 8/20/80;
      bench    the Bechamel suite, one kernel per paper figure.
 
    Every evaluation runs guarded, as in production; kernels exits 1 if
@@ -140,30 +143,39 @@ let write_record file rows =
 let s = Numeric.Cx.jomega (0.2 *. w0)
 let cl = Pll_lib.Pll.closed_loop_htm pll
 
+(* the same loop under a new root node: a tree the plan memo has never
+   seen, at the cost of one allocation *)
+let cold = function
+  | Htm_core.Htm_expr.Feedback g -> Htm_core.Htm.feedback g
+  | _ -> invalid_arg "Main.cold: not a closed loop"
+
 (* -- kernels: one-point realization at s = j·0.2ω₀ ----------------- *)
 
 let kernel_bench () =
-  Format.printf "@.== HTM kernels: one-point plan vs dense oracle, compiled exact λ ==@.";
+  Format.printf
+    "@.== HTM kernels: dense oracle, compile, memo-held and cold queries, compiled exact λ ==@.";
   let one_point workload loop ~baseband n_harm =
     let ctx = Htm_core.Htm.ctx ~n_harm ~omega0:w0 in
-    let dense =
-      measure ~layer:"to_matrix_dense" ~workload ~n_harm (fun () ->
-          Htm_core.Htm.to_matrix_dense ctx loop s)
+    let m layer f = measure ~layer ~workload ~n_harm f in
+    let dense = m "to_matrix_dense" (fun () -> Htm_core.Htm.to_matrix_dense ctx loop s) in
+    let make = m "plan.make" (fun () -> Htm_core.Plan.make ctx loop) in
+    let held = m "to_matrix" (fun () -> Htm_core.Htm.to_matrix ctx loop s) in
+    let held_cold = m "to_matrix.cold" (fun () -> Htm_core.Htm.to_matrix ctx (cold loop) s) in
+    let elt = m "element" (fun () -> Htm_core.Htm.element ctx loop ~n:0 ~m:0 s) in
+    let elt_cold =
+      m "element.cold" (fun () -> Htm_core.Htm.element ctx (cold loop) ~n:0 ~m:0 s)
     in
-    let plan =
-      measure ~layer:"to_matrix" ~workload ~n_harm (fun () -> Htm_core.Htm.to_matrix ctx loop s)
-    in
-    ratio "dense / to_matrix" dense plan;
-    (* a banded loop's baseband solves its LU for column 0 alone *)
+    ratio "dense / to_matrix" dense held;
+    ratio "to_matrix.cold / to_matrix (memo miss / hit)" held_cold held;
+    ratio "element.cold / element (memo miss / hit)" elt_cold elt;
+    ratio "plan.make / element" make elt;
+    (* a banded loop's baseband eliminates for its one entry *)
     let h00 =
       if baseband then
-        [
-          measure ~layer:"baseband" ~workload ~n_harm (fun () ->
-              Htm_core.Htm.baseband ctx loop (0.2 *. w0));
-        ]
+        [ m "baseband" (fun () -> Htm_core.Htm.baseband ctx loop (0.2 *. w0)) ]
       else []
     in
-    dense :: plan :: h00
+    [ dense; make; held; held_cold; elt; elt_cold ] @ h00
   in
   let ti = List.concat_map (one_point "ti" cl ~baseband:false) [ 10; 20; 40; 80 ] in
   let mix_pll =
@@ -210,10 +222,10 @@ let kernel_bench () =
     exit 1
   end
 
-(* -- grid: 1000-point log grids, one-point plans vs one plan ------- *)
+(* -- grid: 1000-point log grids, Htm queries per point vs one plan - *)
 
 let grid_bench () =
-  Format.printf "@.== HTM grid: one compiled plan vs a one-point plan per point ==@.";
+  Format.printf "@.== HTM grid: one compiled plan vs Htm queries per point, memo-held and cold ==@.";
   let points = 1000 in
   let ss =
     Array.map Numeric.Cx.jomega (Numeric.Optimize.logspace (w0 *. 1e-4) (w0 *. 0.49) points)
@@ -233,9 +245,19 @@ let grid_bench () =
                 (fun s -> ignore (Numeric.Cmat.get (Htm_core.Htm.to_matrix ctx cl s) i0 i0))
                 ss)
         in
+        let to_matrix_cold =
+          grid "to_matrix.cold" (fun () ->
+              Array.iter
+                (fun s -> ignore (Numeric.Cmat.get (Htm_core.Htm.to_matrix ctx (cold cl) s) i0 i0))
+                ss)
+        in
         let element =
           grid "element" (fun () ->
               Array.iter (fun s -> ignore (Htm_core.Htm.element ctx cl ~n:0 ~m:0 s)) ss)
+        in
+        let element_cold =
+          grid "element.cold" (fun () ->
+              Array.iter (fun s -> ignore (Htm_core.Htm.element ctx (cold cl) ~n:0 ~m:0 s)) ss)
         in
         let planned =
           grid "plan.eval" (fun () ->
@@ -244,8 +266,10 @@ let grid_bench () =
                 ss)
         in
         ratio "to_matrix / plan.eval" to_matrix planned;
+        ratio "to_matrix.cold / to_matrix (memo miss / hit)" to_matrix_cold to_matrix;
         ratio "element / plan.eval" element planned;
-        [ to_matrix; element; planned ])
+        ratio "element.cold / element (memo miss / hit)" element_cold element;
+        [ to_matrix; to_matrix_cold; element; element_cold; planned ])
       [ 8; 20; 80 ]
   in
   write_record "BENCH_grid.json" rows

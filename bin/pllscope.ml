@@ -131,8 +131,10 @@ let grid_term =
   in
   let task_timeout =
     let doc =
-      "Per-point watchdog timeout in seconds; an overrunning point becomes \
-       a typed timed-out failure instead of hanging the run."
+      "Per-point watchdog bound in seconds. A point is abandoned as a \
+       typed timed-out failure only where it polls the watchdog, which \
+       today is the injected task-hang site alone; a point that overruns \
+       without polling runs to completion and keeps its result."
     in
     checked "task-timeout" "> 0" positive_opt
       Arg.(value & opt (some float) None & info [ "task-timeout" ] ~docv:"SECS" ~doc)

@@ -2,7 +2,8 @@ open Numeric
 
 (* The composition tree itself lives in [Htm_expr] (shared with the
    plan/execute layer); this module provides the validated
-   constructors and the per-point queries (one-point plans). *)
+   constructors and the per-point queries, on plans from a per-domain
+   memo. *)
 
 type ctx = Htm_expr.ctx = { n_harm : int; omega0 : float }
 type t = Htm_expr.t
@@ -41,28 +42,109 @@ let custom f = Htm_expr.Custom f
 
 let to_matrix_dense = Htm_expr.to_matrix_dense
 
-(* Every per-point query is a one-point plan: [Plan.make] compiles the
-   tree (static shapes, preallocated containers, plan-time constants)
-   and one [Plan] evaluation realizes it under the plan's guards,
-   degrading to the dense oracle when a guard fires. No plan is cached:
-   compiling one costs microseconds, on the order of one point's
-   evaluation, and a cache would have to key on trees that hold
-   closures. *)
-let eval_at c t s = Plan.eval (Plan.make c t) s
+(* ------------------------------------------------------------------ *)
+(* the plan memo                                                       *)
 
-let to_matrix c t s = Plan.to_cmat (Plan.make c t) s
+(* Every per-point query runs on a compiled plan: [Plan.make] compiles
+   the tree (static shapes, preallocated containers, plan-time
+   constants) and one [Plan] evaluation realizes it under the plan's
+   guards, degrading to the dense oracle when a guard fires. Queries
+   come in runs on one tree (a table of entries, a tone at several
+   frequencies), and compiling a closed loop costs about what the entry
+   query it serves does (1.4–15 µs each at n_harm 10–80, bench kernels
+   [plan.make] and [element] rows), so each domain keeps its last
+   [memo_size] plans, keyed by the context ([n_harm], and [omega0]
+   under [Float.equal]) and the physical identity of the tree: trees
+   are values, so a query depends only on (ctx, tree, s), and a
+   [Custom] block's [f ctx] runs once per plan.
+
+   A plan is taken out of its domain's list while a query uses it —
+   one compare-and-set, since the systhreads of a domain share its
+   list — and goes back, to the front, after the query; a query that
+   fell back ([Plan.degraded]) or raised drops its plan, so a plan
+   poisoned at make time or left half-written is never reused. A
+   second query on the same key meanwhile misses and compiles its own.
+   Reuse gives a fresh plan's bits: every evaluation overwrites what it
+   reads (the ownership rule of [Plan]) and runs the plan's guards and
+   counted fallback.
+
+   A miss costs more than the plan it compiles: the kept plan outlives
+   the minor heap, and a query on a new tree runs up to 22 % (median
+   7 %) slower than [Plan.make] plus the query, so a caller that builds
+   a tree per call should use [Plan] directly. Plans above
+   [memo_max_dim] are not kept: their evaluation dwarfs their
+   compilation, and each n×n matrix a plan realizes (a dense node, the
+   result and LU factors of a closed mixing loop) is 16·n² bytes. A
+   domain's memo holds at most 8 plans of dimension 161 or less — 8
+   mixing loops at n_harm 80 after a [to_matrix] each, 10.3 MB. *)
+
+type entry = { key_ctx : ctx; key_tree : t; plan : Plan.t }
+
+let memo_size = 8
+let memo_max_dim = 161
+
+(* Two systhreads initializing a domain's cell at once can leave one
+   of them with a cell that is then dropped: a few misses, no
+   sharing. *)
+let memo : entry list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+let same c t e =
+  e.key_tree == t
+  && Int.equal e.key_ctx.n_harm c.n_harm
+  && Float.equal e.key_ctx.omega0 c.omega0
+
+let rec find c t = function
+  | [] -> None
+  | e :: rest -> if same c t e then Some e else find c t rest
+
+let rec without e = function
+  | [] -> []
+  | x :: rest -> if x == e then rest else x :: without e rest
+
+(* the first [k] entries of [l] not for [e]'s key *)
+let rec others k e l =
+  match l with
+  | x :: rest when k > 0 ->
+      if same e.key_ctx e.key_tree x then others k e rest else x :: others (k - 1) e rest
+  | _ -> []
+
+let rec take cell c t =
+  let l = Atomic.get cell in
+  match find c t l with
+  | None -> None
+  | Some e -> if Atomic.compare_and_set cell l (without e l) then Some e else take cell c t
+
+let rec put cell e =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (e :: others (memo_size - 1) e l)) then put cell e
+
+let with_plan c t f =
+  if dim c > memo_max_dim then f (Plan.make c t)
+  else
+    let cell = Domain.DLS.get memo in
+    let e =
+      match take cell c t with
+      | Some e -> e
+      | None -> { key_ctx = c; key_tree = t; plan = Plan.make c t }
+    in
+    let r = f e.plan in
+    if not (Plan.degraded e.plan) then put cell e;
+    r
+
+let to_matrix c t s = with_plan c t (fun p -> Plan.to_cmat p s)
 
 let element c t ~n ~m s =
   if abs n > c.n_harm || abs m > c.n_harm then
     invalid_arg "Htm.element: harmonic outside truncation";
-  Plan.element (Plan.make c t) ~n ~m s
+  with_plan c t (fun p -> Plan.element p ~n ~m s)
 
 let baseband c t w = element c t ~n:0 ~m:0 (Cx.jomega w)
 
 let apply_to_tone c t ~m w =
   if abs m > c.n_harm then invalid_arg "Htm.apply_to_tone: harmonic outside truncation";
   (* one column of the realized HTM, and only that column solved *)
-  Plan.column (Plan.make c t) ~m (Cx.jomega w)
+  with_plan c t (fun p -> Plan.column p ~m (Cx.jomega w))
 
 type sv_certificate = {
   sigma : float;
@@ -175,8 +257,11 @@ let power_iter ~iterations ~tol ~seed n m =
     converged = !converged;
   }
 
+(* the realized HTM is a view into the plan, so the plan stays out of
+   the memo until the iteration is done with it *)
 let sv_cert ?(iterations = 200) ?(tol = 1e-10) ?(seed = 0x51C0FFEEL) c t w =
-  power_iter ~iterations ~tol ~seed (dim c) (eval_at c t (Cx.jomega w))
+  with_plan c t (fun p ->
+      power_iter ~iterations ~tol ~seed (dim c) (Plan.eval p (Cx.jomega w)))
 
 let max_singular_value ?iterations ?tol ?seed c t w =
   (sv_cert ?iterations ?tol ?seed c t w).sigma
@@ -194,7 +279,8 @@ let max_singular_value_checked ?iterations ?tol ?seed c t w =
   end
 
 let is_lti ?(tol = 1e-12) c t s =
-  let m = eval_at c t s in
-  (* a realized diagonal shape is LTI by construction; other shapes
-     compare their largest off-diagonal modulus against the scale *)
-  Smat.max_offdiag_abs m <= tol *. (1.0 +. Smat.norm_inf m)
+  with_plan c t (fun p ->
+      let m = Plan.eval p s in
+      (* a realized diagonal shape is LTI by construction; other shapes
+         compare their largest off-diagonal modulus against the scale *)
+      Smat.max_offdiag_abs m <= tol *. (1.0 +. Smat.norm_inf m))

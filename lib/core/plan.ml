@@ -1,12 +1,15 @@
 (* Two-phase plan/execute evaluation of HTM composition trees — the one
-   structured evaluator: the per-point [Htm] queries are one-point
-   plans, and a grid is one plan per lane of [Parallel.Sweep.grid_local]
-   queried point by point.
+   structured evaluator: the per-point [Htm] queries run on plans a
+   per-domain memo holds (see htm.ml), and a grid is one plan per lane
+   of [Parallel.Sweep.grid_local] queried point by point.
 
    [make] walks the tree once per (ctx, tree) pair: it runs the static
    shape rules of [Smat] over the composition, allocates one container
    per node plus every densification scratch and LU workspace a point
-   evaluation can touch, realizes s-independent subtrees (periodic
+   evaluation can touch — but the n×n dense result and LU factors of a
+   loop closed around a banded open loop, which wait for the first
+   column, row or full evaluation (an entry query needs neither) —
+   realizes s-independent subtrees (periodic
    gains, the sampler, identity/zero and their feedback-free
    compositions) once into their own containers through the same
    [Smat.Into] kernels, and precompiles LTI leaves into harmonic shift
@@ -39,9 +42,9 @@
    [baseband] point allocates 68 words behind the exact λ of a
    time-invariant VCO and 98 behind an ISF VCO (two harmonics), at
    n_harm 8 and at n_harm 80 alike, 11 of them for λ(s); a mixing-PFD
-   loop, whose open loop is realized in every row, 35 (65 behind an
-   ISF VCO) at every n_harm, where its banded LU point allocated 133 /
-   229 / 709 at n_harm 8 / 20 / 80.
+   loop, whose open loop is realized in every row, 27 at every n_harm
+   (bench kernels [plan.baseband]/mix: 225.6 B a point), where its
+   banded LU point allocated 133 / 229 / 709 at n_harm 8 / 20 / 80.
 
    Equivalence contract: planned results match the dense oracle
    [Htm.to_matrix_dense] to rounding — the differential suites in
@@ -54,7 +57,8 @@
    One plan must be owned by one domain lane at a time; grid sweeps
    distribute points with [Parallel.Sweep.grid_local], which
    instantiates one plan per lane (see the ownership rule in
-   sweep.mli). *)
+   sweep.mli), and the [Htm] memo takes a plan out of its list while a
+   query uses it. *)
 
 open Numeric
 
@@ -62,20 +66,28 @@ type ctx = Htm_expr.ctx
 
 (* Preallocated storage of one node, with a zero-copy [Smat.t] view over
    it. The arrays double as fill targets for leaf nodes and as
-   [Smat.Into] destinations for interior nodes. *)
+   [Smat.Into] destinations for interior nodes. A loop closed around a
+   banded open loop defers its n×n dense storage: an entry query
+   computes its one entry into [are]/[aim] without it, and the first
+   column, row or full evaluation allocates it ([realize_dense]). *)
 type slot = {
-  view : Smat.t;
+  mutable view : Smat.t;
   sh : Smat.shape_t;
-  are : float array;  (* diag d / band b / rank1 u, re part *)
+  are : float array;  (* diag d / band b / rank1 u / deferred entry, re part *)
   aim : float array;
   bre : float array;  (* rank1 v only *)
   bim : float array;
-  dense : Cmatf.t option;
+  mutable dense : Cmatf.t option;
 }
 
+(* the view of deferred dense storage not allocated yet; nothing reads
+   it (see [entry_node]) *)
+let unrealized = Smat.of_cmatf (Cmatf.create 0 0)
+
 (* [v]: a rank-one slot's v storage, when it is shared with the operand
-   whose v it carries (see [compile]) *)
-let make_slot ?v n (sh : Smat.shape_t) =
+   whose v it carries (see [compile]); [deferred]: dense storage
+   allocated at first use *)
+let make_slot ?v ?(deferred = false) n (sh : Smat.shape_t) =
   let empty = [||] in
   match sh with
   | `Diag ->
@@ -117,6 +129,16 @@ let make_slot ?v n (sh : Smat.shape_t) =
         bim;
         dense = None;
       }
+  | `Dense when deferred ->
+      {
+        view = unrealized;
+        sh;
+        are = Array.make 1 0.0;
+        aim = Array.make 1 0.0;
+        bre = empty;
+        bim = empty;
+        dense = None;
+      }
   | `Dense ->
       let m = Cmatf.create n n in
       {
@@ -146,10 +168,29 @@ and op =
   | Kfb of node * Smat.lu_scratch option * (Cx.t -> Cx.t) option
       (* λ(s) denominator override, outermost loop only *)
 
-type t = { ctx : ctx; expr : Htm_expr.t; root : node }
+(* [degraded]: some evaluation of this plan fell back to the dense
+   oracle *)
+type t = { ctx : ctx; expr : Htm_expr.t; root : node; mutable degraded : bool }
 
 let dim t = Htm_expr.dim t.ctx
 let root_shape t = t.root.slot.sh
+let degraded t = t.degraded
+
+(* One entry of a loop closed around a banded open loop is eliminated
+   alone into the node's [are]/[aim], not into its dense storage; only
+   the root is ever asked for one entry ([col >= 0]). *)
+let entry_node nd ~row ~col =
+  row >= 0
+  && col >= 0
+  && match nd.op with Kfb ({ slot = { sh = `Band _; _ }; _ }, _, _) -> true | _ -> false
+
+(* allocates deferred dense storage (see [slot]) at its first use *)
+let realize_dense n slot =
+  if slot.view == unrealized then begin
+    let m = Cmatf.create n n in
+    slot.dense <- Some m;
+    slot.view <- Smat.of_cmatf m
+  end
 
 (* ------------------------------------------------------------------ *)
 (* execution                                                           *)
@@ -213,15 +254,21 @@ let rec exec ~n ~row ~col s ({ slot; op; _ } as nd) =
       Smat.Into.mul ~dst:slot.view ?da ?db ~lo ~hi av bv
   | Kfb (g, scratch, lambda) -> (
       let gv = exec ~n ~row ~col:all_cols s g in
-      let denom_override =
-        match lambda with None -> None | Some lam -> Some (lam s)
+      let context = "Plan.feedback" in
+      let realized =
+        match scratch with
+        | Some scratch when entry_node nd ~row ~col ->
+            Smat.Into.feedback_entry ~scratch ~row ~col ~context
+              ~out_re:slot.are ~out_im:slot.aim gv
+        | _ ->
+            realize_dense n slot;
+            let denom_override =
+              match lambda with None -> None | Some lam -> Some (lam s)
+            in
+            Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override
+              ~v_finite:nd.v_finite ~lo ~hi ~col ~context gv
       in
-      match
-        Smat.Into.feedback ~dst:slot.view ?scratch ?denom_override
-          ~v_finite:nd.v_finite ~lo ~hi ~row ~col ~context:"Plan.feedback" gv
-      with
-      | Ok () -> ()
-      | Error e -> raise (Guard e)));
+      match realized with Ok () -> () | Error e -> raise (Guard e)));
   slot.view
 
 (* ------------------------------------------------------------------ *)
@@ -268,7 +315,7 @@ let is_const nd = match nd.op with Const -> true | _ -> false
    ([v_of]), as the [Smat.Into] kernels require: no point copies it. *)
 let rec compile c ~lambda (t : Htm_expr.t) =
   let n = Htm_expr.dim c in
-  let node ?v_of sh op =
+  let node ?v_of ?deferred sh op =
     match (sh, v_of) with
     | `Rank1, Some o ->
         {
@@ -277,7 +324,7 @@ let rec compile c ~lambda (t : Htm_expr.t) =
           reach = all_rows;
           v_finite = o.v_finite;
         }
-    | _ -> { slot = make_slot n sh; op; reach = all_rows; v_finite = false }
+    | _ -> { slot = make_slot ?deferred n sh; op; reach = all_rows; v_finite = false }
   in
   let sub t = compile c ~lambda:None t in
   let nd =
@@ -318,7 +365,8 @@ let rec compile c ~lambda (t : Htm_expr.t) =
           | `Dense -> Some (Smat.lu_scratch ~n gn.slot.sh)
           | _ -> None
         in
-        node ~v_of:gn sh (Kfb (gn, scratch, lambda))
+        let deferred = match gn.slot.sh with `Band _ -> true | _ -> false in
+        node ~v_of:gn ~deferred sh (Kfb (gn, scratch, lambda))
   in
   (* A feedback-free composition of constants does not depend on s:
      realize it now, once. Feedback stays per point even over constant
@@ -375,7 +423,7 @@ let rec assign_reach nd r =
 let make ?lambda c expr =
   let root = compile c ~lambda expr in
   assign_reach root 0;
-  { ctx = c; expr; root }
+  { ctx = c; expr; root; degraded = false }
 
 (* The column a dense feedback root honours; any other root realizes
    every column whatever the caller reads. *)
@@ -387,15 +435,16 @@ let root_col plan col =
 (* Injection site: poison the realized root of one planned point (the
    plan-layer sibling of [Smat]'s smat-nan site) — at the demanded
    (row, col), row 0 / column 0 standing in for "every": the dense
-   entry itself, the row's diagonal entry of a diagonal or banded
-   root, the row's u of a rank-one root, so an entry-demand
-   evaluation reads it. Constant roots are realized once per plan and
-   are skipped. *)
+   entry itself (or the one entry eliminated alone), the row's
+   diagonal entry of a diagonal or banded root, the row's u of a
+   rank-one root, so an entry-demand evaluation reads it. Constant
+   roots are realized once per plan and are skipped. *)
 let poison_root plan ~row ~col =
   if Robust.Inject.fire Robust.Inject.Grid_plan_nan then
     let n = dim plan and i = Int.max row 0 in
     match plan.root with
     | { op = Const; _ } -> ()
+    | { slot; _ } when entry_node plan.root ~row ~col -> slot.are.(0) <- Float.nan
     | { slot; _ } when n > 0 -> (
         match (slot.sh, slot.dense) with
         | _, Some m ->
@@ -410,17 +459,20 @@ let poison_root plan ~row ~col =
    rows, or the demanded entry or column of a dense root — the rest is
    stale *)
 let root_finite plan ~row ~col v =
-  match plan.root.slot.dense with
-  | Some m when col >= 0 && row >= 0 ->
-      let re, im = Cmatf.raw m in
-      let p = (row * dim plan) + col in
-      Float.is_finite re.(p) && Float.is_finite im.(p)
-  | Some m when col >= 0 -> Cmatf.is_finite_col m col
-  | _ ->
-      let n = dim plan in
-      Smat.rows_finite ~v_finite:plan.root.v_finite v
-        ~lo:(window_lo plan.root ~row)
-        ~hi:(window_hi plan.root ~n ~row)
+  let { are; aim; dense; _ } = plan.root.slot in
+  if entry_node plan.root ~row ~col then Float.is_finite are.(0) && Float.is_finite aim.(0)
+  else
+    match dense with
+    | Some m when col >= 0 && row >= 0 ->
+        let re, im = Cmatf.raw m in
+        let p = (row * dim plan) + col in
+        Float.is_finite re.(p) && Float.is_finite im.(p)
+    | Some m when col >= 0 -> Cmatf.is_finite_col m col
+    | _ ->
+        let n = dim plan in
+        Smat.rows_finite ~v_finite:plan.root.v_finite v
+          ~lo:(window_lo plan.root ~row)
+          ~hi:(window_hi plan.root ~n ~row)
 
 let checked_view plan ~row ~col s =
   match exec ~n:(dim plan) ~row ~col s plan.root with
@@ -457,6 +509,7 @@ let eval_view plan ~row ~col s =
       if Robust.Config.is_strict () then Robust.Pllscope_error.raise_ e
       else begin
         Robust.Stats.record_fallback e;
+        plan.degraded <- true;
         `Dense (dense_oracle plan s)
       end
 
@@ -479,6 +532,9 @@ let index plan what h =
 let element plan ~n ~m s =
   let i = index plan "Plan.element" n and k = index plan "Plan.element" m in
   match eval_view plan ~row:i ~col:k s with
+  | `Structured _ when entry_node plan.root ~row:i ~col:k ->
+      let { are; aim; _ } = plan.root.slot in
+      Cx.make are.(0) aim.(0)
   | `Structured v -> Smat.get v i k
   | `Dense d -> Cmat.get d i k
 

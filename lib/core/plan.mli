@@ -1,6 +1,7 @@
 (** Plan/execute evaluation of HTM composition trees — the one
-    structured evaluator. The per-point [Htm] queries are one-point
-    plans; a grid streams its points through one plan per lane.
+    structured evaluator. The per-point [Htm] queries run on plans
+    held by a per-domain memo of the last 8 (ctx, tree) pairs (see
+    {!Htm}); a grid streams its points through one plan per lane.
 
     {!make} walks a composition tree {b once}: it runs {!Smat}'s static
     shape rules over every node, preallocates one structured container
@@ -17,11 +18,19 @@
     bit-identical across pool sizes and plan reuse.
 
     {b Ownership.} A plan is a mutable workspace: every evaluation
-    overwrites every container, and the {!Smat.t} returned by {!eval} is
-    a view into plan storage, valid only until the next evaluation. One
-    plan must be used by at most one domain lane at a time — parallel
-    sweeps create one plan per lane via {!Parallel.Sweep.grid_local}
-    (see the ownership rule in its documentation). *)
+    overwrites every container it reads, and the {!Smat.t} returned by
+    {!eval} is a view into plan storage, valid only until the next
+    evaluation. One plan must be used by at most one domain lane at a
+    time — parallel sweeps create one plan per lane via
+    {!Parallel.Sweep.grid_local} (see the ownership rule in its
+    documentation), and the [Htm] memo takes a plan out while a query
+    uses it. A reused plan therefore gives a fresh plan's bits.
+
+    {b Storage.} A loop closed around a banded open loop (a mixing
+    PFD) allocates its [n×n] dense result and LU factors at the first
+    column, row or full evaluation: a plan that only answers
+    {!element}/{!baseband} holds O(n·k) storage (a mixing loop at
+    n_harm 200: 0.17 MB, made in ~0.1 ms). *)
 
 open Numeric
 
@@ -41,6 +50,13 @@ type t
     [1 + lambda s] — the loop the plan evaluates — not to the truncated
     [(I + G)⁻¹·G]. *)
 val make : ?lambda:(Cx.t -> Cx.t) -> ctx -> Htm_expr.t -> t
+
+(** [degraded p] — some evaluation of [p] fell back to the dense
+    oracle (see {!eval}). A plan memo reuses only plans for which this
+    is [false]: a fallback can come from the plan itself, a constant
+    poisoned when {!make} realized it, and would recur at every
+    point. *)
+val degraded : t -> bool
 
 (** The statically assigned shape of the realized root — what every
     structured evaluation of this plan returns (see the static shape

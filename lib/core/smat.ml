@@ -34,8 +34,9 @@
    stores for band k; the rest of the n×n storage stays zero) and write
    a dense result, every column of it or the one a caller demands (see
    [Into.feedback]). One demanded entry of a banded loop skips the LU:
-   [twisted_entry] eliminates a band copy of I + G from both ends
-   towards the entry's row and writes that entry alone; the banded LU
+   [Into.feedback_entry] eliminates a band copy of I + G from both ends
+   towards the entry's row and writes that entry alone, to caller
+   storage, touching neither a dense result nor LU factors; the banded LU
    stays the path of columns, rows and full realizations, and the
    oracle the entry is tested against. *)
 
@@ -84,41 +85,42 @@ let of_cmatf m =
 let of_cmat m = of_cmatf (Cmatf.of_cmat m)
 
 (* ------------------------------------------------------------------ *)
-(* densification (the only place structure is forgotten)               *)
+(* boxing (the only place structure is forgotten)                      *)
 
-let densify = function
+(* Each entry is boxed once, straight from its shape, by the formula
+   [get] uses: a stored entry is copied, a rank-one entry is the
+   product u_i·v_k as [Cx.mul] rounds it. The records are built here
+   from unboxed floats ([Cx.make] is a call from here, which would box
+   its arguments), and the entries off a diagonal or a band share the
+   one [Cx.zero] of [Cmat.zeros]. *)
+let to_cmat t =
+  let n = dim t in
+  match t with
   | Diag { dre; dim_ } ->
-      let n = Array.length dre in
-      let m = Cmatf.create n n in
+      let m = Cmat.zeros n n in
       for i = 0 to n - 1 do
-        Cmatf.set m i i (Cx.make dre.(i) dim_.(i))
+        Cmat.set m i i { Complex.re = dre.(i); im = dim_.(i) }
       done;
       m
-  | Band { n; kmax; bre; bim } ->
+  | Band { kmax; bre; bim; _ } ->
       let w = (2 * kmax) + 1 in
-      let m = Cmatf.create n n in
+      let m = Cmat.zeros n n in
       for i = 0 to n - 1 do
-        for d = -kmax to kmax do
-          let j = i + d in
-          if j >= 0 && j < n then
-            Cmatf.set m i j (Cx.make bre.((i * w) + d + kmax) bim.((i * w) + d + kmax))
+        for d = Int.max (-kmax) (-i) to Int.min kmax (n - 1 - i) do
+          let p = (i * w) + d + kmax in
+          Cmat.set m i (i + d) { Complex.re = bre.(p); im = bim.(p) }
         done
       done;
       m
   | Rank1 { ure; uim; vre; vim } ->
-      let n = Array.length ure in
-      let m = Cmatf.create n n in
-      for i = 0 to n - 1 do
-        let ar = ure.(i) and ai = uim.(i) in
-        for k = 0 to n - 1 do
-          let br = vre.(k) and bi = vim.(k) in
-          Cmatf.set m i k (Cx.make ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br)))
-        done
-      done;
-      m
-  | Dense m -> m
-
-let to_cmat t = Cmatf.to_cmat (densify t)
+      Cmat.init n n (fun i k ->
+          let ar = ure.(i) and ai = uim.(i) and br = vre.(k) and bi = vim.(k) in
+          { Complex.re = (ar *. br) -. (ai *. bi); im = (ar *. bi) +. (ai *. br) })
+  | Dense m ->
+      let re, im = Cmatf.raw m in
+      Cmat.init n n (fun i k ->
+          let p = (i * n) + k in
+          { Complex.re = re.(p); im = im.(p) })
 
 (* ------------------------------------------------------------------ *)
 (* element / column access without densifying                          *)
@@ -508,9 +510,11 @@ let cnorm re im =
    adds none), and one right-hand-side column. A banded operand also
    gets the band of I + G that the entry elimination works in ([tre],
    [tim], n·(2k+1) each; empty for a dense operand) and [q], three
-   float slots for its unboxed scalars. *)
+   float slots for its unboxed scalars. The n×n factors are allocated
+   by the first LU ([lu_factors]): an entry elimination never needs
+   them. *)
 type lu_scratch = {
-  lu : Cmatf.t;
+  mutable lu : Cmatf.t option;
   ws : Cmatf.lu_ws;
   rhs : Cmatf.t;
   rre : float array;  (* [rhs]'s storage *)
@@ -531,7 +535,7 @@ let lu_scratch ~n (g : shape_t) =
   let rhs = Cmatf.create n 1 in
   let rre, rim = Cmatf.raw rhs in
   {
-    lu = Cmatf.create n n;
+    lu = None;
     ws;
     rhs;
     rre;
@@ -540,6 +544,14 @@ let lu_scratch ~n (g : shape_t) =
     tim = Array.make band 0.0;
     q = Array.make 3 0.0;
   }
+
+let lu_factors sc n =
+  match sc.lu with
+  | Some a -> a
+  | None ->
+      let a = Cmatf.create n n in
+      sc.lu <- Some a;
+      a
 
 (* q.(0) + i·q.(1) := (ar + i·ai)/(br + i·bi) by Smith's algorithm, as
    [Complex.div] computes it. Inlined, so no float is boxed. *)
@@ -910,11 +922,9 @@ module Into = struct
      and guard what they realize: a diagonal loop scans the window's
      denominators, a rank-one loop its one scalar. A banded/dense loop
      realizes every row, and solves only column [col] of the result
-     when [col >= 0] — but for one entry ([row >= 0] and [col >= 0]) of
-     a banded loop, which [twisted_entry] computes alone, guarding its
-     pivots with the same proxy family. *)
+     when [col >= 0]; one entry of a banded loop is [feedback_entry]'s. *)
   let feedback ~dst ?scratch ?denom_override ?(v_finite = false) ~lo ~hi
-      ~row ~col ~context g =
+      ~col ~context g =
     let open Robust in
     let n = dim g in
     let max_cond = Config.smw_max_cond in
@@ -985,29 +995,13 @@ module Into = struct
             else Error (Pllscope_error.Non_finite { where = context })
           end
         end
-    | Dense b, Band { kmax = k; bre = gre; bim = gim; _ } when row >= 0 && col >= 0
-      -> (
+    | Dense b, (Band _ | Dense _) -> (
         let sc =
           match scratch with
           | Some s -> s
           | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"
         in
-        match twisted_entry sc ~n ~k ~gre ~gim ~row ~col with
-        | exception Breakdown ->
-            Error (Pllscope_error.Singular { cond_est = sc.q.(2); context })
-        | () ->
-            let hre = sc.q.(0) and him = sc.q.(1) in
-            let bre, bim = Cmatf.raw b in
-            bre.((row * n) + col) <- hre;
-            bim.((row * n) + col) <- him;
-            if Float.is_finite hre && Float.is_finite him then Ok ()
-            else Error (Pllscope_error.Non_finite { where = context }))
-    | Dense b, (Band _ | Dense _) -> (
-        let { lu = a; ws; rhs; _ } =
-          match scratch with
-          | Some s -> s
-          | None -> invalid_arg "Smat.Into.feedback: missing LU scratch"
-        in
+        let a = lu_factors sc n and ws = sc.ws and rhs = sc.rhs in
         (* [a] holds the last point's factors (or zeros): clearing their
            support leaves the zero matrix that [densify_into] starts
            from, at O(n·band) instead of O(n²) *)
@@ -1034,4 +1028,22 @@ module Into = struct
         if col >= 0 then store_column rhs b col;
         solved)
     | _ -> invalid_arg "Smat.Into.feedback: dst shape mismatch"
+
+  (* One entry H_rc of the closed loop of a banded G, by [twisted_entry]:
+     no LU and no dense result, the entry lands in out_re.(0),
+     out_im.(0). *)
+  let[@lint.hot] feedback_entry ~scratch ~row ~col ~context ~out_re ~out_im g =
+    let open Robust in
+    match g with
+    | Band { n; kmax = k; bre = gre; bim = gim } -> (
+        match twisted_entry scratch ~n ~k ~gre ~gim ~row ~col with
+        | exception Breakdown ->
+            Error (Pllscope_error.Singular { cond_est = scratch.q.(2); context })
+        | () ->
+            let hre = scratch.q.(0) and him = scratch.q.(1) in
+            out_re.(0) <- hre;
+            out_im.(0) <- him;
+            if Float.is_finite hre && Float.is_finite him then Ok ()
+            else Error (Pllscope_error.Non_finite { where = context }))
+    | _ -> invalid_arg "Smat.Into.feedback_entry: operand not banded"
 end

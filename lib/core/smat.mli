@@ -24,7 +24,7 @@
     operand's LU stays inside its band: O(n·k²) to factor and O(n·k)
     per solved column, against O(n³) for a dense operand. One entry
     of a [Band k] loop needs no LU at all: a two-sided elimination
-    without pivoting reaches it in O(n·k²) (see {!Into.feedback}).
+    without pivoting reaches it in O(n·k²) (see {!Into.feedback_entry}).
 
     Storage is split unboxed re/im [float array]s. The algebra exists
     only as the in-place {!Into} kernels over containers sized by the
@@ -53,8 +53,11 @@ val rank1_of_arrays :
 val of_cmat : Numeric.Cmat.t -> t
 val of_cmatf : Numeric.Cmatf.t -> t
 
-(** {1 Densification — the only place structure is forgotten} *)
+(** {1 Boxing — the only place structure is forgotten} *)
 
+(** [to_cmat t] — a fresh boxed copy of [t]. Each entry is boxed once,
+    straight from the shape, with the bits {!get} returns; the entries
+    off a diagonal or a band share one zero. *)
 val to_cmat : t -> Numeric.Cmat.t
 
 (** {1 Access without densifying} *)
@@ -122,7 +125,9 @@ val mul_scratch : n:int -> shape_t -> shape_t -> bool * bool
 (** LU storage for {!Into.feedback} of a banded or dense operand: the
     factors of [I + G], an LU workspace carrying the operand's
     bandwidth, one right-hand-side column, and for a banded operand the
-    [n·(2k+1)] band that an entry-demand elimination works in. *)
+    [n·(2k+1)] band that {!Into.feedback_entry} works in. The [n×n]
+    factors are allocated by the first LU that needs them, so scratch
+    that only ever serves entry eliminations stays O(n·k). *)
 type lu_scratch
 
 (** [lu_scratch ~n g] — scratch for the closed loop of an [n×n]
@@ -171,36 +176,27 @@ module Into : sig
     t ->
     unit
 
-  (** [feedback ~dst ?scratch ?denom_override ?v_finite ~lo ~hi ~row
-      ~col ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
+  (** [feedback ~dst ?scratch ?denom_override ?v_finite ~lo ~hi ~col
+      ~context g] — [dst = (I + G)⁻¹·G]. The closed-form shapes
       (diagonal, rank one) realize rows [lo..hi]. [scratch] (from
       {!lu_scratch} at [g]'s shape) is required for banded/dense [g],
       which realizes every row; there, [col >= 0] demands one column:
       only column [col] of [dst] is realized (bit for bit what a full
       realization puts there) and the rest of [dst] is left stale; a
-      negative [col] realizes every column. {b Entry demand}: with
-      [row >= 0] and [col >= 0] a banded [g] realizes entry [(row, col)]
-      of [dst] alone, by a two-sided elimination without pivoting
-      (O(n·k²), no LU, no condition estimate), equal to the banded LU's
-      entry to rounding; a dense [g] ignores [row]. The guards run over
+      negative [col] realizes every column. The guards run over
       what is realized — closed-form shapes check their scalar
       denominators' conditioning proxy [(1 + |d|)/|1 + d|] against
       {!Robust.Config.smw_max_cond} (a diagonal loop over the window's
-      rows), the entry elimination checks each pivot [p] the same way
-      ([(|a| + |p − a|)/|p|], [a] the pivot's entry in [I + G]) and the
-      pivots' spread [max|p|/min|p|] against {!Robust.Config.max_cond},
-      the other banded/dense loops use
+      rows), the banded/dense loops use
       {!Numeric.Cmatf.lu_decompose_checked}, and the realized rows (or
-      the demanded column, or entry) are scanned for non-finite
-      entries, a rank-one result's [v] only when [v_finite] (default
-      [false]) does not say it is already known finite — and failures
-      come back as [Error (Singular _)] or [Error (Non_finite _)]; a
-      zero or non-finite pivot, or a fired [lu-pivot] site, is
-      [Singular] with an infinite estimate. [denom_override] replaces
-      the rank-one Sherman–Morrison denominator term [vᵀu] with a
-      closed-form loop gain λ(s) — the plan layer's [Special] fast path
-      for sampling loops; the O(n) dot product is then skipped and the
-      loop costs O(hi − lo + 1). *)
+      the demanded column) are scanned for non-finite entries, a
+      rank-one result's [v] only when [v_finite] (default [false]) does
+      not say it is already known finite — and failures come back as
+      [Error (Singular _)] or [Error (Non_finite _)].
+      [denom_override] replaces the rank-one Sherman–Morrison
+      denominator term [vᵀu] with a closed-form loop gain λ(s) — the
+      plan layer's [Special] fast path for sampling loops; the O(n) dot
+      product is then skipped and the loop costs O(hi − lo + 1). *)
   val feedback :
     dst:t ->
     ?scratch:lu_scratch ->
@@ -208,9 +204,32 @@ module Into : sig
     ?v_finite:bool ->
     lo:int ->
     hi:int ->
+    col:int ->
+    context:string ->
+    t ->
+    (unit, Robust.Pllscope_error.t) result
+
+  (** [feedback_entry ~scratch ~row ~col ~context ~out_re ~out_im g] —
+      {b entry demand}: entry [(row, col)] of [(I + G)⁻¹·G] for a
+      banded [g], written to [out_re.(0)], [out_im.(0)] and nowhere
+      else (no dense result, no LU factors). A two-sided elimination
+      without pivoting computes it in O(n·k²), equal to the banded
+      LU's entry to rounding. Each pivot [p] is guarded by the proxy
+      [(|a| + |p − a|)/|p|] ([a] the pivot's entry in [I + G]) against
+      {!Robust.Config.smw_max_cond}, and the pivots' spread
+      [max|p|/min|p|] against {!Robust.Config.max_cond}; a zero or
+      non-finite pivot, or a fired [lu-pivot] site, is
+      [Error (Singular _)] with an infinite estimate, and a non-finite
+      entry [Error (Non_finite _)]. [scratch] comes from {!lu_scratch}
+      at [g]'s shape.
+      @raise Invalid_argument when [g] is not banded. *)
+  val feedback_entry :
+    scratch:lu_scratch ->
     row:int ->
     col:int ->
     context:string ->
+    out_re:float array ->
+    out_im:float array ->
     t ->
     (unit, Robust.Pllscope_error.t) result
 end

@@ -557,7 +557,7 @@ let lu_solve_checked a ws b ~context =
     Error (Robust.Pllscope_error.Non_finite { where = context ^ ": solve result" })
 
 (* ------------------------------------------------------------------ *)
-(* lossless converters                                                 *)
+(* lossless converter                                                  *)
 
 let of_cmat m =
   let r = Cmat.rows m and c = Cmat.cols m in
@@ -570,8 +570,3 @@ let of_cmat m =
     done
   done;
   out
-
-let to_cmat m =
-  Cmat.init m.rows m.cols (fun i k ->
-      let p = (i * m.cols) + k in
-      Cx.make m.re.(p) m.im.(p))

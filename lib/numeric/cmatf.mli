@@ -4,12 +4,12 @@
     parts), which the OCaml runtime keeps unboxed — unlike {!Cmat.t},
     whose every entry is a heap-allocated [Complex.t]. All kernels write
     into caller-provided storage; the only allocating operations are
-    the constructors and converters. This is the bottom layer of the
-    structure-aware HTM evaluator: structured representations compose
-    symbolically and densify into a [Cmatf.t] only at the API boundary.
+    the constructors and the converter. This is the bottom layer of
+    the structure-aware HTM evaluator: structured representations
+    compose symbolically, and a dense realization lives in a [Cmatf.t].
 
-    Conversion to/from [Cmat.t] is lossless (every entry is copied
-    bit-for-bit), so existing dense consumers keep working. *)
+    Conversion from [Cmat.t] is lossless (every entry is copied
+    bit-for-bit). *)
 
 type t
 
@@ -167,7 +167,6 @@ val lu_solve_checked :
     bulk copies in and out of preallocated workspaces. *)
 val raw : t -> float array * float array
 
-(** {1 Lossless converters} *)
+(** {1 Lossless converter} *)
 
 val of_cmat : Cmat.t -> t
-val to_cmat : t -> Cmat.t

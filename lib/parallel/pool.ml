@@ -122,9 +122,10 @@ type watchdog = { timeout : float; ctls : lane_ctl array }
    costs two mutexed list operations instead of a domain spawn + join
    per map. The daemon only *marks* overdue attempts; abandoning the
    task is cooperative (the owning lane notices at its next poll
-   point). A task that never polls runs to completion regardless — the
-   watchdog cannot preempt a domain — but its verdict still converts
-   the result to a typed timeout. *)
+   point, and only the task-hang injection site polls). A task that
+   never polls runs to completion regardless — the watchdog cannot
+   preempt a domain — and its value stands: [run_one] returns [Ok]; only
+   an exception raised while overdue is reported as a timeout. *)
 let wd_mutex = Mutex.create ()
 let wd_active : watchdog list ref = ref []
 let wd_daemon = ref false

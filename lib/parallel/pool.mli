@@ -100,12 +100,15 @@ val map_chunked :
     exhausted tasks are counted in {!Robust.Stats}.
 
     [task_timeout] (seconds, > 0) arms a watchdog: a monitor domain
-    marks any attempt running longer than the bound as overdue, the task
-    is abandoned at its next poll point (the cooperative hang of the
-    [task-hang] injection site), and its slot becomes
-    [Error (Timed_out _)] without retrying — the timeout payload carries
-    the configured bound, not a wall-clock measurement, so results stay
-    deterministic. Cancellation mid-map turns never-claimed points into
+    marks any attempt running longer than the bound as overdue. The
+    watchdog cannot preempt a task: an overdue task is abandoned only
+    at a poll point — today the cooperative hang of the [task-hang]
+    injection site is the only one — and its slot then becomes
+    [Error (Timed_out _)] without retrying, the payload carrying the
+    configured bound, not a wall-clock measurement, so results stay
+    deterministic. A task that overruns without polling runs to
+    completion and its slot is [Ok] with its value; if it raises after
+    being marked overdue, the slot is [Error (Timed_out _)]. Cancellation mid-map turns never-claimed points into
     [Error (Cancelled _)] slots instead of raising, so everything
     computed is still returned. *)
 val map_checked :

@@ -176,13 +176,15 @@ let closed_loop_planner p =
 let closed_loop_plan ctx p = closed_loop_planner p ctx
 
 let forward_chain_matrix ctx p s =
-  (* H_VCO(s) * H_LF(s) as a truncated matrix *)
+  (* H_VCO(s) * H_LF(s) as a truncated matrix. The chain is a new tree
+     at every call, so the [Htm] plan memo could never hit it: its plan
+     is made, used once and dropped here, and holds no memo slot. *)
   let open Htm_core in
   let chain =
     Htm.series (Vco.htm p.vco)
       (Htm.lti_rat (Lti.Tf.to_rat (Loop_filter.tf p.filter)))
   in
-  Htm.to_matrix ctx chain s
+  Plan.to_cmat (Plan.make ctx chain) s
 
 let v_tilde ctx p s =
   match p.pfd with

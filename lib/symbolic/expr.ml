@@ -121,7 +121,16 @@ let symbols e =
   in
   List.sort_uniq compare (go [] e)
 
-let equal a b = a = b
+(* [Float.equal] on constants: a NaN constant equals itself, which the
+   polymorphic [=] denies *)
+let rec equal a b =
+  match (a, b) with
+  | Num x, Num y -> Float.equal x y
+  | Sym x, Sym y -> String.equal x y
+  | Add xs, Add ys | Mul xs, Mul ys -> List.equal equal xs ys
+  | Pow (x, k), Pow (y, l) -> Int.equal k l && equal x y
+  | Coth x, Coth y -> equal x y
+  | (Num _ | Sym _ | Add _ | Mul _ | Pow _ | Coth _), _ -> false
 
 (* precedence: Add 1, Mul 2, Pow 3, atoms 4 *)
 let rec print ~prec buf e =

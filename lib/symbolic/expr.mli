@@ -61,7 +61,9 @@ val symbols : t -> string list
 [@@lint.allow "test-only-export" "test seam: free symbols the Sym_pll inventory test reads"]
 
 (** [equal a b] — structural equality of the canonical forms (sound but
-    incomplete: [false] does not imply semantic difference). *)
+    incomplete: [false] does not imply semantic difference). Constants
+    compare with [Float.equal]: a NaN constant equals itself, and [-0.]
+    differs from [0.]. *)
 val equal : t -> t -> bool
 [@@lint.allow "test-only-export" "test seam: the comparator of the symbolic tests"]
 

@@ -21,6 +21,18 @@ let test_constant_folding () =
   check_true "x^1 = x" (Expr.equal x (Expr.pow x 1));
   check_true "(x^2)^3 = x^6" (Expr.equal (Expr.pow x 6) (Expr.pow (Expr.pow x 2) 3))
 
+(* equal compares constants with Float.equal: a NaN constant, alone or
+   deep inside an expression, equals itself *)
+let test_equal_nan () =
+  let x = Expr.sym "x" in
+  check_true "nan = nan" (Expr.equal (Expr.num Float.nan) (Expr.num Float.nan));
+  let nested () =
+    Expr.coth (Expr.add x (Expr.pow (Expr.mul (Expr.num Float.nan) (Expr.sym "y")) 2))
+  in
+  check_true "nested nan constant = itself" (Expr.equal (nested ()) (nested ()));
+  check_true "nan <> 1" (not (Expr.equal (Expr.num Float.nan) Expr.one));
+  check_true "x <> y" (not (Expr.equal x (Expr.sym "y")))
+
 let test_eval () =
   let e = Expr.add (Expr.mul x y) (Expr.pow x 2) in
   check_cx "2*3 + 4" (Cx.of_float 10.0) (Expr.eval env_xy e);
@@ -96,6 +108,7 @@ let prop_derivative_linear =
 let suite =
   [
     case "constant folding" test_constant_folding;
+    case "equal: NaN constants equal themselves" test_equal_nan;
     case "evaluation" test_eval;
     case "derivatives vs finite differences" test_derivatives;
     case "substitution" test_subst;

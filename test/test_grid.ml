@@ -57,7 +57,15 @@
      time-invariant (band 1) and an ISF VCO (band 3): the two-sided
      elimination's H₀₀ and H_{n,m}, n, m in −2…2, equal the banded LU's
      to 1e-12 at n_harm 8/20/80, and H₀₀ at n_harm 8/20/40/80 equals
-     n_harm 200's to 1e-12 (the truncation has converged). *)
+     n_harm 200's to 1e-12 (the truncation has converged);
+   - the plan memo behind the Htm queries: a seeded sequence of every
+     query kind over 12 (ctx, tree) pairs equals fresh plans bit for
+     bit, the memo holds the last 8 pairs of dimension 161 or less, a
+     plan that fell back (smat-nan at make time, grid-plan-nan) or
+     raised in strict mode is dropped, and two systhreads plus two
+     sweep lanes on one pair get fresh-plan bits;
+   - a mixing loop's plan at n_harm 200 allocates its n×n storage only
+     when a column query first needs it. *)
 
 open Numeric
 open Helpers
@@ -1108,6 +1116,266 @@ let test_banded_lu_reuse_bit_identical () =
         ss)
     [ false; true ]
 
+(* ------------------------------------------------------------------ *)
+(* the plan memo behind the per-point Htm queries                      *)
+
+let check_mat_bits msg a b =
+  check_int (msg ^ ": rows") (Cmat.rows a) (Cmat.rows b);
+  for i = 0 to Cmat.rows a - 1 do
+    for k = 0 to Cmat.cols a - 1 do
+      check_bits (Printf.sprintf "%s (%d,%d)" msg i k) (Cmat.get a i k) (Cmat.get b i k)
+    done
+  done
+
+let check_vec_bits msg a b =
+  check_int (msg ^ ": dim") (Cvec.dim a) (Cvec.dim b);
+  for i = 0 to Cvec.dim a - 1 do
+    check_bits (Printf.sprintf "%s row %d" msg i) (Cvec.get a i) (Cvec.get b i)
+  done
+
+(* a tree whose custom block counts the plans compiled for it: [f ctx]
+   runs once per plan *)
+let counting_tree () =
+  let compiles = ref 0 in
+  let block =
+    Htm.custom (fun c ->
+        incr compiles;
+        let n = Htm.dim c in
+        fun s ->
+          Cmat.init n n (fun i k ->
+              Cx.scale (0.1 /. float_of_int (1 + abs (i - k))) (Cx.add Cx.one s)))
+  in
+  let lti = Htm.lti (fun s -> Cx.inv (Cx.add s (Cx.of_float 2.0))) in
+  (compiles, Htm.feedback (Htm.series lti block))
+
+(* One seeded sequence of every query kind over 12 (ctx, tree) pairs —
+   time-invariant, ISF, mixing and ISF-mixing loops at three n_harm,
+   more pairs than the memo holds, so entries are evicted and
+   recompiled — gives at every step the bits of a fresh plan asked the
+   same question. [is_lti] and [max_singular_value] read a realized
+   HTM: their reference is the same query on the same loop built
+   again, a tree the memo has never seen. *)
+let test_memo_interleaved_bits =
+  clean (fun () ->
+      let g = Prng.create ~seed:0x3E30L in
+      let loops =
+        List.map
+          (fun (isf, mixing) -> loop ~isf ~mixing)
+          [ (false, false); (true, false); (false, true); (true, true) ]
+      in
+      let w0 = Pll_lib.Pll.omega0 (List.hd loops) in
+      let pairs =
+        Array.of_list
+          (List.concat_map
+             (fun p ->
+               List.map
+                 (fun n_harm -> (p, Htm.ctx ~n_harm ~omega0:w0, Pll_lib.Pll.closed_loop_htm p))
+                 [ 3; 5; 8 ])
+             loops)
+      in
+      for q = 1 to 400 do
+        let p, c, t = pairs.(rint g (Array.length pairs)) in
+        let harm () = rint g 5 - 2 in
+        let w = w0 *. (10.0 ** (-3.0 +. (2.69 *. Prng.float g))) in
+        let s = Cx.jomega w in
+        let fresh () = Plan.make c t in
+        let what kind = Printf.sprintf "query %d (%s, n_harm %d)" q kind c.Htm.n_harm in
+        match rint g 6 with
+        | 0 -> check_mat_bits (what "to_matrix") (Plan.to_cmat (fresh ()) s) (Htm.to_matrix c t s)
+        | 1 ->
+            let n = harm () and m = harm () in
+            check_bits (what "element") (Plan.element (fresh ()) ~n ~m s) (Htm.element c t ~n ~m s)
+        | 2 -> check_bits (what "baseband") (Plan.baseband (fresh ()) s) (Htm.baseband c t w)
+        | 3 ->
+            let m = harm () in
+            check_vec_bits (what "apply_to_tone") (Plan.column (fresh ()) ~m s)
+              (Htm.apply_to_tone c t ~m w)
+        | 4 ->
+            check_true (what "is_lti")
+              (Bool.equal (Htm.is_lti c (Pll_lib.Pll.closed_loop_htm p) s) (Htm.is_lti c t s))
+        | _ ->
+            let a = Htm.max_singular_value c (Pll_lib.Pll.closed_loop_htm p) w in
+            check_true (what "max_singular_value")
+              (bits_equal a (Htm.max_singular_value c t w))
+      done;
+      check_int "no fallback" 0 (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks)
+
+(* The memo holds the last 8 (ctx, tree) pairs of a domain: a pair
+   queried again compiles nothing while 7 others came between, and
+   compiles again after 8 others pushed it out *)
+let test_memo_lru_of_eight () =
+  let compiles, t = counting_tree () in
+  let c = Htm.ctx ~n_harm:3 ~omega0:1.5 in
+  let others =
+    List.init 8 (fun i ->
+        (Htm.ctx ~n_harm:(1 + i) ~omega0:1.5, Htm.lti (fun s -> Cx.inv (Cx.add s Cx.one))))
+  in
+  let touch k = List.iteri (fun i (c, t) -> if i < k then ignore (Htm.baseband c t 0.3)) others in
+  for _ = 1 to 5 do
+    ignore (Htm.element c t ~n:1 ~m:0 (Cx.jomega 0.4))
+  done;
+  check_int "five queries, one plan" 1 !compiles;
+  touch 7;
+  ignore (Htm.to_matrix c t (Cx.jomega 0.7));
+  check_int "7 pairs between: still held" 1 !compiles;
+  touch 8;
+  ignore (Htm.apply_to_tone c t ~m:(-1) 0.7);
+  check_int "8 pairs between: compiled again" 2 !compiles;
+  (* the same context rebuilt is the same key; another omega0 is not *)
+  ignore (Htm.baseband (Htm.ctx ~n_harm:3 ~omega0:1.5) t 0.2);
+  check_int "an equal ctx hits" 2 !compiles;
+  ignore (Htm.baseband (Htm.ctx ~n_harm:3 ~omega0:(Float.succ 1.5)) t 0.2);
+  check_int "another omega0 misses" 3 !compiles
+
+(* Plans of dimension above 161 (n_harm 80) are not kept: a second
+   query at n_harm 81 compiles again, one at n_harm 80 does not *)
+let test_memo_dimension_cap () =
+  let compiles, t = counting_tree () in
+  let twice n_harm =
+    let c = Htm.ctx ~n_harm ~omega0:1.5 in
+    for _ = 1 to 2 do
+      ignore (Htm.baseband c t 0.3)
+    done
+  in
+  twice 80;
+  check_int "n_harm 80: one plan" 1 !compiles;
+  twice 81;
+  check_int "n_harm 81: a plan per query" 3 !compiles
+
+(* A query that fell back drops its plan: a constant poisoned when the
+   plan was made (smat-nan fires in [Plan.make]'s realization of the
+   periodic gain times the sampler) would send every later point to
+   the dense oracle, and a root poisoned at one point (grid-plan-nan)
+   is dropped too. With injection disarmed, the next query compiles
+   afresh and equals a fresh plan, with no further fallback. *)
+let test_memo_drops_fallen_back =
+  clean (fun () ->
+      let c = Htm.ctx ~n_harm:4 ~omega0:2.0 in
+      let g = Prng.create ~seed:0xD40DL in
+      let coeffs = [| Cx.make 0.1 0.05; Cx.make 0.3 0.0; Cx.make 0.2 (-0.1) |] in
+      let t =
+        Htm.feedback
+          (Htm.series (gen_lti_rat g) (Htm.series (Htm.periodic_gain coeffs) Htm.sampler))
+      in
+      let s = Cx.make 0.05 0.8 and s' = Cx.jomega 1.1 in
+      List.iter
+        (fun spec ->
+          Robust.Stats.reset ();
+          Robust.Inject.configure spec;
+          let first = Htm.to_matrix c t s in
+          Robust.Inject.disarm ();
+          let fallbacks () = (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks in
+          check_int (spec ^ ": the first query fell back") 1 (fallbacks ());
+          if not (Cmat.equal ~tol:1e-9 (Htm.to_matrix_dense c t s) first) then
+            Alcotest.failf "%s: the fallback is not the oracle" spec;
+          check_bits (spec ^ ": next element = fresh plan")
+            (Plan.element (Plan.make c t) ~n:1 ~m:0 s')
+            (Htm.element c t ~n:1 ~m:0 s');
+          check_mat_bits (spec ^ ": next to_matrix = fresh plan")
+            (Plan.to_cmat (Plan.make c t) s) (Htm.to_matrix c t s);
+          check_int (spec ^ ": no fallback after it") 1 (fallbacks ()))
+        [ "smat-nan:1"; "grid-plan-nan:1" ])
+
+(* A strict-mode refusal raises out of the query with the plan taken:
+   the plan is dropped, the memo keeps serving, and the next query
+   compiles once and equals a fresh plan *)
+let test_memo_strict_raise =
+  clean (fun () ->
+      let compiles, t = counting_tree () in
+      let c = Htm.ctx ~n_harm:3 ~omega0:2.0 in
+      let s = Cx.jomega 0.9 in
+      ignore (Htm.baseband c t 0.9);
+      check_int "primed" 1 !compiles;
+      Robust.Inject.configure "grid-plan-nan:1";
+      Robust.Config.set_strict true;
+      (match Htm.element c t ~n:0 ~m:0 s with
+      | exception E.Error (E.Non_finite _) -> ()
+      | exception e -> Alcotest.failf "expected typed Non_finite, got %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "strict mode accepted an injected NaN");
+      Robust.Config.set_strict false;
+      Robust.Inject.disarm ();
+      check_int "the refusal compiled nothing" 1 !compiles;
+      let h00 = Htm.baseband c t 0.9 in
+      check_int "the refused plan was dropped" 2 !compiles;
+      let h10 = Htm.element c t ~n:1 ~m:0 s in
+      check_int "the new one is held" 2 !compiles;
+      let fresh = Plan.make c t in
+      check_bits "after the raise = fresh plan" (Plan.baseband fresh s) h00;
+      check_bits "held plan = fresh plan" (Plan.element fresh ~n:1 ~m:0 s) h10)
+
+(* Two systhreads (which share the main domain's memo) and a sweep on
+   two domains (each lane with its domain's memo) query one (ctx,
+   tree) at once; every answer is a fresh plan's *)
+let test_memo_threads_and_lanes () =
+  let p = mixing_loop ~isf:true in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let c = Htm.ctx ~n_harm:8 ~omega0:w0 in
+  let t = Pll_lib.Pll.closed_loop_htm p in
+  let ws = Optimize.logspace (w0 *. 1e-3) (w0 *. 0.49) 48 in
+  let h00 = Array.map (fun w -> Plan.baseband (Plan.make c t) (Cx.jomega w)) ws in
+  let tone = Array.map (fun w -> Plan.column (Plan.make c t) ~m:1 (Cx.jomega w)) ws in
+  let bad = Atomic.make 0 in
+  let same a b =
+    bits_equal (Cx.re a) (Cx.re b) && bits_equal (Cx.im a) (Cx.im b)
+  in
+  let hammer () =
+    for _ = 1 to 30 do
+      Array.iteri
+        (fun i w ->
+          if not (same h00.(i) (Htm.baseband c t w)) then Atomic.incr bad;
+          let v = Htm.apply_to_tone c t ~m:1 w in
+          for r = 0 to Cvec.dim v - 1 do
+            if not (same (Cvec.get tone.(i) r) (Cvec.get v r)) then Atomic.incr bad
+          done)
+        ws;
+      Thread.yield ()
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create hammer ()) in
+  let idx = Array.init (Array.length ws) Fun.id in
+  Pool.with_pool ~domains:2 (fun pool ->
+      for _ = 1 to 30 do
+        let got = Sweep.grid ~pool ~chunk:4 (fun i -> Htm.baseband c t ws.(i)) idx in
+        Array.iteri (fun i v -> if not (same h00.(i) v) then Atomic.incr bad) got
+      done);
+  List.iter Thread.join threads;
+  check_int "answers off a fresh plan's bits" 0 (Atomic.get bad)
+
+(* A loop closed around a banded open loop allocates its n×n dense
+   result and LU factors at the first query that needs them: the plan
+   and its entry queries cost O(n·k) storage (a mixing loop at n_harm
+   200: ~0.17 MB, against 5.3 MB when both were made up front), a
+   column query then adds the n×n storage, and the entry it answers
+   next has the bits it had before *)
+let test_mixing_plan_defers_dense () =
+  let p = mixing_loop ~isf:false in
+  let w0 = Pll_lib.Pll.omega0 p in
+  let c = Htm.ctx ~n_harm:200 ~omega0:w0 in
+  let s = Cx.jomega (0.2 *. w0) in
+  let bytes f =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    let r = f () in
+    Gc.minor ();
+    (r, Gc.allocated_bytes () -. b0)
+  in
+  let (plan, h00), small =
+    bytes (fun () ->
+        let plan = Pll_lib.Pll.closed_loop_plan c p in
+        let h00 = ref Cx.zero in
+        for _ = 1 to 10 do
+          h00 := Plan.baseband plan s
+        done;
+        (plan, !h00))
+  in
+  let n = Htm.dim c in
+  let nn = float_of_int (16 * n * n) in
+  check_true (Printf.sprintf "plan + 10 entries: %.0f B < n² floats" small) (small < nn);
+  let col, big = bytes (fun () -> Plan.column plan ~m:0 s) in
+  check_true (Printf.sprintf "a column adds the n×n storage: %.0f B" big) (big >= 2.0 *. nn);
+  check_rel "baseband = column entry" (Cvec.get col (Htm.index_of_harmonic c 0)) h00;
+  check_bits "baseband after the column" h00 (Plan.baseband plan s)
+
 let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
@@ -1160,4 +1428,15 @@ let suite =
       (clean test_twisted_matches_lu);
     case "mixing-PFD baseband at n_harm 8..80 = n_harm 200 (1e-12)"
       test_mixing_truncation_converged;
+    case "memo: interleaved queries over 12 pairs = fresh plans, bit for bit"
+      test_memo_interleaved_bits;
+    case "memo: the last 8 (ctx, tree) pairs per domain" test_memo_lru_of_eight;
+    case "memo: plans above dimension 161 are not kept" test_memo_dimension_cap;
+    case "memo: a fallen-back plan is dropped (smat-nan, grid-plan-nan)"
+      test_memo_drops_fallen_back;
+    case "memo: a strict-mode raise leaves it usable" test_memo_strict_raise;
+    case "memo: two systhreads + two sweep lanes = fresh plans"
+      test_memo_threads_and_lanes;
+    case "mixing plan defers its n×n storage to the first column"
+      test_mixing_plan_defers_dense;
   ]

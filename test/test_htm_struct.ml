@@ -1,24 +1,27 @@
-(* The per-point HTM queries (one-point plans over Smat shapes) against
+(* The per-point HTM queries (memo-held plans over Smat shapes) against
    the dense reference oracle (Htm.to_matrix_dense):
 
    - a deterministic randomized generator over every Htm constructor
      (lti, periodic_gain, sampler, identity, zero, scale, series,
      parallel, sub, feedback, custom) asserts entrywise agreement to
-     1e-12 at random complex frequencies, and that a one-point
-     Htm.to_matrix is bit-identical to a reused plan that evaluated a
-     different point first (no stale plan storage);
+     1e-12 at random complex frequencies, and that Htm.to_matrix is
+     bit-identical to a plan that evaluated a different point first (no
+     stale plan storage);
    - the composition rules must stay low in the structure lattice
      (LTI chains diagonal, periodic gains banded, the sampled closed
      loop rank one all the way through feedback);
    - golden regression rows pin the closed-loop rank-one kernel at
      n_harm = 20 against test/golden/fig_metrics.txt, for both the
      analytic Sherman–Morrison form and the planned evaluation of the
-     generic feedback HTM. *)
+     generic feedback HTM;
+   - Smat.to_cmat boxes every shape (diagonal, banded, rank one,
+     dense) with the bits Smat.get reads, entry by entry. *)
 
 open Numeric
 open Helpers
 module Htm = Htm_core.Htm
 module Plan = Htm_core.Plan
+module Smat = Htm_core.Smat
 
 (* ------------------------------------------------------------------ *)
 (* deterministic random expression generator                           *)
@@ -92,8 +95,8 @@ let test_randomized_equivalence () =
             "trial %d (n_harm %d): structured and dense evaluations disagree \
              beyond 1e-12"
             trial n_harm;
-        (* a plan dirtied by another point first must reproduce the
-           one-point plan's bits: nothing of the earlier point survives *)
+        (* a plan dirtied by another point first must reproduce
+           Htm.to_matrix's bits: nothing of the earlier point survives *)
         let plan = Plan.make c t in
         (try ignore (Plan.eval plan (Cx.add s (Cx.make 0.25 1.5)))
          with Lu.Singular -> ());
@@ -111,7 +114,7 @@ let test_randomized_equivalence () =
                      (Int64.bits_of_float (Cx.im b)))
             then
               Alcotest.failf
-                "trial %d (%d,%d): one-point to_matrix %s vs reused plan %s"
+                "trial %d (%d,%d): Htm.to_matrix %s vs reused plan %s"
                 trial i k (Cx.to_string a) (Cx.to_string b)
           done
         done
@@ -207,6 +210,52 @@ let test_closed_loop_rank_one_golden () =
       check_golden tbl (key "frobenius") (Cmat.norm_frobenius ms))
     [ 0.07; 0.2; 0.45 ]
 
+(* ------------------------------------------------------------------ *)
+(* boxing: Smat.to_cmat = Smat.get, entry by entry                     *)
+
+let bits_equal a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* every shape boxed straight from its storage carries the bits [get]
+   reads, the band clamped at the matrix edges and signed zeros
+   included *)
+let test_to_cmat_matches_get () =
+  let g = Prng.create ~seed:0xB0BL in
+  let arr len =
+    Array.init len (fun i -> if i mod 5 = 3 then -0.0 else Prng.gaussian g)
+  in
+  List.iter
+    (fun n ->
+      let kmax = Stdlib.min 2 n in
+      let w = (2 * kmax) + 1 in
+      let shapes =
+        [
+          ("diag", Smat.diag_of_arrays ~dre:(arr n) ~dim_:(arr n));
+          ("band", Smat.band_of_arrays ~n ~kmax ~bre:(arr (n * w)) ~bim:(arr (n * w)));
+          ( "rank1",
+            Smat.rank1_of_arrays ~ure:(arr n) ~uim:(arr n) ~vre:(arr n) ~vim:(arr n) );
+          ( "dense",
+            Smat.of_cmat
+              (Cmat.init n n (fun _ _ -> Cx.make (Prng.gaussian g) (Prng.gaussian g))) );
+        ]
+      in
+      List.iter
+        (fun (what, t) ->
+          let m = Smat.to_cmat t in
+          check_int (what ^ " rows") n (Cmat.rows m);
+          check_int (what ^ " cols") n (Cmat.cols m);
+          for i = 0 to n - 1 do
+            for k = 0 to n - 1 do
+              let a = Smat.get t i k and b = Cmat.get m i k in
+              if not (bits_equal (Cx.re a) (Cx.re b) && bits_equal (Cx.im a) (Cx.im b))
+              then
+                Alcotest.failf "%s n %d (%d,%d): get %s, to_cmat %s" what n i k
+                  (Cx.to_string a) (Cx.to_string b)
+            done
+          done)
+        shapes)
+    [ 1; 2; 5; 9 ]
+
 let suite =
   [
     case "randomized structured = dense (1e-12)" test_randomized_equivalence;
@@ -214,4 +263,5 @@ let suite =
     case "structure lattice preserved" test_structure_preserved;
     case "closed-loop rank-one kernel vs snapshot (n=20)"
       test_closed_loop_rank_one_golden;
+    case "Smat.to_cmat = Smat.get bit for bit (four shapes)" test_to_cmat_matches_get;
   ]

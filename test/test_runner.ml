@@ -17,7 +17,8 @@
      before any payload is decoded (the journals built by hand above
      carry no record and resume as before);
    - a hung task (task-hang) is condemned by the watchdog as a typed
-     Timed_out while the rest of the grid completes;
+     Timed_out while the rest of the grid completes, and a point that
+     overruns the bound without polling the watchdog returns Ok;
    - cancellation surfaces as typed Cancelled failures, preserving
      everything computed before the token fired;
    - Robust.Stats.reset isolates back-to-back runs. *)
@@ -404,6 +405,25 @@ let test_task_hang_times_out () =
   check_int "timeout counted" 1
     (Robust.Stats.snapshot ()).Robust.Stats.task_timeouts
 
+(* The watchdog cannot preempt a point: one that overruns the bound but
+   never polls it (only the task-hang site does) runs to completion and
+   keeps its value. *)
+let test_overrun_without_poll_completes () =
+  let r =
+    Pool.with_pool ~domains:1 (fun p ->
+        Sweep.grid_checked ~pool:p ~task_timeout:0.01
+          (fun i ->
+            Unix.sleepf 0.05;
+            fval i)
+          [| 0 |])
+  in
+  check_int "no failure" 0 (List.length r.Sweep.failures);
+  (match r.Sweep.values with
+  | [| Some x |] -> check_true "the point's own value" (bits_equal x (fval 0))
+  | _ -> Alcotest.fail "expected Ok for the overrunning point");
+  check_int "no timeout counted" 0
+    (Robust.Stats.snapshot ()).Robust.Stats.task_timeouts
+
 let test_cancelled_token_preserves_nothing_started () =
   let token = Cancel.create () in
   Cancel.cancel token (Cancel.User "test cancellation");
@@ -509,6 +529,8 @@ let suite =
       (clean test_resume_requires_checkpoint);
     case "inject task-hang: typed timeout, rest completes"
       (clean test_task_hang_times_out);
+    case "an overrun that never polls the watchdog returns Ok"
+      (clean test_overrun_without_poll_completes);
     case "cancelled token: typed failures, nothing executes"
       (clean test_cancelled_token_preserves_nothing_started);
     slow_case "deadline drains cleanly mid-grid"
