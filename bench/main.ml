@@ -48,9 +48,12 @@ type row = {
 }
 
 (* ns per call of [f]: the best of 3 batches, each repeated until it
-   runs at least 50 ms, after one warm-up call *)
+   runs at least 50 ms, after one warm-up call and a full major
+   collection, so a row does not pay for the garbage of the rows before
+   it and rows whose calls reach the major heap compare run to run *)
 let time_ns f =
   ignore (f ());
+  Gc.full_major ();
   let reps = ref 1 in
   let batch () =
     let t0 = Unix.gettimeofday () in

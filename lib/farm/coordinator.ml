@@ -6,8 +6,8 @@
      1. on resume, checks the identity record of the base journal and
         of every existing shard journal against the digest of the
         workload blob (a journal of another workload is a typed Parse
-        error), then replays them to find which points are already
-        done;
+        error), then scans their frame indices to find which points
+        are already done;
      2. partitions the missing indices into [shards] contiguous regions
         balanced by count;
      3. spawns [shards] workers, each shard journal created with the
@@ -20,7 +20,9 @@
         hungry workers pick it up;
      5. merges base + shard journals with Journal.merge — first frame
         per index wins, output sorted by index — which erases every
-        trace of sharding, stealing, death and resume from the bytes.
+        trace of sharding, stealing, death and resume from the bytes,
+        and takes the report's payloads from that same pass: the merged
+        journal is never read back.
 
    Bit-identity argument: the task is deterministic and the payload
    encoding is bit-exact, so any two frames for the same index — from
@@ -257,13 +259,13 @@ let run cfg ~n =
   end;
   let key = Digest.string cfg.blob in
   let completed = Array.make (max n 1) false in
-  let mark (i, _) = if i >= 0 && i < n then completed.(i) <- true in
+  let mark i = if i >= 0 && i < n then completed.(i) <- true in
   if cfg.resume then begin
     let prior =
       (if Sys.file_exists base then [ base ] else []) @ existing_shards base
     in
     List.iter (fun p -> Runner.Journal.check_key p ~key) prior;
-    List.iter (fun p -> List.iter mark (Runner.Journal.replay p)) prior
+    List.iter (fun p -> Runner.Journal.iter_indices p mark) prior
   end;
   let resumed = Array.fold_left (fun a c -> if c then a + 1 else a) 0 completed in
   let resumed = if n = 0 then 0 else min resumed n in
@@ -453,6 +455,10 @@ let run cfg ~n =
     (if cfg.resume && Sys.file_exists base then [ base ] else [])
     @ existing_shards base
   in
+  (* the merge hands over the payloads it kept, in index order: the
+     merged journal is not read back *)
+  let payloads = Array.make n None in
+  let frame i payload = if i < n then payloads.(i) <- Some payload in
   let merged_frames =
     if sources = [] then begin
       (* nothing ran and nothing pre-existed: write an empty journal so
@@ -460,17 +466,10 @@ let run cfg ~n =
       Runner.Journal.close (Runner.Journal.create base ~key);
       0
     end
-    else Runner.Journal.merge ~into:base sources
+    else Runner.Journal.merge ~frame ~into:base sources
   in
   List.iter remove_if_exists (existing_shards base);
   (* --- result assembly --- *)
-  let payloads = Array.make (max n 1) None in
-  List.iter
-    (fun (i, payload) ->
-      if i >= 0 && i < n && payloads.(i) = None then
-        payloads.(i) <- Some payload)
-    (Runner.Journal.replay base);
-  let payloads = if n = Array.length payloads then payloads else Array.sub payloads 0 n in
   let final_failures = ref [] in
   for i = n - 1 downto 0 do
     if payloads.(i) = None then

@@ -2,8 +2,8 @@
     steal work from ragged shards, and merge per-shard checkpoint
     journals into one canonical base journal.
 
-    The coordinator computes nothing itself. It replays prior journals
-    (on resume) to find completed points — after checking that each
+    The coordinator computes nothing itself. It scans the frame indices
+    of prior journals (on resume) to find completed points — after checking that each
     records [Digest.string blob] as its identity (see
     {!Runner.Journal.check_key}) — partitions the missing indices
     into [shards] contiguous regions balanced by count, spawns the
@@ -13,7 +13,8 @@
     (EOF without an Exit frame) has its outstanding range re-queued for
     the survivors; everything it journaled before death is kept. At the
     end {!Runner.Journal.merge} collapses base + shard journals to the
-    canonical sorted, deduplicated form.
+    canonical sorted, deduplicated form and hands over the kept
+    payloads in the same pass; the merged journal is not read back.
 
     {b Bit-identity:} with a deterministic task and bit-exact encoding,
     every frame ever written for an index holds identical bytes, so

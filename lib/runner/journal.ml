@@ -23,6 +23,15 @@
    construction: a process killed mid-append leaves a torn tail that
    replay treats exactly as if the append never happened.
 
+   Every reader — [replay], [iter_indices], [inspect], [compact],
+   [merge], [open_append], [key] — checks frames through one scanner
+   that walks offsets in the raw bytes and checksums each frame's index
+   bytes and payload in place; a payload is copied only for a caller
+   that keeps it. [merge] and [compact] decode nothing: they order the
+   checked frames by (index, source, offset) in int arrays and copy
+   their bytes, which are the bytes a re-encoding would give, a frame
+   being a function of its index and payload.
+
    A journal may open with an identity record: a frame at the reserved
    index [record_index] holding the key of the workload that wrote it
    (a digest of the workload's bytes). [check_key] compares it with the
@@ -51,12 +60,6 @@ let parse_failure path msg =
 let bad_header path =
   parse_failure path "not a pllscope checkpoint journal (bad magic)"
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
-
 let get_u32 s pos =
   Char.code s.[pos]
   lor (Char.code s.[pos + 1] lsl 8)
@@ -64,71 +67,88 @@ let get_u32 s pos =
   lor (Char.code s.[pos + 3] lsl 24)
 
 let frame_crc index payload =
-  let b = Buffer.create 4 in
-  put_u32 b index;
-  let crc = Crc32.string (Buffer.contents b) in
-  Crc32.update crc payload 0 (String.length payload)
+  Crc32.update (Crc32.update_u32 0 index) payload 0 (String.length payload)
 
-let add_frame b ~index payload =
-  put_u32 b (String.length payload);
-  put_u32 b index;
-  put_u32 b (Int32.to_int (frame_crc index payload) land 0xffffffff);
-  Buffer.add_string b payload
+(* [prefix] and then one frame, built once in a fresh buffer that goes
+   to [write(2)] as it is *)
+let frame_bytes ?(prefix = "") ~index payload =
+  let at = String.length prefix and len = String.length payload in
+  let b = Bytes.create (at + frame_header_len + len) in
+  Bytes.blit_string prefix 0 b 0 at;
+  Bytes.set_int32_le b at (Int32.of_int len);
+  Bytes.set_int32_le b (at + 4) (Int32.of_int index);
+  Bytes.set_int32_le b (at + 8) (Int32.of_int (frame_crc index payload));
+  Bytes.blit_string payload 0 b (at + frame_header_len) len;
+  b
 
-let encode_frame ~index payload =
-  let b = Buffer.create (frame_header_len + String.length payload) in
-  add_frame b ~index payload;
-  Buffer.contents b
-
-(* Scan raw journal bytes; return the complete frames and the byte
-   length of the valid prefix (header + whole frames). Anything past
-   [valid_len] is a torn tail. *)
-let scan path raw =
+(* The one frame check every reader makes: the end offset of the frame
+   starting at [pos] of [raw], or -1 when it is torn (its header or
+   body runs past the end of [raw]) or corrupt (its CRC, over the index
+   bytes and the payload in place, fails). *)
+let frame_end raw pos =
   let n = String.length raw in
-  if n < header_len || String.sub raw 0 header_len <> magic then
-    if n = 0 then ([], 0) else bad_header path
-  else begin
-    let frames = ref [] in
-    let pos = ref header_len in
-    let stop = ref false in
-    while not !stop do
-      if !pos + frame_header_len > n then stop := true
-      else begin
-        let len = get_u32 raw !pos in
-        let index = get_u32 raw (!pos + 4) in
-        let crc = Int32.of_int (get_u32 raw (!pos + 8)) in
-        let body = !pos + frame_header_len in
-        if len < 0 || body + len > n then stop := true
-        else begin
-          let payload = String.sub raw body len in
-          if frame_crc index payload <> crc then stop := true
-          else begin
-            frames := (index, payload) :: !frames;
-            pos := body + len
-          end
-        end
-      end
-    done;
-    (List.rev !frames, !pos)
-  end
+  if pos + frame_header_len > n then -1
+  else
+    let len = get_u32 raw pos in
+    let body = pos + frame_header_len in
+    if len > n - body then -1
+    else if
+      Crc32.update (Crc32.update 0 raw (pos + 4) 4) raw body len
+      <> get_u32 raw (pos + 8)
+    then -1
+    else body + len
+
+(* Walk raw journal bytes: [f index pos stop] on each complete,
+   checksummed frame in file order, [raw.[pos .. stop-1]] being the
+   whole frame, up to the first torn or corrupt one. Copies nothing;
+   a caller that keeps a frame takes its bytes itself. Returns the byte
+   length of the valid prefix (header + whole frames): anything past it
+   is a torn tail. *)
+let scan path raw f =
+  let n = String.length raw in
+  if n = 0 then 0
+  else if not (String.starts_with ~prefix:magic raw) then bad_header path
+  else
+    let rec go pos =
+      match frame_end raw pos with
+      | -1 -> pos
+      | stop ->
+          f (get_u32 raw (pos + 4)) pos stop;
+          go stop
+    in
+    go header_len
+
+(* the identity record is the first frame, at the reserved index *)
+let is_record index pos = index = record_index && pos = header_len
+
+let payload raw pos stop =
+  String.sub raw (pos + frame_header_len) (stop - pos - frame_header_len)
+
+let frame_stop raw pos = pos + frame_header_len + get_u32 raw pos
 
 let read_raw path =
   if Sys.file_exists path then
     Some (In_channel.with_open_bin path In_channel.input_all)
   else None
 
-(* the identity record, when the first frame is one, and the point
-   frames *)
-let split_record = function
-  | (i, key) :: frames when i = record_index -> (Some key, frames)
-  | frames -> (None, frames)
-
-let read path =
+let replay path =
   match read_raw path with
-  | None -> (None, [])
-  | Some raw -> split_record (fst (scan path raw))
+  | None -> []
+  | Some raw ->
+      let frames = ref [] in
+      ignore
+        (scan path raw (fun index pos stop ->
+             if not (is_record index pos) then
+               frames := (index, payload raw pos stop) :: !frames));
+      List.rev !frames
 
-let replay path = snd (read path)
+let iter_indices path f =
+  match read_raw path with
+  | None -> ()
+  | Some raw ->
+      ignore
+        (scan path raw (fun index pos _ ->
+             if not (is_record index pos) then f index))
 
 (* Up to [k] bytes of [ic]: fewer only at end of file. Reads, never
    seeks, so it works on a FIFO. *)
@@ -155,7 +175,7 @@ let key path =
         let head = read_upto ic (header_len + frame_header_len) in
         let n = String.length head in
         if n = 0 then None
-        else if n < header_len || String.sub head 0 header_len <> magic then
+        else if not (String.starts_with ~prefix:magic head) then
           bad_header path
         else if
           n < header_len + frame_header_len
@@ -163,15 +183,12 @@ let key path =
         then None
         else
           let len = get_u32 head header_len in
-          let crc = Int32.of_int (get_u32 head (header_len + 8)) in
           if len > max_record_len then None
           else
-            let payload = read_upto ic len in
-            if
-              String.length payload = len
-              && frame_crc record_index payload = crc
-            then Some payload
-            else None)
+            let raw = head ^ read_upto ic len in
+            match frame_end raw header_len with
+            | -1 -> None
+            | stop -> Some (payload raw header_len stop))
 
 let check_key path ~key:expected =
   match key path with
@@ -188,21 +205,22 @@ type t = {
   mutable closed : bool;
 }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+let write_bytes fd b len =
   let off = ref 0 in
-  while !off < n do
-    match Unix.write fd b !off (n - !off) with
+  while !off < len do
+    match Unix.write fd b !off (len - !off) with
     | k -> off := !off + k
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+let write_all fd s = write_bytes fd (Bytes.unsafe_of_string s) (String.length s)
 
 let create path ~key =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  write_all fd (magic ^ encode_frame ~index:record_index key);
+  let b = frame_bytes ~prefix:magic ~index:record_index key in
+  write_bytes fd b (Bytes.length b);
   { fd; path; m = Mutex.create (); closed = false }
 
 let open_append path =
@@ -214,7 +232,7 @@ let open_append path =
       write_all fd magic;
       { fd; path; m = Mutex.create (); closed = false }
   | Some raw ->
-      let _, valid_len = scan path raw in
+      let valid_len = scan path raw (fun _ _ _ -> ()) in
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       (* drop the torn tail so the next frame starts on a boundary *)
       if valid_len < String.length raw then Unix.ftruncate fd valid_len;
@@ -229,7 +247,7 @@ let check_open t fn =
 let append t ~index payload =
   if index < 0 || index >= record_index then
     invalid_arg "Journal.append: index outside 0 .. 2^32 - 2";
-  let frame = encode_frame ~index payload in
+  let frame = frame_bytes ~index payload in
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
@@ -238,11 +256,10 @@ let append t ~index payload =
       if Robust.Inject.fire Robust.Inject.Journal_torn then begin
         (* model a crash mid-append: half a frame reaches the disk,
            then the process "dies" *)
-        let torn = String.length frame / 2 in
-        write_all t.fd (String.sub frame 0 torn);
+        write_bytes t.fd frame (Bytes.length frame / 2);
         raise Robust.Inject.Simulated_crash
       end;
-      write_all t.fd frame)
+      write_bytes t.fd frame (Bytes.length frame))
 
 let sync t =
   Mutex.lock t.m;
@@ -266,6 +283,122 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* inspection, compaction and merge                                    *)
 
+(* The point frames of one or more sources as scanned, in source-list
+   and then file order: frame [k] has index [index.(k)] and starts at
+   byte [pos.(k)] of source [src.(k)]. *)
+type table = {
+  mutable len : int;
+  mutable index : int array;
+  mutable src : int array;
+  mutable pos : int array;
+}
+
+let table () =
+  { len = 0; index = Array.make 1024 0; src = Array.make 1024 0; pos = Array.make 1024 0 }
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+let push t index src pos =
+  if t.len = Array.length t.index then begin
+    t.index <- grow t.index;
+    t.src <- grow t.src;
+    t.pos <- grow t.pos
+  end;
+  t.index.(t.len) <- index;
+  t.src.(t.len) <- src;
+  t.pos.(t.len) <- pos;
+  t.len <- t.len + 1
+
+(* Scan [raw] as source [src] into [t]: its point frames, whether its
+   first frame is a record, and its valid prefix length. *)
+let collect t path src raw =
+  let record = ref false in
+  let valid =
+    scan path raw (fun index pos _ ->
+        if is_record index pos then record := true else push t index src pos)
+  in
+  (!record, valid)
+
+(* The frames of [t] stably sorted by index — so each index's frames
+   stay in source-list and file order — and deduplicated to the first
+   of each: a least-significant-digit radix sort over the index bytes,
+   skipping those above the largest index, and no sort at all when the
+   frames already come in order. Returns the kept frames and how many. *)
+let first_per_index t =
+  let n = t.len and key = t.index in
+  let top = ref 0 and sorted = ref true in
+  for k = 0 to n - 1 do
+    if key.(k) > !top then top := key.(k);
+    if k > 0 && key.(k) < key.(k - 1) then sorted := false
+  done;
+  let order = ref (Array.init n Fun.id) in
+  if not !sorted then begin
+    let spare = ref (Array.make n 0) in
+    let count = Array.make 257 0 in
+    let shift = ref 0 in
+    while !top lsr !shift > 0 do
+      let from = !order and into = !spare and s = !shift in
+      Array.fill count 0 257 0;
+      for k = 0 to n - 1 do
+        let d = (key.(from.(k)) lsr s) land 0xFF in
+        count.(d + 1) <- count.(d + 1) + 1
+      done;
+      for d = 1 to 256 do
+        count.(d) <- count.(d) + count.(d - 1)
+      done;
+      for k = 0 to n - 1 do
+        let f = from.(k) in
+        let d = (key.(f) lsr s) land 0xFF in
+        into.(count.(d)) <- f;
+        count.(d) <- count.(d) + 1
+      done;
+      order := into;
+      spare := from;
+      shift := !shift + 8
+    done
+  end;
+  let order = !order in
+  let kept = ref 0 in
+  for k = 0 to n - 1 do
+    let f = order.(k) in
+    if !kept = 0 || key.(f) <> key.(order.(!kept - 1)) then begin
+      order.(!kept) <- f;
+      incr kept
+    end
+  done;
+  (order, !kept)
+
+(* Write the journal of [raws]' record (the first frame of source
+   [record], if >= 0) and frames [ks.(0 .. nk-1)] of [t] to [path]
+   atomically, copying each frame's bytes from its source. A frame is a
+   pure function of its index and payload, so the copy is the frame an
+   encoder would build; frames that lie end to end in one source go out
+   in one write. *)
+let write_copies path raws record t ks nk =
+  Atomic_file.write path (fun oc ->
+      output_string oc magic;
+      if record >= 0 then
+        output_substring oc raws.(record) header_len
+          (frame_stop raws.(record) header_len - header_len);
+      let run_src = ref (-1) and run_pos = ref 0 and run_stop = ref 0 in
+      let flush () =
+        if !run_src >= 0 then
+          output_substring oc raws.(!run_src) !run_pos (!run_stop - !run_pos)
+      in
+      for j = 0 to nk - 1 do
+        let k = ks.(j) in
+        let s = t.src.(k) and pos = t.pos.(k) in
+        let stop = frame_stop raws.(s) pos in
+        if s = !run_src && pos = !run_stop then run_stop := stop
+        else begin
+          flush ();
+          run_src := s;
+          run_pos := pos;
+          run_stop := stop
+        end
+      done;
+      flush ())
+
 type info = {
   frames : int;
   distinct : int;
@@ -276,92 +409,88 @@ type info = {
   max_index : int option;
 }
 
-let distinct_count frames =
-  let seen = Hashtbl.create 256 in
-  List.iter
-    (fun (i, _) -> if not (Hashtbl.mem seen i) then Hashtbl.add seen i ())
-    frames;
-  Hashtbl.length seen
-
 let inspect path =
-  match read_raw path with
-  | None ->
-      {
-        frames = 0;
-        distinct = 0;
-        duplicates = 0;
-        bytes = 0;
-        valid_bytes = 0;
-        torn_bytes = 0;
-        max_index = None;
-      }
-  | Some raw ->
-      let frames, valid_len = scan path raw in
-      let frames = snd (split_record frames) in
-      let n_frames = List.length frames in
-      let distinct = distinct_count frames in
-      {
-        frames = n_frames;
-        distinct;
-        duplicates = n_frames - distinct;
-        bytes = String.length raw;
-        valid_bytes = valid_len;
-        torn_bytes = String.length raw - valid_len;
-        max_index =
-          List.fold_left
-            (fun acc (i, _) ->
-              match acc with Some m when m >= i -> acc | _ -> Some i)
-            None frames;
-      }
+  let raw = Option.value (read_raw path) ~default:"" in
+  let t = table () in
+  let _, valid_len = collect t path 0 raw in
+  let order, distinct = first_per_index t in
+  {
+    frames = t.len;
+    distinct;
+    duplicates = t.len - distinct;
+    bytes = String.length raw;
+    valid_bytes = valid_len;
+    torn_bytes = String.length raw - valid_len;
+    max_index =
+      (if distinct = 0 then None else Some t.index.(order.(distinct - 1)));
+  }
 
 (* Keep the first frame of each index — exactly the one a resumed
-   [Run.grid] would use — drop later duplicates and any torn tail, and
-   rewrite the journal atomically. *)
-let dedup_first frames =
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun (i, _) ->
-      if Hashtbl.mem seen i then false
-      else begin
-        Hashtbl.add seen i ();
-        true
-      end)
-    frames
-
-let write_frames path (record, frames) =
-  Atomic_file.write path (fun oc ->
-      output_string oc magic;
-      Option.iter
-        (fun key -> output_string oc (encode_frame ~index:record_index key))
-        record;
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun (index, payload) ->
-          Buffer.clear b;
-          add_frame b ~index payload;
-          Buffer.output_buffer oc b)
-        frames)
-
+   [Run.grid] would use — in file order, drop later duplicates and any
+   torn tail, and rewrite the journal atomically. *)
 let compact path =
-  let record, frames = read path in
-  let kept = dedup_first frames in
-  write_frames path (record, kept);
-  (List.length kept, List.length frames - List.length kept)
+  let raw = Option.value (read_raw path) ~default:"" in
+  let t = table () in
+  let record, _ = collect t path 0 raw in
+  let order, kept = first_per_index t in
+  let first = Bytes.make t.len '\000' in
+  for j = 0 to kept - 1 do
+    Bytes.set first order.(j) '\001'
+  done;
+  let ks = Array.make kept 0 in
+  let j = ref 0 in
+  for k = 0 to t.len - 1 do
+    if Bytes.get first k = '\001' then begin
+      ks.(!j) <- k;
+      incr j
+    end
+  done;
+  write_copies path [| raw |] (if record then 0 else -1) t ks kept;
+  (kept, t.len - kept)
 
-let merge ~into sources =
-  (* Replay every source (missing files are empty journals), keep the
-     first frame seen for each index in source-list order, then write
-     the frames sorted by index: the merged journal depends only on the
-     decoded content of the sources, never on interleaving or append
-     order, which is what makes sharded-and-merged runs canonical. The
-     first identity record among the sources heads the result. *)
-  let parts = List.map read sources in
-  let kept = dedup_first (List.concat_map snd parts) in
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> Stdlib.compare (a : int) b) kept
+let merge ?frame ~into sources =
+  (* Scan every source once (a missing file is an empty journal), keep
+     the first frame seen for each index in source-list order, then
+     copy the kept frames sorted by index: the merged journal depends
+     only on the decoded content of the sources, never on interleaving
+     or append order, which is what makes sharded-and-merged runs
+     canonical. The first identity record among the sources heads the
+     result. Every source is read before [into] is replaced. *)
+  let raws =
+    Array.of_list
+      (List.map (fun p -> Option.value (read_raw p) ~default:"") sources)
   in
-  write_frames into (List.find_map fst parts, sorted);
-  List.length sorted
+  let t = table () in
+  let record = ref (-1) and complete = ref true in
+  List.iteri
+    (fun s path ->
+      let has_record, valid = collect t path s raws.(s) in
+      if has_record && !record < 0 then record := s;
+      if valid = 0 || valid < String.length raws.(s) then complete := false)
+    sources;
+  let ks, kept = first_per_index t in
+  (* a lone target with its record first, its indices strictly
+     ascending and no torn tail is already its own merge *)
+  let canonical =
+    !complete
+    && (match sources with [ p ] -> String.equal p into | _ -> false)
+    &&
+    let ascending = ref true in
+    for k = 1 to t.len - 1 do
+      if t.index.(k) <= t.index.(k - 1) then ascending := false
+    done;
+    !ascending
+  in
+  if not canonical then write_copies into raws !record t ks kept;
+  Option.iter
+    (fun f ->
+      for j = 0 to kept - 1 do
+        let k = ks.(j) in
+        let raw = raws.(t.src.(k)) and pos = t.pos.(k) in
+        f t.index.(k) (payload raw pos (frame_stop raw pos))
+      done)
+    frame;
+  kept
 
 (* ------------------------------------------------------------------ *)
 (* pipe framing                                                        *)
@@ -430,25 +559,25 @@ module Frame = struct
   let parse_error msg =
     Robust.Pllscope_error.Parse { file = "<pipe>"; line = 0; col = 0; msg }
 
-  let encode ~tag payload =
+  let tagged ~tag payload =
     if tag < 0 then invalid_arg "Journal.Frame.encode: negative tag";
-    encode_frame ~index:tag payload
+    frame_bytes ~index:tag payload
 
+  let encode ~tag payload = Bytes.unsafe_to_string (tagged ~tag payload)
   let write_all = write_all
 
   let write_result ?timeout fd ~tag payload =
-    let frame = encode ~tag payload in
+    let b = tagged ~tag payload in
+    let n = Bytes.length b in
     match timeout with
     | None ->
-        write_all fd frame;
+        write_bytes fd b n;
         Ok ()
     | Some seconds ->
         (* A blocking write(2) larger than the kernel buffer can stall
            past any select verdict, so toggle O_NONBLOCK for the loop:
            select bounds the wait, the nonblocking write never sticks. *)
         let until = now () +. seconds in
-        let b = Bytes.of_string frame in
-        let n = Bytes.length b in
         Unix.set_nonblock fd;
         Fun.protect
           ~finally:(fun () -> Unix.clear_nonblock fd)
@@ -491,10 +620,10 @@ module Frame = struct
     | `Timeout -> timed_out ()
     | `Eof -> Ok None
     | `Ok -> (
-        let header = Bytes.to_string header in
+        let header = Bytes.unsafe_to_string header in
         let len = get_u32 header 0 in
         let tag = get_u32 header 4 in
-        let crc = Int32.of_int (get_u32 header 8) in
+        let crc = get_u32 header 8 in
         if len < 0 || len > 1 lsl 30 then
           Error (parse_error "Journal.Frame: implausible frame length")
         else
@@ -503,7 +632,7 @@ module Frame = struct
           | `Timeout -> timed_out ()
           | `Eof -> Ok None
           | `Ok ->
-              let payload = Bytes.to_string body in
+              let payload = Bytes.unsafe_to_string body in
               if frame_crc tag payload <> crc then
                 Error
                   (parse_error

@@ -61,6 +61,11 @@ val append : t -> index:int -> string -> unit
     {!open_append} on a bad magic. *)
 val replay : string -> (int * string) list
 
+(** [iter_indices path f] — [f i] for the index [i] of each frame
+    {!replay} would return, in file order, without copying a payload.
+    Raises like {!replay}. *)
+val iter_indices : string -> (int -> unit) -> unit
+
 (** [sync t] — [fsync(2)] the journal. *)
 val sync : t -> unit
 
@@ -90,15 +95,28 @@ val inspect : string -> info
     long-lived, repeatedly resumed journals. *)
 val compact : string -> int * int
 
-(** [merge ~into sources] — combine the frames of [sources] (missing
-    files are empty journals) into a single journal at [into], written
-    atomically via {!Atomic_file}. For each index the first frame in
-    source-list order wins; the output is sorted by index, so the merged
-    bytes depend only on the decoded content of the sources — never on
-    append interleaving — making sharded-and-merged runs canonical.
-    Returns the number of distinct frames written. [into] may itself
-    appear in [sources]; it is fully read before being replaced. *)
-val merge : into:string -> string list -> int
+(** [merge ?frame ~into sources] — combine the frames of [sources]
+    (missing files are empty journals) into a single journal at [into],
+    written atomically via {!Atomic_file}. For each index the first
+    frame in source-list order wins; the output is sorted by index, so
+    the merged bytes depend only on the decoded content of the sources
+    — never on append interleaving — making sharded-and-merged runs
+    canonical. The first identity record among the sources heads it.
+
+    Cost: one read and one scan of each source; the kept frames are
+    ordered by an int-array radix sort and their bytes copied as the
+    scan checked them, not decoded and re-encoded. When [sources] is
+    just [[into]] and [into] is already canonical — its record (if any)
+    first, its indices strictly ascending, no torn tail — it is left
+    untouched: not rewritten, not fsynced.
+
+    [frame i payload] runs on each kept point frame, in ascending index
+    order, once the merged journal is in place: the payloads a caller
+    would otherwise {!replay} from [into]. Returns the number of
+    distinct frames kept. [into] may itself appear in [sources]; it is
+    fully read before being replaced. *)
+val merge :
+  ?frame:(int -> string -> unit) -> into:string -> string list -> int
 
 (** The journal's CRC-32 frame layout reused as a message envelope over
     pipes and sockets: the frame's index field carries a small message

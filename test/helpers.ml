@@ -40,6 +40,18 @@ let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ())
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* CRC-32 (IEEE 802.3, reflected) by its definition, one bit at a time
+   and without a table: extends [crc] with [s.[pos .. pos+len-1]] *)
+let crc32_bitwise crc s pos len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
 (* generators *)
 let small_float = QCheck2.Gen.float_range (-10.0) 10.0
 

@@ -1,7 +1,11 @@
 (* Sharded sweep farm end to end:
 
    - Journal.merge is first-wins, sorted, and canonical; inspect and
-     compact report and repair duplicate/torn journals;
+     compact report and repair duplicate/torn journals; merge and
+     compact are byte-equal to the decode/dedup/sort/re-encode oracle
+     over random sources (duplicates, disorder, sparse indices, records,
+     missing and empty files, torn tails, flipped bytes), and a lone
+     canonical source is left untouched;
    - Journal.Frame round-trips messages over a pipe, reads a torn frame
      as EOF and rejects a corrupt frame with a typed Parse error;
      Protocol.recv rejects a CRC-valid frame with an undecodable payload
@@ -228,6 +232,203 @@ let test_compact () =
   check_int "idempotent dropped" 0 d2
 
 (* ------------------------------------------------------------------ *)
+(* merge and compact against the oracle                                *)
+
+(* Merge and compaction as first written, kept as the oracle: decode
+   every frame up to the first torn or corrupt one, keep the first
+   frame per index, stable-sort by index (merge only), re-encode. Its
+   CRC is the bitwise definition, so it shares no code with the
+   journal's reader or writer. *)
+module Oracle = struct
+  let magic = "PLLSCJ1\n"
+  let record_index = 0xFFFF_FFFF
+
+  let crc c s = crc32_bitwise c s 0 (String.length s)
+  let u32 v = String.init 4 (fun k -> Char.chr ((v lsr (8 * k)) land 0xFF))
+
+  let get_u32 s pos =
+    let b k = Char.code s.[pos + k] lsl (8 * k) in
+    b 0 lor b 1 lor b 2 lor b 3
+
+  let frame index payload =
+    let i = u32 index in
+    u32 (String.length payload) ^ i ^ u32 (crc (crc 0 i) payload) ^ payload
+
+  (* the record, the point frames and the valid prefix length of a
+     journal's bytes ("" is an empty journal) *)
+  let read raw =
+    let n = String.length raw in
+    let rec go pos acc =
+      let stop () = (List.rev acc, pos) in
+      if pos + 12 > n then stop ()
+      else
+        let len = get_u32 raw pos and index = get_u32 raw (pos + 4) in
+        if pos + 12 + len > n then stop ()
+        else
+          let payload = String.sub raw (pos + 12) len in
+          if crc (crc 0 (u32 index)) payload <> get_u32 raw (pos + 8) then
+            stop ()
+          else go (pos + 12 + len) ((index, payload) :: acc)
+    in
+    if n = 0 then (None, [], 0)
+    else
+      match go 8 [] with
+      | (i, key) :: frames, valid when i = record_index -> (Some key, frames, valid)
+      | frames, valid -> (None, frames, valid)
+
+  let dedup_first frames =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun (i, _) ->
+        (not (Hashtbl.mem seen i))
+        && begin
+             Hashtbl.add seen i ();
+             true
+           end)
+      frames
+
+  let encode record frames =
+    String.concat ""
+      ((magic :: Option.to_list (Option.map (frame record_index) record))
+      @ List.map (fun (i, p) -> frame i p) frames)
+
+  (* the merged bytes and the kept frames *)
+  let merge raws =
+    let parts = List.map read raws in
+    let kept =
+      List.stable_sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (dedup_first (List.concat_map (fun (_, f, _) -> f) parts))
+    in
+    (encode (List.find_map (fun (r, _, _) -> r) parts) kept, kept)
+
+  let compact raw =
+    let record, frames, _ = read raw in
+    encode record (dedup_first frames)
+end
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* A source: missing, an empty file, or a journal — an optional record,
+   frames with duplicates, disorder and sparse indices up to 2^32 - 2,
+   then perhaps a torn tail and perhaps one flipped byte past the magic. *)
+let gen_source s =
+  QCheck2.Gen.(
+    let index =
+      frequency
+        [ (6, int_range 0 12); (2, int_range 0 (0xFFFF_FFFF - 1)); (1, return (0xFFFF_FFFF - 1)) ]
+    in
+    let journal =
+      bool >>= fun has_record ->
+      list_size (int_range 0 25) (pair index (string_size (int_range 0 12)))
+      >>= fun frames ->
+      int_range 0 30 >>= fun torn ->
+      pair (int_range 0 3) (pair nat (int_range 1 255)) >>= fun (flip, (at, mask)) ->
+      let body =
+        Oracle.magic
+        ^ (if has_record then Oracle.frame Oracle.record_index (Printf.sprintf "key-%d" s)
+           else "")
+        ^ String.concat "" (List.map (fun (i, p) -> Oracle.frame i p) frames)
+        ^ if torn < 20 then String.sub (Oracle.frame 3 "torn tail") 0 (1 + torn) else ""
+      in
+      let n = String.length body in
+      return
+        (if flip > 0 || n = 8 then body
+         else
+           String.mapi
+             (fun k c -> if k = 8 + (at mod (n - 8)) then Char.chr (Char.code c lxor mask) else c)
+             body)
+    in
+    frequency [ (1, return None); (1, return (Some "")); (8, map Option.some journal) ])
+
+let qcheck_merge_oracle =
+  qcheck ~count:300 "journal merge and compact are byte-equal to the oracle"
+    QCheck2.Gen.(
+      int_range 1 4 >>= fun k ->
+      flatten_l (List.init k gen_source) >>= fun sources ->
+      bool >>= fun into_first -> return (sources, into_first))
+    (fun (sources, into_first) ->
+      let dir = scratch_dir () in
+      let paths =
+        List.mapi
+          (fun s src ->
+            let p = Filename.concat dir (Printf.sprintf "src%d" s) in
+            Option.iter (write_file p) src;
+            p)
+          sources
+      in
+      let raws = List.map (Option.value ~default:"") sources in
+      let into = if into_first then List.hd paths else Filename.concat dir "merged" in
+      let want, kept = Oracle.merge raws in
+      let got = ref [] in
+      let n =
+        Runner.Journal.merge ~frame:(fun i p -> got := (i, p) :: !got) ~into paths
+      in
+      if read_file into <> want then Alcotest.fail "merged bytes differ from the oracle";
+      check_int "merge count" (List.length kept) n;
+      check_true "frames handed over" (List.rev !got = kept);
+      (* compaction and inspection of each journal on its own *)
+      List.iter
+        (fun raw ->
+          let p = Filename.concat dir "single" in
+          write_file p raw;
+          let _, frames, valid = Oracle.read raw in
+          let distinct = List.length (Oracle.dedup_first frames) in
+          let i = Runner.Journal.inspect p in
+          check_int "inspect frames" (List.length frames) i.Runner.Journal.frames;
+          check_int "inspect distinct" distinct i.Runner.Journal.distinct;
+          check_int "inspect valid bytes" valid i.Runner.Journal.valid_bytes;
+          check_true "inspect max index"
+            (i.Runner.Journal.max_index
+            = List.fold_left (fun m (i, _) -> Some (max i (Option.value m ~default:i))) None frames);
+          let kept, dropped = Runner.Journal.compact p in
+          check_int "compact kept" distinct kept;
+          check_int "compact dropped" (List.length frames - distinct) dropped;
+          if read_file p <> Oracle.compact raw then
+            Alcotest.fail "compacted bytes differ from the oracle")
+        (List.filter_map Fun.id sources);
+      true)
+
+let test_merge_lone_source () =
+  let dir = scratch_dir () in
+  (* canonical: the record first, indices strictly ascending, no torn
+     tail — the merge is the file itself and leaves it alone *)
+  let path = Filename.concat dir "canonical" in
+  let j = Runner.Journal.create path ~key:"k" in
+  List.iter (fun i -> Runner.Journal.append j ~index:i (string_of_int i)) [ 0; 1; 5; 9 ];
+  Runner.Journal.close j;
+  Unix.utimes path 1e9 1e9;
+  let before = Unix.stat path and bytes = read_file path in
+  let got = ref [] in
+  check_int "kept" 4
+    (Runner.Journal.merge ~frame:(fun i p -> got := (i, p) :: !got) ~into:path [ path ]);
+  let after = Unix.stat path in
+  check_int "same inode" before.Unix.st_ino after.Unix.st_ino;
+  check_true "same mtime" (Float.equal before.Unix.st_mtime after.Unix.st_mtime);
+  check_true "same bytes" (read_file path = bytes);
+  check_true "frames handed over"
+    (List.rev !got = [ (0, "0"); (1, "1"); (5, "5"); (9, "9") ]);
+  (* not canonical: a duplicate, an index out of order, a torn tail —
+     each is rewritten to the oracle's bytes *)
+  List.iter
+    (fun (name, frames, tail) ->
+      let p = mk_journal dir name frames in
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 p in
+      output_string oc tail;
+      close_out oc;
+      let want, _ = Oracle.merge [ read_file p ] in
+      let ino = (Unix.stat p).Unix.st_ino in
+      ignore (Runner.Journal.merge ~into:p [ p ]);
+      check_true (name ^ ": rewritten") ((Unix.stat p).Unix.st_ino <> ino);
+      check_true (name ^ ": the oracle's bytes") (read_file p = want))
+    [
+      ("duplicate", [ (0, "a"); (1, "b"); (1, "c") ], "");
+      ("out of order", [ (1, "b"); (0, "a") ], "");
+      ("torn tail", [ (0, "a"); (1, "b") ], "torn");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* pipe framing                                                        *)
 
 let test_frame_roundtrip () =
@@ -354,6 +555,8 @@ let test_resume_after_full_run_spawns_nothing () =
   in
   check_payloads_complete "resumed no-op run" n_points r2;
   check_int "everything resumed" n_points r2.Farm.Coordinator.resumed;
+  check_true "resumed payloads equal the fresh run's"
+    (r2.Farm.Coordinator.payloads = r1.Farm.Coordinator.payloads);
   check_true "journal unchanged" (read_file base = bytes1)
 
 let gen_kill_scenario =
@@ -501,6 +704,9 @@ let suite =
     case "journal merge dedups and sorts" (clean test_merge_dedup_sort);
     case "journal inspect counts frames and torn bytes" (clean test_inspect);
     case "journal compact drops duplicates" (clean test_compact);
+    qcheck_merge_oracle;
+    case "journal merge leaves a lone canonical source alone"
+      (clean test_merge_lone_source);
     case "frame codec round-trips over a pipe" (clean test_frame_roundtrip);
     case "frame codec: torn is EOF, corrupt is Parse"
       (clean test_frame_torn_and_corrupt);

@@ -1,6 +1,7 @@
 (* Crash-safe sweep execution end to end:
 
-   - CRC-32 matches the IEEE reference vector and composes;
+   - CRC-32 matches the IEEE reference vector, composes, and equals
+     the table-free bitwise definition over random ranges;
    - Atomic_file.write is all-or-nothing: an exception mid-write leaves
      the target untouched and no temp residue;
    - the checkpoint journal round-trips frames, tolerates a torn tail
@@ -80,19 +81,34 @@ let check_partial_bit_identical msg (a : float Sweep.partial)
 (* ------------------------------------------------------------------ *)
 (* crc32                                                               *)
 
+let crc s = Runner.Crc32.update 0 s 0 (String.length s)
+
 let test_crc32 () =
   (* the IEEE 802.3 check value *)
-  check_true "reference vector"
-    (Int32.equal (Runner.Crc32.string "123456789") 0xCBF43926l);
-  check_true "empty string" (Int32.equal (Runner.Crc32.string "") 0l);
+  check_int "reference vector" 0xCBF43926 (crc "123456789");
+  check_int "empty string" 0 (crc "");
   let a = "journal" and b = " frame payload" in
-  check_true "update composes"
-    (Int32.equal
-       (Runner.Crc32.update (Runner.Crc32.string a) b 0 (String.length b))
-       (Runner.Crc32.string (a ^ b)));
-  match Runner.Crc32.update 0l "abc" 1 5 with
+  check_int "update composes" (crc (a ^ b))
+    (Runner.Crc32.update (crc a) b 0 (String.length b));
+  check_int "update_u32 is the four bytes, least significant first"
+    (crc "\x78\x56\x34\x12")
+    (Runner.Crc32.update_u32 0 0x12345678);
+  match Runner.Crc32.update 0 "abc" 1 5 with
   | _ -> Alcotest.fail "out-of-range update accepted"
   | exception Invalid_argument _ -> ()
+
+let qcheck_crc32_bitwise =
+  qcheck ~count:300 "crc32 equals the bitwise definition over any range"
+    QCheck2.Gen.(
+      string_size (int_range 0 200) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len ->
+      int_range 0 0xFFFF_FFFF >>= fun v -> return (s, pos, len, v))
+    (fun (s, pos, len, v) ->
+      Runner.Crc32.update 0 s pos len = crc32_bitwise 0 s pos len
+      && Runner.Crc32.update_u32 0 v
+         = crc32_bitwise 0 (String.init 4 (fun k -> Char.chr ((v lsr (8 * k)) land 0xFF))) 0 4)
 
 (* ------------------------------------------------------------------ *)
 (* atomic file writes                                                  *)
@@ -504,6 +520,7 @@ let test_stats_reset_between_runs () =
 let suite =
   [
     case "crc32 reference vector and composition" (clean test_crc32);
+    qcheck_crc32_bitwise;
     case "atomic file write" (clean test_atomic_file_write);
     case "atomic write failure leaves target untouched"
       (clean test_atomic_file_failure_leaves_target);
