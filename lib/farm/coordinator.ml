@@ -7,19 +7,21 @@
         of every existing shard journal against the digest of the
         workload blob (a journal of another workload is a typed Parse
         error), then scans their frame indices to find which points
-        are already done;
+        are already done, keeping the base's snapshot for step 5;
      2. partitions the missing indices into [shards] contiguous regions
         balanced by count;
      3. spawns [shards] workers, each shard journal created with the
         blob digest as its identity record (pipes on stdin/stdout, stderr
-        inherited) and feeds each one slices carved from the front of
+        inherited, PLLSCOPE_DOMAINS set to its share of the farm's
+        domain budget) and feeds each one slices carved from the front of
         its own region — and, with stealing on, from the back of the
         largest remaining region once its own runs dry;
      4. on worker death (EOF without an Exit frame) re-queues the
         worker's outstanding range at the front of its origin region so
         hungry workers pick it up;
-     5. merges base + shard journals with Journal.merge — first frame
-        per index wins, output sorted by index — which erases every
+     5. merges base + shard journals with Journal.merge (the base from
+        its step-1 snapshot, not read again) — first frame per index
+        wins, output sorted by index — which erases every
         trace of sharding, stealing, death and resume from the bytes,
         and takes the report's payloads from that same pass: the merged
         journal is never read back.
@@ -199,19 +201,33 @@ type wrk = {
   mutable outstanding : Protocol.range option;
 }
 
-let spawn cfg ~key k =
+(* The environment of every worker: this one with [PLLSCOPE_DOMAINS]
+   set to the worker's share of the farm's domain budget, so the farm
+   runs [Pool.default_domains ()] lanes in all, as an in-process run
+   does, and not that many per worker. *)
+let worker_env shards =
+  let var = "PLLSCOPE_DOMAINS=" in
+  let lanes = max 1 (Parallel.Pool.default_domains () / shards) in
+  Array.append
+    (Array.of_list
+       (List.filter
+          (fun e -> not (String.starts_with ~prefix:var e))
+          (Array.to_list (Unix.environment ()))))
+    [| var ^ string_of_int lanes |]
+
+let spawn cfg ~key ~env k =
   (* a shard journal starts with the workload's identity record *)
   let journal = shard_path cfg.checkpoint k in
   if not (Sys.file_exists journal) then
     Runner.Journal.close (Runner.Journal.create journal ~key);
   (* worker stdin <- [w_c]; worker stdout -> [r_c]. Both pipe ends are
-     cloexec in this process; create_process dup2s the child ends onto
+     cloexec in this process; create_process_env dup2s the child ends onto
      fds 0/1, which clears cloexec there — essential, otherwise the
      coordinator would never see EOF when a worker dies. *)
   let r_c, w_w = Unix.pipe ~cloexec:true () in
   let r_w, w_c = Unix.pipe ~cloexec:true () in
   let argv = cfg.worker_argv k in
-  let pid = Unix.create_process argv.(0) argv r_w w_w Unix.stderr in
+  let pid = Unix.create_process_env argv.(0) argv env r_w w_w Unix.stderr in
   Unix.close r_w;
   Unix.close w_w;
   let w =
@@ -260,12 +276,21 @@ let run cfg ~n =
   let key = Digest.string cfg.blob in
   let completed = Array.make (max n 1) false in
   let mark i = if i >= 0 && i < n then completed.(i) <- true in
+  (* the base journal's snapshot, kept for the merge: nothing writes the
+     base before then, so its one read serves both (the workers append
+     to the shard journals, which the merge reads again) *)
+  let base_scan = ref [] in
   if cfg.resume then begin
     let prior =
       (if Sys.file_exists base then [ base ] else []) @ existing_shards base
     in
     List.iter (fun p -> Runner.Journal.check_key p ~key) prior;
-    List.iter (fun p -> Runner.Journal.iter_indices p mark) prior
+    List.iter
+      (fun p ->
+        let s = Runner.Journal.snapshot p in
+        Runner.Journal.iter_indices s mark;
+        if String.equal p base then base_scan := [ s ])
+      prior
   end;
   let resumed = Array.fold_left (fun a c -> if c then a + 1 else a) 0 completed in
   let resumed = if n = 0 then 0 else min resumed n in
@@ -324,7 +349,9 @@ let run cfg ~n =
   (* --- spawn --- *)
   let workers =
     if missing_total = 0 then [||]
-    else Array.init cfg.shards (fun k -> spawn cfg ~key k)
+    else
+      let env = worker_env cfg.shards in
+      Array.init cfg.shards (fun k -> spawn cfg ~key ~env k)
   in
   let live () =
     Array.exists (fun w -> w.state <> Gone) workers
@@ -466,7 +493,7 @@ let run cfg ~n =
       Runner.Journal.close (Runner.Journal.create base ~key);
       0
     end
-    else Runner.Journal.merge ~frame ~into:base sources
+    else Runner.Journal.merge ~frame ~scanned:!base_scan ~into:base sources
   in
   List.iter remove_if_exists (existing_shards base);
   (* --- result assembly --- *)

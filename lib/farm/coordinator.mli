@@ -11,7 +11,8 @@
     carved from the front of its own region — then, with stealing on,
     from the back of the largest remaining region. A worker that dies
     (EOF without an Exit frame) has its outstanding range re-queued for
-    the survivors; everything it journaled before death is kept. At the
+    the survivors; every range it acknowledged is in its journal and is
+    kept. At the
     end {!Runner.Journal.merge} collapses base + shard journals to the
     canonical sorted, deduplicated form and hands over the kept
     payloads in the same pass; the merged journal is not read back.
@@ -24,7 +25,11 @@
     resumes. *)
 
 type config = {
-  shards : int;  (** number of worker subprocesses, >= 1 *)
+  shards : int;
+      (** number of worker subprocesses, >= 1; each is started with
+          [PLLSCOPE_DOMAINS] set to
+          [max 1 (Parallel.Pool.default_domains () / shards)], so the
+          farm's lanes are this process's domain budget *)
   steal : bool;  (** allow ragged shards to be rebalanced *)
   resume : bool;  (** replay base + shard journals before sharding *)
   checkpoint : string;  (** base journal path; shards use [.shardK] *)

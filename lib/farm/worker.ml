@@ -3,10 +3,14 @@
    A worker is a `pllscope farm-worker` (or test/bench twin) whose
    stdin/stdout are the coordinator's pipes. It reads one Hello, builds
    its task from the workload blob, then serves Assign ranges until Fin
-   or EOF. Each computed point is appended to the worker's private
-   checkpoint journal *before* the range is acknowledged, so a worker
-   killed mid-range loses at most in-flight points — everything
-   journaled survives into the merge.
+   or EOF. A range is computed first; then its points are written to the
+   worker's private checkpoint journal with one Journal.append_range and
+   fsynced, and only then is the range acknowledged: every frame of a
+   range is written and fsynced before its Done. A worker killed
+   mid-range therefore loses at most its current range, which the
+   coordinator re-queues whole — everything acknowledged survives into
+   the merge. The worker's lanes are its share of the farm's domain
+   budget: the coordinator sets PLLSCOPE_DOMAINS in its environment.
 
    Determinism: a range [lo, hi) is executed as a checked sweep over the
    global indices lo..hi-1 with the same in-lane retry and timeout
@@ -30,15 +34,10 @@ let globalize_error ~lo (err : Robust.Pllscope_error.t) =
 
 let run_range ?chunk ?retries ?task_timeout journal task { Protocol.lo; hi } =
   let indices = Array.init (hi - lo) (fun k -> lo + k) in
-  let task_and_log i =
-    let payload = task i in
-    Runner.Journal.append journal ~index:i payload;
-    payload
-  in
   let partial =
-    Parallel.Sweep.grid_checked ?chunk ?retries ?task_timeout task_and_log
-      indices
+    Parallel.Sweep.grid_checked ?chunk ?retries ?task_timeout task indices
   in
+  Runner.Journal.append_range journal ~lo partial.Parallel.Sweep.values;
   Runner.Journal.sync journal;
   let failed =
     List.map

@@ -3,10 +3,13 @@
     {!serve} is the whole lifecycle of a worker process: it speaks
     {!Protocol} on the inherited stdin/stdout pipes, executes each
     assigned half-open range as a {!Parallel.Sweep.grid_checked} sweep
-    over global grid indices, and appends every computed point to its
-    private checkpoint journal before acknowledging the range — so a
-    [kill -9] mid-range loses only in-flight points and everything
-    journaled survives into the coordinator's merge.
+    over global grid indices, then writes the range's computed points to
+    its private checkpoint journal with one
+    {!Runner.Journal.append_range} and fsyncs it before acknowledging
+    the range: every frame of a range is written and fsynced before its
+    [Done]. A [kill -9] mid-range loses at most that range, which the
+    coordinator re-queues whole; everything acknowledged survives into
+    the coordinator's merge.
 
     The worker's stdout is re-pointed at stderr after the protocol fd is
     duplicated, so stray prints from workload code cannot corrupt a

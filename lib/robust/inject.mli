@@ -29,8 +29,9 @@ type site =
           overdue (cooperative: the simulated hang polls the abort
           flag). *)
   | Journal_torn
-      (** tear a [Runner.Journal] append mid-frame and simulate the
-          process dying, leaving a truncated tail on disk. *)
+      (** tear a [Runner.Journal] write (one frame, or a range's
+          frames) halfway through and simulate the process dying,
+          leaving a truncated tail on disk. *)
   | Crash_at_point
       (** simulate an abrupt process death right after a sweep point
           has been journaled. *)

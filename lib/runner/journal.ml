@@ -17,20 +17,22 @@
    where the CRC covers the 4 index bytes followed by the payload, so
    a frame whose length field survived but whose body was torn — or
    whose index was bit-flipped — fails the check. Frames are
-   self-delimiting and appended with a single [write]; [replay] accepts
-   every complete, checksummed frame up to the first torn or corrupt
-   one and ignores the rest. That makes the journal crash-tolerant by
-   construction: a process killed mid-append leaves a torn tail that
-   replay treats exactly as if the append never happened.
+   self-delimiting and written end to end; [replay] accepts every
+   complete, checksummed frame up to the first torn or corrupt one and
+   ignores the rest. That makes the journal crash-tolerant by
+   construction: a process killed mid-write leaves a torn tail that
+   replay treats exactly as if the write never happened.
 
-   Every reader — [replay], [iter_indices], [inspect], [compact],
-   [merge], [open_append], [key] — checks frames through one scanner
-   that walks offsets in the raw bytes and checksums each frame's index
-   bytes and payload in place; a payload is copied only for a caller
-   that keeps it. [merge] and [compact] decode nothing: they order the
-   checked frames by (index, source, offset) in int arrays and copy
-   their bytes, which are the bytes a re-encoding would give, a frame
-   being a function of its index and payload.
+   Every reader — [replay], [snapshot], [inspect], [compact], [merge],
+   [open_append], [key] — checks frames through one scanner that walks
+   offsets in the raw bytes and checksums each frame's index bytes and
+   payload in place; a payload is copied only for a caller that keeps
+   it. A [snapshot] is one file's bytes and checked frame table; [merge]
+   takes a caller's snapshot of a source instead of reading it again.
+   [merge] and [compact] decode nothing: they order the checked frames
+   by (index, source, offset) in int arrays and copy their bytes, which
+   are the bytes a re-encoding would give, a frame being a function of
+   its index and payload.
 
    A journal may open with an identity record: a frame at the reserved
    index [record_index] holding the key of the workload that wrote it
@@ -40,11 +42,16 @@
    written before the record existed has none and is trusted as is.
 
    [open_append] re-scans an existing journal, truncates the torn tail
-   (so the next append starts on a clean frame boundary) and positions
-   at the end. Appends from concurrent pool lanes are serialised by a
-   per-journal mutex; each append is flushed to the OS immediately so
-   only the process's own buffered data — never a previously appended
-   frame — can be lost to a crash. *)
+   (so the next write starts on a clean frame boundary) and positions
+   at the end. One write path serves [append] (one frame) and
+   [append_range] (the frames of a range, in index order): under the
+   journal's mutex, held once per call, it encodes the frames straight
+   into the journal's one reusable buffer and hands that buffer to
+   [write(2)] whenever the next frame would take it past [flush_at],
+   and at the end. Every frame of a call has reached the OS when the
+   call returns, so a crash loses at most the call in flight: its
+   unwritten frames and a torn tail, never a frame of an earlier call.
+   Appends from concurrent pool lanes are serialised by the mutex. *)
 
 let magic = "PLLSCJ1\n"
 let header_len = String.length magic
@@ -69,16 +76,23 @@ let get_u32 s pos =
 let frame_crc index payload =
   Crc32.update (Crc32.update_u32 0 index) payload 0 (String.length payload)
 
-(* [prefix] and then one frame, built once in a fresh buffer that goes
-   to [write(2)] as it is *)
-let frame_bytes ?(prefix = "") ~index payload =
-  let at = String.length prefix and len = String.length payload in
-  let b = Bytes.create (at + frame_header_len + len) in
-  Bytes.blit_string prefix 0 b 0 at;
+(* The frame of [payload] at [index], encoded into [b] from byte [at];
+   returns the offset past it. *)
+let encode_into b at ~index payload =
+  let len = String.length payload in
   Bytes.set_int32_le b at (Int32.of_int len);
   Bytes.set_int32_le b (at + 4) (Int32.of_int index);
   Bytes.set_int32_le b (at + 8) (Int32.of_int (frame_crc index payload));
   Bytes.blit_string payload 0 b (at + frame_header_len) len;
+  at + frame_header_len + len
+
+(* [prefix] and then one frame, built once in a fresh buffer that goes
+   to [write(2)] as it is *)
+let frame_bytes ?(prefix = "") ~index payload =
+  let at = String.length prefix in
+  let b = Bytes.create (at + frame_header_len + String.length payload) in
+  Bytes.blit_string prefix 0 b 0 at;
+  ignore (encode_into b at ~index payload);
   b
 
 (* The one frame check every reader makes: the end offset of the frame
@@ -142,14 +156,6 @@ let replay path =
                frames := (index, payload raw pos stop) :: !frames));
       List.rev !frames
 
-let iter_indices path f =
-  match read_raw path with
-  | None -> ()
-  | Some raw ->
-      ignore
-        (scan path raw (fun index pos _ ->
-             if not (is_record index pos) then f index))
-
 (* Up to [k] bytes of [ic]: fewer only at end of file. Reads, never
    seeks, so it works on a FIFO. *)
 let read_upto ic k =
@@ -202,8 +208,12 @@ type t = {
   fd : Unix.file_descr;
   path : string;
   m : Mutex.t;
+  mutable buf : Bytes.t;  (* frames on their way to write(2) *)
   mutable closed : bool;
 }
+
+let handle fd path =
+  { fd; path; m = Mutex.create (); buf = Bytes.empty; closed = false }
 
 let write_bytes fd b len =
   let off = ref 0 in
@@ -221,7 +231,7 @@ let create path ~key =
   in
   let b = frame_bytes ~prefix:magic ~index:record_index key in
   write_bytes fd b (Bytes.length b);
-  { fd; path; m = Mutex.create (); closed = false }
+  handle fd path
 
 let open_append path =
   match read_raw path with
@@ -230,7 +240,7 @@ let open_append path =
         Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
       in
       write_all fd magic;
-      { fd; path; m = Mutex.create (); closed = false }
+      handle fd path
   | Some raw ->
       let valid_len = scan path raw (fun _ _ _ -> ()) in
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
@@ -238,28 +248,74 @@ let open_append path =
       if valid_len < String.length raw then Unix.ftruncate fd valid_len;
       if valid_len = 0 then write_all fd magic
       else ignore (Unix.lseek fd valid_len Unix.SEEK_SET);
-      { fd; path; m = Mutex.create (); closed = false }
+      handle fd path
 
 let check_open t fn =
   if t.closed then
     invalid_arg (fn ^ ": journal " ^ t.path ^ " is closed")
 
-let append t ~index payload =
+(* the buffer's fill at which the frames in it go to write(2) *)
+let flush_at = 1 lsl 20
+
+(* The first [fill] bytes of the buffer to the OS. Each write is an
+   inject site: a crash mid-write leaves half its bytes on disk. *)
+let flush t fill =
+  if fill > 0 then begin
+    if Robust.Inject.fire Robust.Inject.Journal_torn then begin
+      write_bytes t.fd t.buf (fill / 2);
+      raise Robust.Inject.Simulated_crash
+    end;
+    write_bytes t.fd t.buf fill
+  end
+
+(* Room for [need] more bytes after [fill]: the buffer goes to the OS
+   first when the frame would take it past [flush_at], and grows
+   (keeping its first [fill] bytes) when it is too small. Returns the
+   new fill. *)
+let reserve t fill need =
+  let fill =
+    if fill > 0 && fill + need > flush_at then begin
+      flush t fill;
+      0
+    end
+    else fill
+  in
+  let cap = Bytes.length t.buf in
+  if fill + need > cap then begin
+    let b = Bytes.create (max (fill + need) (min flush_at (max 4096 (2 * cap)))) in
+    Bytes.blit t.buf 0 b 0 fill;
+    t.buf <- b
+  end;
+  fill
+
+let check_index fn index =
   if index < 0 || index >= record_index then
-    invalid_arg "Journal.append: index outside 0 .. 2^32 - 2";
-  let frame = frame_bytes ~index payload in
+    invalid_arg (fn ^ ": index outside 0 .. 2^32 - 2")
+
+let append_range t ~lo values =
+  let n = Array.length values in
+  if n > 0 then begin
+    check_index "Journal.append_range" lo;
+    check_index "Journal.append_range" (lo + n - 1)
+  end;
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
-      check_open t "Journal.append";
-      if Robust.Inject.fire Robust.Inject.Journal_torn then begin
-        (* model a crash mid-append: half a frame reaches the disk,
-           then the process "dies" *)
-        write_bytes t.fd frame (Bytes.length frame / 2);
-        raise Robust.Inject.Simulated_crash
-      end;
-      write_bytes t.fd frame (Bytes.length frame))
+      check_open t "Journal.append_range";
+      let fill = ref 0 in
+      for k = 0 to n - 1 do
+        match values.(k) with
+        | None -> ()
+        | Some payload ->
+            let at = reserve t !fill (frame_header_len + String.length payload) in
+            fill := encode_into t.buf at ~index:(lo + k) payload
+      done;
+      flush t !fill)
+
+let append t ~index payload =
+  check_index "Journal.append" index;
+  append_range t ~lo:index [| Some payload |]
 
 let sync t =
   Mutex.lock t.m;
@@ -285,39 +341,78 @@ let close t =
 
 (* The point frames of one or more sources as scanned, in source-list
    and then file order: frame [k] has index [index.(k)] and starts at
-   byte [pos.(k)] of source [src.(k)]. *)
+   byte [pos.(k)] of source [src.(k)]. The arrays are sized once, for
+   every frame the table can receive. *)
 type table = {
   mutable len : int;
-  mutable index : int array;
-  mutable src : int array;
-  mutable pos : int array;
+  index : int array;
+  src : int array;
+  pos : int array;
 }
 
-let table () =
-  { len = 0; index = Array.make 1024 0; src = Array.make 1024 0; pos = Array.make 1024 0 }
-
-let grow a = Array.append a (Array.make (Array.length a) 0)
+let table cap =
+  { len = 0; index = Array.make cap 0; src = Array.make cap 0; pos = Array.make cap 0 }
 
 let push t index src pos =
-  if t.len = Array.length t.index then begin
-    t.index <- grow t.index;
-    t.src <- grow t.src;
-    t.pos <- grow t.pos
-  end;
   t.index.(t.len) <- index;
   t.src.(t.len) <- src;
   t.pos.(t.len) <- pos;
   t.len <- t.len + 1
 
-(* Scan [raw] as source [src] into [t]: its point frames, whether its
-   first frame is a record, and its valid prefix length. *)
-let collect t path src raw =
+(* How many frames the length fields of [raw] delimit before one runs
+   past its end: at least as many as [scan] checks, so a table of that
+   size holds them all. *)
+let count_frames raw =
+  let n = String.length raw in
+  let rec go pos k =
+    if pos + frame_header_len > n then k
+    else
+      let stop = pos + frame_header_len + get_u32 raw pos in
+      if stop > n then k else go stop (k + 1)
+  in
+  if n < header_len then 0 else go header_len 0
+
+(* One journal file as read and checked once: its bytes, its point
+   frames (source 0 of [frames]), whether its first frame is a record,
+   and its valid prefix length. *)
+type snapshot = {
+  path : string;
+  raw : string;
+  frames : table;
+  record : bool;
+  valid : int;
+}
+
+let snapshot path =
+  let raw = Option.value (read_raw path) ~default:"" in
+  let frames = table (count_frames raw) in
   let record = ref false in
   let valid =
     scan path raw (fun index pos _ ->
-        if is_record index pos then record := true else push t index src pos)
+        if is_record index pos then record := true else push frames index 0 pos)
   in
-  (!record, valid)
+  { path; raw; frames; record = !record; valid }
+
+let iter_indices s f =
+  for k = 0 to s.frames.len - 1 do
+    f s.frames.index.(k)
+  done
+
+(* The frames of [snaps] in one table, snapshot [s] as source [s]. *)
+let concat_frames snaps =
+  if Array.length snaps = 1 then snaps.(0).frames
+  else begin
+    let t = table (Array.fold_left (fun a s -> a + s.frames.len) 0 snaps) in
+    Array.iteri
+      (fun src s ->
+        let f = s.frames in
+        Array.blit f.index 0 t.index t.len f.len;
+        Array.blit f.pos 0 t.pos t.len f.len;
+        Array.fill t.src t.len f.len src;
+        t.len <- t.len + f.len)
+      snaps;
+    t
+  end
 
 (* The frames of [t] stably sorted by index — so each index's frames
    stay in source-list and file order — and deduplicated to the first
@@ -410,17 +505,15 @@ type info = {
 }
 
 let inspect path =
-  let raw = Option.value (read_raw path) ~default:"" in
-  let t = table () in
-  let _, valid_len = collect t path 0 raw in
+  let { raw; frames = t; valid; _ } = snapshot path in
   let order, distinct = first_per_index t in
   {
     frames = t.len;
     distinct;
     duplicates = t.len - distinct;
     bytes = String.length raw;
-    valid_bytes = valid_len;
-    torn_bytes = String.length raw - valid_len;
+    valid_bytes = valid;
+    torn_bytes = String.length raw - valid;
     max_index =
       (if distinct = 0 then None else Some t.index.(order.(distinct - 1)));
   }
@@ -429,9 +522,7 @@ let inspect path =
    [Run.grid] would use — in file order, drop later duplicates and any
    torn tail, and rewrite the journal atomically. *)
 let compact path =
-  let raw = Option.value (read_raw path) ~default:"" in
-  let t = table () in
-  let record, _ = collect t path 0 raw in
+  let { raw; frames = t; record; _ } = snapshot path in
   let order, kept = first_per_index t in
   let first = Bytes.make t.len '\000' in
   for j = 0 to kept - 1 do
@@ -448,26 +539,32 @@ let compact path =
   write_copies path [| raw |] (if record then 0 else -1) t ks kept;
   (kept, t.len - kept)
 
-let merge ?frame ~into sources =
-  (* Scan every source once (a missing file is an empty journal), keep
-     the first frame seen for each index in source-list order, then
-     copy the kept frames sorted by index: the merged journal depends
-     only on the decoded content of the sources, never on interleaving
-     or append order, which is what makes sharded-and-merged runs
-     canonical. The first identity record among the sources heads the
-     result. Every source is read before [into] is replaced. *)
-  let raws =
+let merge ?frame ?(scanned = []) ~into sources =
+  (* Scan every source once (a missing file is an empty journal; a
+     source with a snapshot in [scanned] is not read again), keep the
+     first frame seen for each index in source-list order, then copy
+     the kept frames sorted by index: the merged journal depends only on
+     the decoded content of the sources, never on interleaving or append
+     order, which is what makes sharded-and-merged runs canonical. The
+     first identity record among the sources heads the result. Every
+     source is read before [into] is replaced. *)
+  let snaps =
     Array.of_list
-      (List.map (fun p -> Option.value (read_raw p) ~default:"") sources)
+      (List.map
+         (fun p ->
+           match List.find_opt (fun s -> String.equal s.path p) scanned with
+           | Some s -> s
+           | None -> snapshot p)
+         sources)
   in
-  let t = table () in
+  let raws = Array.map (fun s -> s.raw) snaps in
+  let t = concat_frames snaps in
   let record = ref (-1) and complete = ref true in
-  List.iteri
-    (fun s path ->
-      let has_record, valid = collect t path s raws.(s) in
-      if has_record && !record < 0 then record := s;
-      if valid = 0 || valid < String.length raws.(s) then complete := false)
-    sources;
+  Array.iteri
+    (fun i s ->
+      if s.record && !record < 0 then record := i;
+      if s.valid = 0 || s.valid < String.length s.raw then complete := false)
+    snaps;
   let ks, kept = first_per_index t in
   (* a lone target with its record first, its indices strictly
      ascending and no torn tail is already its own merge *)

@@ -4,11 +4,16 @@
 
     {v [4B LE payload_len][4B LE point index][4B LE crc32][payload] v}
 
-    where the CRC-32 covers the index bytes and the payload. Each
-    {!append} writes its frame with a single [write(2)] flushed straight
-    to the OS, so a crash (or [kill -9]) can only tear the frame being
-    written — never a frame already appended. {!replay} accepts every
-    complete, checksummed frame up to the first torn or corrupt one;
+    where the CRC-32 covers the index bytes and the payload. {!append}
+    writes one frame and {!append_range} the frames of a range; either
+    call has handed every one of its frames to the OS when it returns
+    (one [write(2)] per call, or per MiB of frames), so a crash (or
+    [kill -9]) loses at most the call in flight — some of its frames and
+    a torn tail — never a frame of a call that returned. A sweep farm
+    worker writes a range's frames with one {!append_range} and {!sync}s
+    before it acknowledges the range: every frame of a range is written
+    and fsynced before its [Done]. {!replay} accepts every complete,
+    checksummed frame up to the first torn or corrupt one;
     {!open_append} additionally truncates that torn tail so new frames
     land on a clean boundary. A resumed run therefore sees exactly the
     set of points whose frames were durably appended, in any order, and
@@ -49,11 +54,24 @@ val check_key : string -> key:string -> unit
     payload if [path] exists but is not a journal (bad magic). *)
 val open_append : string -> t
 
-(** [append t ~index payload] — durably order one frame after all
-    previous ones. Thread-safe. Raises [Invalid_argument] on an [index]
-    outside [0 .. 2^32 - 2] (the top one is the record's) or a closed
-    journal. *)
+(** [append t ~index payload] — one frame after all previous ones, in
+    the OS when the call returns: the one-frame case of
+    {!append_range}. Thread-safe. Raises [Invalid_argument] on an
+    [index] outside [0 .. 2^32 - 2] (the top one is the record's) or a
+    closed journal. *)
 val append : t -> index:int -> string -> unit
+
+(** [append_range t ~lo values] — the frame of [(lo + k, p)] for each
+    [values.(k) = Some p], in ascending [k], after all previous frames;
+    [None] writes nothing. The frames are encoded into the journal's one
+    reusable buffer, which goes to [write(2)] at each MiB and at the
+    end, under one hold of the mutex; all of them are in the OS when
+    the call returns (call {!sync} to make them durable). The bytes
+    equal those of {!append} on each [Some] in index order. Thread-safe.
+    Raises [Invalid_argument] like {!append} when [lo] or
+    [lo + Array.length values - 1] is out of range (before writing
+    anything) or the journal is closed. *)
+val append_range : t -> lo:int -> string option array -> unit
 
 (** [replay path] — the complete frames of [path] in file order, as
     [(index, payload)] pairs. A missing file is an empty journal; a
@@ -61,10 +79,19 @@ val append : t -> index:int -> string -> unit
     {!open_append} on a bad magic. *)
 val replay : string -> (int * string) list
 
-(** [iter_indices path f] — [f i] for the index [i] of each frame
-    {!replay} would return, in file order, without copying a payload.
-    Raises like {!replay}. *)
-val iter_indices : string -> (int -> unit) -> unit
+(** One journal file read and checked once: its bytes and the table of
+    its complete, checksummed frames. It describes the file as it was
+    read; a caller hands it to {!merge} only while the file is
+    unchanged. *)
+type snapshot
+
+(** [snapshot path] — read [path] and check its frames (a missing file
+    is an empty journal). Raises like {!replay}. *)
+val snapshot : string -> snapshot
+
+(** [iter_indices s f] — [f i] for the index [i] of each frame
+    {!replay} would return, in file order, without copying a payload. *)
+val iter_indices : snapshot -> (int -> unit) -> unit
 
 (** [sync t] — [fsync(2)] the journal. *)
 val sync : t -> unit
@@ -95,15 +122,18 @@ val inspect : string -> info
     long-lived, repeatedly resumed journals. *)
 val compact : string -> int * int
 
-(** [merge ?frame ~into sources] — combine the frames of [sources]
-    (missing files are empty journals) into a single journal at [into],
-    written atomically via {!Atomic_file}. For each index the first
-    frame in source-list order wins; the output is sorted by index, so
-    the merged bytes depend only on the decoded content of the sources
-    — never on append interleaving — making sharded-and-merged runs
-    canonical. The first identity record among the sources heads it.
+(** [merge ?frame ?scanned ~into sources] — combine the frames of
+    [sources] (missing files are empty journals) into a single journal
+    at [into], written atomically via {!Atomic_file}. For each index the
+    first frame in source-list order wins; the output is sorted by
+    index, so the merged bytes depend only on the decoded content of the
+    sources — never on append interleaving — making sharded-and-merged
+    runs canonical. The first identity record among the sources heads
+    it.
 
-    Cost: one read and one scan of each source; the kept frames are
+    Cost: one read and one scan of each source — none for a source
+    whose {!snapshot} (taken of the unchanged file) is in [scanned]; the
+    kept frames are
     ordered by an int-array radix sort and their bytes copied as the
     scan checked them, not decoded and re-encoded. When [sources] is
     just [[into]] and [into] is already canonical — its record (if any)
@@ -116,7 +146,11 @@ val compact : string -> int * int
     distinct frames kept. [into] may itself appear in [sources]; it is
     fully read before being replaced. *)
 val merge :
-  ?frame:(int -> string -> unit) -> into:string -> string list -> int
+  ?frame:(int -> string -> unit) ->
+  ?scanned:snapshot list ->
+  into:string ->
+  string list ->
+  int
 
 (** The journal's CRC-32 frame layout reused as a message envelope over
     pipes and sockets: the frame's index field carries a small message

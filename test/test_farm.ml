@@ -18,6 +18,10 @@
    - without stealing the killed shard's points surface as typed
      Worker_failure and a --resume-style second run completes them,
      bytes equal again;
+   - Journal.append_range writes the bytes of one append per Some, in
+     index order, across the 1 MiB flush; a worker killed mid-range
+     leaves its acknowledged ranges and no byte of the range it died
+     in; each worker runs its share of PLLSCOPE_DOMAINS;
    - worker Robust.Stats travel back in Exit frames and are absorbed
      into the coordinator's counters;
    - every journal records the digest of the workload blob: a resume
@@ -64,9 +68,10 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 type wl = {
   flaky_every : int option;  (* index stride that fails on first attempt *)
+  lanes : bool;  (* every payload is the worker's default pool size *)
 }
 
-let quiet = { flaky_every = None }
+let quiet = { flaky_every = None; lanes = false }
 let blob_of (wl : wl) = Marshal.to_string wl []
 
 (* A kill is a fault of the worker process, not part of the workload:
@@ -104,7 +109,8 @@ let worker_main () =
             if first_attempt then
               failwith "Test_farm.worker_main: injected transient failure"
         | _ -> ());
-        encode_value i)
+        if wl.lanes then Marshal.to_string (Parallel.Pool.default_domains ()) []
+        else encode_value i)
     ()
 
 let farm_cfg ?(steal = true) ?(resume = false) ?(slice = Some 3) ?kill ~base
@@ -428,6 +434,65 @@ let test_merge_lone_source () =
       ("torn tail", [ (0, "a"); (1, "b") ], "torn");
     ]
 
+(* [append_range] writes the bytes of one [append] per [Some], in index
+   order: over random Some/None batches, a third of them of 100-400 kB
+   payloads that take the batch past the 1 MiB flush, and batches
+   following earlier frames *)
+let gen_batch =
+  QCheck2.Gen.(
+    let small = map Option.some (string_size (int_range 0 40)) in
+    let big = map2 (fun n c -> Some (String.make n c)) (int_range 100_000 400_000) printable in
+    let batch payload =
+      list_size (int_range 0 16) (frequency [ (1, return None); (2, payload) ])
+    in
+    pair (int_range 0 100_000) (frequency [ (2, batch small); (1, batch big) ]))
+
+let qcheck_append_range =
+  qcheck ~count:40 "journal append_range equals append per Some in index order"
+    QCheck2.Gen.(list_size (int_range 1 3) gen_batch)
+    (fun batches ->
+      let dir = scratch_dir () in
+      let write name f =
+        let p = Filename.concat dir name in
+        let j = Runner.Journal.create p ~key:"k" in
+        List.iter (fun (lo, values) -> f j lo (Array.of_list values)) batches;
+        Runner.Journal.close j;
+        let bytes = read_file p in
+        Sys.remove p;
+        bytes
+      in
+      let ranged = write "ranged" (fun j lo values -> Runner.Journal.append_range j ~lo values) in
+      let single =
+        write "single" (fun j lo values ->
+            Array.iteri
+              (fun k v -> Option.iter (Runner.Journal.append j ~index:(lo + k)) v)
+              values)
+      in
+      ranged = single)
+
+let test_append_range_flush () =
+  (* twelve 200 kB frames: the batch crosses the 1 MiB flush twice *)
+  let dir = scratch_dir () in
+  let values =
+    Array.init 12 (fun k -> if k = 5 then None else Some (String.make 200_000 (Char.chr (65 + k))))
+  in
+  let p = Filename.concat dir "big" in
+  let j = Runner.Journal.create p ~key:"k" in
+  Runner.Journal.append_range j ~lo:7 values;
+  Runner.Journal.close j;
+  let want = List.filter_map (fun k -> Option.map (fun v -> (7 + k, v)) values.(k)) (List.init 12 Fun.id) in
+  check_true "frames in index order" (Runner.Journal.replay p = want);
+  check_int "no torn bytes" 0 (Runner.Journal.inspect p).Runner.Journal.torn_bytes;
+  (* the whole range is checked before anything is written *)
+  let j = Runner.Journal.open_append p in
+  let size = String.length (read_file p) in
+  (match Runner.Journal.append_range j ~lo:(0xFFFF_FFFF - 1) [| Some "a"; Some "b" |] with
+  | () -> Alcotest.fail "range past 2^32 - 2 accepted"
+  | exception Invalid_argument _ -> ());
+  Runner.Journal.close j;
+  check_int "nothing written" size (String.length (read_file p));
+  Sys.remove p
+
 (* ------------------------------------------------------------------ *)
 (* pipe framing                                                        *)
 
@@ -534,7 +599,7 @@ let test_stats_absorbed () =
   Robust.Stats.reset ();
   let report =
     Farm.Coordinator.run
-      (farm_cfg ~base { flaky_every = Some 5 } 3)
+      (farm_cfg ~base { quiet with flaky_every = Some 5 } 3)
       ~n:n_points
   in
   check_payloads_complete "flaky workload retried in-lane" n_points report;
@@ -631,6 +696,91 @@ let test_steal_rebalances () =
   check_true "stealing happened" (report.Farm.Coordinator.steals > 0);
   check_true "death recorded" (report.Farm.Coordinator.worker_deaths >= 1)
 
+(* The farm's lanes are the coordinator's domain budget: a worker runs
+   [max 1 (budget / shards)] of them. *)
+let test_lane_budget () =
+  let dir = scratch_dir () in
+  let var = "PLLSCOPE_DOMAINS" in
+  let old = Sys.getenv_opt var in
+  Unix.putenv var "4";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
+    (fun () ->
+      List.iter
+        (fun (shards, want) ->
+          let base = Filename.concat dir (Printf.sprintf "lanes%d" shards) in
+          let r =
+            Farm.Coordinator.run
+              (farm_cfg ~base { quiet with lanes = true } shards)
+              ~n:16
+          in
+          Array.iteri
+            (fun i p ->
+              match p with
+              | None -> Alcotest.failf "%d shards: point %d missing" shards i
+              | Some s ->
+                  check_int
+                    (Printf.sprintf "%d shards: lanes of point %d" shards i)
+                    want (Marshal.from_string s 0))
+            r.Farm.Coordinator.payloads)
+        [ (2, 2); (8, 1) ])
+
+(* A worker killed mid-range: its journal holds the acknowledged range
+   and nothing of the one it died in — no torn tail, no frame — and a
+   resume over it completes to the canonical bytes. The worker is
+   driven by hand (the farm would merge and delete its journal): shard
+   0 dies at its sixth point, so range [0, 3) is acknowledged and range
+   [3, 6) dies after two computed points. *)
+let test_kill_mid_range_journal () =
+  let dir = scratch_dir () in
+  let canon = read_file (canonical_journal dir n_points) in
+  let base = Filename.concat dir "midrange" in
+  let journal = Farm.Coordinator.shard_path base 0 in
+  Runner.Journal.close
+    (Runner.Journal.create journal ~key:(Digest.string (blob_of quiet)));
+  let to_r, to_w = Unix.pipe ~cloexec:true () in
+  let from_r, from_w = Unix.pipe ~cloexec:true () in
+  let argv = [| Sys.executable_name; "farm-worker"; "0"; "5" |] in
+  let pid = Unix.create_process argv.(0) argv to_r from_w Unix.stderr in
+  Unix.close to_r;
+  Unix.close from_w;
+  let status =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close to_w;
+        Unix.close from_r)
+      (fun () ->
+        Farm.Protocol.send to_w
+          (Farm.Protocol.Hello
+             {
+               shard = 0;
+               journal;
+               blob = blob_of quiet;
+               chunk = None;
+               retries = None;
+               task_timeout = None;
+             });
+        check_true "ready" (Farm.Protocol.recv from_r = Some Farm.Protocol.Ready);
+        Farm.Protocol.send to_w (Farm.Protocol.Assign { lo = 0; hi = 3 });
+        (match Farm.Protocol.recv from_r with
+        | Some (Farm.Protocol.Done { d_lo = 0; d_hi = 3; failed = [] }) -> ()
+        | _ -> Alcotest.fail "range [0, 3) not acknowledged");
+        Farm.Protocol.send to_w (Farm.Protocol.Assign { lo = 3; hi = 6 });
+        check_true "killed mid-range" (Farm.Protocol.recv from_r = None);
+        snd (Unix.waitpid [] pid))
+  in
+  check_true "SIGKILL" (status = Unix.WSIGNALED Sys.sigkill);
+  let info = Runner.Journal.inspect journal in
+  check_int "no torn tail" 0 info.Runner.Journal.torn_bytes;
+  check_true "the acknowledged range and nothing else"
+    (Runner.Journal.replay journal = List.init 3 (fun i -> (i, encode_value i)));
+  let r =
+    Farm.Coordinator.run (farm_cfg ~resume:true ~base quiet 2) ~n:n_points
+  in
+  check_payloads_complete "resumed" n_points r;
+  check_int "resumed the acknowledged range" 3 r.Farm.Coordinator.resumed;
+  check_true "merged journal byte-identical" (read_file base = canon)
+
 (* ------------------------------------------------------------------ *)
 (* workload identity                                                   *)
 
@@ -645,7 +795,7 @@ let expect_parse_naming what path f =
 let test_resume_refuses_other_workload () =
   let dir = scratch_dir () in
   let base = Filename.concat dir "other" in
-  let other = { flaky_every = Some 5 } in
+  let other = { quiet with flaky_every = Some 5 } in
   let r = Farm.Coordinator.run (farm_cfg ~base quiet 2) ~n:n_points in
   check_payloads_complete "first run" n_points r;
   let bytes = read_file base in
@@ -707,6 +857,9 @@ let suite =
     qcheck_merge_oracle;
     case "journal merge leaves a lone canonical source alone"
       (clean test_merge_lone_source);
+    qcheck_append_range;
+    case "journal append_range flushes at 1 MiB and checks its range first"
+      (clean test_append_range_flush);
     case "frame codec round-trips over a pipe" (clean test_frame_roundtrip);
     case "frame codec: torn is EOF, corrupt is Parse"
       (clean test_frame_torn_and_corrupt);
@@ -724,6 +877,10 @@ let suite =
     slow_case "kill without stealing fails typed, resume completes"
       (clean test_kill_no_steal_then_resume);
     case "stealing rebalances a dead shard" (clean test_steal_rebalances);
+    case "worker lanes split the domain budget across shards"
+      (clean test_lane_budget);
+    case "worker killed mid-range leaves no frame of the range"
+      (clean test_kill_mid_range_journal);
     case "resume refuses a base or shard journal of another workload"
       (clean test_resume_refuses_other_workload);
     case "journal from before the identity record resumes"

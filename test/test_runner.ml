@@ -97,6 +97,9 @@ let test_crc32 () =
   | _ -> Alcotest.fail "out-of-range update accepted"
   | exception Invalid_argument _ -> ()
 
+(* a random range, and every start offset mod 8 with every length 0..64
+   (the eight-byte blocks of slicing-by-8, then its byte tail) from a
+   random running checksum *)
 let qcheck_crc32_bitwise =
   qcheck ~count:300 "crc32 equals the bitwise definition over any range"
     QCheck2.Gen.(
@@ -104,9 +107,19 @@ let qcheck_crc32_bitwise =
       let n = String.length s in
       int_range 0 n >>= fun pos ->
       int_range 0 (n - pos) >>= fun len ->
-      int_range 0 0xFFFF_FFFF >>= fun v -> return (s, pos, len, v))
-    (fun (s, pos, len, v) ->
-      Runner.Crc32.update 0 s pos len = crc32_bitwise 0 s pos len
+      int_range 0 0xFFFF_FFFF >>= fun v ->
+      string_size (return 72) >>= fun t ->
+      int_range 0 0xFFFF_FFFF >>= fun c0 -> return (s, pos, len, v, t, c0))
+    (fun (s, pos, len, v, t, c0) ->
+      let every = ref true in
+      for pos = 0 to 7 do
+        for len = 0 to 64 do
+          if Runner.Crc32.update c0 t pos len <> crc32_bitwise c0 t pos len then
+            every := false
+        done
+      done;
+      !every
+      && Runner.Crc32.update 0 s pos len = crc32_bitwise 0 s pos len
       && Runner.Crc32.update_u32 0 v
          = crc32_bitwise 0 (String.init 4 (fun k -> Char.chr ((v lsr (8 * k)) land 0xFF))) 0 4)
 
