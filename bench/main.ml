@@ -9,16 +9,19 @@
               call (the memo misses: compile plus query); compiled
               plans' Plan.baseband: the mixing-PFD loop's, and the
               exact-λ loops' with λ alone (time-invariant and ISF VCO),
-              at n_harm 10/20/40/80;
+              at n_harm 10/20/40/80; and the same baseband point of
+              each loop when its plan faults at every point (the
+              fallback rows);
      grid     1000-point log grids: Htm queries per point, held by the
               memo and cold, against one compiled plan queried per
               point (Plan.eval), n_harm 8/20/80;
      bench    the Bechamel suite, one kernel per paper figure.
 
    Every evaluation runs guarded, as in production; kernels exits 1 if
-   a guard fell back to the dense oracle while it timed, since that
-   would bill the oracle to the plan's rows. kernels and grid each
-   write one record to the current directory, BENCH_<mode>.json:
+   a guard fell back to the dense oracle while it timed a row other
+   than a fallback row, since that would bill the oracle to the plan's
+   rows. kernels and grid each write one record to the current
+   directory, BENCH_<mode>.json:
 
      {"host": {nproc, recommended_domain_count, ocaml_version, git_rev},
       "rows": [{layer, workload, n_harm, ns_per_pt, bytes_per_pt}]}
@@ -218,8 +221,30 @@ let kernel_bench () =
   in
   let exact_ti = exact_lambda "ti" pll in
   let exact_isf = exact_lambda "isf" isf_pll in
-  write_record "BENCH_kernels.json" (ti @ mix @ mix_planned @ exact_ti @ exact_isf);
+  (* read before the fallback rows, which fall back on purpose *)
   let fallbacks = (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks in
+  (* A point whose plan faults: Plan.baseband with grid-plan-nan firing
+     at every point, armed around these rows only. What it costs is the
+     plan's evaluation plus the demanded part of the dense oracle: one
+     row of the open loop behind a sampling PFD, one column of the
+     closed loop behind a mixing PFD. *)
+  let fallback workload p =
+    List.map
+      (fun n_harm ->
+        let plan = Pll_lib.Pll.closed_loop_plan (Htm_core.Htm.ctx ~n_harm ~omega0:w0) p in
+        Robust.Inject.configure "grid-plan-nan:*";
+        Fun.protect ~finally:Robust.Inject.disarm (fun () ->
+            measure ~layer:"fallback" ~workload ~n_harm (fun () ->
+                Htm_core.Plan.baseband plan s)))
+      [ 10; 20; 40; 80 ]
+  in
+  let faulted =
+    List.concat_map
+      (fun (w, p) -> fallback w p)
+      [ ("ti", pll); ("isf", isf_pll); ("mix", mix_pll) ]
+  in
+  write_record "BENCH_kernels.json"
+    (ti @ mix @ mix_planned @ exact_ti @ exact_isf @ faulted);
   if fallbacks > 0 then begin
     Format.eprintf "kernels: %d dense fallback(s) during the benchmark@." fallbacks;
     exit 1

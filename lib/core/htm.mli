@@ -135,7 +135,11 @@ val custom : (ctx -> Numeric.Cx.t -> Numeric.Cmat.t) -> t
     realization. {!element} and {!baseband} demand one entry (see
     {!Plan.element}): a loop closed around a banded open loop computes
     it by a two-sided elimination, equal to the full realization's
-    entry to rounding, and a dense one solves its column. *)
+    entry to rounding, and a dense one solves its column. A point that
+    falls back reads the same demand of the dense oracle, with the
+    whole oracle's bits: one row for {!element} and {!baseband}
+    ({!Htm_expr.row_dense}), one column of a closed loop for
+    {!element} and {!apply_to_tone}, every entry for {!to_matrix}. *)
 
 (** [to_matrix ctx t s] realizes the truncated HTM at the complex
     frequency [s]. Evaluation is structure-aware: the composition tree
@@ -152,7 +156,8 @@ val to_matrix : ctx -> t -> Numeric.Cx.t -> Numeric.Cmat.t
 
 (** [to_matrix_dense ctx t s] — the original all-dense evaluator
     (boxed [Cmat.t] products, dense LU feedback), kept as the reference
-    oracle for the plan path. Use {!to_matrix} everywhere else. *)
+    oracle for the plan path. Use {!to_matrix} everywhere else. Its one
+    row, with the same bits, is {!Htm_expr.row_dense}. *)
 val to_matrix_dense : ctx -> t -> Numeric.Cx.t -> Numeric.Cmat.t
 
 (** [element ctx t ~n ~m s] is [H_{n,m}(s)] of the truncation

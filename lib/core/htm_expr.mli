@@ -36,3 +36,12 @@ val index_of_harmonic : ctx -> int -> int
 
 (** The all-dense boxed reference oracle (see [Htm.to_matrix_dense]). *)
 val to_matrix_dense : ctx -> t -> Cx.t -> Cmat.t
+
+(** [row_dense c t s i] — row [i] of [to_matrix_dense c t s], bit for
+    bit, at the cost of that row: the left spine of a product is
+    followed as a row vector, leaf right factors are read along their
+    band, and only other right factors, feedback loops and custom
+    blocks are realized whole. The dense fallback of a plan point whose
+    caller reads one entry or one row ({!Plan.element}, {!Plan.row}).
+    @raise Invalid_argument if [i] is outside [0 .. dim c - 1]. *)
+val row_dense : ctx -> t -> Cx.t -> int -> Cvec.t

@@ -487,21 +487,60 @@ let eval_checked plan s = checked_view plan ~row:all_rows ~col:all_cols s
 (* What a failing point degrades to: the dense oracle of the plan's
    tree — of the loop the plan evaluates, so a rank-one root closed
    with the λ(s) override is the dense open loop G = u·vᵀ over
-   1 + λ(s), not the truncated (I + G)⁻¹·G. The one sanctioned
-   dense-oracle call outside oracle code: non-strict mode degrades
-   here and records that it did. *)
-let dense_oracle plan s =
-  let oracle t =
-    (Htm_expr.to_matrix_dense plan.ctx t s [@lint.allow "oracle-only"])
-  in
-  match (plan.root, plan.expr) with
-  | { op = Kfb (_, _, Some lam); slot = { sh = `Rank1; _ }; _ }, Feedback g ->
-      Cmat.scale (Cx.inv (Cx.add Cx.one (lam s))) (oracle g)
-  | _ -> oracle plan.expr
+   1 + λ(s), not the truncated (I + G)⁻¹·G — read at the caller's
+   demand, with the bits of the same entries of the whole oracle: one
+   row ([Htm_expr.row_dense]) for an entry or row of any root but a
+   loop without the override, one column (one solve of the n
+   [Lu.solve_mat] runs) for an entry or column of such a loop, and
+   every entry for a full evaluation or any other demand. These are
+   the sanctioned dense-oracle calls outside oracle code: non-strict
+   mode degrades here and records that it did. *)
+let oracle plan t s =
+  (Htm_expr.to_matrix_dense plan.ctx t s [@lint.allow "oracle-only"])
 
-(* The one guard/fallback driver: the checked evaluation, degrading
-   to the dense oracle (counted in [Robust.Stats]) unless strict mode
-   refuses. [row] and [col] are the entry demand (see [all_rows]). *)
+(* the λ(s) override's loop: the open loop G and λ *)
+let lambda_loop plan =
+  match (plan.root, plan.expr) with
+  | { op = Kfb (_, _, Some lam); slot = { sh = `Rank1; _ }; _ }, Feedback g -> Some (g, lam)
+  | _ -> None
+
+let over_one_plus lam s = Cx.inv (Cx.add Cx.one (lam s))
+
+let oracle_full plan s =
+  match lambda_loop plan with
+  | Some (g, lam) -> Cmat.scale (over_one_plus lam s) (oracle plan g s)
+  | None -> oracle plan plan.expr s
+
+let oracle_row plan i s =
+  let row t = (Htm_expr.row_dense plan.ctx t s i [@lint.allow "oracle-only"]) in
+  match lambda_loop plan with
+  | Some (g, lam) -> Cvec.scale (over_one_plus lam s) (row g)
+  | None -> row plan.expr
+
+(* [Some] column [k] of a loop without the override, as
+   [to_matrix_dense] solves it *)
+let oracle_loop_col plan k s =
+  match (lambda_loop plan, plan.expr) with
+  | None, Feedback g ->
+      let gm = oracle plan g s in
+      let i_plus_g = Cmat.add (Cmat.identity (dim plan)) gm in
+      Some (Lu.solve_system i_plus_g (Cmat.col gm k))
+  | _ -> None
+
+let oracle_col plan k s =
+  match oracle_loop_col plan k s with
+  | Some c -> c
+  | None -> Cmat.col (oracle_full plan s) k
+
+let oracle_entry plan i k s =
+  match oracle_loop_col plan k s with
+  | Some c -> Cvec.get c i
+  | None -> Cvec.get (oracle_row plan i s) k
+
+(* The one guard/fallback driver: the checked evaluation, or
+   [`Fallback] — counted in [Robust.Stats], unless strict mode refuses —
+   after which the caller reads the dense oracle at its demand. [row]
+   and [col] are the entry demand (see [all_rows]). *)
 let eval_view plan ~row ~col s =
   match checked_view plan ~row ~col:(root_col plan col) s with
   | Ok v -> `Structured v
@@ -510,18 +549,18 @@ let eval_view plan ~row ~col s =
       else begin
         Robust.Stats.record_fallback e;
         plan.degraded <- true;
-        `Dense (dense_oracle plan s)
+        `Fallback
       end
 
 let eval plan s =
   match eval_view plan ~row:all_rows ~col:all_cols s with
   | `Structured v -> v
-  | `Dense m -> Smat.of_cmat m
+  | `Fallback -> Smat.of_cmat (oracle_full plan s)
 
 let to_cmat plan s =
   match eval_view plan ~row:all_rows ~col:all_cols s with
   | `Structured v -> Smat.to_cmat v
-  | `Dense m -> m
+  | `Fallback -> oracle_full plan s
 
 let index plan what h =
   let c = plan.ctx in
@@ -536,7 +575,7 @@ let element plan ~n ~m s =
       let { are; aim; _ } = plan.root.slot in
       Cx.make are.(0) aim.(0)
   | `Structured v -> Smat.get v i k
-  | `Dense d -> Cmat.get d i k
+  | `Fallback -> oracle_entry plan i k s
 
 let baseband plan s = element plan ~n:0 ~m:0 s
 
@@ -544,10 +583,10 @@ let column plan ~m s =
   let k = index plan "Plan.column" m in
   match eval_view plan ~row:all_rows ~col:k s with
   | `Structured v -> Smat.col v k
-  | `Dense d -> Cmat.col d k
+  | `Fallback -> oracle_col plan k s
 
 let row plan ~n s =
   let i = index plan "Plan.row" n in
   match eval_view plan ~row:i ~col:all_cols s with
   | `Structured v -> Cvec.init (dim plan) (fun k -> Smat.get v i k)
-  | `Dense d -> Cvec.init (dim plan) (fun k -> Cmat.get d i k)
+  | `Fallback -> oracle_row plan i s

@@ -70,6 +70,19 @@ val root_shape : t -> Smat.shape_t
     dense oracle, counted in {!Robust.Stats} — unless strict mode
     ({!Robust.Config.is_strict}) raises the typed error instead.
 
+    A point that falls back reads the part of the oracle its query
+    demands, with the bits of the same entries of the whole oracle:
+    {!element}, {!baseband} and {!row} read one row
+    ({!Htm_expr.row_dense}, which follows a left-associated product as
+    a row vector in [Cmat.mul]'s order) — of the open loop over
+    [1 + λ(s)] under the λ override — and {!element} and {!column} of
+    a loop without the override solve for one column of
+    [(I + G)⁻¹·G], the same solve as that column of the n-column one.
+    {!eval}, {!to_cmat} and the other demands read the whole
+    [Htm.to_matrix_dense]. One fallback point of an ISF loop at
+    n_harm 80 costs ~12 µs and ~55 kB (~5.9 ms and 16 MB for the
+    whole oracle); one of a mixing loop still pays its n×n LU.
+
     A [Custom] block must return a [dim × dim] matrix at every point;
     any other size raises [Invalid_argument "Plan.eval: ..."] before
     anything is written. *)

@@ -30,6 +30,7 @@ val mul : t -> t -> t
 
 (** [mv m v] is the matrix-vector product. *)
 val mv : t -> Cvec.t -> Cvec.t
+[@@lint.allow "test-only-export" "oracle: the boxed product that LU residuals and Pll.v_tilde's banded row sums are checked against"]
 
 (** [outer u v] is the rank-one matrix [u v^T] (no conjugation) — the
     shape of the sampling-PFD HTM. *)

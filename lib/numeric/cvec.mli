@@ -13,6 +13,7 @@ val dim : t -> int
 val get : t -> int -> Cx.t
 
 val ones : int -> t
+[@@lint.allow "test-only-export" "oracle: the all-ones vector l of the row-sum and sum checks"]
 
 val add : t -> t -> t
 [@@lint.allow "test-only-export" "queued: only its own unit tests call it"]

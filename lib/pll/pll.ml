@@ -175,25 +175,39 @@ let closed_loop_planner p =
 
 let closed_loop_plan ctx p = closed_loop_planner p ctx
 
-let forward_chain_matrix ctx p s =
-  (* H_VCO(s) * H_LF(s) as a truncated matrix. The chain is a new tree
-     at every call, so the [Htm] plan memo could never hit it: its plan
-     is made, used once and dropped here, and holds no memo slot. *)
-  let open Htm_core in
-  let chain =
-    Htm.series (Vco.htm p.vco)
-      (Htm.lti_rat (Lti.Tf.to_rat (Loop_filter.tf p.filter)))
-  in
-  Plan.to_cmat (Plan.make ctx chain) s
-
 let v_tilde ctx p s =
   match p.pfd with
   | Pfd.Sampling ->
-      let m = forward_chain_matrix ctx p s in
-      let l = Cvec.ones (Cmat.rows m) in
-      Cvec.scale
-        (Cx.of_float (omega0 p /. (2.0 *. Float.pi)))
-        (Cmat.mv m l)
+      (* Ṽ = (ω₀/2π)·H_VCO·H_LF·l: the row sums of the forward chain,
+         read from its diagonal or banded realization. The chain is a
+         new tree at every call, so the [Htm] plan memo could never
+         hit it: its plan is made, used once and dropped here. *)
+      let open Htm_core in
+      let chain =
+        Htm.series (Vco.htm p.vco)
+          (Htm.lti_rat (Lti.Tf.to_rat (Loop_filter.tf p.filter)))
+      in
+      let plan = Plan.make ctx chain in
+      let m = Plan.eval plan s in
+      let n = Htm.dim ctx in
+      (* the columns row i of the chain can hold: its band, or every one
+         after a fallback to the dense oracle *)
+      let reach =
+        match Plan.root_shape plan with
+        | `Diag when not (Plan.degraded plan) -> 0
+        | `Band k when not (Plan.degraded plan) -> k
+        | _ -> n
+      in
+      (* the sum of [Cmat.mv m l] row by row: a zero off the band adds
+         +0·1 = +0 to a sum that starts at +0, which leaves it as it is,
+         so the band alone gives the same bits *)
+      let w = Cx.of_float (omega0 p /. (2.0 *. Float.pi)) in
+      Cvec.init n (fun i ->
+          let acc = ref Cx.zero in
+          for k = Int.max 0 (i - reach) to Int.min (n - 1) (i + reach) do
+            acc := Cx.add !acc (Cx.mul (Smat.get m i k) Cx.one)
+          done;
+          Cx.mul w !acc)
   | Pfd.Mixing _ ->
       invalid_arg "Pll.v_tilde: rank-one form requires a sampling PFD"
 

@@ -65,7 +65,15 @@
      raised in strict mode is dropped, and two systhreads plus two
      sweep lanes on one pair get fresh-plan bits;
    - a mixing loop's plan at n_harm 200 allocates its n×n storage only
-     when a column query first needs it. *)
+     when a column query first needs it;
+   - the fallback reads the demanded part of the dense oracle:
+     Htm_expr.row_dense equals every row of Htm.to_matrix_dense bit for
+     bit over the randomized trees, fixed chains with every node kind
+     on each side of a product, and trees with an infinite leaf entry;
+     under grid-plan-nan:1 element, baseband, row, column and to_cmat
+     of ti, isf (with and without λ) and mixing loops at n_harm
+     8/20/40 equal the full oracle bit for bit, one fallback each; one
+     ISF fallback point at n_harm 80 allocates under 50k words. *)
 
 open Numeric
 open Helpers
@@ -1376,6 +1384,191 @@ let test_mixing_plan_defers_dense () =
   check_rel "baseband = column entry" (Cvec.get col (Htm.index_of_harmonic c 0)) h00;
   check_bits "baseband after the column" h00 (Plan.baseband plan s)
 
+(* ------------------------------------------------------------------ *)
+(* the demanded part of the dense oracle                               *)
+
+(* equal bits, a NaN matching a NaN (every NaN here is made by an
+   invalid operation, so it has the default NaN's bits anyway) *)
+let check_same_bits msg a b =
+  let same x y = bits_equal x y || (Float.is_nan x && Float.is_nan y) in
+  if not (same (Cx.re a) (Cx.re b) && same (Cx.im a) (Cx.im b)) then
+    Alcotest.failf "%s: not bit-identical (%s vs %s)" msg (Cx.to_string a)
+      (Cx.to_string b)
+
+(* every row of [Htm_expr.row_dense] against the same row of the
+   oracle; an exactly singular loop raises in both *)
+let check_oracle_rows ?(check = check_bits) what c t s =
+  match Htm.to_matrix_dense c t s with
+  | exception Lu.Singular -> false
+  | dense ->
+      for i = 0 to Htm.dim c - 1 do
+        let r = Htm_core.Htm_expr.row_dense c t s i in
+        for k = 0 to Htm.dim c - 1 do
+          check (Printf.sprintf "%s: row %d column %d" what i k) (Cmat.get dense i k)
+            (Cvec.get r k)
+        done
+      done;
+      true
+
+(* Row demand of the oracle over the randomized trees (every node kind,
+   nested on both sides of a product, feedback and custom blocks
+   inside), plus fixed trees that put each kind of node on each side of
+   a left-associated chain. *)
+let test_row_dense_bits () =
+  let g = Prng.create ~seed:0x20D5L in
+  let checked = ref 0 in
+  for trial = 1 to 150 do
+    let n_harm = 1 + rint g 4 in
+    let c = Htm.ctx ~n_harm ~omega0:(Prng.uniform g ~lo:1.0 ~hi:3.0) in
+    let t = gen_expr g (3 + rint g 2) in
+    for point = 1 to 2 do
+      if check_oracle_rows (Printf.sprintf "trial %d point %d" trial point) c t (gen_s g)
+      then incr checked
+    done
+  done;
+  check_true "almost all trials checked" (!checked >= 280);
+  let c = Htm.ctx ~n_harm:3 ~omega0:1.7 in
+  let fb t = Htm.feedback (Htm.scale (Cx.of_float 0.1) t) in
+  let leaves =
+    [ gen_lti g; gen_lti_rat g; gen_periodic g; Htm.sampler; Htm.identity; Htm.zero;
+      gen_custom g; fb (gen_lti_rat g);
+      Htm.scale (gen_cx_with g 0.7) (gen_periodic g);
+      Htm.parallel (gen_lti g) Htm.sampler; Htm.sub (gen_periodic g) (gen_lti_rat g);
+      Htm.series (gen_periodic g) (gen_lti g) ]
+  in
+  List.iteri
+    (fun a left ->
+      List.iteri
+        (fun b right ->
+          let t = Htm.series_list [ left; right; gen_periodic g; left ] in
+          ignore (check_oracle_rows (Printf.sprintf "chain %d·%d" a b) c t (gen_s g)))
+        leaves)
+    leaves
+
+(* A leaf with an infinite entry on one harmonic: a non-finite left
+   entry turns the zeros of the right factor into NaNs, and a zero left
+   entry must not meet the infinity at all. *)
+let test_row_dense_non_finite () =
+  let c = Htm.ctx ~n_harm:3 ~omega0:1.0 in
+  let s = Cx.jomega 0.25 in
+  let spike m0 =
+    Htm.lti (fun z ->
+        if Float.abs (Cx.im z -. (0.25 +. float_of_int m0)) < 1e-9 then
+          Cx.make Float.infinity 0.5
+        else Cx.div Cx.one (Cx.add z (Cx.of_float 2.0)))
+  in
+  let g = Prng.create ~seed:0x5B1CL in
+  List.iteri
+    (fun j t ->
+      ignore
+        (check_oracle_rows ~check:check_same_bits (Printf.sprintf "tree %d" j) c t s))
+    [
+      Htm.series (spike 1) (gen_periodic g);
+      Htm.series (spike (-2)) Htm.sampler;
+      Htm.series_list [ gen_lti_rat g; Htm.identity; spike 0 ];
+      Htm.series_list [ gen_periodic g; spike 2; gen_lti g ];
+      Htm.series_list [ spike 1; gen_periodic g; Htm.zero ];
+      Htm.series (gen_custom g) (spike (-1));
+      Htm.parallel (Htm.series (spike 0) (gen_periodic g)) Htm.sampler;
+    ]
+
+(* Under grid-plan-nan:1 every query kind of every loop class falls
+   back once and reads the full oracle's bits: the open loop over
+   1 + λ(s) behind a sampling PFD with the λ override, the closed
+   loop's tree otherwise. *)
+let test_fallback_demand_bits =
+  clean (fun () ->
+      let loops =
+        [
+          ("ti", pll_of spec_default, true);
+          ("isf", isf_loop (), true);
+          ("isf, no λ", isf_loop (), false);
+          ("mix", mixing_loop ~isf:false, true);
+        ]
+      in
+      List.iter
+        (fun (what, p, planner) ->
+          let w0 = Pll_lib.Pll.omega0 p in
+          List.iter
+            (fun n_harm ->
+              let c = Htm.ctx ~n_harm ~omega0:w0 in
+              let s = Cx.jomega (0.17 *. w0) in
+              let plan, oracle =
+                match p.Pll_lib.Pll.pfd with
+                | Pll_lib.Pfd.Sampling when planner ->
+                    ( Pll_lib.Pll.closed_loop_plan c p,
+                      Cmat.scale
+                        (Cx.inv (Cx.add Cx.one (Pll_lib.Pll.lambda p s)))
+                        (Htm.to_matrix_dense c (Pll_lib.Pll.open_loop_htm p) s) )
+                | _ ->
+                    let t = Pll_lib.Pll.closed_loop_htm p in
+                    (Plan.make c t, Htm.to_matrix_dense c t s)
+              in
+              let what = Printf.sprintf "%s n_harm %d" what n_harm in
+              let idx = Htm.index_of_harmonic c in
+              let faulted f =
+                Robust.Stats.reset ();
+                Robust.Inject.configure "grid-plan-nan:1";
+                let r = Fun.protect ~finally:Robust.Inject.disarm f in
+                check_int (what ^ ": one dense fallback") 1
+                  (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks;
+                r
+              in
+              List.iter
+                (fun (n, m) ->
+                  check_bits
+                    (Printf.sprintf "%s: element (%d, %d)" what n m)
+                    (Cmat.get oracle (idx n) (idx m))
+                    (faulted (fun () -> Plan.element plan ~n ~m s)))
+                [ (1, 0); (-2, 1); (n_harm, -n_harm); (0, 2) ];
+              check_bits (what ^ ": baseband")
+                (Cmat.get oracle (idx 0) (idx 0))
+                (faulted (fun () -> Plan.baseband plan s));
+              List.iter
+                (fun h ->
+                  let r = faulted (fun () -> Plan.row plan ~n:h s) in
+                  let col = faulted (fun () -> Plan.column plan ~m:h s) in
+                  for k = 0 to Htm.dim c - 1 do
+                    check_bits
+                      (Printf.sprintf "%s: row %d, column %d" what h k)
+                      (Cmat.get oracle (idx h) k) (Cvec.get r k);
+                    check_bits
+                      (Printf.sprintf "%s: column %d, row %d" what h k)
+                      (Cmat.get oracle k (idx h)) (Cvec.get col k)
+                  done)
+                [ 0; -1 ];
+              let full = faulted (fun () -> Plan.to_cmat plan s) in
+              for i = 0 to Htm.dim c - 1 do
+                for k = 0 to Htm.dim c - 1 do
+                  check_bits
+                    (Printf.sprintf "%s: to_cmat (%d, %d)" what i k)
+                    (Cmat.get oracle i k) (Cmat.get full i k)
+                done
+              done)
+            [ 8; 20; 40 ])
+        loops)
+
+(* One fallback point of an ISF loop at n_harm 80 reads one row of its
+   open loop: far below the 2.0M words of the whole n×n oracle. *)
+let test_fallback_alloc_bound =
+  clean (fun () ->
+      let p = isf_loop () in
+      let w0 = Pll_lib.Pll.omega0 p in
+      let plan = Pll_lib.Pll.closed_loop_plan (Htm.ctx ~n_harm:80 ~omega0:w0) p in
+      let s = Cx.jomega (0.21 *. w0) in
+      ignore (Plan.baseband plan s);
+      Robust.Stats.reset ();
+      Robust.Inject.configure "grid-plan-nan:1";
+      let w_before = Gc.minor_words () in
+      ignore (Plan.baseband plan s);
+      let words = Gc.minor_words () -. w_before in
+      Robust.Inject.disarm ();
+      check_int "one dense fallback" 1
+        (Robust.Stats.snapshot ()).Robust.Stats.dense_fallbacks;
+      check_true
+        (Printf.sprintf "%.0f words for the fallback point, under 50k" words)
+        (words < 50_000.0))
+
 let suite =
   [
     case "randomized planned = per-point = dense (1e-12)"
@@ -1439,4 +1632,11 @@ let suite =
       test_memo_threads_and_lanes;
     case "mixing plan defers its n×n storage to the first column"
       test_mixing_plan_defers_dense;
+    case "oracle row demand = oracle rows, bit for bit" test_row_dense_bits;
+    case "oracle row demand with non-finite leaves = oracle rows"
+      test_row_dense_non_finite;
+    case "fallback at every demand = full oracle, bit for bit (ti, isf, mix)"
+      test_fallback_demand_bits;
+    case "one ISF fallback at n_harm 80 under 50k words"
+      test_fallback_alloc_bound;
   ]

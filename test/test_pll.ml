@@ -152,6 +152,61 @@ let test_v_tilde () =
       (Cvec.get v (c + n))
   done
 
+(* Ṽ read from the forward chain's band has the bits of the row sums of
+   the chain's dense realization (Cmat.mv against the ones vector), and
+   of the dense oracle's after a fallback *)
+let test_v_tilde_band_bits () =
+  let bits a b =
+    Int64.equal (Int64.bits_of_float (Cx.re a)) (Int64.bits_of_float (Cx.re b))
+    && Int64.equal (Int64.bits_of_float (Cx.im a)) (Int64.bits_of_float (Cx.im b))
+  in
+  let isf harmonics =
+    Pll.make ~fref:1e6 ~n_div:64.0 ~filter:pll.Pll.filter
+      ~vco:(Pll_lib.Vco.with_isf ~kvco:20e6 ~n_div:64.0 ~fref:1e6 ~harmonics)
+      ()
+  in
+  let row_sums ctx p m =
+    Cvec.scale
+      (Cx.of_float (Pll.omega0 p /. (2.0 *. Float.pi)))
+      (Cmat.mv m (Cvec.ones (Htm.dim ctx)))
+  in
+  List.iter
+    (fun (what, p) ->
+      let w0 = Pll.omega0 p in
+      let chain =
+        Htm.series (Pll_lib.Vco.htm p.Pll.vco)
+          (Htm.lti_rat (Lti.Tf.to_rat (Pll_lib.Loop_filter.tf p.Pll.filter)))
+      in
+      List.iter
+        (fun n_harm ->
+          let ctx = Htm.ctx ~n_harm ~omega0:w0 in
+          List.iter
+            (fun s ->
+              let check label expected got =
+                for i = 0 to Htm.dim ctx - 1 do
+                  if not (bits (Cvec.get expected i) (Cvec.get got i)) then
+                    Alcotest.failf "%s n_harm %d %s: entry %d %s vs %s" what n_harm label
+                      i (Cx.to_string (Cvec.get expected i))
+                      (Cx.to_string (Cvec.get got i))
+                done
+              in
+              check "clean"
+                (row_sums ctx p (Htm.to_matrix ctx chain s))
+                (Pll.v_tilde ctx p s);
+              Robust.Inject.configure "grid-plan-nan:1";
+              let got =
+                Fun.protect ~finally:Robust.Inject.disarm (fun () -> Pll.v_tilde ctx p s)
+              in
+              check "fallback" (row_sums ctx p (Htm.to_matrix_dense ctx chain s)) got)
+            [ Cx.jomega (0.3 *. w0); Cx.make (-0.02 *. w0) (0.11 *. w0); Cx.of_float (0.05 *. w0) ])
+        [ 0; 1; 3; 20 ])
+    [
+      ("ti", pll);
+      ("isf K=1", isf [ Cx.of_float 0.2 ]);
+      ("isf K=2", isf [ Cx.of_float 0.3; Cx.make 0.05 (-0.04) ]);
+    ];
+  Robust.Stats.reset ()
+
 let test_mixing_pfd_rejected_in_rank_one () =
   let p =
     Pll.make ~fref:1e6 ~n_div:64.0 ~filter:pll.Pll.filter ~vco:pll.Pll.vco
@@ -339,4 +394,6 @@ let suite =
     case "ISF closed-loop elements u_n/(1 + λ)" test_isf_elements;
     case "ISF effective report uses the ISF λ" test_isf_effective_report;
     prop_h00_conjugate_symmetry;
+    case "V-tilde from the chain's band = dense row sums, bit for bit"
+      test_v_tilde_band_bits;
   ]

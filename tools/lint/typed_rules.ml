@@ -658,6 +658,8 @@ let oracle_apis =
   [
     (("Htm", "to_matrix_dense"), [ "htm.ml"; "htm_expr.ml" ]);
     (("Htm_expr", "to_matrix_dense"), [ "htm.ml"; "htm_expr.ml" ]);
+    (* one row of the oracle: the demanded part of a dense fallback *)
+    (("Htm_expr", "row_dense"), [ "htm_expr.ml" ]);
     (* the raw LU pair: library code factors through the checked
        variants (Cmatf.lu_decompose_checked / lu_solve_checked) *)
     (("Cmatf", "lu_decompose_inplace"), [ "cmatf.ml" ]);
